@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .currents import (ODD, EdgeStateConfig, SourceConstraint, current_sum,
+from .currents import (EdgeStateConfig, SourceConstraint, current_sum,
                        edge_weight_table)
 from .spins import SizeError
 from . import spins

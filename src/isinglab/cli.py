@@ -10,15 +10,14 @@ all checks pass, 1 on a verification failure, 2 on usage or size errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 import time
 
 import numpy as np
 
-from .graphs import (BoundarySpec, Couplings, FieldSpec, Graph,
-                     parse_graph_file, parse_lattice_spec, reflection_for_axis)
+from .graphs import (FieldSpec, parse_graph_file, parse_lattice_spec,
+                     reflection_for_axis)
 from .spins import SizeError
 from . import spins
 
@@ -53,11 +52,13 @@ class Row:
 
     @property
     def ok(self):
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            return False
         if self.kind == "eq":
             return self.abs_diff <= self.tol
         if self.kind == "ineq":
             return self.slack >= -self.tol
-        return True     # plain values always pass
+        return True     # finite plain values always pass
 
     def csv(self):
         return ",".join([
@@ -107,6 +108,8 @@ def _betas(args):
             a, b, step = (float(x) for x in args.beta_sweep.split(":"))
         except ValueError:
             raise UsageError("--beta-sweep wants a:b:step")
+        if not all(map(math.isfinite, (a, b, step))):
+            raise UsageError("--beta-sweep wants finite values")
         if step <= 0 or b < a:
             raise UsageError("--beta-sweep wants a <= b and step > 0")
         out = []
@@ -115,6 +118,8 @@ def _betas(args):
             out.append(round(v, 12))
             v += step
         return out
+    if not math.isfinite(args.beta):
+        raise UsageError("--beta wants a finite value")
     return [args.beta]
 
 
@@ -126,14 +131,11 @@ def _sites(args, need, graph):
             [0, graph.n - 1][:need]
     if len(ids) < need:
         raise UsageError("need %d site ids (--sites a,b,...)" % need)
+    bad = [v for v in ids[:need] if not 0 <= v < graph.n]
+    if bad:
+        raise UsageError("site id %d is not a vertex (0..%d)"
+                         % (bad[0], graph.n - 1))
     return ids[:need]
-
-
-def _box_instance(args):
-    graph, coup, fields, bspec = _load_instance(args)
-    if not hasattr(graph, "coords"):
-        raise UsageError("this command needs a --lattice box")
-    return graph, coup, fields, bspec
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .spins import SizeError
 from .unionfind import ParityUnionFind, UnionFind
 
@@ -81,20 +83,6 @@ class EdgeStateConfig:
                 deg[u] ^= 1
                 deg[v] ^= 1
         return frozenset(v for v in self.graph.vertices if deg[v])
-
-
-class SignTracker:
-    """(-1)^{total Odd flux over the tracked edge set}."""
-
-    def __init__(self, edges):
-        self.edges = frozenset(edges)
-
-    def sign(self, odd_edges):
-        return -1.0 if len(self.edges & odd_edges) % 2 else 1.0
-
-    @classmethod
-    def for_couplings(cls, couplings):
-        return cls(couplings.negative_edges())
 
 
 def edge_weight_table(couplings):
@@ -210,7 +198,9 @@ def truncated_flux_sum(graph, couplings, A, cutoff=40):
 
 
 # ---------------------------------------------------------------------------
-# support views shared by the double-current and FK engines
+# support views and the support-pattern kernel shared by the double-current,
+# folded-current and FK engines: each engine yields (weight, SupportView)
+# pairs, and event expectations are weighted sums over them
 
 
 class SupportView:
@@ -231,6 +221,13 @@ class SupportView:
 
     def connected(self, u, v):
         return self._uf.connected(u, v)
+
+    def cluster_count(self, wired=None):
+        """Number of clusters of the spanning subgraph; with `wired`, only
+        those that reach no wired vertex (N0 of a wired boundary)."""
+        if wired is None:
+            return self._uf.count
+        return self._uf.count - len({self._uf.find(v) for v in wired})
 
     def connects_sets(self, U, V):
         roots = {self._uf.find(u) for u in U}
@@ -277,3 +274,59 @@ class SupportView:
         if p is None or not (u in self.touched and v in self.touched):
             return 0.0
         return -1.0 if p else 1.0
+
+
+def _support_expectations(weighted_views, events):
+    """Normalized expectations of the named events over (weight, SupportView)
+    pairs, plus '_total' (the raw weight sum).
+
+    events: dict name -> fn(SupportView) -> float.
+    """
+    acc = {name: [] for name in events}
+    tot = []
+    for wgt, view in weighted_views:
+        tot.append(wgt)
+        for name, fn in events.items():
+            val = fn(view)
+            if val:
+                acc[name].append(wgt * float(val))
+    total = math.fsum(tot)
+    out = {name: math.fsum(vals) / total for name, vals in acc.items()}
+    out["_total"] = total
+    return out
+
+
+def _product_table(edge_list, tabs, nsig):
+    """Meet-in-the-middle half table: row `mask` is the product of tabs[e]
+    (arrays of length nsig) over the edges of edge_list selected by mask."""
+    m = len(edge_list)
+    out = np.empty((1 << m, nsig))
+    out[0] = 1.0
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        e = edge_list[low.bit_length() - 1]
+        out[mask] = out[mask ^ low] * tabs[e]
+    return out
+
+
+def _dobrushin_events(boundary_spec, x=None):
+    """Events of the mixed-boundary identities on a support wired at the
+    boundary: 'ff' (no minus-plus connection) and, for a site x, 'x_bdry'
+    (x reaches the boundary) and 'x_plus' / 'x_minus' (x reaches that part
+    of the boundary and the support is ff)."""
+    plus = boundary_spec.plus_set
+    minus = boundary_spec.minus_set
+
+    def ff(sv):
+        return 0.0 if sv.connects_sets(minus, plus) else 1.0
+
+    events = {"ff": ff}
+    if x is not None:
+        bdry = plus | minus
+        events["x_bdry"] = lambda sv: (
+            1.0 if sv.connects_sets([x], bdry) else 0.0)
+        events["x_plus"] = lambda sv: (
+            ff(sv) if sv.connects_sets([x], plus) else 0.0)
+        events["x_minus"] = lambda sv: (
+            ff(sv) if sv.connects_sets([x], minus) else 0.0)
+    return events

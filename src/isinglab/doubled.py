@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import ConstraintError, SupportView, edge_weight_table
+from .currents import (ConstraintError, SupportView, _dobrushin_events,
+                       _product_table, _support_expectations,
+                       edge_weight_table)
 from .spins import SizeError
 
 DOUBLE_WORK_CAP = 40_000_000
@@ -247,21 +249,12 @@ class DoubleSupportMeasure:
         srcB = src_vec(A1 ^ A2)
 
         half = E // 2
-        self._halfA = list(range(half))
-        self._halfB = list(range(half, E))
-
-        def table(edge_list, tabs):
-            m = len(edge_list)
-            out = np.empty((1 << m, nsig))
-            out[0] = 1.0
-            for mask in range(1, 1 << m):
-                low = mask & -mask
-                e = edge_list[low.bit_length() - 1]
-                out[mask] = out[mask ^ low] * tabs[e]
-            return out
-
-        FA, FB = table(self._halfA, f_tabs), table(self._halfB, f_tabs)
-        GA, GB = table(self._halfA, g_tabs), table(self._halfB, g_tabs)
+        halfA = list(range(half))
+        halfB = list(range(half, E))
+        FA = _product_table(halfA, f_tabs, nsig)
+        FB = _product_table(halfB, f_tabs, nsig)
+        GA = _product_table(halfA, g_tabs, nsig)
+        GB = _product_table(halfB, g_tabs, nsig)
         norm = 1.0 / (nsig * nsig)
         # W[sa, sb] = 2^{-2k} (srcA . FA FB)(srcB . GA GB)
         M1 = (FA * srcA) @ FB.T
@@ -270,32 +263,19 @@ class DoubleSupportMeasure:
         self._E = E
         self._half = half
 
-    def weight(self, support_mask):
-        sa = support_mask & ((1 << self._half) - 1)
-        sb = support_mask >> self._half
-        return self._W[sa, sb]
-
     def expectations(self, events):
         """events: dict name -> fn(SupportView) -> float.  Returns dict of
         normalized expectations plus '_total' (the raw weight sum)."""
         E = self._E
-        acc = {name: [] for name in events}
-        tot = []
-        nz = np.argwhere(self._W != 0.0)
-        for sa, sb in nz:
-            mask = int(sa) | (int(sb) << self._half)
-            wgt = float(self._W[sa, sb])
-            tot.append(wgt)
-            view = SupportView(self.graph,
-                               [e for e in range(E) if mask & (1 << e)])
-            for name, fn in events.items():
-                val = fn(view)
-                if val:
-                    acc[name].append(wgt * float(val))
-        total = math.fsum(tot)
-        out = {name: math.fsum(vals) / total for name, vals in acc.items()}
-        out["_total"] = total
-        return out
+
+        def weighted_views():
+            for sa, sb in np.argwhere(self._W != 0.0):
+                mask = int(sa) | (int(sb) << self._half)
+                yield (float(self._W[sa, sb]),
+                       SupportView(self.graph,
+                                   [e for e in range(E) if mask & (1 << e)]))
+
+        return _support_expectations(weighted_views(), events)
 
 
 def double_support_expectations(graph, couplings, constrained, A1, A2, events):
@@ -347,34 +327,21 @@ class BoundaryMagnetization:
 
 def boundary_partition_ratio(graph, couplings, boundary_spec):
     """Z^{pm}/Z^{+} = P^{0,0;+}(dLam_- not connected to dLam_+)."""
-    plus = boundary_spec.plus_set
-    minus = boundary_spec.minus_set
-    interior = boundary_spec.interior(graph)
     out = double_support_expectations(
-        graph, couplings, interior, frozenset(), frozenset(),
-        {"ff": lambda sv: 0.0 if sv.connects_sets(minus, plus) else 1.0})
+        graph, couplings, boundary_spec.interior(graph), frozenset(),
+        frozenset(), _dobrushin_events(boundary_spec))
     return out["ff"]
 
 
 def boundary_magnetization(graph, couplings, boundary_spec, x):
-    plus = boundary_spec.plus_set
-    minus = boundary_spec.minus_set
-    bdry = plus | minus
     interior = boundary_spec.interior(graph)
     if x not in interior:
         raise ValueError("x must be an interior site")
-    ev = {
-        "plus": lambda sv: 1.0 if sv.connects_sets([x], bdry) else 0.0,
-        "ff": lambda sv: 0.0 if sv.connects_sets(minus, plus) else 1.0,
-        "x_plus": lambda sv: (1.0 if sv.connects_sets([x], plus) else 0.0)
-                             * (0.0 if sv.connects_sets(minus, plus) else 1.0),
-        "x_minus": lambda sv: (1.0 if sv.connects_sets([x], minus) else 0.0)
-                              * (0.0 if sv.connects_sets(minus, plus) else 1.0),
-    }
     out = double_support_expectations(graph, couplings, interior,
-                                      frozenset(), frozenset(), ev)
+                                      frozenset(), frozenset(),
+                                      _dobrushin_events(boundary_spec, x))
     pm = (out["x_plus"] - out["x_minus"]) / out["ff"]
-    return BoundaryMagnetization(plus_prob=out["plus"], pm_expr=pm)
+    return BoundaryMagnetization(plus_prob=out["x_bdry"], pm_expr=pm)
 
 
 def surface_tension_ratio(box, couplings, axis=None):

@@ -3,18 +3,18 @@
 Weights: prod_{b in w} p_b prod_{b notin w} (1-p_b) * q^{N(w)}, with
 p_b = 1 - exp(-2 beta |J_b|).  With a wired boundary the cluster count is
 replaced by N0(w), the number of clusters not reaching a designated
-boundary vertex.  Everything here is a plain 2^|E| sum; the union-find per
-subset is recomputed from scratch (cheap at desk scale, and trivially
-chunk-order independent).
+boundary vertex.  Everything here is a plain 2^|E| sum: each subset gets
+one SupportView, whose union-find gives both the cluster count in the
+weight and the events, and the shared support-pattern kernel of
+`currents` sums the weighted events.
 """
 
 from __future__ import annotations
 
 import math
 
-from .currents import SupportView
+from .currents import SupportView, _dobrushin_events, _support_expectations
 from .spins import SizeError
-from .unionfind import UnionFind
 from . import spins, doubled
 
 FK_EDGE_CAP = 20
@@ -27,58 +27,49 @@ def fk_weights(couplings):
             for e in range(couplings.graph.n_edges)]
 
 
-def _cluster_counts(graph, open_edges, boundary):
-    uf = UnionFind(graph.n)
-    for e in open_edges:
-        u, v = graph.edges[e]
-        uf.union(u, v)
-    if boundary is None:
-        return uf.count
-    roots = {uf.find(v) for v in boundary}
-    return uf.count - len(roots)
-
-
 def fk_measure_expectation(graph, couplings, events, boundary=None,
                            cap=FK_EDGE_CAP):
     """Normalized expectations of the named events under the FK measure.
 
     events: dict name -> fn(SupportView) -> float.  `boundary` is a vertex
     set; when given, the cluster weight uses N0 (wired / plus state).
-    Returns the dict of expectations plus '_total' (the unnormalized sum,
-    which with wired counting is Z^+ e^{-beta sum J} 2^{|boundary|}).
+    Returns the dict of expectations plus '_total', the unnormalized sum:
+    Z(|J|) e^{-beta sum |J|} 2^n, or with wired counting
+    Z^+(|J|) e^{-beta sum |J|} 2^{n - |boundary|}, i.e. 2 to the number of
+    free spins times the spin-oracle Z (which carries 1/2 per free spin).
     """
     E = graph.n_edges
     if E > cap:
         raise SizeError("2^%d cluster configurations exceed the cap" % E)
     p = fk_weights(couplings)
-    acc = {name: [] for name in events}
-    tot = []
-    for mask in range(1 << E):
-        w = 1.0
-        open_edges = []
-        for e in range(E):
-            if mask & (1 << e):
-                w *= p[e]
-                open_edges.append(e)
-            else:
-                w *= 1.0 - p[e]
-        if w == 0.0:
-            continue
-        w *= Q ** _cluster_counts(graph, open_edges, boundary)
-        tot.append(w)
-        view = SupportView(graph, open_edges)
-        for name, fn in events.items():
-            val = fn(view)
-            if val:
-                acc[name].append(w * float(val))
-    total = math.fsum(tot)
-    out = {name: math.fsum(v) / total for name, v in acc.items()}
-    out["_total"] = total
-    return out
+
+    def weighted_views():
+        for mask in range(1 << E):
+            w = 1.0
+            open_edges = []
+            for e in range(E):
+                if mask & (1 << e):
+                    w *= p[e]
+                    open_edges.append(e)
+                else:
+                    w *= 1.0 - p[e]
+            if w == 0.0:
+                continue
+            view = SupportView(graph, open_edges)
+            yield w * Q ** view.cluster_count(boundary), view
+
+    return _support_expectations(weighted_views(), events)
 
 
 def connection_probability(graph, couplings, x, y, cap=FK_EDGE_CAP):
-    """P^FK(x <-> y); equals <s_x s_y> for ferromagnetic couplings."""
+    """P^FK(x <-> y); equals <s_x s_y> for ferromagnetic couplings.
+
+    The FK measure only sees |J|, so a negative coupling raises ValueError
+    instead of returning the |J| answer (see fk_frustration_adjusted)."""
+    if not couplings.is_ferromagnetic:
+        raise ValueError("connection_probability needs ferromagnetic "
+                         "couplings; use fk_frustration_adjusted for mixed "
+                         "signs")
     return fk_measure_expectation(
         graph, couplings,
         {"c": lambda sv: 1.0 if sv.connected(x, y) else 0.0}, cap=cap)["c"]
@@ -132,20 +123,8 @@ def fk_boundary_report(graph, couplings, boundary_spec, x=None):
     <s_x>^pm = P(x<->bdry+ | FF) - P(x<->bdry- | FF) and
     <s_x>^+ = P(x<->bdry).
     """
-    plus = boundary_spec.plus_set
-    minus = boundary_spec.minus_set
-    bdry = plus | minus
-    events = {
-        "ff": lambda sv: 0.0 if sv.connects_sets(minus, plus) else 1.0,
-    }
-    if x is not None:
-        events["x_bdry"] = lambda sv: 1.0 if sv.connects_sets([x], bdry) else 0.0
-        events["x_plus"] = lambda sv: (
-            (1.0 if sv.connects_sets([x], plus) else 0.0)
-            * (0.0 if sv.connects_sets(minus, plus) else 1.0))
-        events["x_minus"] = lambda sv: (
-            (1.0 if sv.connects_sets([x], minus) else 0.0)
-            * (0.0 if sv.connects_sets(minus, plus) else 1.0))
+    bdry = boundary_spec.plus_set | boundary_spec.minus_set
+    events = _dobrushin_events(boundary_spec, x)
     out = fk_measure_expectation(graph, couplings, events, boundary=bdry)
     z_pm = spins.partition_function(graph, couplings, boundary=boundary_spec)
     z_p = spins.partition_function(graph, couplings,

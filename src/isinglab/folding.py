@@ -25,11 +25,10 @@ visited for events.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .currents import ConstraintError, SupportView, edge_weight_table
+from .currents import (ConstraintError, SupportView, _product_table,
+                       _support_expectations, edge_weight_table)
 from .graphs import induced_subgraph
 from .spins import SizeError
 from . import spins
@@ -112,17 +111,8 @@ class FoldedCurrentMeasure:
         halfA = pattern_edges[: m // 2]
         halfB = pattern_edges[m // 2:]
 
-        def table(edge_list):
-            n = len(edge_list)
-            out = np.empty((1 << n, nsig))
-            out[0] = 1.0
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                e = edge_list[low.bit_length() - 1]
-                out[mask] = out[mask ^ low] * tabs[e]
-            return out
-
-        TA, TB = table(halfA), table(halfB)
+        TA = _product_table(halfA, tabs, nsig)
+        TB = _product_table(halfB, tabs, nsig)
         self._W = ((TA * src) @ TB.T) / nsig
         self._halfA, self._halfB = halfA, halfB
         self._reflection = r
@@ -139,22 +129,15 @@ class FoldedCurrentMeasure:
         return U
 
     def expectations(self, events):
-        """events: name -> fn(SupportView of supp(n + R(n))) -> float."""
-        acc = {name: [] for name in events}
-        tot = []
-        for maskA, maskB in np.argwhere(self._W != 0.0):
-            wgt = float(self._W[maskA, maskB])
-            tot.append(wgt)
-            view = SupportView(self.graph,
-                               self._pattern_support(int(maskA), int(maskB)))
-            for name, fn in events.items():
-                val = fn(view)
-                if val:
-                    acc[name].append(wgt * float(val))
-        total = math.fsum(tot)
-        out = {name: math.fsum(v) / total for name, v in acc.items()}
-        out["_total"] = total
-        return out
+        """events: name -> fn(SupportView of supp(n + R(n))) -> float.
+        Returns dict of normalized expectations plus '_total' (the raw
+        weight sum)."""
+        weighted_views = (
+            (float(self._W[maskA, maskB]),
+             SupportView(self.graph,
+                         self._pattern_support(int(maskA), int(maskB))))
+            for maskA, maskB in np.argwhere(self._W != 0.0))
+        return _support_expectations(weighted_views, events)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ carry distinct ids; self-loops are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Graph:
@@ -168,42 +168,6 @@ class BoundarySpec:
 
     def all_plus(self):
         return BoundarySpec({v: self.PLUS for v in self.designation})
-
-
-@dataclass
-class GhostedGraph:
-    base: Graph
-    graph: Graph           # base plus ghost vertex and ghost edges
-    ghost: int
-    couplings: Couplings   # J on ghost edges taken from the field values
-    edge_class: dict = field(default_factory=dict)  # ghost eid -> 'h'|'plus'|'minus'
-
-
-def ghost_augment(graph, couplings, fields):
-    """Attach a ghost vertex converting the fields into pair couplings.
-
-    Every vertex with h != 0 gets one ghost edge of class 'h' (J = h_x);
-    every vertex with g != 0 gets one ghost edge of class 'plus' or 'minus'
-    according to the sign of g (J = g_x, sign preserved).
-    """
-    ghost = graph.n
-    edges = list(graph.edges)
-    J = list(couplings.J)
-    edge_class = {}
-    for x in graph.vertices:
-        if fields.h[x] != 0.0:
-            edge_class[len(edges)] = "h"
-            edges.append((x, ghost))
-            J.append(fields.h[x])
-    for x in graph.vertices:
-        if fields.g[x] != 0.0:
-            edge_class[len(edges)] = "plus" if fields.g[x] > 0 else "minus"
-            edges.append((x, ghost))
-            J.append(fields.g[x])
-    big = Graph(graph.n + 1, edges)
-    return GhostedGraph(base=graph, graph=big, ghost=ghost,
-                        couplings=Couplings(big, J, couplings.beta),
-                        edge_class=edge_class)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +344,6 @@ def _build_reflection(graph, couplings, involution):
                            e2=tuple(e2))
     r.check()
     return r
-
-
-def _side1_of(r, graph):
-    return r.lambda1
 
 
 def mid_edge_coupling(K):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import EdgeStateConfig, ZERO, ODD, EVENPOS, edge_weight_table
+from .currents import EdgeStateConfig, edge_weight_table
 
 N_BATCHES = 20
 
@@ -194,22 +194,3 @@ def current_rejection_sampler(graph, couplings, A, spec=ChainSpec(seed=0),
                 "acceptance %.2e below %.0e after %d proposals"
                 % (len(samples) / proposals, min_acceptance, proposals))
     return samples, len(samples) / proposals
-
-
-def paired_current_estimate(graph, couplings, A1, A2, event,
-                            spec=ChainSpec(seed=0), n_pairs=500):
-    """Double-current event estimate from two independent rejection streams.
-
-    event receives the combined SupportView of a sample pair.
-    """
-    from .currents import SupportView
-    s1, acc1 = current_rejection_sampler(
-        graph, couplings, A1, ChainSpec(spec.seed, spec.burn_in, spec.sweeps),
-        n_samples=n_pairs)
-    s2, acc2 = current_rejection_sampler(
-        graph, couplings, A2, ChainSpec(spec.seed ^ 0x9E3779B9, spec.burn_in,
-                                        spec.sweeps), n_samples=n_pairs)
-    vals = [float(event(SupportView(graph, a.support | b.support)))
-            for a, b in zip(s1, s2)]
-    mean, stderr, n = _batch_stats(vals)
-    return EstimatorResult(mean, stderr, n, acceptance=min(acc1, acc2))

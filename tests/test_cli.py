@@ -119,3 +119,31 @@ def test_graph_file_input(tmp_path, capsys):
                        "--beta", str(math.atanh(0.5)))
     assert code == 0
     assert ",true," in out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_row_fails(capsys):
+    # the spin sums overflow at beta=80, so a value row must not pass
+    code, out, _ = run(capsys, "exact", "corr", "--lattice", "box:d=2,L=3",
+                       "--beta", "80")
+    assert code == 1
+    row = out.splitlines()[2].split(",")
+    assert row[2] == "nan" and row[6] == "false"
+
+
+@pytest.mark.parametrize("beta_args", [["--beta", "nan"], ["--beta", "inf"],
+                                       ["--beta-sweep", "0.1:nan:0.1"]])
+def test_non_finite_beta_is_usage_error(capsys, beta_args):
+    code, out, err = run(capsys, "exact", "z", "--lattice", "box:d=2,L=2",
+                         *beta_args)
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("sites", ["0,99", "3,-1"])
+def test_out_of_range_site_is_usage_error(capsys, sites):
+    code, out, err = run(capsys, "exact", "corr", "--lattice", "box:d=2,L=3",
+                         "--beta", "0.4", "--sites", sites)
+    assert code == 2
+    assert "not a vertex" in err

@@ -26,6 +26,16 @@ def test_connection_equals_correlation(seed):
         spins.expectation(g, c, [x, y]), abs=1e-10)
 
 
+def test_connection_rejects_antiferromagnetic():
+    # the |J| answer here would be +0.2136 where <s_0 s_2> = -0.2136
+    g = Graph(3, [(0, 1), (1, 2)])
+    c = Couplings(g, [-1.0, 1.0], 0.5)
+    assert spins.expectation(g, c, [0, 2]) == pytest.approx(
+        -math.tanh(0.5) ** 2, abs=1e-12)
+    with pytest.raises(ValueError):
+        fk.connection_probability(g, c, 0, 2)
+
+
 def test_fk_rcr_bridge(triangle):
     c = Couplings(triangle, [0.4, 0.8, 0.6], 1.0)
     fkp, rcr = fk.fk_rcr_bridge(triangle, c, 0, 2)

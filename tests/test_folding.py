@@ -6,7 +6,8 @@ from isinglab.graphs import BoxGraph, Couplings, Graph, reflection_for_axis
 from isinglab.folding import (FoldedCurrentMeasure, dobrushin_identities,
                               folded_correlation_identity,
                               reflection_monotonicity_report)
-from isinglab import spins
+from isinglab.doubled import DoubleSupportMeasure
+from isinglab import fk, spins
 
 
 def _chain_reflection(n, beta):
@@ -39,13 +40,39 @@ def test_five_chain_fold_landmark():
     assert lhs == pytest.approx(t ** 3, abs=1e-12)
 
 
-def test_folded_total_matches_partition_ratio():
+def _raw_total_and_spin_value(kind, box, c):
+    """(raw '_total' of a support measure, its value from spin sums)."""
+    z = spins.partition_function(box, c)
+    e_sum = math.exp(-c.beta * sum(abs(j) for j in c.J))
+    if kind == "folded":
+        r = reflection_for_axis(box, c, 0, 1)
+        return FoldedCurrentMeasure(r, sources=()).expectations({})[
+            "_total"], z
+    if kind == "double":
+        m = DoubleSupportMeasure(box, c, list(box.vertices), (), ())
+        return m.expectations({})["_total"], z * z
+    if kind == "fk_free":
+        return (fk.fk_measure_expectation(box, c, {})["_total"],
+                z * 2.0 ** box.n * e_sum)
+    bdry = box.boundary_vertices()
+    z_plus = spins.partition_function(box, c, boundary=box.plus_boundary())
+    return (fk.fk_measure_expectation(box, c, {}, boundary=bdry)["_total"],
+            z_plus * 2.0 ** (box.n - len(bdry)) * e_sum)
+
+
+@pytest.mark.parametrize("kind", ["folded", "double", "fk_free", "fk_wired"])
+def test_folded_total_matches_partition_ratio(kind):
+    # the raw weight sums of the support-pattern measures against the spin
+    # oracle: folded Z, double support Z^2, FK 2^{free spins} e^{-beta sum J}
+    # times Z (free) or Z^+ (wired)
     box = BoxGraph(2, (3, 3))
-    c = Couplings(box, 1.0, 0.5)
-    r = reflection_for_axis(box, c, 0, 1)
-    meas = FoldedCurrentMeasure(r, sources=())
-    total = meas.expectations({})["_total"]
-    assert total > 0.0
+    J = [0.6 + 0.1 * (e % 3) for e in range(box.n_edges)]
+    r0 = reflection_for_axis(box, Couplings(box, 1.0, 0.5), 0, 1)
+    for e in range(box.n_edges):
+        J[e] = J[r0.edge_map[e]] = max(J[e], J[r0.edge_map[e]])
+    c = Couplings(box, J, 0.5)
+    total, oracle = _raw_total_and_spin_value(kind, box, c)
+    assert total / oracle == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.7])

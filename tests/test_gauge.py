@@ -10,6 +10,7 @@ from isinglab.gauge import (PlaquetteComplex, WilsonLoop, build_dual_complex,
                             verify_wilson_disorder_duality,
                             wilson_expectation)
 from isinglab.graphs import BoxGraph, Couplings
+from isinglab import spins
 
 
 def test_partition_matches_oracle_2d():
@@ -102,6 +103,11 @@ def test_deconfinement_chain(beta):
     c = Couplings(box, 1.0, beta)
     rep = deconfinement_bound_report(box, c, 0, 0.5, window={1: (0, 1)})
     assert rep["chain_ok"]
+    # W comes from double currents and B1 from FK, which share the support
+    # kernel; the spin oracle gives W = Z(T_F J)/Z(J) independently
+    z_flip = spins.partition_function(box, c.with_flipped(rep["flip_edges"]))
+    assert rep["disorder"] == pytest.approx(
+        z_flip / spins.partition_function(box, c), abs=1e-10)
     assert rep["disorder"] >= rep["fk_disconnect"] - 1e-12
     assert rep["fk_disconnect"] >= rep["product_bound"] - 1e-12
     assert rep["product_bound"] >= rep["exp_bound"] - 1e-12
