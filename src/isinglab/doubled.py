@@ -51,9 +51,6 @@ class DoubleCurrentState:
     def shared_view(self):
         return SupportView(self.graph, self.support & self.shared_edges)
 
-    def combined_parity(self):
-        return self.odd1 ^ self.odd2
-
 
 def _vertex_mask(vertices):
     m = 0

@@ -5,17 +5,59 @@ Partition values carry the 1/2^{#unclamped} normalization, i.e.
     Z = 2^{-|free|} sum_{sigma on free} exp( sum_b K_b s s + sum_x H_x s )
 
 with K_b = beta*J_b, H_x = beta*(h_x + g_x), and clamped spins held fixed.
-Accumulation uses math.fsum, so results are independent of chunking.
+
+Configurations are enumerated in chunks of _CHUNK rows.  Row i gives the
+j-th free vertex the spin +1 when bit j of i is set, so for a set A the
+product prod_{x in A} sigma_x is the exact sign (-1)^popcount(~i & mask_A)
+times the clamped spins of A.  For row lo + r of a chunk starting at lo,
+~(lo + r) & mask_A = (~lo & mask_A) ^ (r & mask_A), so the sign is one
+lookup in the parity table of the _CHUNK row offsets.  A chunk is kept as
+its float64 weights and their math.fsum; <sigma_A> is one fsum of +-w per
+chunk, and fsum is correctly rounded, so results are independent of
+chunking.
+
+Weight tables: an instance of at most _CHUNK rows (16 free spins) is
+enumerated once.  Its table stays in a least-recently-used store of _SLOTS
+entries (at most 1 MB), keyed by content: (n, edges, J, beta, per-vertex
+field totals h+g, clamped spins).  Mutating a Couplings or FieldSpec in
+place therefore misses the store rather than reading a stale table.  `cap`
+is checked before the lookup.  Larger instances stream chunk by chunk and
+are never retained.
+
+Overflow and underflow: a chunk whose largest exponent E_max exceeds
+_MAX_EXPONENT is weighed as exp(E - c) with c = E_max - _MAX_EXPONENT, and
+one whose E_max is below _MIN_EXPONENT (every weight subnormal or zero) with
+c = E_max.  Chunk sums are combined with the factors exp(c_k - max c).  As
+2^26 e^690 is below the float64 maximum and the leading chunk holds a weight
+of at least e^-709, every sum stays finite and positive at any beta, and a
+chunk that needs no shift is weighed exactly as without one.  An
+expectation is a ratio, so the common factor cancels; a partition function
+outside the float64 range is returned as inf or 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
 DEFAULT_CAP = 26
-_CHUNK = 1 << 16
+_CHUNK_BITS = 16
+_CHUNK = 1 << _CHUNK_BITS
+_SLOTS = 2
+_MAX_EXPONENT = 690.0
+_MIN_EXPONENT = -709.0
+_ROWS = np.arange(_CHUNK, dtype=np.intp)
+_ROWS.flags.writeable = False
+# _PARITY[r] = popcount(r) & 1 for every row offset r < _CHUNK
+_PARITY = np.zeros(1, dtype=np.uint8)
+for _ in range(_CHUNK_BITS):
+    _PARITY = np.concatenate([_PARITY, _PARITY ^ 1])
+_PARITY.flags.writeable = False
+
+# content key -> list of (lo, weights, fsum of weights, exponent shift)
+_tables = OrderedDict()
 
 
 class SizeError(ValueError):
@@ -38,12 +80,8 @@ def _spin_chunks(n_free):
         yield lo, bits.astype(np.int8) * 2 - 1
 
 
-def _weights_and_spins(graph, couplings, fields=None, boundary=None, cap=DEFAULT_CAP):
-    clamp = _clamped_from(boundary)
-    free = [v for v in graph.vertices if v not in clamp]
-    if len(free) > cap:
-        raise SizeError("2^%d spin configurations exceed the cap 2^%d"
-                        % (len(free), cap))
+def _weigh(graph, couplings, fields, clamp, free):
+    """Yield (lo, w, fsum(w), c) per chunk: w = exp(energy - c)."""
     beta = couplings.beta
     H = np.zeros(graph.n)
     if fields is not None:
@@ -65,16 +103,58 @@ def _weights_and_spins(graph, couplings, fields=None, boundary=None, cap=DEFAULT
         energy = full @ H
         if graph.n_edges:
             energy = energy + (full[:, e_u] * full[:, e_v]) @ K
-        yield full, np.exp(energy)
+        top = float(energy.max())
+        shift = (top - _MAX_EXPONENT if top > _MAX_EXPONENT
+                 else top if top < _MIN_EXPONENT else 0.0)
+        if shift:
+            energy = energy - shift
+        w = np.exp(energy)
+        w.flags.writeable = False
+        yield lo, w, math.fsum(w.tolist()), shift
+
+
+def _chunks(graph, couplings, fields, boundary, cap):
+    """(clamp, free, chunks): the stored table of a small instance, or a
+    generator over the chunks of a large one."""
+    clamp = _clamped_from(boundary)
+    free = [v for v in graph.vertices if v not in clamp]
+    if len(free) > cap:
+        raise SizeError("2^%d spin configurations exceed the cap 2^%d"
+                        % (len(free), cap))
+    if (1 << len(free)) > _CHUNK:
+        return clamp, free, _weigh(graph, couplings, fields, clamp, free)
+    key = (graph.n, tuple(graph.edges), tuple(couplings.J), couplings.beta,
+           None if fields is None
+           else tuple(fields.total(v) for v in graph.vertices),
+           tuple(sorted(clamp.items())))
+    table = _tables.get(key)
+    if table is None:
+        table = list(_weigh(graph, couplings, fields, clamp, free))
+        _tables[key] = table
+        if len(_tables) > _SLOTS:
+            _tables.popitem(last=False)
+    else:
+        _tables.move_to_end(key)
+    return clamp, free, table
+
+
+def _rescaled(sums, shifts):
+    """Chunk sums brought to the scale of the largest shift."""
+    top = max(shifts)
+    return [s * math.exp(c - top) for s, c in zip(sums, shifts)]
 
 
 def partition_function(graph, couplings, fields=None, boundary=None, cap=DEFAULT_CAP):
-    clamp = _clamped_from(boundary)
-    n_free = graph.n - len(clamp)
-    parts = []
-    for _, w in _weights_and_spins(graph, couplings, fields, boundary, cap):
-        parts.append(math.fsum(w.tolist()))
-    return math.fsum(parts) / (1 << n_free)
+    _, free, chunks = _chunks(graph, couplings, fields, boundary, cap)
+    parts, shifts = [], []
+    for _, _, total, shift in chunks:
+        parts.append(total)
+        shifts.append(shift)
+    z = math.fsum(_rescaled(parts, shifts)) / (1 << len(free))
+    try:
+        return z * math.exp(max(shifts))
+    except OverflowError:
+        return math.inf
 
 
 def _reduce_multiset(A):
@@ -87,15 +167,28 @@ def _reduce_multiset(A):
 
 def expectation(graph, couplings, A, fields=None, boundary=None, cap=DEFAULT_CAP):
     """< prod_{x in A} sigma_x > ; A is a vertex multiset."""
-    sites = _reduce_multiset(A)
-    num, den = [], []
-    for spins, w in _weights_and_spins(graph, couplings, fields, boundary, cap):
-        obs = np.ones(len(w))
-        for v in sites:
-            obs = obs * spins[:, v]
-        num.append(math.fsum((w * obs).tolist()))
-        den.append(math.fsum(w.tolist()))
-    return math.fsum(num) / math.fsum(den)
+    A = list(A)
+    for v in A:
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
+            raise ValueError("site %r is not a vertex of %r" % (v, graph))
+    clamp, free, chunks = _chunks(graph, couplings, fields, boundary, cap)
+    bit = {v: j for j, v in enumerate(free)}
+    mask, negative = 0, False
+    for v in _reduce_multiset(A):
+        if v in clamp:
+            negative ^= clamp[v] < 0
+        else:
+            mask |= 1 << bit[v]
+    low = mask & (_CHUNK - 1)
+    num, den, shifts = [], [], []
+    for lo, w, total, shift in chunks:
+        odd = _PARITY[_ROWS[:len(w)] & low]
+        if negative ^ (int.bit_count(~lo & mask) & 1):
+            odd = odd ^ 1
+        num.append(math.fsum(np.where(odd, -w, w).tolist()))
+        den.append(total)
+        shifts.append(shift)
+    return math.fsum(_rescaled(num, shifts)) / math.fsum(_rescaled(den, shifts))
 
 
 def ursell4(graph, couplings, x1, x2, x3, x4, boundary=None, cap=DEFAULT_CAP):

@@ -8,7 +8,7 @@ import os
 from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.graphs import Couplings, Graph, _build_reflection
-from isinglab import fk
+from isinglab import fk, spins
 
 SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -17,6 +17,7 @@ ENGINE_SPANS = ("fk.fk_measure_expectation",
                 "doubled.DoubleSupportMeasure.expectations",
                 "folding.FoldedCurrentMeasure.expectations")
 SUPPORTVIEW = "currents.SupportView.__init__"
+SPIN_SPANS = ("spins.partition_function", "spins.expectation")
 
 
 def _load_spans():
@@ -50,3 +51,23 @@ def test_recorder_sees_support_engines():
     assert parents == set(ENGINE_SPANS)
     # uninstall put the originals back
     assert not hasattr(fk.fk_measure_expectation, "__wrapped__")
+
+
+def test_recorder_sees_spin_oracle():
+    spans = _load_spans()
+    g = Graph(3, [(0, 1), (1, 2)])
+    c = Couplings(g, 1.0, 0.5)
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        spins.partition_function(g, c)
+        spins.expectation(g, c, [0, 2])
+        spins.truncated_pair(g, c, 0, 2)
+    finally:
+        rec.uninstall()
+    names = {r[1] for r in rec.records()}
+    assert set(SPIN_SPANS) <= names
+    # one instance, five calls (truncated_pair makes three): four repeats
+    assert rec.work["spins.calls"] == 5
+    assert rec.work["spins.repeats"] == 4
+    assert not hasattr(spins.expectation, "__wrapped__")

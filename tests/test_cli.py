@@ -121,14 +121,19 @@ def test_graph_file_input(tmp_path, capsys):
     assert ",true," in out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_row_fails(capsys):
-    # the spin sums overflow at beta=80, so a value row must not pass
-    code, out, _ = run(capsys, "exact", "corr", "--lattice", "box:d=2,L=3",
+    # Z = e^960-ish exceeds float64 at beta=80, so its value row must fail
+    code, out, _ = run(capsys, "exact", "z", "--lattice", "box:d=2,L=3",
                        "--beta", "80")
     assert code == 1
     row = out.splitlines()[2].split(",")
-    assert row[2] == "nan" and row[6] == "false"
+    assert row[2] == "inf" and row[6] == "false"
+    # the correlation is a ratio of shifted weights and stays finite
+    code, out, _ = run(capsys, "exact", "corr", "--lattice", "box:d=2,L=3",
+                       "--beta", "80", "--sites", "0,4")
+    assert code == 0
+    row = out.splitlines()[2].split(",")
+    assert row[2] == "1" and row[6] == "true"
 
 
 @pytest.mark.parametrize("beta_args", [["--beta", "nan"], ["--beta", "inf"],

@@ -1,10 +1,33 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isinglab.graphs import BoundarySpec, Couplings, FieldSpec, Graph
+from isinglab.graphs import BoundarySpec, BoxGraph, Couplings, FieldSpec, Graph
 from isinglab import spins
+
+
+def _enumerate(g, c, A, fields=None, boundary=None, mp=None):
+    """(<sigma_A>, Z) by a plain loop over configurations; math floats
+    and math.fsum, or mpmath numbers when `mp` is the mpmath module."""
+    exp, fsum, num = ((math.exp, math.fsum, float) if mp is None
+                      else (mp.exp, mp.fsum, mp.mpf))
+    clamp = boundary.clamped() if boundary is not None else {}
+    free = [v for v in g.vertices if v not in clamp]
+    beta = num(c.beta)
+    obs, weights = [], []
+    for bits in itertools.product((-1, 1), repeat=len(free)):
+        s = dict(clamp)
+        s.update(zip(free, bits))
+        e = fsum(beta * num(j) * s[u] * s[v]
+                 for (u, v), j in zip(g.edges, c.J))
+        if fields is not None:
+            e += fsum(beta * num(fields.total(v)) * s[v] for v in g.vertices)
+        w = exp(e)
+        weights.append(w)
+        obs.append(w * math.prod(s[x] for x in A))
+    return fsum(obs) / fsum(weights), fsum(weights) / 2 ** len(free)
 
 
 def test_single_edge_closed_forms():
@@ -93,3 +116,159 @@ def test_partition_function_positive_and_symmetric(seed):
     # frustration; but Z(J) = Z(J) under relabeling, and <s_x> = 0
     for v in g.vertices:
         assert spins.expectation(g, c, [v]) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_matches_plain_enumeration_3x3():
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, [0.9, -0.4, 0.7, 0.5, -1.1, 0.3, 0.8, 0.6, -0.2,
+                        1.0, 0.4, 0.75], 0.8)
+    f = FieldSpec(box.n, h={1: 0.3, 5: 0.2}, g={0: -0.5, 7: 0.25})
+    for fields, boundary in ((None, None), (f, None),
+                             (None, box.dobrushin_boundary()),
+                             (f, box.plus_boundary())):
+        for A in ([0, 8], [4], [0, 2, 6, 8], [1, 4, 4], []):
+            ref, z = _enumerate(box, c, A, fields, boundary)
+            assert spins.expectation(box, c, A, fields, boundary) == (
+                pytest.approx(ref, rel=0, abs=1e-14))
+        assert spins.partition_function(box, c, fields, boundary) == (
+            pytest.approx(z, rel=1e-14))
+
+
+def test_large_beta_weights_stay_finite():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        _check_large_beta(mpmath)
+
+
+def _check_large_beta(mpmath):
+    box = BoxGraph(2, (3, 3))
+    # beta = 80 puts the largest exponent at 960, past float64's e^709
+    c = Couplings(box, 1.0, 80.0)
+    value = spins.expectation(box, c, [0, 4])
+    assert math.isfinite(value)
+    ref, _ = _enumerate(box, c, [0, 4], mp=mpmath)
+    assert value == pytest.approx(float(ref), rel=0, abs=1e-14)
+    # frustrated couplings, a field and a Dobrushin boundary: degenerate
+    # ground states give correlations such as 0 and 1/3
+    frus = Couplings(box, [1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0,
+                           1.0, 1.0, 1.0], 80.0)
+    f = FieldSpec(box.n, g={4: -0.5})
+    for fields, boundary in ((None, None), (f, None),
+                             (None, box.dobrushin_boundary())):
+        for A in ([0, 4], [4], [1, 7]):
+            value = spins.expectation(box, frus, A, fields, boundary)
+            ref, _ = _enumerate(box, frus, A, fields, boundary, mp=mpmath)
+            assert value == pytest.approx(float(ref), rel=0, abs=1e-12)
+    # Z = cosh(710) fits in float64 although e^710 does not; cosh(800)
+    # does not fit and comes back as inf
+    edge = Graph(2, [(0, 1)])
+    z = spins.partition_function(edge, Couplings(edge, 1.0, 710.0))
+    assert z == pytest.approx(float(mpmath.cosh(710)), rel=1e-12)
+    assert spins.partition_function(edge, Couplings(edge, 1.0, 800.0)) == (
+        math.inf)
+    # every exponent below -745: each weight underflows to 0 unshifted
+    edge = Graph(3, [(0, 1)])
+    anti = Couplings(edge, -1.0, 800.0)
+    plus = BoundarySpec({0: BoundarySpec.PLUS, 1: BoundarySpec.PLUS})
+    assert spins.expectation(edge, anti, [2], boundary=plus) == 0.0
+    assert spins.expectation(edge, anti, [0, 1], boundary=plus) == 1.0
+    assert spins.partition_function(edge, anti, boundary=plus) == 0.0
+    # 17 spins stream as two chunks (s_16 = -1, then +1) with exponent
+    # shifts 109.5 and 110.5; only the bond (0, 16) and the field at 16 act
+    pair = Graph(17, [(0, 16)])
+    c = Couplings(pair, 1.0, 800.0)
+    f = FieldSpec(pair.n, h={16: 0.5 / 800.0})
+    K, H = mpmath.mpf(800), mpmath.mpf(800) * (0.5 / 800.0)
+    w = {(a, b): mpmath.exp(K * a * b + H * b)
+         for a in (-1, 1) for b in (-1, 1)}
+    ref = mpmath.fsum(b * x for (_, b), x in w.items()) / mpmath.fsum(
+        w.values())
+    assert spins.expectation(pair, c, [16], fields=f) == pytest.approx(
+        float(ref), rel=1e-14)
+
+
+def test_bad_sites_raise_value_error():
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 0.5)
+    for A in ([0, -1], [0, 99], [0, 1.0]):
+        with pytest.raises(ValueError):
+            spins.expectation(box, c, A)
+    # a one-shot iterable is read once, not used up by the site check
+    assert spins.expectation(box, c, (v for v in [0, 4])) == (
+        spins.expectation(box, c, [0, 4]))
+    with pytest.raises(ValueError):
+        spins.truncated_pair(box, c, 0, 9)
+    with pytest.raises(ValueError):
+        spins.ursell4(box, c, 0, 1, 2, -1)
+
+
+def test_table_never_stale():
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, [0.5 + 0.05 * e for e in range(box.n_edges)], 0.6)
+    f = FieldSpec(box.n, h={0: 0.2}, g={3: -0.4})
+    b = BoundarySpec({0: BoundarySpec.PLUS, 8: BoundarySpec.MINUS})
+
+    def agrees(A):
+        got = (spins.expectation(box, c, A, f, b),
+               spins.partition_function(box, c, f, b))
+        ref = _enumerate(box, c, A, f, b)
+        assert got[0] == pytest.approx(ref[0], rel=0, abs=1e-14)
+        assert got[1] == pytest.approx(ref[1], rel=1e-14)
+        return got
+
+    seen = [agrees([4])]
+    c.J[3] = -0.9
+    seen.append(agrees([4]))
+    f.h[0] = 0.7
+    seen.append(agrees([4]))
+    f.g[3] = 0.4
+    seen.append(agrees([4]))
+    c.beta = 0.3
+    seen.append(agrees([4]))
+    b.designation[8] = BoundarySpec.PLUS
+    seen.append(agrees([4]))
+    b.designation[2] = BoundarySpec.MINUS
+    seen.append(agrees([4]))
+    # every change moved Z, so a stale table could not have agreed
+    assert len(set(seen)) == 7
+    # a stored table (6 free spins) still honours a smaller cap
+    with pytest.raises(spins.SizeError):
+        spins.expectation(box, c, [4], f, b, cap=5)
+    with pytest.raises(spins.SizeError):
+        spins.partition_function(box, c, f, b, cap=5)
+
+
+def test_repeated_calls_identical():
+    box = BoxGraph(2, (3, 4))
+    c = Couplings(box, [0.3 + 0.1 * (e % 7) for e in range(box.n_edges)], 0.7)
+    b = box.dobrushin_boundary()
+    first = [spins.expectation(box, c, [1, 10], boundary=b),
+             spins.partition_function(box, c, boundary=b),
+             spins.ursell4(box, c, 4, 5, 6, 7),
+             spins.truncated_pair(box, c, 5, 6, boundary=b)]
+    again = [spins.expectation(box, c, [1, 10], boundary=b),
+             spins.partition_function(box, c, boundary=b),
+             spins.ursell4(box, c, 4, 5, 6, 7),
+             spins.truncated_pair(box, c, 5, 6, boundary=b)]
+    assert list(map(repr, first)) == list(map(repr, again))
+
+
+def test_table_retention_bound():
+    spins._tables.clear()
+    chain = Graph(17, [(i, i + 1) for i in range(16)])
+    c = Couplings(chain, 1.0, 0.4)
+    # 2^17 rows: streamed, never stored
+    assert spins.partition_function(chain, c) == pytest.approx(
+        math.cosh(0.4) ** 16, rel=1e-12)
+    assert spins.expectation(chain, c, [0, 16]) == pytest.approx(
+        math.tanh(0.4) ** 16, rel=1e-12)
+    assert len(spins._tables) == 0
+    # 2^16 rows: stored
+    spins.partition_function(Graph(16, chain.edges[:15]),
+                             Couplings(Graph(16, chain.edges[:15]), 1.0, 0.4))
+    assert len(spins._tables) == 1
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    for k in range(3 * spins._SLOTS):
+        spins.expectation(tri, Couplings(tri, 1.0, 0.1 * (k + 1)), [0, 1])
+        assert len(spins._tables) <= spins._SLOTS
+    assert len(spins._tables) == spins._SLOTS
