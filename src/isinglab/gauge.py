@@ -11,6 +11,13 @@ closed meaning every edge lies in an even number of chain plaquettes (only
 parity matters, so chains are subsets).  The closed chains form the GF(2)
 kernel of the plaquette-boundary matrix; we enumerate the kernel from a
 basis.  Wilson loops insert a spanning surface S and shift chains by it.
+A sum that leaves the float range is a signed inf, never an exception.
+
+The brute-force oracle the chain sums are checked against shares none of
+this code.  It sorts all 2^|E| gauge fields, in numpy chunks, into integer
+counts per (number of odd plaquettes, insertion sign), weighs each class
+once and sums count * weight exactly in rationals; rounded once, that is
+math.fsum over the fields, bit for bit.
 
 Duality (3D): dual sites sit in the cells plus one outer site, dual bonds
 are the plaquettes; Z equals 2^(|V*|-1) (cosh b sinh b)^(|E*|/2) times the
@@ -21,6 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .graphs import Graph, Couplings
 from .spins import SizeError
@@ -28,6 +38,7 @@ from . import spins, doubled, fk
 
 CHAIN_CAP = 24
 GAUGE_ORACLE_CAP = 20
+_ORACLE_CHUNK = 1 << 16   # field masks per numpy chunk in the oracle
 
 
 class PlaquetteComplex:
@@ -169,9 +180,8 @@ def _chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
     basis = _kernel_basis(cx)
     if len(basis) > cap:
         raise SizeError("kernel dimension %d exceeds the cap" % len(basis))
-    c, s = math.cosh(beta), math.sinh(beta)
+    c, s = _cosh_sinh(beta)
     sums = [[] for _ in shift_masks]
-    k = 0
     gray = 0
     for i in range(1 << len(basis)):
         if i:
@@ -179,8 +189,29 @@ def _chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
             gray ^= basis[bit]
         for out, S in zip(sums, shift_masks):
             w = (S ^ gray).bit_count()
-            out.append(c ** (P - w) * s ** w)
-    return [math.fsum(out) for out in sums]
+            try:
+                out.append(c ** (P - w) * s ** w)
+            except OverflowError:
+                out.append(-math.inf if s < 0 and w % 2 else math.inf)
+    return [_sum_terms(out) for out in sums]
+
+
+def _cosh_sinh(beta):
+    """(cosh b, sinh b), with a signed inf where one leaves the float range."""
+    try:
+        return math.cosh(beta), math.sinh(beta)
+    except OverflowError:
+        return math.inf, math.copysign(math.inf, beta)
+
+
+def _sum_terms(terms):
+    """math.fsum, or the plain float sum (an inf) where fsum raises because
+    finite terms add up past the float range.  The terms of one sum share a
+    sign, since closed chains have even size, so inf - inf cannot occur."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return sum(terms)
 
 
 def _plaquette_mask(plaquette_set):
@@ -211,29 +242,46 @@ def wilson_expectation(cx, beta, loop, cap=CHAIN_CAP):
 def gauge_oracle_partition(cx, beta, edge_signs=None, cap=GAUGE_ORACLE_CAP):
     """2^|E| oracle: average of exp(beta sum_p A_dp) over gauge fields.
 
-    edge_signs: optional extra +-1 per edge multiplied into the observable
-    (a Wilson-loop insertion when the signs trace a closed loop)."""
+    edge_signs: optional edge bitmask, an int in [0, 2^|E|); the product of
+    the field over its edges is multiplied into the observable (a
+    Wilson-loop insertion when the mask traces a closed loop).
+
+    Fields are counted rather than weighed one by one.  In numpy chunks of
+    field masks m, plaquette (a, b, c, d) is odd when bit 0 of
+    (m>>a) ^ (m>>b) ^ (m>>c) ^ (m>>d) is set; k odd plaquettes give the
+    energy |P| - 2k, and the insertion's sign is the parity of
+    m & edge_signs.  Each of the at most 2(|P|+1) classes (k, sign) gets an
+    exact integer count and the weight +-exp(beta * energy) a single field
+    would get.  The sum of count * weight is taken exactly in rationals and
+    rounded once, so it equals math.fsum over all 2^|E| fields bit for bit.
+    Independent of the chain sums: no kernel basis and no edge_mask.
+    """
     E = cx.n_edges
     if E > cap:
         raise SizeError("2^%d gauge fields exceed the cap" % E)
-    terms = []
-    for mask in range(1 << E):
-        energy = 0.0
-        for eids in cx.plaquettes:
-            prod = 1
-            for e in eids:
-                if mask & (1 << e):
-                    prod = -prod
-            energy += prod
-        w = math.exp(beta * energy)
+    if edge_signs is not None and not (
+            isinstance(edge_signs, int) and 0 <= edge_signs < 1 << E):
+        raise ValueError("edge_signs must be an int in [0, 2^%d)" % E)
+    P = len(cx.plaquettes)
+    counts = np.zeros(2 * (P + 1), dtype=np.int64)
+    for lo in range(0, 1 << E, _ORACLE_CHUNK):
+        m = np.arange(lo, min(lo + _ORACLE_CHUNK, 1 << E), dtype=np.int64)
+        odd = np.zeros_like(m)
+        for a, b, c, d in cx.plaquettes:
+            odd += ((m >> a) ^ (m >> b) ^ (m >> c) ^ (m >> d)) & 1
+        cls = 2 * odd
         if edge_signs is not None:
-            sgn = 1
-            for e in range(E):
-                if (edge_signs >> e) & 1 and (mask >> e) & 1:
-                    sgn = -sgn
-            w *= sgn
-        terms.append(w)
-    return math.fsum(terms) / (1 << E)
+            x = m & edge_signs
+            for shift in (32, 16, 8, 4, 2, 1):
+                x ^= x >> shift
+            cls += x & 1
+        counts += np.bincount(cls, minlength=counts.size)
+    total = Fraction(0)
+    for cls, n in enumerate(counts.tolist()):
+        if n:
+            w = math.exp(beta * float(P - 2 * (cls >> 1)))
+            total += n * Fraction(-w if cls & 1 else w)
+    return float(total) / (1 << E)
 
 
 def gauge_transform_mask(cx, vertex):
@@ -283,9 +331,12 @@ def verify_duality(cx, beta):
     bstar = dual_beta(beta)
     coup = Couplings(dual, 1.0, bstar)
     z_dual = spins.partition_function(dual, coup)
-    rhs = (2.0 ** (dual.n - 1)
-           * (math.cosh(beta) * math.sinh(beta)) ** (dual.n_edges / 2.0)
-           * z_dual)
+    c, s = _cosh_sinh(beta)
+    try:
+        scale = (c * s) ** (dual.n_edges / 2.0)
+    except OverflowError:   # c * s > 0, as dual_beta needs beta > 0
+        scale = math.inf
+    rhs = 2.0 ** (dual.n - 1) * scale * z_dual
     return lhs, rhs, abs(lhs - rhs)
 
 

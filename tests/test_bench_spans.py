@@ -7,8 +7,9 @@ import os
 
 from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
+from isinglab.gauge import PlaquetteComplex
 from isinglab.graphs import Couplings, Graph, _build_reflection
-from isinglab import fk, spins
+from isinglab import fk, gauge, spins
 
 SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -18,6 +19,7 @@ ENGINE_SPANS = ("fk.fk_measure_expectation",
                 "folding.FoldedCurrentMeasure.expectations")
 SUPPORTVIEW = "currents.SupportView.__init__"
 SPIN_SPANS = ("spins.partition_function", "spins.expectation")
+ORACLE_SPAN = "gauge.gauge_oracle_partition"
 
 
 def _load_spans():
@@ -71,3 +73,19 @@ def test_recorder_sees_spin_oracle():
     assert rec.work["spins.calls"] == 5
     assert rec.work["spins.repeats"] == 4
     assert not hasattr(spins.expectation, "__wrapped__")
+
+
+def test_recorder_sees_gauge_oracle():
+    spans = _load_spans()
+    cx = PlaquetteComplex(2, (1, 2))   # 7 edges
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        gauge.gauge_oracle_partition(cx, 0.5)
+        gauge.gauge_oracle_partition(cx, 0.5, edge_signs=0b11)
+    finally:
+        rec.uninstall()
+    assert ORACLE_SPAN in {r[1] for r in rec.records()}
+    # the hook reads the complex by its parameter name: 2^7 fields per call
+    assert rec.work["gauge.fields"] == 2 * 2.0 ** cx.n_edges
+    assert not hasattr(gauge.gauge_oracle_partition, "__wrapped__")

@@ -136,6 +136,23 @@ def test_non_finite_row_fails(capsys):
     assert row[2] == "1" and row[6] == "true"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauge", "z", "--beta", "80"],
+    ["gauge", "dualcheck", "--beta", "80"],
+    ["verify", "duality", "--beta", "80"],
+    # each term is finite but their fsum overflows
+    ["gauge", "z", "--beta", "20.3"],
+    # cosh beta itself is past the float range
+    ["gauge", "dualcheck", "--beta", "800"],
+])
+def test_chain_sum_overflow_is_failing_row(capsys, argv):
+    code, out, err = run(capsys, *argv, "--lattice", "box:d=3,L=3")
+    assert code == 1
+    assert err == ""
+    row = out.splitlines()[2].split(",")
+    assert row[2] == "inf" and row[6] == "false"
+
+
 @pytest.mark.parametrize("beta_args", [["--beta", "nan"], ["--beta", "inf"],
                                        ["--beta-sweep", "0.1:nan:0.1"]])
 def test_non_finite_beta_is_usage_error(capsys, beta_args):

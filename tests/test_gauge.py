@@ -10,7 +10,7 @@ from isinglab.gauge import (PlaquetteComplex, WilsonLoop, build_dual_complex,
                             verify_wilson_disorder_duality,
                             wilson_expectation)
 from isinglab.graphs import BoxGraph, Couplings
-from isinglab import spins
+from isinglab import gauge, spins
 
 
 def test_partition_matches_oracle_2d():
@@ -39,11 +39,73 @@ def test_wilson_via_oracle_3d():
     cx = PlaquetteComplex(3, (2, 1, 1))
     loop = rectangular_loop(cx, (0, 1), (0, 0, 0), (1, 1))
     w = wilson_expectation(cx, 0.6, loop)
-    signs = {e: -1.0 for e in range(cx.n_edges)
-             if loop.edge_mask & (1 << e)}
     oracle = (gauge_oracle_partition(cx, 0.6, edge_signs=loop.edge_mask)
               / gauge_oracle_partition(cx, 0.6))
     assert w == pytest.approx(oracle, abs=1e-12)
+
+
+def _oracle_by_field(cx, beta, edge_signs=None):
+    """The oracle as one Python term per gauge field, summed by fsum."""
+    E = cx.n_edges
+    terms = []
+    for mask in range(1 << E):
+        energy = 0.0
+        for eids in cx.plaquettes:
+            prod = 1
+            for e in eids:
+                if mask & (1 << e):
+                    prod = -prod
+            energy += prod
+        w = math.exp(beta * energy)
+        if edge_signs is not None:
+            sgn = 1
+            for e in range(E):
+                if (edge_signs >> e) & 1 and (mask >> e) & 1:
+                    sgn = -sgn
+            w *= sgn
+        terms.append(w)
+    return math.fsum(terms) / (1 << E)
+
+
+def _insertions(cx):
+    loop = rectangular_loop(cx, (0, 1), (0,) * cx.d, (1, 1))
+    return {"none": None, "loop": loop.edge_mask,
+            "star": gauge_transform_mask(cx, 1)}
+
+
+@pytest.mark.parametrize("cells", [(2, 2), (1, 1, 1)])
+def test_oracle_counts_equal_per_field_sum(cells):
+    # class counts plus one exact rounding give the per-field fsum bit for
+    # bit, on 2^12 fields each
+    cx = PlaquetteComplex(len(cells), cells)
+    for beta in (0.05, 0.7, 2.5):
+        for signs in _insertions(cx).values():
+            got = gauge_oracle_partition(cx, beta, edge_signs=signs)
+            assert repr(got) == repr(_oracle_by_field(cx, beta, signs))
+
+
+def test_oracle_shares_no_chain_code(monkeypatch):
+    cx = PlaquetteComplex(3, (1, 1, 1))
+    cases = [(beta, signs) for beta in (0.3, 1.1)
+             for signs in _insertions(cx).values()]
+    expected = [gauge_oracle_partition(cx, b, edge_signs=s) for b, s in cases]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the oracle used chain-sum code")
+
+    monkeypatch.setattr(gauge, "_kernel_basis", boom)
+    monkeypatch.setattr(gauge, "_chain_sums", boom)
+    monkeypatch.setattr(gauge, "_plaquette_mask", boom)
+    monkeypatch.setattr(PlaquetteComplex, "edge_mask", boom)
+    assert [gauge_oracle_partition(cx, b, edge_signs=s)
+            for b, s in cases] == expected
+
+
+@pytest.mark.parametrize("signs", [1 << 12, -1, 2.0])
+def test_oracle_rejects_bad_edge_signs(signs):
+    cx = PlaquetteComplex(2, (2, 2))   # 12 edges
+    with pytest.raises(ValueError):
+        gauge_oracle_partition(cx, 0.7, edge_signs=signs)
 
 
 def test_dual_beta_involution():
