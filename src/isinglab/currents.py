@@ -198,9 +198,16 @@ def truncated_flux_sum(graph, couplings, A, cutoff=40):
 
 
 # ---------------------------------------------------------------------------
-# support views and the support-pattern kernel shared by the double-current,
-# folded-current and FK engines: each engine yields (weight, SupportView)
-# pairs, and event expectations are weighted sums over them
+# support views, support labels and the support-pattern kernel shared by the
+# double-current, folded-current and FK engines.  A support pattern is a bit
+# mask: bit i adds the edges bit_edges[i].  Each engine weighs the patterns
+# its own way; the kernel labels the components of a whole chunk of patterns
+# in numpy and sums the weighted events.  Built-in events are _ArrayEvents
+# read off those labels; any other fn(SupportView) gets one SupportView per
+# pattern of nonzero weight.
+
+_CHUNK_BITS = 16          # at most 2^16 patterns per chunk
+_CHUNK_CELLS = 1 << 22    # and at most this many (pattern, vertex) labels
 
 
 class SupportView:
@@ -276,22 +283,217 @@ class SupportView:
         return -1.0 if p else 1.0
 
 
-def _support_expectations(weighted_views, events):
-    """Normalized expectations of the named events over (weight, SupportView)
-    pairs, plus '_total' (the raw weight sum).
+def _merge(lab, u, v, par=None, ok=None, flag=False):
+    """Add edge (u, v) to every row of `lab` in place: the component with
+    the larger label takes the smaller one.  With `par`/`ok`, also shift
+    the moved component's Z2 offsets so the edge has parity `flag`, and
+    clear `ok` in rows where the edge closes a cycle odd over the flags."""
+    a, b = lab[:, u], lab[:, v]
+    lo = np.minimum(a, b)[:, None]
+    moved = lab == np.maximum(a, b)[:, None]
+    if par is not None:
+        odd = par[:, u] ^ par[:, v] ^ flag
+        same = a == b
+        ok &= ~(same & odd)
+        par ^= moved & (odd & ~same)[:, None]
+    np.copyto(lab, lo, where=moved)
 
-    events: dict name -> fn(SupportView) -> float.
+
+def _pattern_labels(graph, bit_edges, base, nbits, flagged=None):
+    """Labels of the patterns base + r, r < 2^nbits (base a multiple of
+    2^nbits), built by doubling over the low bits.
+
+    lab[r, v] is the smallest vertex of v's component.  With a `flagged`
+    edge set, par[r, v] is v's Z2 offset from that vertex over the flagged
+    edges and ok[r] is False once some cycle is odd; else both are None.
     """
+    n = graph.n
+    dtype = np.int8 if n <= 127 else np.int16 if n < 1 << 15 else np.int32
+    lab = np.empty((1 << nbits, n), dtype=dtype)
+    lab[0] = np.arange(n)
+    par = ok = None
+    if flagged is not None:
+        par = np.zeros(lab.shape, dtype=bool)
+        ok = np.ones(len(lab), dtype=bool)
+
+    def add(i, rows):
+        for e in bit_edges[i]:
+            u, v = graph.edges[e]
+            if flagged is None:
+                _merge(lab[rows], u, v)
+            else:
+                _merge(lab[rows], u, v, par[rows], ok[rows], e in flagged)
+
+    for i in range(nbits, len(bit_edges)):
+        if base >> i & 1:
+            add(i, slice(0, 1))
+    for i in range(nbits):
+        h = 1 << i
+        lab[h:2 * h] = lab[:h]
+        if flagged is not None:
+            par[h:2 * h] = par[:h]
+            ok[h:2 * h] = ok[:h]
+        add(i, slice(h, 2 * h))
+    return lab, par, ok
+
+
+class _SupportLabels:
+    """One chunk of support patterns, labelled; array events read it.
+
+    The array counterparts of the SupportView queries return one value per
+    pattern (row).  `restrict` keeps a subset of the rows.
+    """
+
+    def __init__(self, graph, bit_edges, base, nbits):
+        self.graph = graph
+        self.bit_edges = bit_edges
+        self._chunk = (base, nbits)
+        self._rows = slice(None)
+        self._parity = {}
+        self.masks = base + np.arange(1 << nbits, dtype=np.int64)
+        self.lab = _pattern_labels(graph, bit_edges, base, nbits)[0]
+
+    def restrict(self, rows):
+        self._rows = rows
+        self.masks = self.masks[rows]
+        self.lab = self.lab[rows]
+        self._parity = {}
+
+    def edges(self, mask):
+        """Edge ids of one pattern."""
+        return [e for i, es in enumerate(self.bit_edges) if mask >> i & 1
+                for e in es]
+
+    def _bits_with(self, keep):
+        """Rows whose pattern has some bit i with keep(bit_edges[i])."""
+        m = 0
+        for i, es in enumerate(self.bit_edges):
+            if keep(es):
+                m |= 1 << i
+        return (self.masks & m) != 0
+
+    def has_edge(self, e):
+        return self._bits_with(lambda es: e in es)
+
+    def open_count(self):
+        return sum(self.has_edge(e) * 1 for e in range(self.graph.n_edges))
+
+    def touched(self, v):
+        ends = self.graph.edges
+        return self._bits_with(lambda es: any(v in ends[e] for e in es))
+
+    def _marks(self, S):
+        """marks[r, l]: some vertex of S has the label l in row r."""
+        marks = np.zeros(self.lab.shape, dtype=bool)
+        S = list(S)
+        if S:
+            marks[np.arange(len(marks))[:, None], self.lab[:, S]] = True
+        return marks
+
+    def connected(self, u, v):
+        return self.lab[:, u] == self.lab[:, v]
+
+    def connects_sets(self, U, V):
+        V = list(V)
+        if not V:
+            return np.zeros(len(self.lab), dtype=bool)
+        marks = self._marks(U)
+        return marks[np.arange(len(marks))[:, None], self.lab[:, V]].any(1)
+
+    def cluster_count(self, wired=None):
+        count = (self.lab == np.arange(self.graph.n)).sum(1)
+        if wired is None:
+            return count
+        return count - self._marks(wired).sum(1)
+
+    def parity(self, flagged):
+        """(par, ok) of `_pattern_labels` over the flagged edges."""
+        key = frozenset(flagged)
+        if key not in self._parity:
+            base, nbits = self._chunk
+            _, par, ok = _pattern_labels(self.graph, self.bit_edges, base,
+                                         nbits, key)
+            self._parity[key] = (par[self._rows], ok[self._rows])
+        return self._parity[key]
+
+    def is_ff(self, flagged):
+        return self.parity(flagged)[1]
+
+    def sgn(self, u, v, flagged):
+        par, ok = self.parity(flagged)
+        hit = (ok & self.connected(u, v) & self.touched(u)
+               & self.touched(v))
+        return np.where(hit, np.where(par[:, u] ^ par[:, v], -1.0, 1.0), 0.0)
+
+
+class _ArrayEvent:
+    """A built-in event: on_labels(_SupportLabels) gives its value for every
+    pattern of a chunk.  Called with one SupportView it gives that view's
+    value, so it still is an fn(SupportView) -> float event."""
+
+    __slots__ = ("on_labels",)
+
+    def __init__(self, on_labels):
+        self.on_labels = on_labels
+
+    def values(self, labels):
+        """One float per pattern of `labels`."""
+        return np.broadcast_to(np.asarray(self.on_labels(labels), dtype=float),
+                               labels.masks.shape)
+
+    def __call__(self, view):
+        one = _SupportLabels(view.graph, [sorted(view.edge_ids)], 1, 0)
+        return float(self.values(one)[0])
+
+
+def _fsum(arrays):
+    return math.fsum(np.concatenate(arrays)) if arrays else 0.0
+
+
+def _support_expectations(graph, bit_edges, weigh, events):
+    """Normalized expectations of the named events over all support
+    patterns, plus '_total' (the raw weight sum).
+
+    Pattern `mask` is the support made of bit_edges[i] for the bits i of
+    mask.  weigh(_SupportLabels) gives the weights of a chunk's patterns;
+    patterns of weight 0 are dropped.  events: dict name -> _ArrayEvent or
+    fn(SupportView) -> float.  Every event sums the terms weight * value of
+    nonzero value with math.fsum, so the result does not depend on the
+    order the patterns are visited in.
+    """
+    nbits = len(bit_edges)
+    chunk = min(nbits, _CHUNK_BITS,
+                max(0, (_CHUNK_CELLS // max(graph.n, 1)).bit_length() - 1))
+    per_view = {name: fn for name, fn in events.items()
+                if not isinstance(fn, _ArrayEvent)}
     acc = {name: [] for name in events}
     tot = []
-    for wgt, view in weighted_views:
+    for base in range(0, 1 << nbits, 1 << chunk):
+        labels = _SupportLabels(graph, bit_edges, base, chunk)
+        wgt = weigh(labels)
+        rows = np.flatnonzero(wgt)
+        if not len(rows):
+            continue
+        wgt = wgt[rows]
+        labels.restrict(rows)
         tot.append(wgt)
         for name, fn in events.items():
-            val = fn(view)
-            if val:
-                acc[name].append(wgt * float(val))
-    total = math.fsum(tot)
-    out = {name: math.fsum(vals) / total for name, vals in acc.items()}
+            if name not in per_view:
+                val = fn.values(labels)
+                hit = val != 0
+                acc[name].append(wgt[hit] * val[hit])
+        if per_view:
+            views = [SupportView(graph, labels.edges(mask))
+                     for mask in labels.masks.tolist()]
+            for name, fn in per_view.items():
+                terms = []
+                for w, view in zip(wgt.tolist(), views):
+                    val = fn(view)
+                    if val:
+                        terms.append(w * float(val))
+                acc[name].append(np.array(terms, dtype=float))
+    total = _fsum(tot)
+    out = {name: _fsum(terms) / total for name, terms in acc.items()}
     out["_total"] = total
     return out
 
@@ -317,16 +519,16 @@ def _dobrushin_events(boundary_spec, x=None):
     plus = boundary_spec.plus_set
     minus = boundary_spec.minus_set
 
-    def ff(sv):
-        return 0.0 if sv.connects_sets(minus, plus) else 1.0
+    def ff(labels):
+        return ~labels.connects_sets(minus, plus)
 
-    events = {"ff": ff}
+    events = {"ff": _ArrayEvent(ff)}
     if x is not None:
         bdry = plus | minus
-        events["x_bdry"] = lambda sv: (
-            1.0 if sv.connects_sets([x], bdry) else 0.0)
-        events["x_plus"] = lambda sv: (
-            ff(sv) if sv.connects_sets([x], plus) else 0.0)
-        events["x_minus"] = lambda sv: (
-            ff(sv) if sv.connects_sets([x], minus) else 0.0)
+        events["x_bdry"] = _ArrayEvent(
+            lambda labels: labels.connects_sets([x], bdry))
+        events["x_plus"] = _ArrayEvent(
+            lambda labels: ff(labels) & labels.connects_sets([x], plus))
+        events["x_minus"] = _ArrayEvent(
+            lambda labels: ff(labels) & labels.connects_sets([x], minus))
     return events

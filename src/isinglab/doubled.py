@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import (ConstraintError, SupportView, _dobrushin_events,
-                       _product_table, _support_expectations,
-                       edge_weight_table)
+from .currents import (ConstraintError, SupportView, _ArrayEvent,
+                       _dobrushin_events, _product_table,
+                       _support_expectations, edge_weight_table)
 from .spins import SizeError
 
 DOUBLE_WORK_CAP = 40_000_000
@@ -257,22 +257,14 @@ class DoubleSupportMeasure:
         M1 = (FA * srcA) @ FB.T
         M2 = (GA * srcB) @ GB.T
         self._W = (M1 * M2) * norm
-        self._E = E
-        self._half = half
 
     def expectations(self, events):
         """events: dict name -> fn(SupportView) -> float.  Returns dict of
         normalized expectations plus '_total' (the raw weight sum)."""
-        E = self._E
-
-        def weighted_views():
-            for sa, sb in np.argwhere(self._W != 0.0):
-                mask = int(sa) | (int(sb) << self._half)
-                yield (float(self._W[sa, sb]),
-                       SupportView(self.graph,
-                                   [e for e in range(E) if mask & (1 << e)]))
-
-        return _support_expectations(weighted_views(), events)
+        W = self._W.T.ravel()   # pattern sa | sb << half is W[sa, sb]
+        return _support_expectations(
+            self.graph, [(e,) for e in range(self.graph.n_edges)],
+            lambda labels: W[labels.masks], events)
 
 
 def double_support_expectations(graph, couplings, constrained, A1, A2, events):
@@ -290,7 +282,7 @@ def frustrated_partition_ratio(graph, couplings):
     neg = couplings.negative_edges()
     out = double_support_expectations(
         graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": lambda sv: 1.0 if sv.is_ff(neg) else 0.0})
+        {"ff": _ArrayEvent(lambda labels: labels.is_ff(neg))})
     return out["ff"]
 
 
@@ -299,8 +291,8 @@ def frustrated_correlation(graph, couplings, u, v):
     neg = couplings.negative_edges()
     out = double_support_expectations(
         graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": lambda sv: 1.0 if sv.is_ff(neg) else 0.0,
-         "sgn": lambda sv: sv.sgn(u, v, neg)})
+        {"ff": _ArrayEvent(lambda labels: labels.is_ff(neg)),
+         "sgn": _ArrayEvent(lambda labels: labels.sgn(u, v, neg))})
     return out["sgn"] / out["ff"]
 
 
@@ -312,7 +304,7 @@ def disorder_expectation(graph, couplings, flip_set):
     flip = frozenset(flip_set)
     out = double_support_expectations(
         graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": lambda sv: 1.0 if sv.is_ff(flip) else 0.0})
+        {"ff": _ArrayEvent(lambda labels: labels.is_ff(flip))})
     return out["ff"]
 
 

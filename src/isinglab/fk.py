@@ -3,17 +3,19 @@
 Weights: prod_{b in w} p_b prod_{b notin w} (1-p_b) * q^{N(w)}, with
 p_b = 1 - exp(-2 beta |J_b|).  With a wired boundary the cluster count is
 replaced by N0(w), the number of clusters not reaching a designated
-boundary vertex.  Everything here is a plain 2^|E| sum: each subset gets
-one SupportView, whose union-find gives both the cluster count in the
-weight and the events, and the shared support-pattern kernel of
-`currents` sums the weighted events.
+boundary vertex.  Everything here is a plain 2^|E| sum over open-edge
+masks, run by the support-pattern kernel of `currents`: each chunk of
+masks gets numpy component labels, which give both the cluster count in
+the weight and the built-in events.
 """
 
 from __future__ import annotations
 
 import math
 
-from .currents import SupportView, _dobrushin_events, _support_expectations
+import numpy as np
+
+from .currents import _ArrayEvent, _dobrushin_events, _support_expectations
 from .spins import SizeError
 from . import spins, doubled
 
@@ -43,22 +45,14 @@ def fk_measure_expectation(graph, couplings, events, boundary=None,
         raise SizeError("2^%d cluster configurations exceed the cap" % E)
     p = fk_weights(couplings)
 
-    def weighted_views():
-        for mask in range(1 << E):
-            w = 1.0
-            open_edges = []
-            for e in range(E):
-                if mask & (1 << e):
-                    w *= p[e]
-                    open_edges.append(e)
-                else:
-                    w *= 1.0 - p[e]
-            if w == 0.0:
-                continue
-            view = SupportView(graph, open_edges)
-            yield w * Q ** view.cluster_count(boundary), view
+    def weigh(labels):
+        w = np.ones(len(labels.masks))
+        for e in range(E):
+            w *= np.where(labels.masks >> e & 1, p[e], 1.0 - p[e])
+        return w * Q ** labels.cluster_count(boundary)
 
-    return _support_expectations(weighted_views(), events)
+    return _support_expectations(graph, [(e,) for e in range(E)], weigh,
+                                 events)
 
 
 def connection_probability(graph, couplings, x, y, cap=FK_EDGE_CAP):
@@ -72,7 +66,8 @@ def connection_probability(graph, couplings, x, y, cap=FK_EDGE_CAP):
                          "signs")
     return fk_measure_expectation(
         graph, couplings,
-        {"c": lambda sv: 1.0 if sv.connected(x, y) else 0.0}, cap=cap)["c"]
+        {"c": _ArrayEvent(lambda labels: labels.connected(x, y))},
+        cap=cap)["c"]
 
 
 def fk_rcr_bridge(graph, couplings, x, y):
@@ -97,9 +92,9 @@ def fk_frustration_adjusted(graph, couplings, u=None, v=None):
     """
     neg = couplings.negative_edges()
     abs_c = couplings.with_abs()
-    events = {"ff": lambda sv: 1.0 if sv.is_ff(neg) else 0.0}
+    events = {"ff": _ArrayEvent(lambda labels: labels.is_ff(neg))}
     if u is not None:
-        events["sgn"] = lambda sv: sv.sgn(u, v, neg)
+        events["sgn"] = _ArrayEvent(lambda labels: labels.sgn(u, v, neg))
     out = fk_measure_expectation(graph, abs_c, events)
     z_ratio = (spins.partition_function(graph, couplings)
                / spins.partition_function(graph, abs_c))
@@ -152,16 +147,17 @@ def monotone_event(event_id, *args):
     """
     if event_id == "connect":
         u, v = args
-        return lambda sv: 1.0 if sv.connected(u, v) else 0.0
+        return _ArrayEvent(lambda labels: labels.connected(u, v))
     if event_id == "connect_sets":
         U, V = args
-        return lambda sv: 1.0 if sv.connects_sets(U, V) else 0.0
+        return _ArrayEvent(lambda labels: labels.connects_sets(U, V))
     if event_id == "open_count":
-        return lambda sv: float(len(sv.edge_ids))
+        return _ArrayEvent(lambda labels: labels.open_count())
     if event_id == "all_open":
         (edges,) = args
         need = frozenset(edges)
-        return lambda sv: 1.0 if need <= sv.edge_ids else 0.0
+        return _ArrayEvent(lambda labels: np.logical_and.reduce(
+            [labels.has_edge(e) for e in need], initial=True))
     raise ValueError("unknown or non-monotone event id %r" % event_id)
 
 
@@ -174,8 +170,8 @@ def fkg_spot_check(graph, couplings, spec_f, spec_g, boundary=None):
         raise ValueError("FKG spot checks assume ferromagnetic couplings")
     F = monotone_event(*spec_f)
     G = monotone_event(*spec_g)
+    FG = _ArrayEvent(lambda labels: F.values(labels) * G.values(labels))
     out = fk_measure_expectation(
-        graph, couplings,
-        {"f": F, "g": G, "fg": lambda sv: F(sv) * G(sv)}, boundary=boundary)
+        graph, couplings, {"f": F, "g": G, "fg": FG}, boundary=boundary)
     cov = out["fg"] - out["f"] * out["g"]
     return cov, cov >= -1e-12

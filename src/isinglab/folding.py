@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, SupportView, _product_table,
+from .currents import (ConstraintError, _ArrayEvent, _product_table,
                        _support_expectations, edge_weight_table)
 from .graphs import induced_subgraph
 from .spins import SizeError
@@ -112,32 +112,21 @@ class FoldedCurrentMeasure:
         halfB = pattern_edges[m // 2:]
 
         TA = _product_table(halfA, tabs, nsig)
+        TA *= src
         TB = _product_table(halfB, tabs, nsig)
-        self._W = ((TA * src) @ TB.T) / nsig
-        self._halfA, self._halfB = halfA, halfB
-        self._reflection = r
+        self._W = (TA @ TB.T) / nsig
+        # bit i of a pattern mask adds pattern_edges[i] and its mirror
+        self._bit_edges = [tuple(sorted({e, r.edge_map[e]}))
+                           for e in pattern_edges]
         self.graph = graph
-
-    def _pattern_support(self, maskA, maskB):
-        r = self._reflection
-        U = set()
-        for mask, half in ((maskA, self._halfA), (maskB, self._halfB)):
-            for i, e in enumerate(half):
-                if mask & (1 << i):
-                    U.add(e)
-                    U.add(r.edge_map[e])
-        return U
 
     def expectations(self, events):
         """events: name -> fn(SupportView of supp(n + R(n))) -> float.
         Returns dict of normalized expectations plus '_total' (the raw
         weight sum)."""
-        weighted_views = (
-            (float(self._W[maskA, maskB]),
-             SupportView(self.graph,
-                         self._pattern_support(int(maskA), int(maskB))))
-            for maskA, maskB in np.argwhere(self._W != 0.0))
-        return _support_expectations(weighted_views, events)
+        W = self._W.T.ravel()   # pattern a | b << len(halfA) is W[a, b]
+        return _support_expectations(self.graph, self._bit_edges,
+                                     lambda labels: W[labels.masks], events)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +140,8 @@ def folded_correlation_identity(reflection, x, y):
     plane = r.lambda0
     meas = FoldedCurrentMeasure(r, sources={x, y})
     p = meas.expectations(
-        {"hit": lambda sv: 1.0 if sv.connects_sets([y], plane) else 0.0})["hit"]
+        {"hit": _ArrayEvent(
+            lambda labels: labels.connects_sets([y], plane))})["hit"]
     sxy = spins.expectation(r.graph, r.couplings, [x, y])
     lhs = spins.expectation(r.graph, r.couplings, [x, r.involution[y]])
     return lhs, sxy * p
@@ -169,7 +159,8 @@ def reflection_monotonicity_report(reflection, x, y):
     sxry = spins.expectation(r.graph, r.couplings, [x, r.involution[y]])
     meas = FoldedCurrentMeasure(r, sources={x, y})
     miss = meas.expectations(
-        {"miss": lambda sv: 0.0 if sv.connects_sets([x], plane) else 1.0})["miss"]
+        {"miss": _ArrayEvent(
+            lambda labels: ~labels.connects_sets([x], plane))})["miss"]
     return {
         "corr_near": sxy,
         "corr_far": sxry,
@@ -225,8 +216,8 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
 
     meas = FoldedCurrentMeasure(refl, sources=(), relaxed_boundary=bdry)
 
-    def ff(sv):
-        return 0.0 if sv.connects_sets(below_bdry, plane_all) else 1.0
+    ff = _ArrayEvent(
+        lambda labels: ~labels.connects_sets(below_bdry, plane_all))
 
     gamma_cache = {}
 
@@ -244,8 +235,12 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
             gamma_cache[region] = val
         return val
 
-    out = meas.expectations(
-        {"ff": ff, "mag": lambda sv: (f := ff(sv)) and f * gamma_mag(sv)})
+    def mag(sv):
+        if sv.connects_sets(below_bdry, plane_all):
+            return 0.0
+        return gamma_mag(sv)
+
+    out = meas.expectations({"ff": ff, "mag": mag})
 
     # dimensional reduction: the mid-plane system with + at its own boundary
     sub, subc, vmap = induced_subgraph(box, couplings, plane_all)

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .currents import _ArrayEvent
 from .graphs import Graph, Couplings
 from .spins import SizeError
 from . import spins, doubled, fk
@@ -141,15 +142,22 @@ class WilsonLoop:
 
 
 def rectangular_loop(cx, axes, corner, size):
-    """Wilson loop around an l1 x l2 rectangle of plaquettes."""
+    """Wilson loop around an l1 x l2 rectangle of plaquettes; ValueError
+    unless both sides are positive and the rectangle fits the complex."""
     i, j = axes
+    if min(size) < 1:
+        raise ValueError("loop sides must be positive, got %r" % (size,))
     span = set()
     for a in range(size[0]):
         for b in range(size[1]):
             c = list(corner)
             c[i] += a
             c[j] += b
-            span.add(cx.pindex[((i, j), tuple(c))])
+            key = ((i, j), tuple(c))
+            if key not in cx.pindex:
+                raise ValueError("a %dx%d loop at %r does not fit the "
+                                 "complex" % (size[0], size[1], tuple(corner)))
+            span.add(cx.pindex[key])
     return WilsonLoop(frozenset(span), cx.edge_mask(span))
 
 
@@ -254,6 +262,8 @@ def gauge_oracle_partition(cx, beta, edge_signs=None, cap=GAUGE_ORACLE_CAP):
     exact integer count and the weight +-exp(beta * energy) a single field
     would get.  The sum of count * weight is taken exactly in rationals and
     rounded once, so it equals math.fsum over all 2^|E| fields bit for bit.
+    A class weight past the float range is a signed inf, and so is a sum
+    past it; the result is then non-finite instead of an OverflowError.
     Independent of the chain sums: no kernel basis and no edge_mask.
     """
     E = cx.n_edges
@@ -276,12 +286,21 @@ def gauge_oracle_partition(cx, beta, edge_signs=None, cap=GAUGE_ORACLE_CAP):
                 x ^= x >> shift
             cls += x & 1
         counts += np.bincount(cls, minlength=counts.size)
-    total = Fraction(0)
+    terms = []
     for cls, n in enumerate(counts.tolist()):
         if n:
-            w = math.exp(beta * float(P - 2 * (cls >> 1)))
-            total += n * Fraction(-w if cls & 1 else w)
-    return float(total) / (1 << E)
+            try:
+                w = math.exp(beta * float(P - 2 * (cls >> 1)))
+            except OverflowError:
+                w = math.inf
+            terms.append((n, -w if cls & 1 else w))
+    if not all(math.isfinite(w) for _, w in terms):
+        return sum(n * w for n, w in terms) / (1 << E)
+    total = sum((n * Fraction(w) for n, w in terms), Fraction(0))
+    try:
+        return float(total) / (1 << E)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def gauge_transform_mask(cx, vertex):
@@ -406,7 +425,8 @@ def deconfinement_bound_report(box, couplings, axis, plane, window=None):
     W = doubled.disorder_expectation(box, couplings, F)
     B1 = fk.fk_measure_expectation(
         box, couplings,
-        {"cut": lambda sv: 0.0 if sv.connects_sets(U, V) else 1.0})["cut"]
+        {"cut": _ArrayEvent(
+            lambda labels: ~labels.connects_sets(U, V))})["cut"]
     corrs = [spins.expectation(box, couplings, [u, v])
              for u in U for v in V]
     B2 = math.prod(1.0 - c for c in corrs)

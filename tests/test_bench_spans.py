@@ -89,3 +89,33 @@ def test_recorder_sees_gauge_oracle():
     # the hook reads the complex by its parameter name: 2^7 fields per call
     assert rec.work["gauge.fields"] == 2 * 2.0 ** cx.n_edges
     assert not hasattr(gauge.gauge_oracle_partition, "__wrapped__")
+
+
+def test_array_events_keep_engine_spans_and_work():
+    # built-in events are read off numpy labels, so no SupportView is
+    # built; the engine spans still fire and the nominal work still grows
+    # by 2^E per call, which keeps the *_per_s metrics comparable
+    spans = _load_spans()
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c = Couplings(g, 1.0, 0.5)
+    path = Graph(3, [(0, 1), (1, 2)])
+    refl = _build_reflection(path, Couplings(path, 1.0, 0.5),
+                             {0: 2, 1: 1, 2: 0})
+    event = {"c": fk.monotone_event("connect", 0, 2)}
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        for _ in range(2):
+            fk.fk_measure_expectation(g, c, event)
+            DoubleSupportMeasure(g, c, list(g.vertices), (), ()).expectations(
+                event)
+            FoldedCurrentMeasure(refl).expectations(event)
+    finally:
+        rec.uninstall()
+    names = {r[1] for r in rec.records()}
+    assert set(ENGINE_SPANS) <= names
+    assert SUPPORTVIEW not in names
+    assert rec.work["fk.subsets"] == 2 * 2.0 ** g.n_edges
+    assert rec.work["doubled.patterns"] == 2 * 2.0 ** g.n_edges
+    assert rec.work["folding.patterns"] == 2 * 2.0 ** (len(refl.e0)
+                                                        + len(refl.e1))

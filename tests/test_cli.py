@@ -169,3 +169,35 @@ def test_out_of_range_site_is_usage_error(capsys, sites):
                          "--beta", "0.4", "--sites", sites)
     assert code == 2
     assert "not a vertex" in err
+
+
+@pytest.mark.parametrize("what", ["switching", "xtoy", "ursell",
+                                  "frustration", "boundary", "disorder",
+                                  "fold", "dobrushin", "fkrcr", "duality",
+                                  "pathprops"])
+def test_verify_rejects_fields(tmp_path, capsys, what):
+    # no verify identity carries fields: a zero-field row would pass
+    # (z_ratio_ff 0.92665 here, against 0.95801 with the fields)
+    gf = tmp_path / "tri.txt"
+    gf.write_text("vertex 0 h=0.8\nvertex 2 g=-0.6\n"
+                  "edge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
+    code, out, err = run(capsys, "verify", what, "--graph", str(gf),
+                         "--beta", "0.5", "--sites", "0,1")
+    assert code == 2
+    assert "fields" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("loop, lattice, message", [
+    ("2", "box:d=3,L=2", "does not fit"),
+    ("2", "box:d=3,L=2,3,3", "does not fit"),
+    ("0", "box:d=2,L=3", "positive"),
+    ("-2", "box:d=2,L=3", "positive"),
+])
+def test_wilson_loop_that_does_not_fit_is_usage_error(capsys, loop, lattice,
+                                                      message):
+    code, out, err = run(capsys, "gauge", "wilson", "--loop", loop,
+                         "--lattice", lattice, "--beta", "0.3")
+    assert code == 2
+    assert message in err
+    assert out == ""

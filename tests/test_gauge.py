@@ -108,6 +108,24 @@ def test_oracle_rejects_bad_edge_signs(signs):
         gauge_oracle_partition(cx, 0.7, edge_signs=signs)
 
 
+def test_oracle_overflow_is_non_finite():
+    # exp(6 beta) is past the float range on the 6-plaquette cube: the
+    # oracle gives inf like the chain sum instead of raising OverflowError
+    cx = PlaquetteComplex(3, (1, 1, 1))
+    for beta in (200.0, -200.0):
+        assert gauge_oracle_partition(cx, beta) == math.inf
+        assert lgm_partition(cx, beta) == math.inf
+    # a gauge-star insertion puts +inf and -inf classes in one sum
+    star = gauge_transform_mask(cx, 1)
+    assert math.isnan(gauge_oracle_partition(cx, 200.0, edge_signs=star))
+    # the exact sum of the largest finite classes is exceeded: signed inf
+    assert gauge_oracle_partition(cx, 118.0) == math.inf
+    assert gauge_oracle_partition(cx, -118.0) == math.inf
+    # below the range the exact sum is kept bit for bit
+    assert repr(gauge_oracle_partition(cx, 100.0)) == repr(
+        _oracle_by_field(cx, 100.0))
+
+
 def test_dual_beta_involution():
     for beta in (0.2, 0.5, 1.1):
         assert dual_beta(dual_beta(beta)) == pytest.approx(beta, abs=1e-14)
