@@ -138,6 +138,25 @@ def _sites(args, need, graph):
     return ids[:need]
 
 
+def _refuse_fields(fields, command):
+    """UsageError for a command that carries no fields: a zero-field row
+    would pass while answering a different question."""
+    if not fields.is_zero():
+        raise UsageError("%s does not support fields (h=/g= in --graph)"
+                         % command)
+
+
+def _wilson_tol(mean, n, exact):
+    """Distance from the mean of n 0/1 draws to the end of their z = 4
+    Wilson score interval on the side of `exact`, so |mean - exact| <= tol
+    iff `exact` lies in the interval."""
+    z = 4.0
+    q = z * z / n
+    center = (mean + q / 2.0) / (1.0 + q)
+    half = z * math.sqrt(mean * (1.0 - mean) / n + q / (4.0 * n)) / (1.0 + q)
+    return center + half - mean if exact >= mean else mean - center + half
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a list of Row)
 
@@ -158,6 +177,7 @@ def _cmd_exact(args):
             rows.append(Row(iid, "corr_%d_%d" % tuple(ids), v, v,
                             kind="value"))
         elif args.what == "u4":
+            _refuse_fields(fields, "exact u4")
             ids = _sites(args, 4, graph)
             v = spins.ursell4(graph, c, *ids, boundary=bspec)
             rows.append(Row(iid, "ursell4", v, v, kind="value"))
@@ -173,10 +193,7 @@ def _cmd_exact(args):
 def _cmd_verify(args):
     from . import doubled, fk, folding, backbone
     graph, coup, fields, bspec = _load_instance(args)
-    if not fields.is_zero():
-        # no verify identity carries fields yet; a zero-field row would
-        # pass while answering a different question
-        raise UsageError("verify does not support fields (h=/g= in --graph)")
+    _refuse_fields(fields, "verify")
     rng = np.random.default_rng(args.seed)
     rows = []
     for beta in _betas(args):
@@ -299,13 +316,16 @@ def _cmd_verify(args):
 def _cmd_ineq(args):
     from . import inequalities as iq, backbone
     graph, coup, fields, bspec = _load_instance(args)
+    if args.what in ("ghs", "simonlieb", "tree"):
+        _refuse_fields(fields, "ineq " + args.what)
     rows = []
     for beta in _betas(args):
         c = coup.with_beta(beta * coup.beta)
         iid = "beta=%g" % beta
         w = args.what
         if w == "griffiths":
-            reps = iq.griffiths_suite(graph, c, max_sets=args.trials)
+            reps = iq.griffiths_suite(graph, c, fields=fields,
+                                      max_sets=args.trials)
         elif w == "ghs":
             reps = iq.ghs_suite(graph, c)
         elif w == "simonlieb":
@@ -400,13 +420,19 @@ def _cmd_sample(args):
     from . import samplers
     from .samplers import ChainSpec
     graph, coup, fields, bspec = _load_instance(args)
+    if args.what != "metropolis":
+        _refuse_fields(fields, "sample " + args.what)
+    if args.trials < samplers.N_BATCHES:
+        raise UsageError("--trials must be at least %d (one draw per batch)"
+                         % samplers.N_BATCHES)
     rows = []
     for beta in _betas(args):
         c = coup.with_beta(beta * coup.beta)
         iid = "beta=%g" % beta
         spec = ChainSpec(seed=args.seed, sweeps=args.trials)
         x, y = _sites(args, 2, graph)
-        exact = spins.expectation(graph, c, [x, y], boundary=bspec)
+        exact = spins.expectation(graph, c, [x, y], fields=fields,
+                                  boundary=bspec)
         if args.what == "metropolis":
             res = samplers.metropolis_spin(
                 graph, c, {"corr": lambda s: float(s[x] * s[y])},
@@ -431,8 +457,13 @@ def _cmd_sample(args):
             res = samplers.EstimatorResult(mean, stderr, n, acc)
         else:
             raise UsageError("unknown sampler %r" % args.what)
+        tol = max(4.0 * res.stderr, 1e-12)
+        if args.what == "currents" and res.stderr == 0.0:
+            # the draws are iid and exact: with no spread between the
+            # batches, gate on the score interval of the 0/1 draws
+            tol = _wilson_tol(res.mean, res.n_samples, exact)
         row = Row(iid, "sampler_" + args.what, res.mean, exact, kind="eq",
-                  tol=max(4.0 * res.stderr, 1e-12))
+                  tol=tol)
         rows.append(row)
         rows.append(Row(iid, "sampler_stderr", res.stderr, res.stderr,
                         kind="value"))

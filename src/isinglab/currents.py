@@ -202,9 +202,12 @@ def truncated_flux_sum(graph, couplings, A, cutoff=40):
 # double-current, folded-current and FK engines.  A support pattern is a bit
 # mask: bit i adds the edges bit_edges[i].  Each engine weighs the patterns
 # its own way; the kernel labels the components of a whole chunk of patterns
-# in numpy and sums the weighted events.  Built-in events are _ArrayEvents
-# read off those labels; any other fn(SupportView) gets one SupportView per
-# pattern of nonzero weight.
+# in numpy and sums the weighted events.  An event is a function of one
+# chunk's _SupportLabels that gives one value per pattern (or one value for
+# all of them), built from the label queries connected, connects_sets,
+# reached, cluster_count, is_ff, sgn, has_edge, touched and open_count.
+# SupportView answers the same queries for one support, for the direct
+# double-current sums and the samplers.
 
 _CHUNK_BITS = 16          # at most 2^16 patterns per chunk
 _CHUNK_CELLS = 1 << 22    # and at most this many (pattern, vertex) labels
@@ -239,11 +242,6 @@ class SupportView:
     def connects_sets(self, U, V):
         roots = {self._uf.find(u) for u in U}
         return any(self._uf.find(v) in roots for v in V)
-
-    def vertex_connected_to(self, targets):
-        """Set of vertices support-connected (possibly trivially) to targets."""
-        roots = {self._uf.find(t) for t in targets}
-        return {v for v in self.graph.vertices if self._uf.find(v) in roots}
 
     def pairable(self, B):
         """Existence of k <= m with boundary B inside this support: every
@@ -338,7 +336,7 @@ def _pattern_labels(graph, bit_edges, base, nbits, flagged=None):
 
 
 class _SupportLabels:
-    """One chunk of support patterns, labelled; array events read it.
+    """One chunk of support patterns, labelled; events read it.
 
     The array counterparts of the SupportView queries return one value per
     pattern (row).  `restrict` keeps a subset of the rows.
@@ -358,11 +356,6 @@ class _SupportLabels:
         self.masks = self.masks[rows]
         self.lab = self.lab[rows]
         self._parity = {}
-
-    def edges(self, mask):
-        """Edge ids of one pattern."""
-        return [e for i, es in enumerate(self.bit_edges) if mask >> i & 1
-                for e in es]
 
     def _bits_with(self, keep):
         """Rows whose pattern has some bit i with keep(bit_edges[i])."""
@@ -385,20 +378,19 @@ class _SupportLabels:
     def _marks(self, S):
         """marks[r, l]: some vertex of S has the label l in row r."""
         marks = np.zeros(self.lab.shape, dtype=bool)
-        S = list(S)
-        if S:
-            marks[np.arange(len(marks))[:, None], self.lab[:, S]] = True
+        marks[np.arange(len(marks))[:, None], self.lab[:, list(S)]] = True
         return marks
+
+    def reached(self, S):
+        """reached[r, v]: v's component holds a vertex of S in row r."""
+        marks = self._marks(S)
+        return marks[np.arange(len(marks))[:, None], self.lab]
 
     def connected(self, u, v):
         return self.lab[:, u] == self.lab[:, v]
 
     def connects_sets(self, U, V):
-        V = list(V)
-        if not V:
-            return np.zeros(len(self.lab), dtype=bool)
-        marks = self._marks(U)
-        return marks[np.arange(len(marks))[:, None], self.lab[:, V]].any(1)
+        return self.reached(U)[:, list(V)].any(1)
 
     def cluster_count(self, wired=None):
         count = (self.lab == np.arange(self.graph.n)).sum(1)
@@ -426,26 +418,6 @@ class _SupportLabels:
         return np.where(hit, np.where(par[:, u] ^ par[:, v], -1.0, 1.0), 0.0)
 
 
-class _ArrayEvent:
-    """A built-in event: on_labels(_SupportLabels) gives its value for every
-    pattern of a chunk.  Called with one SupportView it gives that view's
-    value, so it still is an fn(SupportView) -> float event."""
-
-    __slots__ = ("on_labels",)
-
-    def __init__(self, on_labels):
-        self.on_labels = on_labels
-
-    def values(self, labels):
-        """One float per pattern of `labels`."""
-        return np.broadcast_to(np.asarray(self.on_labels(labels), dtype=float),
-                               labels.masks.shape)
-
-    def __call__(self, view):
-        one = _SupportLabels(view.graph, [sorted(view.edge_ids)], 1, 0)
-        return float(self.values(one)[0])
-
-
 def _fsum(arrays):
     return math.fsum(np.concatenate(arrays)) if arrays else 0.0
 
@@ -456,16 +428,15 @@ def _support_expectations(graph, bit_edges, weigh, events):
 
     Pattern `mask` is the support made of bit_edges[i] for the bits i of
     mask.  weigh(_SupportLabels) gives the weights of a chunk's patterns;
-    patterns of weight 0 are dropped.  events: dict name -> _ArrayEvent or
-    fn(SupportView) -> float.  Every event sums the terms weight * value of
-    nonzero value with math.fsum, so the result does not depend on the
-    order the patterns are visited in.
+    patterns of weight 0 are dropped.  events: dict name ->
+    fn(_SupportLabels), giving the value of every kept pattern of a chunk
+    (an array with one entry per row, or one value for all rows).  Every
+    event sums the terms weight * value of nonzero value with math.fsum, so
+    the result does not depend on the order the patterns are visited in.
     """
     nbits = len(bit_edges)
     chunk = min(nbits, _CHUNK_BITS,
                 max(0, (_CHUNK_CELLS // max(graph.n, 1)).bit_length() - 1))
-    per_view = {name: fn for name, fn in events.items()
-                if not isinstance(fn, _ArrayEvent)}
     acc = {name: [] for name in events}
     tot = []
     for base in range(0, 1 << nbits, 1 << chunk):
@@ -478,20 +449,10 @@ def _support_expectations(graph, bit_edges, weigh, events):
         labels.restrict(rows)
         tot.append(wgt)
         for name, fn in events.items():
-            if name not in per_view:
-                val = fn.values(labels)
-                hit = val != 0
-                acc[name].append(wgt[hit] * val[hit])
-        if per_view:
-            views = [SupportView(graph, labels.edges(mask))
-                     for mask in labels.masks.tolist()]
-            for name, fn in per_view.items():
-                terms = []
-                for w, view in zip(wgt.tolist(), views):
-                    val = fn(view)
-                    if val:
-                        terms.append(w * float(val))
-                acc[name].append(np.array(terms, dtype=float))
+            val = np.broadcast_to(np.asarray(fn(labels), dtype=float),
+                                  wgt.shape)
+            hit = val != 0
+            acc[name].append(wgt[hit] * val[hit])
     total = _fsum(tot)
     out = {name: _fsum(terms) / total for name, terms in acc.items()}
     out["_total"] = total
@@ -522,13 +483,12 @@ def _dobrushin_events(boundary_spec, x=None):
     def ff(labels):
         return ~labels.connects_sets(minus, plus)
 
-    events = {"ff": _ArrayEvent(ff)}
+    events = {"ff": ff}
     if x is not None:
         bdry = plus | minus
-        events["x_bdry"] = _ArrayEvent(
-            lambda labels: labels.connects_sets([x], bdry))
-        events["x_plus"] = _ArrayEvent(
+        events["x_bdry"] = lambda labels: labels.connects_sets([x], bdry)
+        events["x_plus"] = (
             lambda labels: ff(labels) & labels.connects_sets([x], plus))
-        events["x_minus"] = _ArrayEvent(
+        events["x_minus"] = (
             lambda labels: ff(labels) & labels.connects_sets([x], minus))
     return events

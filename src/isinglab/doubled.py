@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import (ConstraintError, SupportView, _ArrayEvent,
-                       _dobrushin_events, _product_table,
-                       _support_expectations, edge_weight_table)
+from .currents import (ConstraintError, SupportView, _dobrushin_events,
+                       _product_table, _support_expectations,
+                       edge_weight_table)
 from .spins import SizeError
 
 DOUBLE_WORK_CAP = 40_000_000
@@ -259,8 +259,12 @@ class DoubleSupportMeasure:
         self._W = (M1 * M2) * norm
 
     def expectations(self, events):
-        """events: dict name -> fn(SupportView) -> float.  Returns dict of
-        normalized expectations plus '_total' (the raw weight sum)."""
+        """events: dict name -> fn(labels), where `labels` holds a chunk
+        of combined supports and the event gives one value per support,
+        read off the label queries (connected, connects_sets, reached,
+        cluster_count, is_ff, sgn, has_edge, touched, open_count).  Returns
+        dict of normalized expectations plus '_total' (the raw weight
+        sum)."""
         W = self._W.T.ravel()   # pattern sa | sb << half is W[sa, sb]
         return _support_expectations(
             self.graph, [(e,) for e in range(self.graph.n_edges)],
@@ -282,7 +286,7 @@ def frustrated_partition_ratio(graph, couplings):
     neg = couplings.negative_edges()
     out = double_support_expectations(
         graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": _ArrayEvent(lambda labels: labels.is_ff(neg))})
+        {"ff": lambda labels: labels.is_ff(neg)})
     return out["ff"]
 
 
@@ -291,8 +295,8 @@ def frustrated_correlation(graph, couplings, u, v):
     neg = couplings.negative_edges()
     out = double_support_expectations(
         graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": _ArrayEvent(lambda labels: labels.is_ff(neg)),
-         "sgn": _ArrayEvent(lambda labels: labels.sgn(u, v, neg))})
+        {"ff": lambda labels: labels.is_ff(neg),
+         "sgn": lambda labels: labels.sgn(u, v, neg)})
     return out["sgn"] / out["ff"]
 
 
@@ -304,7 +308,7 @@ def disorder_expectation(graph, couplings, flip_set):
     flip = frozenset(flip_set)
     out = double_support_expectations(
         graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": _ArrayEvent(lambda labels: labels.is_ff(flip))})
+        {"ff": lambda labels: labels.is_ff(flip)})
     return out["ff"]
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .currents import _ArrayEvent, _dobrushin_events, _support_expectations
+from .currents import _dobrushin_events, _support_expectations
 from .spins import SizeError
 from . import spins, doubled
 
@@ -33,8 +33,11 @@ def fk_measure_expectation(graph, couplings, events, boundary=None,
                            cap=FK_EDGE_CAP):
     """Normalized expectations of the named events under the FK measure.
 
-    events: dict name -> fn(SupportView) -> float.  `boundary` is a vertex
-    set; when given, the cluster weight uses N0 (wired / plus state).
+    events: dict name -> fn(labels), where `labels` holds a chunk of open
+    edge sets and the event gives one value per set, read off the label
+    queries (connected, connects_sets, reached, cluster_count, is_ff, sgn,
+    has_edge, touched, open_count).  `boundary` is a vertex set; when
+    given, the cluster weight uses N0 (wired / plus state).
     Returns the dict of expectations plus '_total', the unnormalized sum:
     Z(|J|) e^{-beta sum |J|} 2^n, or with wired counting
     Z^+(|J|) e^{-beta sum |J|} 2^{n - |boundary|}, i.e. 2 to the number of
@@ -66,7 +69,7 @@ def connection_probability(graph, couplings, x, y, cap=FK_EDGE_CAP):
                          "signs")
     return fk_measure_expectation(
         graph, couplings,
-        {"c": _ArrayEvent(lambda labels: labels.connected(x, y))},
+        {"c": lambda labels: labels.connected(x, y)},
         cap=cap)["c"]
 
 
@@ -92,9 +95,9 @@ def fk_frustration_adjusted(graph, couplings, u=None, v=None):
     """
     neg = couplings.negative_edges()
     abs_c = couplings.with_abs()
-    events = {"ff": _ArrayEvent(lambda labels: labels.is_ff(neg))}
+    events = {"ff": lambda labels: labels.is_ff(neg)}
     if u is not None:
-        events["sgn"] = _ArrayEvent(lambda labels: labels.sgn(u, v, neg))
+        events["sgn"] = lambda labels: labels.sgn(u, v, neg)
     out = fk_measure_expectation(graph, abs_c, events)
     z_ratio = (spins.partition_function(graph, couplings)
                / spins.partition_function(graph, abs_c))
@@ -147,17 +150,17 @@ def monotone_event(event_id, *args):
     """
     if event_id == "connect":
         u, v = args
-        return _ArrayEvent(lambda labels: labels.connected(u, v))
+        return lambda labels: labels.connected(u, v)
     if event_id == "connect_sets":
         U, V = args
-        return _ArrayEvent(lambda labels: labels.connects_sets(U, V))
+        return lambda labels: labels.connects_sets(U, V)
     if event_id == "open_count":
-        return _ArrayEvent(lambda labels: labels.open_count())
+        return lambda labels: labels.open_count()
     if event_id == "all_open":
         (edges,) = args
         need = frozenset(edges)
-        return _ArrayEvent(lambda labels: np.logical_and.reduce(
-            [labels.has_edge(e) for e in need], initial=True))
+        return lambda labels: np.logical_and.reduce(
+            [labels.has_edge(e) for e in need], initial=True)
     raise ValueError("unknown or non-monotone event id %r" % event_id)
 
 
@@ -170,8 +173,9 @@ def fkg_spot_check(graph, couplings, spec_f, spec_g, boundary=None):
         raise ValueError("FKG spot checks assume ferromagnetic couplings")
     F = monotone_event(*spec_f)
     G = monotone_event(*spec_g)
-    FG = _ArrayEvent(lambda labels: F.values(labels) * G.values(labels))
     out = fk_measure_expectation(
-        graph, couplings, {"f": F, "g": G, "fg": FG}, boundary=boundary)
+        graph, couplings,
+        {"f": F, "g": G, "fg": lambda labels: F(labels) * G(labels)},
+        boundary=boundary)
     cov = out["fg"] - out["f"] * out["g"]
     return cov, cov >= -1e-12

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, _ArrayEvent, _product_table,
+from .currents import (ConstraintError, _product_table,
                        _support_expectations, edge_weight_table)
 from .graphs import induced_subgraph
 from .spins import SizeError
@@ -121,9 +121,12 @@ class FoldedCurrentMeasure:
         self.graph = graph
 
     def expectations(self, events):
-        """events: name -> fn(SupportView of supp(n + R(n))) -> float.
-        Returns dict of normalized expectations plus '_total' (the raw
-        weight sum)."""
+        """events: name -> fn(labels), where `labels` holds a chunk of
+        supports supp(n + R(n)) and the event gives one value per support,
+        read off the label queries (connected, connects_sets, reached,
+        cluster_count, is_ff, sgn, has_edge, touched, open_count).  Returns
+        dict of normalized expectations plus '_total' (the raw weight
+        sum)."""
         W = self._W.T.ravel()   # pattern a | b << len(halfA) is W[a, b]
         return _support_expectations(self.graph, self._bit_edges,
                                      lambda labels: W[labels.masks], events)
@@ -140,8 +143,7 @@ def folded_correlation_identity(reflection, x, y):
     plane = r.lambda0
     meas = FoldedCurrentMeasure(r, sources={x, y})
     p = meas.expectations(
-        {"hit": _ArrayEvent(
-            lambda labels: labels.connects_sets([y], plane))})["hit"]
+        {"hit": lambda labels: labels.connects_sets([y], plane)})["hit"]
     sxy = spins.expectation(r.graph, r.couplings, [x, y])
     lhs = spins.expectation(r.graph, r.couplings, [x, r.involution[y]])
     return lhs, sxy * p
@@ -159,8 +161,7 @@ def reflection_monotonicity_report(reflection, x, y):
     sxry = spins.expectation(r.graph, r.couplings, [x, r.involution[y]])
     meas = FoldedCurrentMeasure(r, sources={x, y})
     miss = meas.expectations(
-        {"miss": _ArrayEvent(
-            lambda labels: ~labels.connects_sets([x], plane))})["miss"]
+        {"miss": lambda labels: ~labels.connects_sets([x], plane)})["miss"]
     return {
         "corr_near": sxy,
         "corr_far": sxry,
@@ -216,29 +217,28 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
 
     meas = FoldedCurrentMeasure(refl, sources=(), relaxed_boundary=bdry)
 
-    ff = _ArrayEvent(
-        lambda labels: ~labels.connects_sets(below_bdry, plane_all))
+    def ff(labels):
+        return ~labels.connects_sets(below_bdry, plane_all)
 
-    gamma_cache = {}
-
-    def gamma_mag(sv):
-        """<s_x> on the region not folded-connected to the off-plane
-        boundary, with + clamped at the plane's boundary sites."""
-        burned = sv.vertex_connected_to(off_plane_bdry)
-        region = frozenset(box.vertices) - frozenset(burned)
-        val = gamma_cache.get(region)
-        if val is None:
-            sub, subc, vmap = induced_subgraph(box, couplings, region)
+    def mag(labels):
+        """0 where the support joins the minus boundary to the plane; else
+        <s_x> on the region not folded-connected to the off-plane boundary,
+        with + clamped at the plane's boundary sites, one spin-oracle call
+        per distinct region of the chunk."""
+        keep = ff(labels)
+        regions, inverse = np.unique(~labels.reached(off_plane_bdry)[keep],
+                                     axis=0, return_inverse=True)
+        vals = []
+        for region in regions:
+            sub, subc, vmap = induced_subgraph(box, couplings,
+                                               np.flatnonzero(region).tolist())
             clamp = BoundarySpec({vmap[v]: BoundarySpec.PLUS
                                   for v in plane_bdry if v in vmap})
-            val = spins.expectation(sub, subc, [vmap[x]], boundary=clamp)
-            gamma_cache[region] = val
-        return val
-
-    def mag(sv):
-        if sv.connects_sets(below_bdry, plane_all):
-            return 0.0
-        return gamma_mag(sv)
+            vals.append(spins.expectation(sub, subc, [vmap[x]],
+                                          boundary=clamp))
+        out = np.zeros(len(keep))
+        out[keep] = np.array(vals)[inverse.reshape(-1)]
+        return out
 
     out = meas.expectations({"ff": ff, "mag": mag})
 

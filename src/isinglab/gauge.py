@@ -32,7 +32,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .currents import _ArrayEvent
 from .graphs import Graph, Couplings
 from .spins import SizeError
 from . import spins, doubled, fk
@@ -425,8 +424,7 @@ def deconfinement_bound_report(box, couplings, axis, plane, window=None):
     W = doubled.disorder_expectation(box, couplings, F)
     B1 = fk.fk_measure_expectation(
         box, couplings,
-        {"cut": _ArrayEvent(
-            lambda labels: ~labels.connects_sets(U, V))})["cut"]
+        {"cut": lambda labels: ~labels.connects_sets(U, V)})["cut"]
     corrs = [spins.expectation(box, couplings, [u, v])
              for u in U for v in V]
     B2 = math.prod(1.0 - c for c in corrs)

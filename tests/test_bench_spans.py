@@ -9,7 +9,7 @@ from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.gauge import PlaquetteComplex
 from isinglab.graphs import Couplings, Graph, _build_reflection
-from isinglab import fk, gauge, spins
+from isinglab import doubled, fk, gauge, spins
 
 SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -34,7 +34,7 @@ def test_recorder_sees_support_engines():
     g = Graph(3, [(0, 1), (1, 2)])
     c = Couplings(g, 1.0, 0.5)
     refl = _build_reflection(g, c, {0: 2, 1: 1, 2: 0})
-    event = {"c": lambda sv: 1.0 if sv.connected(0, 2) else 0.0}
+    event = {"c": lambda labels: labels.connected(0, 2)}
     rec = spans.Recorder()
     rec.install()
     try:
@@ -42,15 +42,29 @@ def test_recorder_sees_support_engines():
         DoubleSupportMeasure(g, c, list(g.vertices), (), ()).expectations(
             event)
         FoldedCurrentMeasure(refl).expectations(event)
+        doubled.verify_switching(g, c, {0, 1}, {1, 2}, {0, 2})
     finally:
         rec.uninstall()
     by_id = {r[0]: r for r in rec.records()}
     names = {r[1] for r in by_id.values()}
     assert set(ENGINE_SPANS) | {SUPPORTVIEW} <= names
     assert spans.SUPPORTVIEW == SUPPORTVIEW
-    # every SupportView build is charged to the engine that enumerates it
-    parents = {by_id[r[2]][1] for r in by_id.values() if r[1] == SUPPORTVIEW}
-    assert parents == set(ENGINE_SPANS)
+
+    def ancestors(r):
+        out = []
+        while r[2] is not None:
+            r = by_id[r[2]]
+            out.append(r[1])
+        return out
+
+    # the kernel engines build no SupportView; the direct double sums build
+    # one per state through indicator_pairable and are charged for it
+    chains = [ancestors(r) for r in by_id.values() if r[1] == SUPPORTVIEW]
+    assert chains
+    for chain in chains:
+        assert chain[:2] == ["doubled.indicator_pairable",
+                             "doubled.double_sum_direct"]
+        assert not set(ENGINE_SPANS) & set(chain)
     # uninstall put the originals back
     assert not hasattr(fk.fk_measure_expectation, "__wrapped__")
 
@@ -92,9 +106,9 @@ def test_recorder_sees_gauge_oracle():
 
 
 def test_array_events_keep_engine_spans_and_work():
-    # built-in events are read off numpy labels, so no SupportView is
-    # built; the engine spans still fire and the nominal work still grows
-    # by 2^E per call, which keeps the *_per_s metrics comparable
+    # events are read off numpy labels, so no SupportView is built; the
+    # engine spans still fire and the nominal work still grows by 2^E per
+    # call, which keeps the *_per_s metrics comparable
     spans = _load_spans()
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     c = Couplings(g, 1.0, 0.5)

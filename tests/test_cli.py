@@ -201,3 +201,76 @@ def test_wilson_loop_that_does_not_fit_is_usage_error(capsys, loop, lattice,
     assert code == 2
     assert message in err
     assert out == ""
+
+
+C4_EDGES = "edge 0 1 1.0\nedge 1 2 1.0\nedge 2 3 1.0\nedge 3 0 1.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "u4"], ["ineq", "ghs"], ["ineq", "simonlieb"],
+    ["ineq", "tree"], ["sample", "sw"], ["sample", "currents"]])
+def test_commands_without_fields_refuse_them(tmp_path, capsys, argv):
+    # these ignored the fields and passed with the zero-field answer
+    # (exact u4 printed -0.83084 here)
+    gf = tmp_path / "c4.txt"
+    gf.write_text("vertex 0 h=0.8\nvertex 2 g=-0.6\n" + C4_EDGES)
+    code, out, err = run(capsys, *argv, "--graph", str(gf), "--beta", "0.7")
+    assert code == 2
+    assert "fields" in err
+    assert out == ""
+
+
+def test_metropolis_and_griffiths_use_graph_fields(tmp_path, capsys):
+    from isinglab import spins
+    from isinglab.graphs import parse_graph_file
+    gf = tmp_path / "c4.txt"
+    gf.write_text("vertex 0 h=0.8\nvertex 2 h=0.3\n" + C4_EDGES)
+    graph, coup, fields, _ = parse_graph_file(gf.read_text())
+    c = coup.with_beta(0.7 * coup.beta)
+    code, out, _ = run(capsys, "sample", "metropolis", "--graph", str(gf),
+                       "--beta", "0.7", "--sites", "0,2", "--trials", "400",
+                       "--seed", "1")
+    row = out.splitlines()[2].split(",")
+    assert row[1] == "sampler_metropolis"
+    assert float(row[3]) == spins.expectation(graph, c, [0, 2],
+                                              fields=fields)
+    code, out, _ = run(capsys, "ineq", "griffiths", "--graph", str(gf),
+                       "--beta", "0.7")
+    assert code == 0
+    # with a field the one-point functions are rows too
+    first = out.splitlines()[2].split(",")
+    assert float(first[3]) == spins.expectation(graph, c, [0], fields=fields)
+
+
+SAMPLE_CURRENTS = ["sample", "currents", "--lattice", "box:d=2,L=3",
+                   "--beta", "0.35", "--sites", "0,4"]
+
+
+@pytest.mark.parametrize("seed", ["3", "4", "5"])
+def test_zero_variance_currents_sample_uses_score_interval(capsys, seed):
+    # all 20 draws are 0, so the batch stderr is 0; the exact value 0.0237
+    # lies in the z = 4 Wilson interval [0, 0.444] of 0 successes in 20
+    code, out, _ = run(capsys, *SAMPLE_CURRENTS, "--seed", seed)
+    row = out.splitlines()[2].split(",")
+    assert row[1:3] == ["sampler_currents", "0"]
+    assert row[6] == "true"
+    assert code == 0
+
+
+def test_currents_sample_with_spread_keeps_stderr_gate(capsys):
+    code, out, _ = run(capsys, *SAMPLE_CURRENTS, "--seed", "6")
+    assert code == 0
+    assert out.splitlines()[2].rsplit(",", 1)[0] == (
+        "beta=0.35,sampler_currents,0.050000000000000003,"
+        "0.023695369053489786,0.026304630946510216,"
+        "-0.026304630946510216,true")
+
+
+@pytest.mark.parametrize("what", ["metropolis", "sw", "currents"])
+@pytest.mark.parametrize("trials", ["0", "5"])
+def test_fewer_trials_than_batches_is_usage_error(capsys, what, trials):
+    code, out, err = run(capsys, "sample", what, "--lattice", "box:d=2,L=2",
+                         "--beta", "0.4", "--trials", trials)
+    assert code == 2
+    assert "--trials" in err
+    assert out == ""

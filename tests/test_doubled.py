@@ -56,13 +56,12 @@ def test_switching_with_event(triangle):
 
 def test_support_measure_matches_direct(triangle):
     c = Couplings(triangle, [0.8, 0.5, 0.3], 1.0)
-    ev = lambda sv: 1.0 if sv.connected(0, 2) else 0.0
     direct = doubled.double_event_probability(
         triangle, c, frozenset({0, 1}), frozenset(),
-        lambda st_: ev(st_.view()))
+        lambda st_: 1.0 if st_.view().connected(0, 2) else 0.0)
     fast = doubled.double_support_expectations(
         triangle, c, list(triangle.vertices), frozenset({0, 1}), frozenset(),
-        {"e": ev})["e"]
+        {"e": lambda labels: labels.connected(0, 2)})["e"]
     assert fast == pytest.approx(direct, abs=1e-12)
 
 

@@ -106,7 +106,7 @@ def test_wired_counting():
     c = Couplings(box, 1.0, 0.4)
     bdry = box.boundary_vertices()
     x = [v for v in box.vertices if v not in bdry][0]
-    ev = {"c": lambda sv: 1.0 if sv.connects_sets([x], bdry) else 0.0}
+    ev = {"c": lambda labels: labels.connects_sets([x], bdry)}
     free = fk.fk_measure_expectation(box, c, ev)["c"]
     wired = fk.fk_measure_expectation(box, c, ev, boundary=bdry)["c"]
     assert wired >= free - 1e-12

@@ -1,8 +1,8 @@
 """The support-pattern kernel labels whole chunks of support patterns in
-numpy and reads the built-in events off the labels.  The per-pattern loop
-it replaced, one SupportView (a union-find) per pattern, is kept here as
-the reference: every engine and event must give the same floats, compared
-by repr."""
+numpy and reads every event off the labels.  The per-pattern loop it
+replaced, one SupportView (a union-find) per pattern, is kept here as the
+reference: every engine and event must give the same floats, compared by
+repr."""
 
 import itertools
 import math
@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isinglab import currents, doubled, fk, folding, gauge, spins
-from isinglab.currents import SupportView, _ArrayEvent, _dobrushin_events
+from isinglab.currents import SupportView, _dobrushin_events
 from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.graphs import (BoundarySpec, BoxGraph, Couplings, Graph,
-                             reflection_for_axis)
+                             induced_subgraph, reflection_for_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def _ref_folded(measure, reflection, events):
 
 
 # ---------------------------------------------------------------------------
-# events: the array form and the per-view form of each built-in event
+# events: the label form and the per-view form of each built-in event
 
 
 def _event_pairs(graph, couplings, u, v, U, V, wired, some_edges):
@@ -106,25 +106,26 @@ def _event_pairs(graph, couplings, u, v, U, V, wired, some_edges):
         "connect": (F, lambda sv: 1.0 if sv.connected(u, v) else 0.0),
         "connect_sets": (fk.monotone_event("connect_sets", U, V),
                          lambda sv: 1.0 if sv.connects_sets(U, V) else 0.0),
-        "cut": (_ArrayEvent(lambda lab: ~lab.connects_sets(U, V)),
+        "cut": (lambda lab: ~lab.connects_sets(U, V),
                 lambda sv: 0.0 if sv.connects_sets(U, V) else 1.0),
         "open_count": (G, lambda sv: float(len(sv.edge_ids))),
         "all_open": (fk.monotone_event("all_open", some_edges),
                      lambda sv: 1.0 if need <= sv.edge_ids else 0.0),
-        "fg": (_ArrayEvent(lambda lab: F.values(lab) * G.values(lab)),
+        "fg": (lambda lab: F(lab) * G(lab),
                lambda sv: ((1.0 if sv.connected(u, v) else 0.0)
                            * float(len(sv.edge_ids)))),
-        "ff": (_ArrayEvent(lambda lab: lab.is_ff(neg)),
+        "ff": (lambda lab: lab.is_ff(neg),
                lambda sv: 1.0 if sv.is_ff(neg) else 0.0),
-        "sgn": (_ArrayEvent(lambda lab: lab.sgn(u, v, neg)),
+        "sgn": (lambda lab: lab.sgn(u, v, neg),
                 lambda sv: sv.sgn(u, v, neg)),
-        "sgn_uu": (_ArrayEvent(lambda lab: lab.sgn(u, u, neg)),
+        "sgn_uu": (lambda lab: lab.sgn(u, u, neg),
                    lambda sv: sv.sgn(u, u, neg)),
-        "clusters": (_ArrayEvent(lambda lab: lab.cluster_count()),
+        "clusters": (lambda lab: lab.cluster_count(),
                      lambda sv: float(sv.cluster_count())),
-        "clusters_wired": (
-            _ArrayEvent(lambda lab: lab.cluster_count(wired)),
-            lambda sv: float(sv.cluster_count(wired))),
+        "clusters_wired": (lambda lab: lab.cluster_count(wired),
+                           lambda sv: float(sv.cluster_count(wired))),
+        "reached": (lambda lab: lab.reached(U)[:, v],
+                    lambda sv: 1.0 if sv.connects_sets(U, [v]) else 0.0),
     }
 
 
@@ -180,13 +181,10 @@ def _outcome(run, events):
 def _check_instance(graph, couplings, u, v, U, V, wired, some_edges,
                     constrained, sources):
     pairs = _event_pairs(graph, couplings, u, v, U, V, wired, some_edges)
-    array_events = {k: a for k, (a, _) in pairs.items()}
+    label_events = {k: a for k, (a, _) in pairs.items()}
     view_events = {k: r for k, (_, r) in pairs.items()}
     for run, ref in _engines(graph, couplings, wired, constrained, sources):
-        want = _outcome(ref, view_events)
-        assert _outcome(run, array_events) == want
-        # plain callables take the per-view path and agree too
-        assert _outcome(run, view_events) == want
+        assert _outcome(run, label_events) == _outcome(ref, view_events)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +236,13 @@ def test_dobrushin_events_match(monkeypatch, chunk_bits):
     bspec = _pm_boundary(box)
     bdry = bspec.plus_set | bspec.minus_set
     x = sorted(bspec.interior(box))[0]
-    array_events = _dobrushin_events(bspec, x)
+    label_events = _dobrushin_events(bspec, x)
     view_events = _ref_dobrushin_events(bspec, x)
-    _assert_same(fk.fk_measure_expectation(box, c, array_events,
+    _assert_same(fk.fk_measure_expectation(box, c, label_events,
                                            boundary=bdry),
                  _ref_fk(box, c, view_events, boundary=bdry))
     m = DoubleSupportMeasure(box, c, bspec.interior(box), (), ())
-    _assert_same(m.expectations(array_events), _ref_double(m, view_events))
+    _assert_same(m.expectations(label_events), _ref_double(m, view_events))
 
 
 def test_folded_measures_match():
@@ -258,13 +256,11 @@ def test_folded_measures_match():
                  FoldedCurrentMeasure(refl, relaxed_boundary=bdry)):
         pairs = _event_pairs(box, c, x, y, [y], plane, bdry, [0, 1])
         pairs["hit"] = (
-            _ArrayEvent(lambda lab: lab.connects_sets([y], plane)),
+            lambda lab: lab.connects_sets([y], plane),
             lambda sv: 1.0 if sv.connects_sets([y], plane) else 0.0)
-        want = _ref_folded(meas, refl, {k: r for k, (_, r) in pairs.items()})
-        _assert_same(meas.expectations({k: a for k, (a, _) in pairs.items()}),
-                     want)
-        _assert_same(meas.expectations({k: r for k, (_, r) in pairs.items()}),
-                     want)
+        _assert_same(
+            meas.expectations({k: a for k, (a, _) in pairs.items()}),
+            _ref_folded(meas, refl, {k: r for k, (_, r) in pairs.items()}))
 
 
 def test_public_results_match_reference():
@@ -302,20 +298,102 @@ def test_public_results_match_reference():
     assert repr(rhs) == repr(sxy * hit)
 
 
-def test_array_event_called_with_one_view():
-    # a built-in event still is an fn(SupportView) -> float
+def test_constant_events_broadcast():
+    # an event that does not depend on the labels gives one value for all
+    # the patterns of a chunk
     box, c = _signed_box((3, 3), 0.5, seed=3)
-    pairs = _event_pairs(box, c, 0, 8, [0, 1], [7, 8], {0, 2}, [0, 3])
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        edges = [e for e in range(box.n_edges) if rng.random() < 0.5]
-        sv = SupportView(box, edges)
-        for name, (a, r) in pairs.items():
-            assert repr(a(sv)) == repr(r(sv)), name
-    # events that do not depend on the labels give one value too
-    assert fk.monotone_event("all_open", [])(SupportView(box, [])) == 1.0
+    abs_c = c.with_abs()
+    out = fk.fk_measure_expectation(
+        box, abs_c, {"all": fk.monotone_event("all_open", [])})
+    assert out["all"] == 1.0
+    _assert_same(out, _ref_fk(box, abs_c, {"all": lambda sv: 1.0}))
     bare = Graph(2, [])
-    assert fk.monotone_event("open_count")(SupportView(bare, [])) == 0.0
+    cb = Couplings(bare, [], 0.5)
+    events = {"n": fk.monotone_event("open_count")}
+    for run in (lambda ev: fk.fk_measure_expectation(bare, cb, ev),
+                DoubleSupportMeasure(bare, cb, [0, 1], (), ()).expectations):
+        out = run(events)
+        assert out["n"] == 0.0 and out["_total"] > 0.0
+
+
+def test_stale_support_view_event_raises():
+    # an fn(SupportView) event gets the labels of a whole chunk; its truth
+    # test on an array raises instead of giving a number
+    stale = {"c": lambda sv: 1.0 if sv.connected(0, 1) else 0.0}
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 0.5)
+    box5 = BoxGraph(2, (5, 3))
+    refl = reflection_for_axis(box5, Couplings(box5, 1.0, 0.5), 0, 2)
+    for run in (lambda ev: fk.fk_measure_expectation(box, c, ev),
+                DoubleSupportMeasure(box, c, list(box.vertices), (),
+                                     ()).expectations,
+                FoldedCurrentMeasure(refl).expectations):
+        with pytest.raises(ValueError, match="ambiguous"):
+            run(stale)
+
+
+def _ref_dobrushin(box, couplings, x):
+    """(ratio_folded, mag_folded) of dobrushin_identities by the per-view
+    loop: mag is gamma on the region not connected to the off-plane
+    boundary, evaluated on one SupportView per pattern."""
+    axis = box.d - 1
+    mid = (box.sides[axis] - 1) // 2
+    refl = reflection_for_axis(box, couplings, axis, mid)
+    bdry = frozenset(box.boundary_vertices())
+    plane_all = frozenset(v for v in box.vertices
+                          if box.coords[v][axis] == mid)
+    plane_bdry = plane_all & bdry
+    below_bdry = frozenset(v for v in bdry if box.coords[v][axis] < mid)
+    off_plane_bdry = bdry - plane_bdry
+    cache = {}
+
+    def ff(sv):
+        return 0.0 if sv.connects_sets(below_bdry, plane_all) else 1.0
+
+    def mag(sv):
+        if not ff(sv):
+            return 0.0
+        region = frozenset(v for v in box.vertices
+                           if not sv.connects_sets([v], off_plane_bdry))
+        if region not in cache:
+            sub, subc, vmap = induced_subgraph(box, couplings, region)
+            clamp = BoundarySpec({vmap[v]: BoundarySpec.PLUS
+                                  for v in plane_bdry if v in vmap})
+            cache[region] = spins.expectation(sub, subc, [vmap[x]],
+                                              boundary=clamp)
+        return cache[region]
+
+    meas = FoldedCurrentMeasure(refl, relaxed_boundary=bdry)
+    out = _ref_folded(meas, refl, {"ff": ff, "mag": mag})
+    return out["ff"], out["mag"] / out["ff"]
+
+
+@pytest.mark.parametrize("sides, beta, chunk_bits", [
+    ((3, 5), 0.3, 16), ((3, 5), 0.8, 3), ((5, 3), 0.3, 3),
+    ((5, 3), 0.8, 16)])
+def test_dobrushin_identities_match_per_view_loop(monkeypatch, sides, beta,
+                                                   chunk_bits):
+    monkeypatch.setattr(currents, "_CHUNK_BITS", chunk_bits)
+    box = BoxGraph(2, sides)
+    c = Couplings(box, 1.0, beta)
+    rep = folding.dobrushin_identities(box, c)
+    ratio, mag = _ref_dobrushin(box, c, rep["x"])
+    assert repr(rep["ratio_folded"]) == repr(ratio)
+    assert repr(rep["mag_folded"]) == repr(mag)
+
+
+def test_dobrushin_mag_gives_each_region_its_value(monkeypatch):
+    # on 3x5 the two regions give the same <s_x> (they differ by leaves
+    # hanging off x), so an oracle that tells regions apart checks which
+    # value each pattern gets
+    monkeypatch.setattr(spins, "expectation",
+                        lambda graph, couplings, A, **kw: float(graph.n))
+    box = BoxGraph(2, (3, 5))
+    c = Couplings(box, 1.0, 0.5)
+    rep = folding.dobrushin_identities(box, c)
+    assert repr(rep["mag_folded"]) == repr(_ref_dobrushin(box, c,
+                                                          rep["x"])[1])
+    assert 3.0 < rep["mag_folded"] < 5.0
 
 
 def test_builtin_events_build_no_support_view(monkeypatch):
@@ -326,6 +404,8 @@ def test_builtin_events_build_no_support_view(monkeypatch):
     box5 = BoxGraph(2, (5, 3))
     refl = reflection_for_axis(box5, Couplings(box5, 1.0, 0.5), 0, 2)
     x, y = sorted(refl.lambda1)[:2]
+    box35 = BoxGraph(2, (3, 5))
+    c35 = Couplings(box35, 1.0, 0.5)
     calls = [
         lambda: fk.connection_probability(box, c, 0, 8),
         lambda: doubled.boundary_magnetization(box, c, bspec, 4),
@@ -337,11 +417,12 @@ def test_builtin_events_build_no_support_view(monkeypatch):
                                   ("open_count",)),
         lambda: gauge.deconfinement_bound_report(box, c, 0, 0.5,
                                                  window={1: (0, 1)}),
+        lambda: folding.dobrushin_identities(box35, c35),
     ]
     expected = [f() for f in calls]
 
     def boom(self, *args, **kwargs):
-        raise AssertionError("a built-in event built a SupportView")
+        raise AssertionError("a kernel event built a SupportView")
 
     monkeypatch.setattr(SupportView, "__init__", boom)
     assert [repr(f()) for f in calls] == [repr(e) for e in expected]
