@@ -26,8 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .currents import (EdgeStateConfig, SourceConstraint, current_sum,
-                       edge_weight_table)
+import numpy as np
+
+from .currents import (SourceConstraint, _trichotomy_chunks, _vertex_bits,
+                       _vertex_mask, current_sum)
 from .spins import SizeError
 from . import spins
 
@@ -92,7 +94,9 @@ def _walk(graph, odd_edges, sources):
 def extract_backbone(state, sources):
     """Backbone of an EdgeStateConfig whose odd-set realizes the sources."""
     sources = frozenset(sources)
-    assert state.odd_vertices() == sources, "state does not realize the sources"
+    if state.odd_vertices() != sources:
+        raise ValueError("state does not realize the sources %r"
+                         % (set(sources),))
     return _walk(state.graph, state.odd_edges, sources)
 
 
@@ -143,39 +147,37 @@ def rho_weight(graph, couplings, paths, cap=spins.DEFAULT_CAP):
 
 def backbone_grouping(graph, couplings, A, cap=18):
     """Definitional oracle: enumerate currents with sources A, group their
-    weights by backbone.  Returns dict paths-tuple -> weight / Z.
+    weights by backbone.  Returns dict paths-tuple -> weight / Z, keyed in
+    the order the enumeration first meets each backbone.
 
-    Asserts along the way that rejected edges are never odd.
+    The walk and its sign depend only on the odd set, so each distinct odd
+    set is walked once.  Asserts along the way that rejected edges are
+    never odd.
     """
     E = graph.n_edges
     if E > cap:
         raise SizeError("3^%d states exceed the grouping cap" % E)
     A = frozenset(A)
-    weights = edge_weight_table(couplings)
     neg = couplings.negative_edges()
+    target = _vertex_mask(_vertex_bits(graph), A)
     terms = {}
-
-    def rec(e, w, states):
-        if e == E:
-            cfg = EdgeStateConfig(graph, tuple(states))
-            if cfg.odd_vertices() != A:
-                return
-            paths = tuple(extract_backbone(cfg, A))
-            odd = cfg.odd_edges
+    if target is not None:
+        kept_w, kept_odd = [], []
+        for w, parity, odd, _, sign in _trichotomy_chunks(graph, couplings,
+                                                          neg):
+            rows = parity == target
+            kept_w.append(np.where(sign[rows], -w[rows], w[rows]))
+            kept_odd.append(odd[rows])
+        w, odd = np.concatenate(kept_w), np.concatenate(kept_odd)
+        masks, first, group = np.unique(odd, return_index=True,
+                                        return_inverse=True)
+        ws = np.split(w[np.argsort(group)], np.cumsum(np.bincount(group))[:-1])
+        for g in np.argsort(first, kind="stable"):
+            odd_set = frozenset(e for e in range(E) if int(masks[g]) >> e & 1)
+            paths = tuple(_walk(graph, odd_set, A))
             for p in paths:
-                assert not (p.blocked - frozenset(p.edges)) & odd
-            if len(odd & neg) % 2:
-                w = -w
-            terms.setdefault(paths, []).append(w)
-            return
-        for s, wgt in enumerate(weights[e]):
-            if wgt == 0.0 and s != 0:
-                continue
-            states.append(s)
-            rec(e + 1, w * wgt, states)
-            states.pop()
-
-    rec(0, 1.0, [])
+                assert not (p.blocked - frozenset(p.edges)) & odd_set
+            terms.setdefault(paths, []).extend(ws[g].tolist())
     z = current_sum(graph, couplings, SourceConstraint.exact(frozenset()),
                     signed=bool(neg))
     return {paths: math.fsum(ws) / z for paths, ws in terms.items()}

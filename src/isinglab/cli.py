@@ -277,6 +277,8 @@ def _cmd_verify(args):
                             tol=args.tol))
         elif w == "dobrushin":
             box = graph
+            if not hasattr(box, "sides"):
+                raise UsageError("dobrushin needs a --lattice box")
             rep = folding.dobrushin_identities(box, c)
             rows.append(Row(iid, "dobrushin_ratio", rep["ratio_spin"],
                             rep["ratio_folded"], tol=args.tol))
@@ -346,6 +348,8 @@ def _cmd_ineq(args):
             x, y = sorted(refl.lambda1)[:2]
             reps = iq.smms_suite(refl, x, y)
         elif w == "vanbeijeren":
+            if not hasattr(graph, "sides"):
+                raise UsageError("vanbeijeren needs a --lattice box")
             reps = iq.van_beijeren_suite(graph, c)
         elif w == "tree":
             ids = _sites(args, 4, graph)

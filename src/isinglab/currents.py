@@ -11,6 +11,12 @@ Every event in scope is measurable with respect to (parity, support), so the
 infinite flux sum collapses to a finite 3^|E| enumeration.  Signs of
 antiferromagnetic couplings are tracked separately: a configuration picks up
 (-1) for each Odd negative edge.
+
+The enumeration runs in numpy, in chunks of at most 3^10 states, in the
+order of a depth-first walk over the edges; every state's weight is the
+same left-to-right float product the walk would form, so sums over it do
+not depend on the chunking.  `backbone.backbone_grouping` reads the same
+chunks.
 """
 
 from __future__ import annotations
@@ -94,6 +100,79 @@ def edge_weight_table(couplings):
     return out
 
 
+_SUFFIX_EDGES = 10       # a chunk extends one prefix state over these
+
+
+def _vertex_bits(graph):
+    """Bit of each touched vertex (an endpoint of some edge), in id order,
+    in the odd-vertex parity words of `_trichotomy_chunks`."""
+    touched = sorted({v for uv in graph.edges for v in uv})
+    return {v: 1 << i for i, v in enumerate(touched)}
+
+
+def _vertex_mask(bits, vertices):
+    """Parity word of a vertex set; None if some vertex is untouched, as no
+    state then has it odd."""
+    if not frozenset(vertices) <= bits.keys():
+        return None
+    return sum(bits[v] for v in vertices)
+
+
+def _tripled(table, opts, op):
+    return op(table[:, None], opts).ravel()
+
+
+def _trichotomy_chunks(graph, couplings, sign_edges):
+    """All trichotomy states, in the order of a depth-first recursion over
+    edges 0, 1, ..., E-1 that tries Zero, Odd, EvenPos at each edge and
+    leaves out an Odd (EvenPos) state of weight sinh K == 0 (cosh K - 1 ==
+    0).  Yields chunks (w, parity, odd, even, sign) of at most
+    3^_SUFFIX_EDGES rows, one row per state:
+
+        w        the left-to-right product 1.0 * w_0[s_0] * w_1[s_1] ...
+        parity   the odd vertices, as bits of `_vertex_bits`
+        odd      bit e set iff edge e is Odd
+        even     bit e set iff edge e is EvenPos
+        sign     parity of the Odd edges in sign_edges
+
+    The first E - k edges (k = _SUFFIX_EDGES) make a prefix table; each
+    chunk extends one prefix row over the last k edges by tripling, so
+    every weight is built by the same float products as the recursion.
+    """
+    E = graph.n_edges
+    weights = edge_weight_table(couplings)
+    bits = _vertex_bits(graph)
+    opts = []
+    for e, (u, v) in enumerate(graph.edges):
+        states = [ZERO] + [s for s in (ODD, EVENPOS) if weights[e][s] != 0.0]
+        flip = bits[u] | bits[v]
+        opts.append((
+            np.array([weights[e][s] for s in states]),
+            np.array([flip if s == ODD else 0 for s in states], np.int64),
+            np.array([1 << e if s == ODD else 0 for s in states], np.int64),
+            np.array([1 << e if s == EVENPOS else 0 for s in states],
+                     np.int64),
+            np.array([s == ODD and e in sign_edges for s in states])))
+    ops = (np.multiply, np.bitwise_xor, np.bitwise_or, np.bitwise_or,
+           np.bitwise_xor)
+    split = max(0, E - _SUFFIX_EDGES)
+
+    def table(edges):
+        cols = [np.array([x]) for x in (1.0, 0, 0, 0, False)]
+        for e in edges:
+            cols = [_tripled(c, o, op) for c, o, op in zip(cols, opts[e], ops)]
+        return cols
+
+    prefix = table(range(split))
+    suffix = table(range(split, E))
+    for i in range(len(prefix[0])):
+        w = prefix[0][i:i + 1]
+        for e in range(split, E):
+            w = _tripled(w, opts[e][0], np.multiply)
+        yield (w,) + tuple(op(p[i], s) for p, s, op
+                           in zip(prefix[1:], suffix[1:], ops[1:]))
+
+
 def current_sum(graph, couplings, constraint, signed=False, event=None,
                 sign_edges=None, cap=SINGLE_EDGE_CAP):
     """Sum of trichotomy weights over states meeting the source constraint.
@@ -101,49 +180,44 @@ def current_sum(graph, couplings, constraint, signed=False, event=None,
     With exact empty sources, unsigned, no event this equals the spin-oracle
     partition function (for ferromagnetic J); the signed variant multiplies
     each term by (-1)^{Odd flux over sign_edges} (default: negative edges).
+    An event maps the EdgeStateConfig of a state meeting the constraint to
+    False or 0 (drop the state), True (keep it) or a factor.
     """
     E = graph.n_edges
     if E > cap:
         raise SizeError("3^%d current states exceed the cap 3^%d" % (E, cap))
-    weights = edge_weight_table(couplings)
     if sign_edges is None:
         sign_edges = couplings.negative_edges()
     sign_edges = frozenset(sign_edges)
-    ends = graph.edges
+    bits = _vertex_bits(graph)
+    target = _vertex_mask(bits, constraint.sources)
+    if target is None:
+        return 0.0
+    free = -1
+    if constraint.mode == "relaxed":
+        free = ~_vertex_mask(bits, [v for v in constraint.boundary
+                                    if v in bits])
     terms = []
-    states = [ZERO] * E
-
-    def rec(e, w, parity, neg_parity):
-        if e == E:
-            odd = frozenset(v for v in range(graph.n) if parity & (1 << v))
-            if not constraint.satisfied_by(odd):
-                return
-            t = w
-            if signed and (neg_parity & 1):
-                t = -t
-            if event is not None:
-                cfg = EdgeStateConfig(graph, tuple(states))
-                ev = event(cfg)
-                if ev is False or ev == 0:
-                    return
-                if ev is not True:
-                    t *= ev
-            terms.append(t)
-            return
-        w0, wo, we = weights[e]
-        u, v = ends[e]
-        states[e] = ZERO
-        rec(e + 1, w * w0, parity, neg_parity)
-        if wo:
-            states[e] = ODD
-            rec(e + 1, w * wo, parity ^ (1 << u) ^ (1 << v),
-                neg_parity + (1 if e in sign_edges else 0))
-        if we:
-            states[e] = EVENPOS
-            rec(e + 1, w * we, parity, neg_parity)
-        states[e] = ZERO
-
-    rec(0, 1.0, 0, 0)
+    for w, parity, odd, even, sign in _trichotomy_chunks(graph, couplings,
+                                                         sign_edges):
+        rows = (parity & free) == target
+        t = w[rows]
+        if signed:
+            t = np.where(sign[rows], -t, t)
+        if event is None:
+            terms.extend(t.tolist())
+            continue
+        for t_i, odd_i, even_i in zip(t.tolist(), odd[rows].tolist(),
+                                      even[rows].tolist()):
+            states = tuple(ODD if odd_i >> e & 1 else
+                           EVENPOS if even_i >> e & 1 else ZERO
+                           for e in range(E))
+            ev = event(EdgeStateConfig(graph, states))
+            if ev is False or ev == 0:
+                continue
+            if ev is not True:
+                t_i *= ev
+            terms.append(t_i)
     return math.fsum(terms)
 
 

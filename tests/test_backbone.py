@@ -70,6 +70,15 @@ def test_walk_determinism(triangle):
     assert backbone.walk_consistent(triangle, paths)
 
 
+def test_extract_backbone_rejects_wrong_sources(triangle):
+    # a ValueError, not an assert, so the check survives python -O
+    from isinglab.currents import EdgeStateConfig
+    state = EdgeStateConfig(triangle, (0, 1, 1))  # odd vertices {0, 1}
+    for sources in ({0, 2}, set(), {0, 1, 2}):
+        with pytest.raises(ValueError, match="does not realize"):
+            backbone.extract_backbone(state, sources)
+
+
 def test_zeta_domain_monotone():
     small = BoxGraph(2, (2, 2))
     big = BoxGraph(2, (2, 3))

@@ -9,7 +9,7 @@ from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.gauge import PlaquetteComplex
 from isinglab.graphs import Couplings, Graph, _build_reflection
-from isinglab import doubled, fk, gauge, spins
+from isinglab import backbone, currents, doubled, fk, gauge, spins
 
 SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -133,3 +133,28 @@ def test_array_events_keep_engine_spans_and_work():
     assert rec.work["doubled.patterns"] == 2 * 2.0 ** g.n_edges
     assert rec.work["folding.patterns"] == 2 * 2.0 ** (len(refl.e0)
                                                         + len(refl.e1))
+
+
+def test_recorder_sees_current_engines():
+    # the chunk enumerator is private, so its time stays inside the
+    # current_sum and backbone_grouping spans that the trace reads
+    spans = _load_spans()
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    c = Couplings(g, [1.0, -0.5, 0.8, 1.2, 0.7], 0.5)
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        currents.correlation_via_currents(g, c, {0, 2})
+        states = rec.work["currents.states"]
+        groups = backbone.backbone_grouping(g, c, {1, 3})
+    finally:
+        rec.uninstall()
+    names = {r[1] for r in rec.records()}
+    assert {"currents.current_sum", "backbone.backbone_grouping"} <= names
+    assert not {n for n in names if n.split(".")[-1].startswith("_")}
+    # two sums for the correlation, one for the grouping's Z
+    assert states == 2 * 3.0 ** g.n_edges
+    assert rec.work["currents.calls"] == 3
+    assert rec.work["currents.states"] == 3 * 3.0 ** g.n_edges
+    assert rec.work["backbone.groups"] == len(groups) > 0
+    assert not hasattr(currents.current_sum, "__wrapped__")

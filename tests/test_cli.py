@@ -188,6 +188,19 @@ def test_verify_rejects_fields(tmp_path, capsys, what):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["verify", "dobrushin"],
+                                  ["ineq", "vanbeijeren"],
+                                  ["verify", "fold"], ["ineq", "smms"]])
+def test_box_only_commands_refuse_graph_files(tmp_path, capsys, argv):
+    # dobrushin and vanbeijeren died with an AttributeError on a graph file
+    gf = tmp_path / "tri.txt"
+    gf.write_text("edge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
+    code, out, err = run(capsys, *argv, "--graph", str(gf), "--beta", "0.5")
+    assert code == 2
+    assert "needs a --lattice box" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("loop, lattice, message", [
     ("2", "box:d=3,L=2", "does not fit"),
     ("2", "box:d=3,L=2,3,3", "does not fit"),
