@@ -9,9 +9,14 @@ cosh b + sinh b * A_dp and averaging over gauge fields leaves
 
 closed meaning every edge lies in an even number of chain plaquettes (only
 parity matters, so chains are subsets).  The closed chains form the GF(2)
-kernel of the plaquette-boundary matrix; we enumerate the kernel from a
-basis.  Wilson loops insert a spanning surface S and shift chains by it.
-A sum that leaves the float range is a signed inf, never an exception.
+kernel of the plaquette-boundary matrix.  Wilson loops insert a spanning
+surface S and shift chains by it.  A term depends on a chain only through
+its weight w = |S ^ O|, so the kernel is enumerated from a basis in numpy
+chunks of bitmasks and only the exact count of chains per weight is kept.
+Each sum is then sum_w n_w * term_w, exact in rationals and rounded once:
+math.fsum over all 2^dim terms, bit for bit.  A sum that leaves the float
+range is a signed inf, never an exception.  A Wilson loop is the ratio of
+two such counts weighed by tanh^w, finite at every beta.
 
 The brute-force oracle the chain sums are checked against shares none of
 this code.  It sorts all 2^|E| gauge fields, in numpy chunks, into integer
@@ -21,7 +26,9 @@ math.fsum over the fields, bit for bit.
 
 Duality (3D): dual sites sit in the cells plus one outer site, dual bonds
 are the plaquettes; Z equals 2^(|V*|-1) (cosh b sinh b)^(|E*|/2) times the
-dual Ising partition function at b* with tanh b* = e^(-2b).
+dual Ising partition function at b* with tanh b* = e^(-2b).  The dual leg
+is the sweep-elimination engine (isinglab.sweep), which shares no code with
+the chain sums or with the spin oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +41,18 @@ import numpy as np
 
 from .graphs import Graph, Couplings
 from .spins import SizeError
-from . import spins, doubled, fk
+from . import spins, doubled, fk, sweep
 
 CHAIN_CAP = 24
 GAUGE_ORACLE_CAP = 20
 _ORACLE_CHUNK = 1 << 16   # field masks per numpy chunk in the oracle
+_CHAIN_CHUNK_BITS = 16    # closed chains per numpy chunk: 2^16
+_WORD = (1 << 64) - 1
+# _POP16[x] = popcount(x) for every 16-bit x
+_POP16 = np.zeros(1, dtype=np.uint8)
+for _ in range(16):
+    _POP16 = np.concatenate([_POP16, _POP16 + 1])
+_POP16.flags.writeable = False
 
 
 class PlaquetteComplex:
@@ -180,27 +194,72 @@ def _kernel_basis(cx):
     return basis
 
 
-def _chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
-    """For each plaquette mask S in shift_masks, sum over the closed-chain
-    kernel of cosh^(|P|-|S^k|) sinh^(|S^k|)."""
+def _words(mask, n_words):
+    """A plaquette bitmask as n_words little-endian uint64 words."""
+    return np.array([(mask >> (64 * i)) & _WORD for i in range(n_words)],
+                    dtype=np.uint64)
+
+
+def _weight_counts(cx, shift_masks, cap=CHAIN_CAP):
+    """For each plaquette mask S in shift_masks, the exact integer counts
+    n_w, w = 0..|P|, of closed chains k with |S ^ k| = w.
+
+    The kernel is enumerated in chunks of up to 2^16 rows: xor-doubling over
+    the first 16 basis vectors gives one chunk, and each chunk xors in the
+    combination of the remaining basis vectors its index selects."""
     P = cx.n_plaquettes
     basis = _kernel_basis(cx)
     if len(basis) > cap:
         raise SizeError("kernel dimension %d exceeds the cap" % len(basis))
+    n_words = -(-P // 64)
+    low, high = basis[:_CHAIN_CHUNK_BITS], basis[_CHAIN_CHUNK_BITS:]
+    chunk = np.zeros((1, n_words), dtype=np.uint64)
+    for b in low:
+        chunk = np.concatenate([chunk, chunk ^ _words(b, n_words)])
+    counts = [np.zeros(P + 1, dtype=np.int64) for _ in shift_masks]
+    for j in range(1 << len(high)):
+        prefix = 0
+        for i, b in enumerate(high):
+            if j >> i & 1:
+                prefix ^= b
+        for out, S in zip(counts, shift_masks):
+            x = chunk ^ _words(S ^ prefix, n_words)
+            w = _POP16[x.view(np.uint16)].sum(axis=1, dtype=np.intp)
+            out += np.bincount(w, minlength=P + 1)
+    return counts
+
+
+def _chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
+    """For each plaquette mask S in shift_masks, sum over the closed-chain
+    kernel of cosh^(|P|-|S^k|) sinh^(|S^k|).
+
+    A term depends on k only through w = |S^k|, so each sum is
+    sum_w n_w * term_w, taken exactly in rationals and rounded once: that is
+    math.fsum over all 2^dim terms, bit for bit.  A term past the float
+    range is a signed inf, and so is a sum past it.  The terms of one sum
+    share a sign, since closed chains have even size, so inf - inf cannot
+    occur."""
+    P = cx.n_plaquettes
     c, s = _cosh_sinh(beta)
-    sums = [[] for _ in shift_masks]
-    gray = 0
-    for i in range(1 << len(basis)):
-        if i:
-            bit = (i & -i).bit_length() - 1
-            gray ^= basis[bit]
-        for out, S in zip(sums, shift_masks):
-            w = (S ^ gray).bit_count()
-            try:
-                out.append(c ** (P - w) * s ** w)
-            except OverflowError:
-                out.append(-math.inf if s < 0 and w % 2 else math.inf)
-    return [_sum_terms(out) for out in sums]
+    sums = []
+    for counts in _weight_counts(cx, shift_masks, cap):
+        terms = []
+        for w, n in enumerate(counts.tolist()):
+            if n:
+                try:
+                    term = c ** (P - w) * s ** w
+                except OverflowError:
+                    term = -math.inf if s < 0 and w % 2 else math.inf
+                terms.append((n, term))
+        if not all(math.isfinite(term) for _, term in terms):
+            sums.append(sum(n * term for n, term in terms))
+            continue
+        total = sum((n * Fraction(term) for n, term in terms), Fraction(0))
+        try:
+            sums.append(float(total))
+        except OverflowError:
+            sums.append(math.inf if total > 0 else -math.inf)
+    return sums
 
 
 def _cosh_sinh(beta):
@@ -209,16 +268,6 @@ def _cosh_sinh(beta):
         return math.cosh(beta), math.sinh(beta)
     except OverflowError:
         return math.inf, math.copysign(math.inf, beta)
-
-
-def _sum_terms(terms):
-    """math.fsum, or the plain float sum (an inf) where fsum raises because
-    finite terms add up past the float range.  The terms of one sum share a
-    sign, since closed chains have even size, so inf - inf cannot occur."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return sum(terms)
 
 
 def _plaquette_mask(plaquette_set):
@@ -234,12 +283,20 @@ def lgm_partition(cx, beta, cap=CHAIN_CAP):
 
 
 def wilson_expectation(cx, beta, loop, cap=CHAIN_CAP):
-    """<prod_{b in loop} A_b> via the shifted chain sum."""
+    """<prod_{b in loop} A_b> = sum_w n^S_w t^w / sum_w n^0_w t^w with
+    t = tanh b, from the weight counts of the chains shifted by the spanning
+    set S and of the plain chains; the cosh^|P| factor cancels.  Both sums
+    are exact in rationals and their ratio is rounded once.  The empty chain
+    puts 1 in the denominator and every term of it is positive, so the
+    result is finite at any beta."""
     if cx.edge_mask(loop.spanning) != loop.edge_mask:
         raise ValueError("loop is not the boundary of its spanning set")
-    num, den = _chain_sums(cx, beta,
-                           [_plaquette_mask(loop.spanning), 0], cap=cap)
-    return num / den
+    t = Fraction(math.tanh(beta))
+    num, den = (sum((n * t ** w for w, n in enumerate(counts.tolist()) if n),
+                    Fraction(0))
+                for counts in _weight_counts(
+                    cx, [_plaquette_mask(loop.spanning), 0], cap=cap))
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +405,7 @@ def verify_duality(cx, beta):
     dual, outer = build_dual_complex(cx)
     bstar = dual_beta(beta)
     coup = Couplings(dual, 1.0, bstar)
-    z_dual = spins.partition_function(dual, coup)
+    z_dual = sweep.partition_function(dual, coup)
     c, s = _cosh_sinh(beta)
     try:
         scale = (c * s) ** (dual.n_edges / 2.0)

@@ -4,6 +4,7 @@ engines, so a rename fails here instead of in `bench/run.py --trace 1`."""
 
 import importlib.util
 import os
+from collections import defaultdict
 
 from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
@@ -158,3 +159,33 @@ def test_recorder_sees_current_engines():
     assert rec.work["currents.states"] == 3 * 3.0 ** g.n_edges
     assert rec.work["backbone.groups"] == len(groups) > 0
     assert not hasattr(currents.current_sum, "__wrapped__")
+
+
+def test_duality_span_and_independence(monkeypatch):
+    # the chain leg stays inside the lgm_partition span that gauge.chain_s
+    # reads; the dual leg is the sweep engine, which the recorder does not
+    # wrap, and the spin oracle is not called at all
+    spans = _load_spans()
+    cx = PlaquetteComplex(3, (1, 1, 2))
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        lhs, rhs, diff = gauge.verify_duality(cx, 0.45)
+    finally:
+        rec.uninstall()
+    names = {r[1] for r in rec.records()}
+    assert "gauge.lgm_partition" in names
+    assert rec.work["spins.calls"] == 0
+    assert not {n for n in names if "sweep" in n
+                or any(part.startswith("_") for part in n.split("."))}
+    metrics = spans.layer_metrics(rec, 1, defaultdict(float))
+    assert metrics["gauge.chain_s"][0] > 0
+    assert metrics["spins.calls"][0] == 0
+    assert diff <= 1e-10 * abs(lhs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the duality used the spin oracle")
+
+    monkeypatch.setattr(spins, "partition_function", boom)
+    monkeypatch.setattr(spins, "expectation", boom)
+    assert gauge.verify_duality(cx, 0.45) == (lhs, rhs, diff)

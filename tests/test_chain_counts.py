@@ -1,0 +1,127 @@
+"""`gauge._chain_sums` counts the closed chains by weight in numpy.  The
+Python Gray walk over the kernel that it replaced is kept here verbatim as
+the reference: every chain sum must come out the same, compared by repr,
+and Wilson loops must agree with the walk's ratio wherever that was
+finite."""
+
+import math
+
+import pytest
+
+from isinglab import gauge
+from isinglab.gauge import (CHAIN_CAP, PlaquetteComplex, SizeError,
+                            _cosh_sinh, _kernel_basis, _plaquette_mask,
+                            lgm_partition, rectangular_loop,
+                            wilson_expectation)
+
+CELLS = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)]
+BETAS = (-0.4, 0.05, 0.45, 0.9, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Gray walk
+
+
+def _ref_chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
+    """For each plaquette mask S in shift_masks, sum over the closed-chain
+    kernel of cosh^(|P|-|S^k|) sinh^(|S^k|)."""
+    P = cx.n_plaquettes
+    basis = _kernel_basis(cx)
+    if len(basis) > cap:
+        raise SizeError("kernel dimension %d exceeds the cap" % len(basis))
+    c, s = _cosh_sinh(beta)
+    sums = [[] for _ in shift_masks]
+    gray = 0
+    for i in range(1 << len(basis)):
+        if i:
+            bit = (i & -i).bit_length() - 1
+            gray ^= basis[bit]
+        for out, S in zip(sums, shift_masks):
+            w = (S ^ gray).bit_count()
+            try:
+                out.append(c ** (P - w) * s ** w)
+            except OverflowError:
+                out.append(-math.inf if s < 0 and w % 2 else math.inf)
+    return [_sum_terms(out) for out in sums]
+
+
+def _sum_terms(terms):
+    """math.fsum, or the plain float sum (an inf) where fsum raises because
+    finite terms add up past the float range.  The terms of one sum share a
+    sign, since closed chains have even size, so inf - inf cannot occur."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return sum(terms)
+
+
+# ---------------------------------------------------------------------------
+
+
+def _shifts(cx):
+    """A 1x1 loop's spanning set, and one of two disjoint loops."""
+    one = rectangular_loop(cx, (0, 1), (0, 0, 0), (1, 1))
+    top = [0, 0, cx.cells[2]]
+    two = rectangular_loop(cx, (0, 1), tuple(top), (1, 1))
+    return [_plaquette_mask(one.spanning),
+            _plaquette_mask(one.spanning | two.spanning)]
+
+
+@pytest.mark.parametrize("cells", CELLS)
+def test_chain_sums_equal_the_gray_walk(cells):
+    cx = PlaquetteComplex(3, cells)
+    shifts = _shifts(cx)
+    for beta in BETAS:
+        # each mask of the walk is summed on its own: one walk for all
+        *shifted, plain = _ref_chain_sums(cx, beta, shifts + [0])
+        for S, want in zip(shifts, shifted):
+            assert repr(gauge._chain_sums(cx, beta, [S, 0])) == repr(
+                [want, plain])
+        assert repr(gauge._chain_sums(cx, beta, [0])) == repr([plain])
+        assert repr(lgm_partition(cx, beta)) == repr(plain)
+
+
+@pytest.mark.parametrize("beta", [20.3, 80.0, 800.0, -80.0])
+def test_overflowing_chain_sums_equal_the_gray_walk(beta):
+    # terms or their sum past the float range give the same signed inf
+    cx = PlaquetteComplex(3, (2, 2, 2))
+    S = _shifts(cx)[0]
+    got = gauge._chain_sums(cx, beta, [S, 0])
+    assert repr(got) == repr(_ref_chain_sums(cx, beta, [S, 0]))
+    assert all(math.isinf(x) for x in got)
+
+
+def test_two_dimensional_kernel_is_trivial():
+    cx = PlaquetteComplex(2, (3, 3))
+    loop = rectangular_loop(cx, (0, 1), (0, 0), (2, 2))
+    S = _plaquette_mask(loop.spanning)
+    for beta in BETAS:
+        assert repr(gauge._chain_sums(cx, beta, [S, 0])) == repr(
+            _ref_chain_sums(cx, beta, [S, 0]))
+
+
+def test_weight_counts_cover_the_kernel():
+    cx = PlaquetteComplex(3, (2, 3, 3))   # dimension 18: four chunks
+    dim = len(_kernel_basis(cx))
+    S = _shifts(cx)[0]
+    plain, shifted = gauge._weight_counts(cx, [0, S])
+    assert plain.sum() == shifted.sum() == 1 << dim
+    assert plain[0] == 1 and not plain[1::2].any()
+    assert not shifted[0::2].any()   # |S| = 1 is odd
+
+
+def test_chain_cap_is_kept():
+    with pytest.raises(SizeError):
+        lgm_partition(PlaquetteComplex(3, (2, 2, 2)), 0.5, cap=7)
+
+
+@pytest.mark.parametrize("cells", CELLS[:5])
+def test_wilson_agrees_with_the_walk_ratio(cells):
+    cx = PlaquetteComplex(3, cells)
+    loop = rectangular_loop(cx, (0, 1), (0, 0, 0), (1, 1))
+    S = _plaquette_mask(loop.spanning)
+    for beta in BETAS + (0.3, 1.5, 6.0):
+        num, den = _ref_chain_sums(cx, beta, [S, 0])
+        assert math.isfinite(num / den)
+        assert wilson_expectation(cx, beta, loop) == pytest.approx(
+            num / den, rel=1e-14, abs=0.0)

@@ -153,6 +153,18 @@ def test_chain_sum_overflow_is_failing_row(capsys, argv):
     assert row[2] == "inf" and row[6] == "false"
 
 
+def test_3d_wilson_loop_is_finite_at_large_beta(capsys):
+    # both shifted chain sums leave the float range at beta 80 (this row
+    # was nan); the ratio of weight-counted tanh sums stays finite
+    code, out, err = run(capsys, "gauge", "wilson", "--lattice",
+                         "box:d=3,L=3", "--beta", "80")
+    assert code == 0
+    assert err == ""
+    row = out.splitlines()[2].split(",")
+    assert row[1] == "wilson_1x1"
+    assert row[2] == row[3] == "1" and row[6] == "true"
+
+
 @pytest.mark.parametrize("beta_args", [["--beta", "nan"], ["--beta", "inf"],
                                        ["--beta-sweep", "0.1:nan:0.1"]])
 def test_non_finite_beta_is_usage_error(capsys, beta_args):

@@ -44,6 +44,19 @@ def test_wilson_via_oracle_3d():
     assert w == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.3, 100.0])
+def test_wilson_matches_oracle_ratio_on_the_cube(beta):
+    # at beta 100 both chain sums still fit the float range here, and the
+    # tanh ratio must keep matching the oracle's ratio of field sums
+    cx = PlaquetteComplex(3, (1, 1, 1))
+    loop = rectangular_loop(cx, (0, 1), (0, 0, 0), (1, 1))
+    oracle = (gauge_oracle_partition(cx, beta, edge_signs=loop.edge_mask)
+              / gauge_oracle_partition(cx, beta))
+    assert math.isfinite(oracle)
+    assert wilson_expectation(cx, beta, loop) == pytest.approx(
+        oracle, rel=1e-13, abs=0.0)
+
+
 def _oracle_by_field(cx, beta, edge_signs=None):
     """The oracle as one Python term per gauge field, summed by fsum."""
     E = cx.n_edges
