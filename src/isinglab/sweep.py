@@ -20,8 +20,8 @@ FloatingPointError instead of returning a wrong log Z.
 The order is one deterministic greedy rule: add the vertex giving the
 smallest resulting frontier, then the one with the most neighbours already
 added, then the lowest id.  The width, the most axes the tensor holds at
-once, is known from the order alone and is checked against `cap` before any
-tensor is allocated.
+once, is known from the order alone and is checked against FRONTIER_CAP
+before any tensor is allocated.
 
 Partition values carry the normalisation of `spins`:
 
@@ -77,13 +77,13 @@ def _sweep_order(graph):
     return order, width
 
 
-def log_partition(graph, couplings, cap=FRONTIER_CAP):
+def log_partition(graph, couplings):
     """log Z, finite at any beta; SizeError when the sweep is wider than
-    `cap` frontier axes."""
+    FRONTIER_CAP frontier axes."""
     order, width = _sweep_order(graph)
-    if width > cap:
+    if width > FRONTIER_CAP:
         raise SizeError("sweep width %d exceeds the frontier cap %d"
-                        % (width, cap))
+                        % (width, FRONTIER_CAP))
     step = {v: i for i, v in enumerate(order)}
     arriving = [[] for _ in order]   # (earlier endpoint, K) per edge
     done = [[] for _ in order]       # vertices averaged out after each step
@@ -116,9 +116,9 @@ def log_partition(graph, couplings, cap=FRONTIER_CAP):
     return math.fsum(logs)
 
 
-def partition_function(graph, couplings, cap=FRONTIER_CAP):
+def partition_function(graph, couplings):
     """Z with the 2^-n normalisation; inf past the float range."""
     try:
-        return math.exp(log_partition(graph, couplings, cap=cap))
+        return math.exp(log_partition(graph, couplings))
     except OverflowError:
         return math.inf

@@ -149,15 +149,25 @@ class _NoNumpy:
 
 
 def test_frontier_past_the_cap_raises_before_allocating(monkeypatch):
-    box = BoxGraph(2, (4, 4))   # width 5
+    box = BoxGraph(2, (20, 20))   # width 21, one past FRONTIER_CAP
     c = Couplings(box, 1.0, 0.5)
     monkeypatch.setattr(sweep, "np", _NoNumpy())
     with pytest.raises(SizeError):
-        sweep.log_partition(box, c, cap=4)
+        sweep.log_partition(box, c)
     with pytest.raises(SizeError):
-        sweep.partition_function(box, c, cap=4)
+        sweep.partition_function(box, c)
+
+
+def test_frontier_cap_is_inclusive(monkeypatch):
+    box = BoxGraph(2, (4, 4))   # width 5
+    c = Couplings(box, 1.0, 0.5)
+    monkeypatch.setattr(sweep, "FRONTIER_CAP", 4)
+    monkeypatch.setattr(sweep, "np", _NoNumpy())
+    with pytest.raises(SizeError):
+        sweep.log_partition(box, c)
     monkeypatch.undo()
-    assert math.isfinite(sweep.log_partition(box, c, cap=5))
+    monkeypatch.setattr(sweep, "FRONTIER_CAP", 5)
+    assert math.isfinite(sweep.log_partition(box, c))
 
 
 def test_imports_only_graphs_and_size_error():
