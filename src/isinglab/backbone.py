@@ -163,8 +163,7 @@ def backbone_grouping(graph, couplings, A, cap=18):
     terms = {}
     if target is not None:
         kept_w, kept_odd = [], []
-        for w, parity, odd, _, sign in _trichotomy_chunks(graph, couplings,
-                                                          neg):
+        for w, parity, odd, sign in _trichotomy_chunks(graph, couplings):
             rows = parity == target
             kept_w.append(np.where(sign[rows], -w[rows], w[rows]))
             kept_odd.append(odd[rows])

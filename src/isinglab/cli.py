@@ -446,17 +446,14 @@ def _cmd_sample(args):
                 graph, c, {"corr": lambda s, oe: float(s[x] * s[y])},
                 boundary=bspec, spec=spec)["corr"]
         elif args.what == "currents":
-            from .currents import (SourceConstraint, SupportView,
-                                   current_sum)
-            ev = lambda sv: 1.0 if sv.connected(x, y) else 0.0
-            z = current_sum(graph, c, SourceConstraint.exact(frozenset()))
-            num = current_sum(
-                graph, c, SourceConstraint.exact(frozenset()),
-                event=lambda cfg: ev(SupportView(graph, cfg.support)))
-            exact = num / z
+            from .currents import SupportView, single_support_expectations
+            exact = single_support_expectations(
+                graph, c,
+                {"c": lambda labels: labels.connected(x, y)})["c"]
             ss, acc = samplers.current_rejection_sampler(
                 graph, c, (), spec=spec, n_samples=args.trials)
-            vals = [ev(SupportView(graph, s.support)) for s in ss]
+            vals = [1.0 if SupportView(graph, s.support).connected(x, y)
+                    else 0.0 for s in ss]
             mean, stderr, n = samplers._batch_stats(vals)
             res = samplers.EstimatorResult(mean, stderr, n, acc)
         else:
@@ -466,6 +463,11 @@ def _cmd_sample(args):
             # the draws are iid and exact: with no spread between the
             # batches, gate on the score interval of the 0/1 draws
             tol = _wilson_tol(res.mean, res.n_samples, exact)
+        elif res.stderr == 0.0:
+            # no spread between the batches: gate on the iid error of n
+            # exact draws of the +-1 observable, variance 1 - exact^2
+            tol = 4.0 * math.sqrt(max(1.0 - exact * exact, 0.0)
+                                  / res.n_samples)
         row = Row(iid, "sampler_" + args.what, res.mean, exact, kind="eq",
                   tol=tol)
         rows.append(row)

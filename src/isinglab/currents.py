@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spins import SizeError
-from .unionfind import ParityUnionFind, UnionFind
+from .unionfind import UnionFind
 
 ZERO, ODD, EVENPOS = 0, 1, 2
 
 SINGLE_EDGE_CAP = 20
+SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single and double laws)
+SUPPORT_SIGMA_CAP = 20    # and a 2^20 sigma sum
 
 
 class ConstraintError(ValueError):
@@ -60,11 +62,6 @@ class SourceConstraint:
     @classmethod
     def relaxed_on_boundary(cls, A_interior, boundary):
         return cls("relaxed", A_interior, boundary)
-
-    def satisfied_by(self, odd_vertices):
-        if self.mode == "exact":
-            return frozenset(odd_vertices) == self.sources
-        return frozenset(odd_vertices) - self.boundary == self.sources
 
 
 @dataclass(frozen=True)
@@ -122,18 +119,17 @@ def _tripled(table, opts, op):
     return op(table[:, None], opts).ravel()
 
 
-def _trichotomy_chunks(graph, couplings, sign_edges):
+def _trichotomy_chunks(graph, couplings):
     """All trichotomy states, in the order of a depth-first recursion over
     edges 0, 1, ..., E-1 that tries Zero, Odd, EvenPos at each edge and
     leaves out an Odd (EvenPos) state of weight sinh K == 0 (cosh K - 1 ==
-    0).  Yields chunks (w, parity, odd, even, sign) of at most
-    3^_SUFFIX_EDGES rows, one row per state:
+    0).  Yields chunks (w, parity, odd, sign) of at most 3^_SUFFIX_EDGES
+    rows, one row per state:
 
         w        the left-to-right product 1.0 * w_0[s_0] * w_1[s_1] ...
         parity   the odd vertices, as bits of `_vertex_bits`
         odd      bit e set iff edge e is Odd
-        even     bit e set iff edge e is EvenPos
-        sign     parity of the Odd edges in sign_edges
+        sign     parity of the Odd negative edges
 
     The first E - k edges (k = _SUFFIX_EDGES) make a prefix table; each
     chunk extends one prefix row over the last k edges by tripling, so
@@ -141,6 +137,7 @@ def _trichotomy_chunks(graph, couplings, sign_edges):
     """
     E = graph.n_edges
     weights = edge_weight_table(couplings)
+    negative = couplings.negative_edges()
     bits = _vertex_bits(graph)
     opts = []
     for e, (u, v) in enumerate(graph.edges):
@@ -150,15 +147,12 @@ def _trichotomy_chunks(graph, couplings, sign_edges):
             np.array([weights[e][s] for s in states]),
             np.array([flip if s == ODD else 0 for s in states], np.int64),
             np.array([1 << e if s == ODD else 0 for s in states], np.int64),
-            np.array([1 << e if s == EVENPOS else 0 for s in states],
-                     np.int64),
-            np.array([s == ODD and e in sign_edges for s in states])))
-    ops = (np.multiply, np.bitwise_xor, np.bitwise_or, np.bitwise_or,
-           np.bitwise_xor)
+            np.array([s == ODD and e in negative for s in states])))
+    ops = (np.multiply, np.bitwise_xor, np.bitwise_or, np.bitwise_xor)
     split = max(0, E - _SUFFIX_EDGES)
 
     def table(edges):
-        cols = [np.array([x]) for x in (1.0, 0, 0, 0, False)]
+        cols = [np.array([x]) for x in (1.0, 0, 0, False)]
         for e in edges:
             cols = [_tripled(c, o, op) for c, o, op in zip(cols, opts[e], ops)]
         return cols
@@ -173,22 +167,16 @@ def _trichotomy_chunks(graph, couplings, sign_edges):
                            in zip(prefix[1:], suffix[1:], ops[1:]))
 
 
-def current_sum(graph, couplings, constraint, signed=False, event=None,
-                sign_edges=None, cap=SINGLE_EDGE_CAP):
+def current_sum(graph, couplings, constraint, signed=False):
     """Sum of trichotomy weights over states meeting the source constraint.
 
-    With exact empty sources, unsigned, no event this equals the spin-oracle
+    With exact empty sources and unsigned this equals the spin-oracle
     partition function (for ferromagnetic J); the signed variant multiplies
-    each term by (-1)^{Odd flux over sign_edges} (default: negative edges).
-    An event maps the EdgeStateConfig of a state meeting the constraint to
-    False or 0 (drop the state), True (keep it) or a factor.
+    each term by (-1)^{Odd flux over the negative edges}.
     """
     E = graph.n_edges
-    if E > cap:
-        raise SizeError("3^%d current states exceed the cap 3^%d" % (E, cap))
-    if sign_edges is None:
-        sign_edges = couplings.negative_edges()
-    sign_edges = frozenset(sign_edges)
+    if E > SINGLE_EDGE_CAP:
+        raise SizeError("3^%d current states exceed the cap" % E)
     bits = _vertex_bits(graph)
     target = _vertex_mask(bits, constraint.sources)
     if target is None:
@@ -198,37 +186,21 @@ def current_sum(graph, couplings, constraint, signed=False, event=None,
         free = ~_vertex_mask(bits, [v for v in constraint.boundary
                                     if v in bits])
     terms = []
-    for w, parity, odd, even, sign in _trichotomy_chunks(graph, couplings,
-                                                         sign_edges):
+    for w, parity, _, sign in _trichotomy_chunks(graph, couplings):
         rows = (parity & free) == target
         t = w[rows]
-        if signed:
-            t = np.where(sign[rows], -t, t)
-        if event is None:
-            terms.extend(t.tolist())
-            continue
-        for t_i, odd_i, even_i in zip(t.tolist(), odd[rows].tolist(),
-                                      even[rows].tolist()):
-            states = tuple(ODD if odd_i >> e & 1 else
-                           EVENPOS if even_i >> e & 1 else ZERO
-                           for e in range(E))
-            ev = event(EdgeStateConfig(graph, states))
-            if ev is False or ev == 0:
-                continue
-            if ev is not True:
-                t_i *= ev
-            terms.append(t_i)
-    return math.fsum(terms)
+        terms.append(np.where(sign[rows], -t, t) if signed else t)
+    return _fsum(terms)
 
 
-def correlation_via_currents(graph, couplings, A, cap=SINGLE_EDGE_CAP):
+def correlation_via_currents(graph, couplings, A):
     """<sigma_A> as a ratio of source-constrained current sums."""
     A = frozenset(A)
     signed = not couplings.is_ferromagnetic
     num = current_sum(graph, couplings, SourceConstraint.exact(A),
-                      signed=signed, cap=cap)
+                      signed=signed)
     den = current_sum(graph, couplings, SourceConstraint.exact(frozenset()),
-                      signed=signed, cap=cap)
+                      signed=signed)
     return num / den
 
 
@@ -273,22 +245,24 @@ def truncated_flux_sum(graph, couplings, A, cutoff=40):
 
 # ---------------------------------------------------------------------------
 # support views, support labels and the support-pattern kernel shared by the
-# double-current, folded-current and FK engines.  A support pattern is a bit
-# mask: bit i adds the edges bit_edges[i].  Each engine weighs the patterns
-# its own way; the kernel labels the components of a whole chunk of patterns
-# in numpy and sums the weighted events.  An event is a function of one
-# chunk's _SupportLabels that gives one value per pattern (or one value for
-# all of them), built from the label queries connected, connects_sets,
-# reached, cluster_count, is_ff, sgn, has_edge, touched and open_count.
-# SupportView answers the same queries for one support, for the direct
-# double-current sums and the samplers.
+# single-current, double-current, folded-current and FK engines.  A support
+# pattern is a bit mask: bit i adds the edges bit_edges[i].  Each engine
+# weighs the patterns its own way; the kernel labels the components of a
+# whole chunk of patterns in numpy and sums the weighted events.  An event
+# is a function of one chunk's _SupportLabels that gives one value per
+# pattern (or one value for all of them), built from the label queries
+# connected, connects_sets, reached, cluster_count, is_ff, sgn, has_edge,
+# touched and open_count.  The three current laws weigh all patterns by one
+# sigma sum, `_sigma_sum`, each with its own per-edge tables.  SupportView
+# answers connectivity for one support, for the direct double-current sums
+# and the samplers.
 
 _CHUNK_BITS = 16          # at most 2^16 patterns per chunk
 _CHUNK_CELLS = 1 << 22    # and at most this many (pattern, vertex) labels
 
 
 class SupportView:
-    """Connectivity/parity queries against a fixed edge subset."""
+    """Connectivity queries against a fixed edge subset."""
 
     def __init__(self, graph, edge_ids):
         self.graph = graph
@@ -306,17 +280,6 @@ class SupportView:
     def connected(self, u, v):
         return self._uf.connected(u, v)
 
-    def cluster_count(self, wired=None):
-        """Number of clusters of the spanning subgraph; with `wired`, only
-        those that reach no wired vertex (N0 of a wired boundary)."""
-        if wired is None:
-            return self._uf.count
-        return self._uf.count - len({self._uf.find(v) for v in wired})
-
-    def connects_sets(self, U, V):
-        roots = {self._uf.find(u) for u in U}
-        return any(self._uf.find(v) in roots for v in V)
-
     def pairable(self, B):
         """Existence of k <= m with boundary B inside this support: every
         B-vertex is touched and each component holds an even number of them."""
@@ -330,29 +293,6 @@ class SupportView:
             r = self._uf.find(b)
             counts[r] = counts.get(r, 0) + 1
         return all(c % 2 == 0 for c in counts.values())
-
-    def parity_labels(self, flagged_edges):
-        """ParityUnionFind of the support with parity 1 on flagged edges;
-        .consistent is False iff some support cycle is odd over the flags."""
-        puf = ParityUnionFind(self.graph.n)
-        for e in self.edge_ids:
-            u, v = self.graph.edges[e]
-            puf.union(u, v, 1 if e in flagged_edges else 0)
-        return puf
-
-    def is_ff(self, negative_edges):
-        return self.parity_labels(negative_edges).consistent
-
-    def sgn(self, u, v, negative_edges):
-        """Relative-parity sign of the u-v connection; 0 unless the support
-        is frustration-free and actually connects u to v."""
-        puf = self.parity_labels(negative_edges)
-        if not puf.consistent:
-            return 0.0
-        p = puf.relative_parity(u, v)
-        if p is None or not (u in self.touched and v in self.touched):
-            return 0.0
-        return -1.0 if p else 1.0
 
 
 def _merge(lab, u, v, par=None, ok=None, flag=False):
@@ -533,17 +473,63 @@ def _support_expectations(graph, bit_edges, weigh, events):
     return out
 
 
-def _product_table(edge_list, tabs, nsig):
-    """Meet-in-the-middle half table: row `mask` is the product of tabs[e]
-    (arrays of length nsig) over the edges of edge_list selected by mask."""
-    m = len(edge_list)
-    out = np.empty((1 << m, nsig))
-    out[0] = 1.0
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        e = edge_list[low.bit_length() - 1]
-        out[mask] = out[mask ^ low] * tabs[e]
+def _signs(k):
+    """The 2^k x k matrix of +-1 spins: row r holds the bits of r."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2 - 1
+
+
+def _chi(signs, sites, pos):
+    """Per row of `signs`: the product of the spins in columns pos[v] over
+    the sites v found in pos (the others are not summed over)."""
+    out = np.ones(len(signs))
+    for v in sites:
+        if v in pos:
+            out = out * signs[:, pos[v]]
     return out
+
+
+def _sigma_sum(pattern_edges, tabs, src):
+    """W[a, b] = sum_sigma src(sigma) prod tabs[e](sigma) over the edges of
+    pattern_edges that pattern a | b << (m // 2) selects, m =
+    len(pattern_edges); tabs[e] and src are arrays over the sigma rows.
+    Each half of the pattern bits gets a meet-in-the-middle product table,
+    and the sum is one matrix product of the two."""
+    def table(edge_list):
+        out = np.empty((1 << len(edge_list), len(src)))
+        out[0] = 1.0
+        for mask in range(1, len(out)):
+            low = mask & -mask
+            out[mask] = out[mask ^ low] * tabs[edge_list[low.bit_length() - 1]]
+        return out
+
+    m = len(pattern_edges)
+    TA = table(pattern_edges[:m // 2])
+    TA *= src
+    return TA @ table(pattern_edges[m // 2:]).T
+
+
+def single_support_expectations(graph, couplings, events):
+    """Normalized expectations of the named events (as in
+    `_support_expectations`) over the support S of one sourceless current,
+    K = beta |J|, plus '_total' (the sourceless current sum, which is
+    2^-n sum_sigma e^{-H(sigma)} at |J|).  The sigma sum keeps the odd sets
+    with no odd vertex:
+
+        W(S) = 2^-n sum_sigma prod_{e in S} ((cosh K - 1) + sinh K chi_e).
+    """
+    E, n = graph.n_edges, graph.n
+    if E > SUPPORT_EDGE_CAP:
+        raise SizeError("2^%d support patterns exceed the cap" % E)
+    if n > SUPPORT_SIGMA_CAP:
+        raise SizeError("2^%d parity assignments exceed the cap" % n)
+    signs = _signs(n)
+    pos = {v: v for v in range(n)}
+    tabs = [even + odd * _chi(signs, uv, pos) for uv, (_, odd, even)
+            in zip(graph.edges, edge_weight_table(couplings))]
+    W = _sigma_sum(list(range(E)), tabs, np.ones(len(signs))) / len(signs)
+    W = W.T.ravel()     # pattern a | b << (E // 2) is W[a, b]
+    return _support_expectations(graph, [(e,) for e in range(E)],
+                                 lambda labels: W[labels.masks], events)
 
 
 def _dobrushin_events(boundary_spec, x=None):

@@ -19,7 +19,10 @@ Two independent currents n1, n2 are enumerated through their per-edge joint
   (odd1, odd2) -> (odd1, m = odd1 xor odd2): the joint class weights on a
   supported edge are sinh^2 for m=0 (odd/odd or the even/even classes, since
   cosh^2 - 1 = sinh^2) and sinh*cosh for m=1.  Cost 2^|E| instead of 5^|E|,
-  which is what makes clamped 3x4 boxes exact.
+  which is what makes clamped 3x4 boxes exact.  Q1 and G are each a sigma
+  sum over the constrained vertices, evaluated for all patterns at once by
+  `currents._sigma_sum`, the builder the single-current and folded laws
+  share.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .currents import (ConstraintError, SupportView, _dobrushin_events,
-                       _product_table, _support_expectations,
-                       edge_weight_table)
+from .currents import (SUPPORT_EDGE_CAP, SUPPORT_SIGMA_CAP, ConstraintError,
+                       SupportView, _chi, _dobrushin_events, _signs,
+                       _sigma_sum, _support_expectations, edge_weight_table)
 from .spins import SizeError
 
 DOUBLE_WORK_CAP = 40_000_000
@@ -202,61 +203,31 @@ class DoubleSupportMeasure:
     A1, A2 must consist of constrained vertices.
     """
 
-    def __init__(self, graph, couplings, constrained, A1, A2, cap_edges=18,
-                 cap_sigma=20):
+    def __init__(self, graph, couplings, constrained, A1, A2):
         A1, A2 = _check_sources(A1), _check_sources(A2)
         constrained = sorted(constrained)
         if not (A1 <= set(constrained) and A2 <= set(constrained)):
             raise ConstraintError("sources must be constrained vertices")
         E = graph.n_edges
-        if E > cap_edges:
+        if E > SUPPORT_EDGE_CAP:
             raise SizeError("2^%d support patterns exceed the cap" % E)
         k = len(constrained)
-        if k > cap_sigma:
+        if k > SUPPORT_SIGMA_CAP:
             raise SizeError("2^%d parity assignments exceed the cap" % k)
         self.graph = graph
         pos = {v: i for i, v in enumerate(constrained)}
-
-        w = edge_weight_table(couplings)
-        nsig = 1 << k
-        bits = ((np.arange(nsig)[:, None] >> np.arange(k)) & 1) * 2 - 1  # +-1
-        chi = []
-        for e, (u, v) in enumerate(graph.edges):
-            c = np.ones(nsig)
-            if u in pos:
-                c = c * bits[:, pos[u]]
-            if v in pos:
-                c = c * bits[:, pos[v]]
-            chi.append(c)
-        f_tabs = []   # parity-count factor per edge: 1 + chi
-        g_tabs = []   # weight factor per edge: sinh^2 + sinh*cosh*chi
-        for e in range(E):
-            s = w[e][1]
-            c = w[e][2] + 1.0
-            f_tabs.append(1.0 + chi[e])
-            g_tabs.append(s * s + s * c * chi[e])
-
-        def src_vec(A):
-            v = np.ones(nsig)
-            for a in A:
-                v = v * bits[:, pos[a]]
-            return v
-
-        srcA = src_vec(A1)
-        srcB = src_vec(A1 ^ A2)
-
-        half = E // 2
-        halfA = list(range(half))
-        halfB = list(range(half, E))
-        FA = _product_table(halfA, f_tabs, nsig)
-        FB = _product_table(halfB, f_tabs, nsig)
-        GA = _product_table(halfA, g_tabs, nsig)
-        GB = _product_table(halfB, g_tabs, nsig)
-        norm = 1.0 / (nsig * nsig)
+        signs = _signs(k)
+        # per edge: the parity count 1 + chi, the weight sinh^2 + sinh cosh chi
+        f_tabs, g_tabs = [], []
+        for uv, (_, s, c1) in zip(graph.edges, edge_weight_table(couplings)):
+            chi = _chi(signs, uv, pos)
+            f_tabs.append(1.0 + chi)
+            g_tabs.append(s * s + s * (c1 + 1.0) * chi)
+        edges = list(range(E))
         # W[sa, sb] = 2^{-2k} (srcA . FA FB)(srcB . GA GB)
-        M1 = (FA * srcA) @ FB.T
-        M2 = (GA * srcB) @ GB.T
-        self._W = (M1 * M2) * norm
+        M1 = _sigma_sum(edges, f_tabs, _chi(signs, A1, pos))
+        M2 = _sigma_sum(edges, g_tabs, _chi(signs, A1 ^ A2, pos))
+        self._W = (M1 * M2) * (1.0 / (len(signs) * len(signs)))
 
     def expectations(self, events):
         """events: dict name -> fn(labels), where `labels` holds a chunk

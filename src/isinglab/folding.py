@@ -19,15 +19,16 @@ The per-edge factors are
 
 (the E1 factor is the sum over the eight not-both-zero trichotomy states of
 the pair (b, R(b))).  Cost: 2^(|E0|+|E1|) patterns times a 2^k sigma sum,
-evaluated by meet-in-the-middle product tables; only nonzero patterns are
-visited for events.
+evaluated by `currents._sigma_sum`, the meet-in-the-middle builder the
+single- and double-current laws share; only nonzero patterns are visited
+for events.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, _product_table,
+from .currents import (ConstraintError, _chi, _signs, _sigma_sum,
                        _support_expectations, edge_weight_table)
 from .graphs import induced_subgraph
 from .spins import SizeError
@@ -40,8 +41,7 @@ SIGMA_CAP = 22
 class FoldedCurrentMeasure:
     """Exact law of supp(n + R(n)) under a source-constrained current."""
 
-    def __init__(self, reflection, sources=(), relaxed_boundary=None,
-                 cap_patterns=PATTERN_CAP, cap_sigma=SIGMA_CAP):
+    def __init__(self, reflection, sources=(), relaxed_boundary=None):
         r = reflection
         graph = r.graph
         A = frozenset(sources)
@@ -61,60 +61,35 @@ class FoldedCurrentMeasure:
         c1 = sorted(constrained & r.lambda1)
         c0 = sorted(constrained & r.lambda0)
         k = 2 * len(c1) + len(c0)
-        if k > cap_sigma:
+        if k > SIGMA_CAP:
             raise SizeError("2^%d sigma assignments exceed the cap" % k)
         pattern_edges = list(r.e0) + list(r.e1)
         m = len(pattern_edges)
-        if m > cap_patterns:
+        if m > PATTERN_CAP:
             raise SizeError("2^%d folded patterns exceed the cap" % m)
 
         # sigma variable layout: alpha_v, gamma_v for v in c1; delta_v for c0
         alpha = {v: i for i, v in enumerate(c1)}
         gamma = {v: len(c1) + i for i, v in enumerate(c1)}
         delta = {v: 2 * len(c1) + i for i, v in enumerate(c0)}
+        signs = _signs(k)
 
-        nsig = 1 << k
-        bits = ((np.arange(nsig)[:, None] >> np.arange(k)) & 1) * 2 - 1
-
-        def chi(edge, table):
-            """Product of sigma over constrained endpoints, looked up in
-            `table` for side-1 endpoints and delta for plane endpoints."""
-            u, v = graph.edges[edge]
-            out = np.ones(nsig)
-            for p in (u, v):
-                if p in table:
-                    out = out * bits[:, table[p]]
-                elif p in delta:
-                    out = out * bits[:, delta[p]]
-            return out
-
+        side_a, side_g = {**delta, **alpha}, {**delta, **gamma}
         w = edge_weight_table(r.couplings)
         tabs = {}
         for e in r.e0:
             s, c = w[e][1], w[e][2] + 1.0
-            tabs[e] = (c - 1.0) + s * chi(e, delta)
+            tabs[e] = (c - 1.0) + s * _chi(signs, graph.edges[e], delta)
         for e in r.e1:
             s, c = w[e][1], w[e][2] + 1.0
-            xa = chi(e, alpha)
-            xg = chi(e, gamma)
+            xa = _chi(signs, graph.edges[e], side_a)
+            xg = _chi(signs, graph.edges[e], side_g)
             tabs[e] = (c * c - 1.0) + s * c * (xa + xg) + s * s * (xa * xg)
 
-        src = np.ones(nsig)
-        for v in A:
-            if v in r.lambda1:
-                src = src * bits[:, alpha[v]]
-            elif v in r.lambda0:
-                src = src * bits[:, delta[v]]
-            else:
-                src = src * bits[:, gamma[r.involution[v]]]
-
-        halfA = pattern_edges[: m // 2]
-        halfB = pattern_edges[m // 2:]
-
-        TA = _product_table(halfA, tabs, nsig)
-        TA *= src
-        TB = _product_table(halfB, tabs, nsig)
-        self._W = (TA @ TB.T) / nsig
+        # a side-2 source is the gamma spin of its mirror image
+        mirror = {r.involution[v]: i for v, i in gamma.items()}
+        src = _chi(signs, A, {**mirror, **delta, **alpha})
+        self._W = _sigma_sum(pattern_edges, tabs, src) / len(signs)
         # bit i of a pattern mask adds pattern_edges[i] and its mirror
         self._bit_edges = [tuple(sorted({e, r.edge_map[e]}))
                            for e in pattern_edges]
@@ -127,7 +102,7 @@ class FoldedCurrentMeasure:
         cluster_count, is_ff, sgn, has_edge, touched, open_count).  Returns
         dict of normalized expectations plus '_total' (the raw weight
         sum)."""
-        W = self._W.T.ravel()   # pattern a | b << len(halfA) is W[a, b]
+        W = self._W.T.ravel()   # pattern a | b << (m // 2) is W[a, b]
         return _support_expectations(self.graph, self._bit_edges,
                                      lambda labels: W[labels.masks], events)
 

@@ -39,9 +39,6 @@ class Graph:
     def n_edges(self):
         return len(self.edges)
 
-    def endpoints(self, eid):
-        return self.edges[eid]
-
     def other_end(self, eid, v):
         u, w = self.edges[eid]
         return w if v == u else u

@@ -1,4 +1,4 @@
-"""Union-find, plain and with Z2 edge parities (for frustration tests)."""
+"""Union-find over vertex ids 0..n-1."""
 
 
 class UnionFind:
@@ -29,62 +29,3 @@ class UnionFind:
 
     def connected(self, x, y):
         return self.find(x) == self.find(y)
-
-
-class ParityUnionFind:
-    """Union-find where every element carries a Z2 offset to its root.
-
-    union(x, y, p) merges the classes of x and y subject to the relation
-    label(x) xor label(y) = p; it returns False on a parity conflict
-    (a frustrated cycle).
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.offset = [0] * n   # parity relative to parent
-        self.consistent = True
-
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, 0
-        path = []
-        root = x
-        par = 0
-        while self.parent[root] != root:
-            path.append(root)
-            par ^= self.offset[root]
-            root = self.parent[root]
-        # path compression with parity accumulation
-        p = par
-        for v in path:
-            ov = self.offset[v]
-            self.parent[v] = root
-            self.offset[v] = p
-            p ^= ov
-        return root, par
-
-    def union(self, x, y, parity):
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if px ^ py != parity:
-                self.consistent = False
-                return False
-            return True
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-        self.parent[ry] = rx
-        self.offset[ry] = px ^ py ^ parity
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
-
-    def relative_parity(self, x, y):
-        """0/1 parity between x and y; None if in different components."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx != ry:
-            return None
-        return px ^ py

@@ -1,0 +1,113 @@
+"""Per-support reference queries, kept apart from the library.
+
+The support kernel answers cluster counts, set connections, frustration and
+relative signs for whole chunks of patterns in numpy.  The union-find forms
+here answer them for one support at a time; the tests compare the two.
+"""
+
+from isinglab.currents import SupportView
+
+
+class ParityUnionFind:
+    """Union-find where every element carries a Z2 offset to its root.
+
+    union(x, y, p) merges the classes of x and y subject to the relation
+    label(x) xor label(y) = p; it returns False on a parity conflict
+    (a frustrated cycle).
+    """
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.offset = [0] * n   # parity relative to parent
+        self.consistent = True
+
+    def find(self, x):
+        if self.parent[x] == x:
+            return x, 0
+        path = []
+        root = x
+        par = 0
+        while self.parent[root] != root:
+            path.append(root)
+            par ^= self.offset[root]
+            root = self.parent[root]
+        # path compression with parity accumulation
+        p = par
+        for v in path:
+            ov = self.offset[v]
+            self.parent[v] = root
+            self.offset[v] = p
+            p ^= ov
+        return root, par
+
+    def union(self, x, y, parity):
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            if px ^ py != parity:
+                self.consistent = False
+                return False
+            return True
+        if self.rank[rx] < self.rank[ry]:
+            rx, ry = ry, rx
+            px, py = py, px
+        self.parent[ry] = rx
+        self.offset[ry] = px ^ py ^ parity
+        if self.rank[rx] == self.rank[ry]:
+            self.rank[rx] += 1
+        return True
+
+    def relative_parity(self, x, y):
+        """0/1 parity between x and y; None if in different components."""
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx != ry:
+            return None
+        return px ^ py
+
+
+class RefSupportView(SupportView):
+    """SupportView plus the cluster, set and parity queries of the label
+    kernel, answered with union-finds over the one support."""
+
+    def cluster_count(self, wired=None):
+        """Number of clusters of the spanning subgraph; with `wired`, only
+        those that reach no wired vertex (N0 of a wired boundary)."""
+        if wired is None:
+            return self._uf.count
+        return self._uf.count - len({self._uf.find(v) for v in wired})
+
+    def connects_sets(self, U, V):
+        roots = {self._uf.find(u) for u in U}
+        return any(self._uf.find(v) in roots for v in V)
+
+    def parity_labels(self, flagged_edges):
+        """ParityUnionFind of the support with parity 1 on flagged edges;
+        .consistent is False iff some support cycle is odd over the flags."""
+        puf = ParityUnionFind(self.graph.n)
+        for e in self.edge_ids:
+            u, v = self.graph.edges[e]
+            puf.union(u, v, 1 if e in flagged_edges else 0)
+        return puf
+
+    def is_ff(self, negative_edges):
+        return self.parity_labels(negative_edges).consistent
+
+    def sgn(self, u, v, negative_edges):
+        """Relative-parity sign of the u-v connection; 0 unless the support
+        is frustration-free and actually connects u to v."""
+        puf = self.parity_labels(negative_edges)
+        if not puf.consistent:
+            return 0.0
+        p = puf.relative_parity(u, v)
+        if p is None or not (u in self.touched and v in self.touched):
+            return 0.0
+        return -1.0 if p else 1.0
+
+
+def satisfied_by(constraint, odd_vertices):
+    """Whether a state with these odd vertices meets a SourceConstraint."""
+    if constraint.mode == "exact":
+        return frozenset(odd_vertices) == constraint.sources
+    return frozenset(odd_vertices) - constraint.boundary == constraint.sources

@@ -283,12 +283,55 @@ def test_zero_variance_currents_sample_uses_score_interval(capsys, seed):
 
 
 def test_currents_sample_with_spread_keeps_stderr_gate(capsys):
+    # rhs is the single-current support law; its sigma sum cancels, so it
+    # sits 1.2e-15 relative from the high-precision value
     code, out, _ = run(capsys, *SAMPLE_CURRENTS, "--seed", "6")
     assert code == 0
-    assert out.splitlines()[2].rsplit(",", 1)[0] == (
+    row = out.splitlines()[2].rsplit(",", 1)[0]
+    assert row == (
         "beta=0.35,sampler_currents,0.050000000000000003,"
-        "0.023695369053489786,0.026304630946510216,"
-        "-0.026304630946510216,true")
+        "0.023695369053489769,0.026304630946510234,"
+        "-0.026304630946510234,true")
+    rhs = float(row.split(",")[3])
+    assert rhs == pytest.approx(0.02369536905348979839, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("what,seed", [("metropolis", "1"),
+                                       ("metropolis", "2"),
+                                       ("metropolis", "3"), ("sw", "1")])
+def test_zero_variance_chain_gates_on_exact_variance(capsys, what, seed):
+    # at beta 3 every draw of s_0 s_1 is 1, so the batch stderr is 0; the
+    # gate is 4 sqrt((1 - exact^2) / n), the iid error of n exact draws
+    code, out, _ = run(capsys, "sample", what, "--lattice", "box:d=2,L=2",
+                       "--beta", "3", "--trials", "20", "--seed", seed)
+    rows = {r.split(",")[1]: r.split(",") for r in out.splitlines()[2:]}
+    assert rows["sampler_stderr"][2] == "0"
+    assert rows["sampler_" + what][2] == "1"
+    assert rows["sampler_" + what][6] == "true"
+    assert code == 0
+
+
+@pytest.mark.parametrize("what", ["metropolis", "sw"])
+def test_zero_variance_chain_still_fails_a_wrong_exact(capsys, monkeypatch,
+                                                        what):
+    from isinglab import spins
+    monkeypatch.setattr(spins, "expectation", lambda *a, **kw: 0.0)
+    code, out, _ = run(capsys, "sample", what, "--lattice", "box:d=2,L=2",
+                       "--beta", "3", "--trials", "20", "--seed", "1")
+    rows = {r.split(",")[1]: r.split(",") for r in out.splitlines()[2:]}
+    assert rows["sampler_stderr"][2] == "0"
+    assert rows["sampler_" + what][2:4] == ["1", "0"]
+    assert rows["sampler_" + what][6] == "false"
+    assert code == 1
+
+
+def test_currents_sample_past_the_support_caps_is_usage_error(capsys):
+    # 4x4 has 24 edges, past the 18-edge cap of the single-current law
+    code, out, err = run(capsys, "sample", "currents", "--lattice",
+                         "box:d=2,L=4", "--beta", "0.3")
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("what", ["metropolis", "sw", "currents"])

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_instance
-from isinglab.graphs import Couplings, Graph
+from isinglab.graphs import BoxGraph, Couplings, Graph
 from isinglab import spins
-from isinglab.currents import (ConstraintError, SourceConstraint, SupportView,
-                               correlation_via_currents, current_sum,
+from isinglab.currents import (ConstraintError, SourceConstraint,
+                               SupportView, correlation_via_currents, current_sum,
+                               single_support_expectations,
                                truncated_flux_sum)
+from isinglab.spins import SizeError
+from ref_support import RefSupportView
 
 
 def test_single_edge_partition():
@@ -63,16 +66,42 @@ def test_trichotomy_vs_truncated_flux(seed):
 def test_event_weighting_is_support_measurable(triangle):
     c = Couplings(triangle, 1.0, 0.5)
     z = current_sum(triangle, c, SourceConstraint.exact(frozenset()))
-    ev = lambda cfg: 1.0 if SupportView(triangle, cfg.support).connected(0, 1) \
-        else 0.0
-    num = current_sum(triangle, c, SourceConstraint.exact(frozenset()),
-                      event=ev)
-    assert 0.0 < num < z
+    out = single_support_expectations(
+        triangle, c, {"c": lambda labels: labels.connected(0, 1)})
+    assert 0.0 < out["c"] < 1.0
+    assert out["_total"] == pytest.approx(z, rel=1e-12)
+
+
+@pytest.mark.parametrize("sides", [(2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
+def test_single_law_total_matches_spin_oracle(sides):
+    # sum_S W(S) = Z(|J|) / 2^n: the spin oracle shares no code with the
+    # sigma-sum builder
+    box = BoxGraph(2, sides)
+    rng = np.random.default_rng(sum(sides))
+    c = Couplings(box, [float(j) for j in rng.uniform(-1.5, 1.5,
+                                                      box.n_edges)], 0.7)
+    got = single_support_expectations(box, c, {})["_total"]
+    want = spins.partition_function(box, c.with_abs())
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_single_law_size_caps(monkeypatch):
+    from isinglab import currents
+
+    def no_tables(k):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(currents, "_signs", no_tables)
+    path19 = Graph(20, [(i, i + 1) for i in range(19)])     # 19 edges
+    spread = Graph(21, [(0, 1), (19, 20)])                  # 21 spins
+    for g in (path19, spread):
+        with pytest.raises(SizeError):
+            single_support_expectations(g, Couplings(g, 1.0, 0.5), {})
 
 
 def test_support_view_connectivity():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    sv = SupportView(g, [0, 2])
+    sv = RefSupportView(g, [0, 2])
     assert sv.connected(0, 1)
     assert not sv.connected(1, 2)
     assert sv.connects_sets({0}, {1})
@@ -82,12 +111,12 @@ def test_support_view_connectivity():
 def test_support_view_sign_and_ff():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     # negative edge on (0,1); the open triangle 0-1, 1-2 has sgn(0,2) = -1
-    sv = SupportView(g, [0, 1])
+    sv = RefSupportView(g, [0, 1])
     assert sv.is_ff(frozenset({0}))
     assert sv.sgn(0, 2, frozenset({0})) == -1.0
     assert sv.sgn(0, 2, frozenset()) == 1.0
     # closing the triangle with one negative edge frustrates it
-    sv_all = SupportView(g, [0, 1, 2])
+    sv_all = RefSupportView(g, [0, 1, 2])
     assert not sv_all.is_ff(frozenset({0}))
 
 

@@ -66,13 +66,10 @@ def test_rejection_single_edge_acceptance():
 
 def test_rejection_event_estimate(triangle):
     c = Couplings(triangle, 1.0, 0.5)
-    from isinglab.currents import SourceConstraint, SupportView, current_sum
+    from isinglab.currents import SupportView, single_support_expectations
     ev = lambda sv: 1.0 if sv.connected(0, 1) else 0.0
-    z = current_sum(triangle, c, SourceConstraint.exact(frozenset()))
-    num = current_sum(triangle, c, SourceConstraint.exact(frozenset()),
-                      event=lambda cfg: ev(SupportView(triangle,
-                                                       cfg.support)))
-    exact = num / z
+    exact = single_support_expectations(
+        triangle, c, {"c": lambda labels: labels.connected(0, 1)})["c"]
     ss, _ = current_rejection_sampler(triangle, c, (), n_samples=4000,
                                       spec=ChainSpec(seed=7))
     vals = [ev(SupportView(triangle, s.support)) for s in ss]

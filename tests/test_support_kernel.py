@@ -1,7 +1,7 @@
 """The support-pattern kernel labels whole chunks of support patterns in
 numpy and reads every event off the labels.  The per-pattern loop it
-replaced, one SupportView (a union-find) per pattern, is kept here as the
-reference: every engine and event must give the same floats, compared by
+replaced, one RefSupportView (a union-find) per pattern, is kept here as
+the reference: every engine and event must give the same floats, compared by
 repr."""
 
 import itertools
@@ -17,6 +17,7 @@ from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.graphs import (BoundarySpec, BoxGraph, Couplings, Graph,
                              induced_subgraph, reflection_for_axis)
+from ref_support import RefSupportView
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def _ref_fk(graph, couplings, events, boundary=None):
                     w *= 1.0 - p[e]
             if w == 0.0:
                 continue
-            view = SupportView(graph, open_edges)
+            view = RefSupportView(graph, open_edges)
             yield w * fk.Q ** view.cluster_count(boundary), view
 
     return _ref_expectations(weighted_views(), events)
@@ -65,8 +66,9 @@ def _ref_double(measure, events):
     E = measure.graph.n_edges
     weighted_views = (
         (float(W[sa, sb]),
-         SupportView(measure.graph, [e for e in range(E)
-                                     if (int(sa) | int(sb) << half) >> e & 1]))
+         RefSupportView(measure.graph,
+                        [e for e in range(E)
+                         if (int(sa) | int(sb) << half) >> e & 1]))
         for sa, sb in np.argwhere(W != 0.0))
     return _ref_expectations(weighted_views, events)
 
@@ -88,7 +90,7 @@ def _ref_folded(measure, reflection, events):
 
     weighted_views = (
         (float(measure._W[a, b]),
-         SupportView(measure.graph, support(int(a), int(b))))
+         RefSupportView(measure.graph, support(int(a), int(b))))
         for a, b in np.argwhere(measure._W != 0.0))
     return _ref_expectations(weighted_views, events)
 
@@ -335,7 +337,7 @@ def test_stale_support_view_event_raises():
 def _ref_dobrushin(box, couplings, x):
     """(ratio_folded, mag_folded) of dobrushin_identities by the per-view
     loop: mag is gamma on the region not connected to the off-plane
-    boundary, evaluated on one SupportView per pattern."""
+    boundary, evaluated on one RefSupportView per pattern."""
     axis = box.d - 1
     mid = (box.sides[axis] - 1) // 2
     refl = reflection_for_axis(box, couplings, axis, mid)

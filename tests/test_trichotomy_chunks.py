@@ -1,7 +1,9 @@
 """`current_sum` and `backbone_grouping` enumerate the 3^E trichotomy states
 in numpy chunks.  The per-state recursions they replaced are kept here as
-the reference: every sum, every event call and every backbone group must
-come out the same, compared by repr."""
+the reference: every sum and every backbone group must come out the same,
+compared by repr.  The recursion also keeps its per-state event, the
+reference for the connection probability of the single-current support
+law."""
 
 import math
 
@@ -15,21 +17,19 @@ from isinglab.backbone import _walk, extract_backbone
 from isinglab.currents import (EVENPOS, ODD, ZERO, EdgeStateConfig,
                                SourceConstraint, SupportView,
                                correlation_via_currents, current_sum,
-                               edge_weight_table)
+                               edge_weight_table, single_support_expectations)
 from isinglab.graphs import BoxGraph, Couplings, Graph
+from ref_support import satisfied_by
 
 
 # ---------------------------------------------------------------------------
 # reference: the per-state recursions
 
 
-def _ref_current_sum(graph, couplings, constraint, signed=False, event=None,
-                     sign_edges=None):
+def _ref_current_sum(graph, couplings, constraint, signed=False, event=None):
     E = graph.n_edges
     weights = edge_weight_table(couplings)
-    if sign_edges is None:
-        sign_edges = couplings.negative_edges()
-    sign_edges = frozenset(sign_edges)
+    sign_edges = couplings.negative_edges()
     ends = graph.edges
     terms = []
     states = [ZERO] * E
@@ -37,7 +37,7 @@ def _ref_current_sum(graph, couplings, constraint, signed=False, event=None,
     def rec(e, w, parity, neg_parity):
         if e == E:
             odd = frozenset(v for v in range(graph.n) if parity & (1 << v))
-            if not constraint.satisfied_by(odd):
+            if not satisfied_by(constraint, odd):
                 return
             t = w
             if signed and (neg_parity & 1):
@@ -181,11 +181,6 @@ def test_fuzz_signed_graphs_match_recursion(seed, suffix_edges):
                            SourceConstraint.exact(A),
                            SourceConstraint.relaxed_on_boundary(A - B, B)):
             _assert_sums_match(g, c, constraint)
-        sign_edges = frozenset(e for e in range(g.n_edges) if e % 2)
-        assert repr(current_sum(g, c, SourceConstraint.exact(A), signed=True,
-                                sign_edges=sign_edges)) == repr(
-            _ref_current_sum(g, c, SourceConstraint.exact(A), signed=True,
-                             sign_edges=sign_edges))
         _assert_groupings_match(g, c, A)
     finally:
         currents._SUFFIX_EDGES = saved
@@ -220,58 +215,31 @@ def test_zero_beta_and_edgeless_graphs():
     _assert_sums_match(empty, c0, SourceConstraint.exact({0, 1}))
 
 
-def _recording(event):
-    seen = []
-
-    def fn(cfg):
-        seen.append(cfg.states)
-        return event(cfg)
-    return fn, seen
-
-
-@pytest.mark.parametrize("sides,sites", [((2, 3), (0, 4)), ((3, 3), (0, 4))])
-def test_connection_event_matches_recursion(sides, sites):
-    # the exact side of `sample currents`: weight of states whose support
-    # connects the two sites, with the same event calls in the same order
-    g, c = _box(sides, False, seed=7)
+@pytest.mark.parametrize("beta", [0.2, 0.35, 0.9])
+@pytest.mark.parametrize("sides,sites", [((2, 3), (0, 4)), ((3, 3), (0, 4)),
+                                         ((2, 4), (0, 7))])
+def test_single_law_connection_matches_recursion(sides, sites, beta):
+    # the exact side of `sample currents`: the weight of the sourceless
+    # states whose support connects the two sites, over their total; the
+    # sigma sum cancels, so it agrees to rounding, not bit for bit
+    g = BoxGraph(2, sides)
+    rng = np.random.default_rng(7)
+    c = Couplings(g, [float(j) for j in rng.uniform(-1.5, 1.5, g.n_edges)],
+                  beta)
     x, y = sites
-
-    def connected(cfg):
-        return 1.0 if SupportView(g, cfg.support).connected(x, y) else 0.0
-
-    fn, seen = _recording(connected)
-    ref_fn, ref_seen = _recording(connected)
+    got = single_support_expectations(
+        g, c, {"c": lambda labels: labels.connected(x, y)})["c"]
     constraint = SourceConstraint.exact(frozenset())
-    got = current_sum(g, c, constraint, event=fn)
-    want = _ref_current_sum(g, c, constraint, event=ref_fn)
-    assert repr(got) == repr(want)
-    assert seen == ref_seen
-
-
-def test_event_return_values_match_recursion():
-    # False and 0 drop a state, True keeps it, anything else scales it
-    g, c = _box((2, 3), True, seed=11)
-    events = [
-        lambda cfg: cfg.states[0] == ODD,
-        lambda cfg: len(cfg.support) % 3,
-        lambda cfg: 0.5 * len(cfg.odd_edges) - 1.0,
-        lambda cfg: np.bool_(EVENPOS in cfg.states),
-        lambda cfg: True,
-    ]
-    for event in events:
-        for constraint in (SourceConstraint.exact({0, 5}),
-                           SourceConstraint.relaxed_on_boundary({1}, {5})):
-            for signed in (False, True):
-                got = current_sum(g, c, constraint, signed=signed,
-                                  event=event)
-                want = _ref_current_sum(g, c, constraint, signed=signed,
-                                        event=event)
-                assert repr(got) == repr(want)
+    num = _ref_current_sum(g, c, constraint, event=lambda cfg: SupportView(
+        g, cfg.support).connected(x, y))
+    assert got == pytest.approx(num / _ref_current_sum(g, c, constraint),
+                                rel=1e-12, abs=0)
 
 
 def test_chunks_visit_states_in_recursion_order():
     g, c = _box((2, 2), True, seed=3)
     E = g.n_edges
+    weights = edge_weight_table(c)
     seen = []
     _ref_current_sum(g, c, SourceConstraint.relaxed_on_boundary(
         frozenset(), set(g.vertices)), event=lambda cfg: seen.append(cfg)
@@ -279,18 +247,19 @@ def test_chunks_visit_states_in_recursion_order():
     saved = currents._SUFFIX_EDGES
     currents._SUFFIX_EDGES = 2
     try:
-        chunks = list(currents._trichotomy_chunks(g, c, c.negative_edges()))
+        chunks = list(currents._trichotomy_chunks(g, c))
     finally:
         currents._SUFFIX_EDGES = saved
     assert len(chunks) == 3 ** (E - 2)
     w = np.concatenate([ch[0] for ch in chunks])
     odd = np.concatenate([ch[2] for ch in chunks])
-    even = np.concatenate([ch[3] for ch in chunks])
     assert len(w) == len(seen) == 3 ** E
     for i, cfg in enumerate(seen):
         assert odd[i] == sum(1 << e for e in cfg.odd_edges)
-        assert even[i] == sum(1 << e for e, s in enumerate(cfg.states)
-                              if s == EVENPOS)
+        want = 1.0
+        for e, s in enumerate(cfg.states):
+            want *= weights[e][s]
+        assert float(w[i]) == want
 
 
 def test_grouping_walks_each_odd_set_once(monkeypatch):
