@@ -33,6 +33,8 @@ from .currents import (SourceConstraint, _trichotomy_chunks, _vertex_bits,
 from .spins import SizeError
 from . import spins
 
+GROUPING_EDGE_CAP = 18   # 3^18 states; every kept weight row is held at once
+
 
 @dataclass(frozen=True)
 class BackbonePath:
@@ -126,26 +128,26 @@ def walk_consistent(graph, paths):
     return replay == list(paths)
 
 
-def zeta_weight(graph, couplings, paths, cap=spins.DEFAULT_CAP):
+def zeta_weight(graph, couplings, paths):
     """zeta = (Z'/Z) * prod_{b in ghat} cosh K_b with joint depletion."""
     ghat = combined_blocked(paths)
-    z = spins.partition_function(graph, couplings, cap=cap)
-    zp = spins.partition_function(graph, couplings.with_depleted(ghat), cap=cap)
+    z = spins.partition_function(graph, couplings)
+    zp = spins.partition_function(graph, couplings.with_depleted(ghat))
     coshs = math.prod(math.cosh(couplings.K_abs(e)) for e in ghat)
     return (zp / z) * coshs
 
 
-def rho_weight(graph, couplings, paths, cap=spins.DEFAULT_CAP):
+def rho_weight(graph, couplings, paths):
     """rho = I * zeta * prod tanh(beta J_b): the exact probability (times
     <s_A>-normalization Z) of the backbone being `paths`."""
     if not walk_consistent(graph, paths):
         return 0.0
     tanhs = math.prod(math.tanh(couplings.K(e))
                       for p in paths for e in p.edges)
-    return zeta_weight(graph, couplings, paths, cap=cap) * tanhs
+    return zeta_weight(graph, couplings, paths) * tanhs
 
 
-def backbone_grouping(graph, couplings, A, cap=18):
+def backbone_grouping(graph, couplings, A):
     """Definitional oracle: enumerate currents with sources A, group their
     weights by backbone.  Returns dict paths-tuple -> weight / Z, keyed in
     the order the enumeration first meets each backbone.
@@ -155,7 +157,7 @@ def backbone_grouping(graph, couplings, A, cap=18):
     never odd.
     """
     E = graph.n_edges
-    if E > cap:
+    if E > GROUPING_EDGE_CAP:
         raise SizeError("3^%d states exceed the grouping cap" % E)
     A = frozenset(A)
     neg = couplings.negative_edges()
@@ -182,7 +184,7 @@ def backbone_grouping(graph, couplings, A, cap=18):
     return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
 
 
-def check_path_properties(graph, couplings, A, cap=18):
+def check_path_properties(graph, couplings, A):
     """Certifies the path-expansion properties on one instance.
 
     Enumerates the full backbone grouping for sources A and checks:
@@ -192,7 +194,7 @@ def check_path_properties(graph, couplings, A, cap=18):
     Returns a report dict with the worst deviations.
     """
     A = frozenset(A)
-    groups = backbone_grouping(graph, couplings, A, cap=cap)
+    groups = backbone_grouping(graph, couplings, A)
     corr = spins.expectation(graph, couplings, A)
     total = math.fsum(groups.values())
     worst_rho = 0.0

@@ -224,8 +224,7 @@ def _cmd_verify(args):
             rows.append(Row(iid, "ursell4_formA", u4, va, tol=args.tol))
             rows.append(Row(iid, "ursell4_formB", u4, vb, tol=args.tol))
         elif w == "frustration":
-            z_ratio = (spins.partition_function(graph, c)
-                       / spins.partition_function(graph, c.with_abs()))
+            z_ratio = spins.partition_ratio(graph, c, c.with_abs())
             rows.append(Row(iid, "z_ratio_ff", z_ratio,
                             doubled.frustrated_partition_ratio(graph, c),
                             tol=args.tol))
@@ -239,11 +238,10 @@ def _cmd_verify(args):
             if bspec is None or not bspec.minus_set:
                 raise UsageError("boundary checks need a pm boundary spec")
             ratio = doubled.boundary_partition_ratio(graph, c, bspec)
-            z_pm = spins.partition_function(graph, c, boundary=bspec)
-            z_p = spins.partition_function(graph, c,
-                                           boundary=bspec.all_plus())
-            rows.append(Row(iid, "z_ratio_boundary", z_pm / z_p, ratio,
-                            tol=args.tol))
+            rows.append(Row(iid, "z_ratio_boundary",
+                            spins.partition_ratio(graph, c, c, bspec,
+                                                  bspec.all_plus()),
+                            ratio, tol=args.tol))
             interior = sorted(bspec.interior(graph))
             if interior:
                 x = interior[len(interior) // 2]
@@ -260,8 +258,7 @@ def _cmd_verify(args):
                 nflip = int(rng.integers(0, graph.n_edges + 1))
                 flip = rng.choice(graph.n_edges, nflip,
                                   replace=False).tolist()
-                lhs = (spins.partition_function(graph, c.with_flipped(flip))
-                       / spins.partition_function(graph, c))
+                lhs = spins.partition_ratio(graph, c.with_flipped(flip), c)
                 rows.append(Row("%s/t%d" % (iid, t), "disorder_ratio", lhs,
                                 doubled.disorder_expectation(graph, c, flip),
                                 tol=args.tol))

@@ -34,6 +34,7 @@ ZERO, ODD, EVENPOS = 0, 1, 2
 SINGLE_EDGE_CAP = 20
 SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single and double laws)
 SUPPORT_SIGMA_CAP = 20    # and a 2^20 sigma sum
+FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
 
 
 class ConstraintError(ValueError):
@@ -204,10 +205,10 @@ def correlation_via_currents(graph, couplings, A):
     return num / den
 
 
-def truncated_flux_sum(graph, couplings, A, cutoff=40):
+def truncated_flux_sum(graph, couplings, A):
     """Independent oracle for the trichotomy: sum w(n) over integer currents
-    with per-edge flux <= cutoff and exact sources A, via truncated series
-    of cosh/sinh split by flux parity."""
+    with per-edge flux <= FLUX_CUTOFF and exact sources A, via truncated
+    series of cosh/sinh split by flux parity."""
     A = frozenset(A)
     if len(A) % 2:
         raise ConstraintError("odd source set")
@@ -216,7 +217,7 @@ def truncated_flux_sum(graph, couplings, A, cutoff=40):
         K = couplings.K_abs(e)
         ev = od = 0.0
         term = 1.0
-        for n in range(cutoff + 1):
+        for n in range(FLUX_CUTOFF + 1):
             if n > 0:
                 term *= K / n
             if n % 2 == 0:

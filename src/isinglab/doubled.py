@@ -71,13 +71,12 @@ def _check_sources(A):
 # direct enumeration (nested edge sets)
 
 
-def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None,
-                      relaxed_boundary=None, cap=DOUBLE_WORK_CAP):
+def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None):
     """Sum of w(n1) w(n2) term_fn(state) over per-edge joint classes.
 
-    n1 lives on all edges of `graph`, n2 on `edges2` (default: all).  Sources
-    are exact, or free on `relaxed_boundary` when given.  term_fn receives a
-    DoubleCurrentState and returns a float (0/1 for events).
+    n1 lives on all edges of `graph`, n2 on `edges2` (default: all), both
+    with exact sources.  term_fn receives a DoubleCurrentState and returns a
+    float (0/1 for events).
     """
     A1, A2 = _check_sources(A1), _check_sources(A2)
     E = graph.n_edges
@@ -89,8 +88,9 @@ def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None,
         if not A2 <= touched2:
             raise ConstraintError("A2 must lie on the subgraph carrying n2")
     work = (5 ** len(shared)) * (3 ** len(only1))
-    if work > cap:
-        raise SizeError("double-current work %d exceeds cap %d" % (work, cap))
+    if work > DOUBLE_WORK_CAP:
+        raise SizeError("double-current work %d exceeds cap %d"
+                        % (work, DOUBLE_WORK_CAP))
 
     w = edge_weight_table(couplings)
     # joint classes on shared edges: (odd1, odd2, supported) -> weight
@@ -108,7 +108,6 @@ def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None,
                     for e in only1]
     plan = shared_classes + only_classes
 
-    boundary_mask = _vertex_mask(relaxed_boundary or ())
     m1, m2 = _vertex_mask(A1), _vertex_mask(A2)
     ends = graph.edges
     terms = []
@@ -118,7 +117,7 @@ def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None,
 
     def rec(i, weight, p1, p2):
         if i == len(plan):
-            if (p1 & ~boundary_mask) != m1 or (p2 & ~boundary_mask) != m2:
+            if p1 != m1 or p2 != m2:
                 return
             state = DoubleCurrentState(graph, frozenset(odd1_edges),
                                        frozenset(odd2_edges),
@@ -152,13 +151,10 @@ def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None,
     return math.fsum(terms)
 
 
-def double_event_probability(graph, couplings, A1, A2, event, edges2=None,
-                             relaxed_boundary=None):
+def double_event_probability(graph, couplings, A1, A2, event, edges2=None):
     """P^{A1,A2}(event) under the normalized double-current weight."""
-    num = double_sum_direct(graph, couplings, A1, A2, event, edges2,
-                            relaxed_boundary)
-    den = double_sum_direct(graph, couplings, A1, A2, lambda s: 1.0, edges2,
-                            relaxed_boundary)
+    num = double_sum_direct(graph, couplings, A1, A2, event, edges2)
+    den = double_sum_direct(graph, couplings, A1, A2, lambda s: 1.0, edges2)
     return num / den
 
 
@@ -324,9 +320,8 @@ def surface_tension_ratio(box, couplings, axis=None):
         cu, cv = box.coords[u][axis], box.coords[v][axis]
         if min(cu, cv) < mid <= max(cu, cv):
             area += 1
-    z_pm = spins.partition_function(box, couplings, boundary=bspec)
-    z_p = spins.partition_function(box, couplings, boundary=bspec.all_plus())
-    return -math.log(z_pm / z_p) / area
+    return -math.log(spins.partition_ratio(box, couplings, couplings, bspec,
+                                           bspec.all_plus())) / area
 
 
 def source_overlap_ratio(graph, couplings, A, B):

@@ -29,8 +29,7 @@ def fk_weights(couplings):
             for e in range(couplings.graph.n_edges)]
 
 
-def fk_measure_expectation(graph, couplings, events, boundary=None,
-                           cap=FK_EDGE_CAP):
+def fk_measure_expectation(graph, couplings, events, boundary=None):
     """Normalized expectations of the named events under the FK measure.
 
     events: dict name -> fn(labels), where `labels` holds a chunk of open
@@ -44,7 +43,7 @@ def fk_measure_expectation(graph, couplings, events, boundary=None,
     free spins times the spin-oracle Z (which carries 1/2 per free spin).
     """
     E = graph.n_edges
-    if E > cap:
+    if E > FK_EDGE_CAP:
         raise SizeError("2^%d cluster configurations exceed the cap" % E)
     p = fk_weights(couplings)
 
@@ -58,7 +57,7 @@ def fk_measure_expectation(graph, couplings, events, boundary=None,
                                  events)
 
 
-def connection_probability(graph, couplings, x, y, cap=FK_EDGE_CAP):
+def connection_probability(graph, couplings, x, y):
     """P^FK(x <-> y); equals <s_x s_y> for ferromagnetic couplings.
 
     The FK measure only sees |J|, so a negative coupling raises ValueError
@@ -69,8 +68,7 @@ def connection_probability(graph, couplings, x, y, cap=FK_EDGE_CAP):
                          "signs")
     return fk_measure_expectation(
         graph, couplings,
-        {"c": lambda labels: labels.connected(x, y)},
-        cap=cap)["c"]
+        {"c": lambda labels: labels.connected(x, y)})["c"]
 
 
 def fk_rcr_bridge(graph, couplings, x, y):
@@ -99,8 +97,7 @@ def fk_frustration_adjusted(graph, couplings, u=None, v=None):
     if u is not None:
         events["sgn"] = lambda labels: labels.sgn(u, v, neg)
     out = fk_measure_expectation(graph, abs_c, events)
-    z_ratio = (spins.partition_function(graph, couplings)
-               / spins.partition_function(graph, abs_c))
+    z_ratio = spins.partition_ratio(graph, couplings, abs_c)
     rep = {
         "ff_prob": out["ff"],
         "z_ratio_spin": z_ratio,
@@ -124,10 +121,10 @@ def fk_boundary_report(graph, couplings, boundary_spec, x=None):
     bdry = boundary_spec.plus_set | boundary_spec.minus_set
     events = _dobrushin_events(boundary_spec, x)
     out = fk_measure_expectation(graph, couplings, events, boundary=bdry)
-    z_pm = spins.partition_function(graph, couplings, boundary=boundary_spec)
-    z_p = spins.partition_function(graph, couplings,
-                                   boundary=boundary_spec.all_plus())
-    rep = {"ratio_fk": out["ff"], "ratio_spin": z_pm / z_p}
+    rep = {"ratio_fk": out["ff"],
+           "ratio_spin": spins.partition_ratio(
+               graph, couplings, couplings, boundary_spec,
+               boundary_spec.all_plus())}
     if x is not None:
         rep["mag_pm_fk"] = (out["x_plus"] - out["x_minus"]) / out["ff"]
         rep["mag_pm_spin"] = spins.expectation(graph, couplings, [x],

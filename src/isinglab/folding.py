@@ -30,7 +30,7 @@ import numpy as np
 
 from .currents import (ConstraintError, _chi, _signs, _sigma_sum,
                        _support_expectations, edge_weight_table)
-from .graphs import induced_subgraph
+from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
 from .spins import SizeError
 from . import spins
 
@@ -158,7 +158,6 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
     function, the spin-oracle value and its folded-current counterpart, plus
     the dimensional-reduction lower bound (mid-plane system with + ends).
     """
-    from .graphs import reflection_for_axis
     if axis is None:
         axis = box.d - 1
     L = box.sides[axis]
@@ -166,11 +165,12 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
         raise ValueError("need an odd side so the mid-plane passes through sites")
     mid = (L - 1) // 2
     refl = reflection_for_axis(box, couplings, axis, mid)
-    bdry = frozenset(box.boundary_vertices())
+    bc_pm = box.dobrushin_boundary(axis)
+    bdry = bc_pm.boundary
     plane_all = frozenset(v for v in box.vertices if box.coords[v][axis] == mid)
     plane_bdry = plane_all & bdry
     plane_int = plane_all - bdry
-    below_bdry = frozenset(v for v in bdry if box.coords[v][axis] < mid)
+    below_bdry = bc_pm.minus_set
     off_plane_bdry = bdry - plane_bdry
     if x is None:
         cands = sorted(plane_int)
@@ -180,14 +180,8 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
     if x not in plane_int:
         raise ValueError("x must be an interior mid-plane site")
 
-    from .graphs import BoundarySpec
-    desig_pm = {v: (BoundarySpec.MINUS if box.coords[v][axis] < mid
-                    else BoundarySpec.PLUS) for v in bdry}
-    bc_pm = BoundarySpec(desig_pm)
-    bc_plus = bc_pm.all_plus()
-
-    z_pm = spins.partition_function(box, couplings, boundary=bc_pm)
-    z_plus = spins.partition_function(box, couplings, boundary=bc_plus)
+    ratio_spin = spins.partition_ratio(box, couplings, couplings, bc_pm,
+                                       bc_pm.all_plus())
     mag_pm = spins.expectation(box, couplings, [x], boundary=bc_pm)
 
     meas = FoldedCurrentMeasure(refl, sources=(), relaxed_boundary=bdry)
@@ -224,7 +218,7 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
 
     return {
         "x": x,
-        "ratio_spin": z_pm / z_plus,
+        "ratio_spin": ratio_spin,
         "ratio_folded": out["ff"],
         "mag_spin": mag_pm,
         "mag_folded": out["mag"] / out["ff"],

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, Couplings
+from .graphs import BoxGraph, Couplings, Graph
 from .spins import SizeError
 from . import spins, doubled, fk, sweep
 
@@ -58,7 +58,8 @@ _POP16.flags.writeable = False
 class PlaquetteComplex:
     """Vertices, edges and unit-square plaquettes of a d=2/3 cell box.
 
-    `cells` counts unit cells per axis; vertex coords run 0..cells[i].
+    `cells` counts unit cells per axis; the vertices and edges are those of
+    BoxGraph(d, cells + 1), with vertex coords running 0..cells[i].
     Plaquettes are stored as 4-tuples of edge ids plus (axes, corner) tags;
     cells (for the 3D dual) are unit cubes indexed lexicographically.
     """
@@ -71,33 +72,13 @@ class PlaquetteComplex:
             raise ValueError("need %d cell counts >= 1" % d)
         self.d = d
         self.cells = cells
-        sides = [c + 1 for c in cells]
-        coords = []
-
-        def rec(prefix, rest):
-            if not rest:
-                coords.append(tuple(prefix))
-                return
-            for c in range(rest[0]):
-                rec(prefix + [c], rest[1:])
-
-        rec([], sides)
-        coords.sort()
-        self.coords = coords
-        self.vindex = {c: i for i, c in enumerate(coords)}
-        self.edges = []
-        self.eindex = {}
-        for c in coords:
-            for axis in range(d):
-                nb = list(c)
-                nb[axis] += 1
-                nb = tuple(nb)
-                if nb in self.vindex:
-                    self.eindex[(c, axis)] = len(self.edges)
-                    self.edges.append((self.vindex[c], self.vindex[nb]))
+        box = BoxGraph(d, [c + 1 for c in cells])
+        self.coords, self.vindex, self.edges = box.coords, box.index, box.edges
+        self.eindex = {(box.coords[u], axis): e for e, ((u, _), axis)
+                       in enumerate(zip(box.edges, box.edge_axis))}
         self.plaquettes = []      # 4-tuples of edge ids
         self.plaquette_tags = []  # ((axis_i, axis_j), corner)
-        for c in coords:
+        for c in self.coords:
             for i in range(d):
                 for j in range(i + 1, d):
                     try:
@@ -200,7 +181,7 @@ def _words(mask, n_words):
                     dtype=np.uint64)
 
 
-def _weight_counts(cx, shift_masks, cap=CHAIN_CAP):
+def _weight_counts(cx, shift_masks):
     """For each plaquette mask S in shift_masks, the exact integer counts
     n_w, w = 0..|P|, of closed chains k with |S ^ k| = w.
 
@@ -209,7 +190,7 @@ def _weight_counts(cx, shift_masks, cap=CHAIN_CAP):
     combination of the remaining basis vectors its index selects."""
     P = cx.n_plaquettes
     basis = _kernel_basis(cx)
-    if len(basis) > cap:
+    if len(basis) > CHAIN_CAP:
         raise SizeError("kernel dimension %d exceeds the cap" % len(basis))
     n_words = -(-P // 64)
     low, high = basis[:_CHAIN_CHUNK_BITS], basis[_CHAIN_CHUNK_BITS:]
@@ -229,7 +210,7 @@ def _weight_counts(cx, shift_masks, cap=CHAIN_CAP):
     return counts
 
 
-def _chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
+def _chain_sums(cx, beta, shift_masks):
     """For each plaquette mask S in shift_masks, sum over the closed-chain
     kernel of cosh^(|P|-|S^k|) sinh^(|S^k|).
 
@@ -242,7 +223,7 @@ def _chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
     P = cx.n_plaquettes
     c, s = _cosh_sinh(beta)
     sums = []
-    for counts in _weight_counts(cx, shift_masks, cap):
+    for counts in _weight_counts(cx, shift_masks):
         terms = []
         for w, n in enumerate(counts.tolist()):
             if n:
@@ -277,12 +258,12 @@ def _plaquette_mask(plaquette_set):
     return m
 
 
-def lgm_partition(cx, beta, cap=CHAIN_CAP):
+def lgm_partition(cx, beta):
     """Z with the 1/2^|E| gauge-field normalization."""
-    return _chain_sums(cx, beta, [0], cap=cap)[0]
+    return _chain_sums(cx, beta, [0])[0]
 
 
-def wilson_expectation(cx, beta, loop, cap=CHAIN_CAP):
+def wilson_expectation(cx, beta, loop):
     """<prod_{b in loop} A_b> = sum_w n^S_w t^w / sum_w n^0_w t^w with
     t = tanh b, from the weight counts of the chains shifted by the spanning
     set S and of the plain chains; the cosh^|P| factor cancels.  Both sums
@@ -295,7 +276,7 @@ def wilson_expectation(cx, beta, loop, cap=CHAIN_CAP):
     num, den = (sum((n * t ** w for w, n in enumerate(counts.tolist()) if n),
                     Fraction(0))
                 for counts in _weight_counts(
-                    cx, [_plaquette_mask(loop.spanning), 0], cap=cap))
+                    cx, [_plaquette_mask(loop.spanning), 0]))
     return float(num / den)
 
 
@@ -303,7 +284,7 @@ def wilson_expectation(cx, beta, loop, cap=CHAIN_CAP):
 # brute-force gauge-field oracle
 
 
-def gauge_oracle_partition(cx, beta, edge_signs=None, cap=GAUGE_ORACLE_CAP):
+def gauge_oracle_partition(cx, beta, edge_signs=None):
     """2^|E| oracle: average of exp(beta sum_p A_dp) over gauge fields.
 
     edge_signs: optional edge bitmask, an int in [0, 2^|E|); the product of
@@ -323,7 +304,7 @@ def gauge_oracle_partition(cx, beta, edge_signs=None, cap=GAUGE_ORACLE_CAP):
     Independent of the chain sums: no kernel basis and no edge_mask.
     """
     E = cx.n_edges
-    if E > cap:
+    if E > GAUGE_ORACLE_CAP:
         raise SizeError("2^%d gauge fields exceed the cap" % E)
     if edge_signs is not None and not (
             isinstance(edge_signs, int) and 0 <= edge_signs < 1 << E):

@@ -240,11 +240,10 @@ class BoxGraph(Graph):
         return out
 
 
-def generate_box_lattice(d, side_lengths, boundary=None):
+def generate_box_lattice(d, side_lengths):
     """Nearest-neighbour box lattice plus a unit-coupling skeleton.
 
-    Returns (BoxGraph, Couplings with J=1, beta=1).  A BoundarySpec may be
-    passed through for convenience (it is not baked into the graph).
+    Returns (BoxGraph, Couplings with J=1, beta=1).
     """
     g = BoxGraph(d, side_lengths)
     return g, Couplings(g, 1.0, 1.0)
@@ -357,6 +356,8 @@ def reflection_for_axis(box, couplings, axis, plane):
     `plane` may be an integer coordinate (a vertex plane, nothing inserted)
     or a half-integer mid-edge plane, in which case the crossing edges are
     subdivided with couplings J' chosen so tanh(beta J) = tanh(beta J')^2.
+    Box vertex ids are lexicographic and the mid-edge sites are fixed, so
+    lambda1 (the vertices v < R(v)) is the side with x_axis < plane.
     """
     if not isinstance(box, BoxGraph):
         raise ValueError("reflection_for_axis needs a box lattice")
@@ -368,23 +369,18 @@ def reflection_for_axis(box, couplings, axis, plane):
         raise ValueError("plane is not a symmetry plane of the box")
 
     if float(plane).is_integer():
-        graph, coup = box, couplings
-        coords = box.coords
         inv = []
-        index = box.index
-        for c in coords:
+        for c in box.coords:
             rc = list(c)
             rc[axis] = int(2 * plane - c[axis])
-            inv.append(index[tuple(rc)])
-        r = _build_reflection(graph, coup, inv)
-        return _orient_sides(r, coords, axis, plane)
+            inv.append(box.index[tuple(rc)])
+        return _build_reflection(box, couplings, inv)
 
     # mid-edge plane: subdivide the crossing edges
     crossing = set(box.crossing_edges(axis, plane))
     coords = list(box.coords)
     edges = []
     J = []
-    mid_of = {}
     for e, (u, v) in enumerate(box.edges):
         if e in crossing:
             K = couplings.beta * couplings.J[e]
@@ -393,7 +389,6 @@ def reflection_for_axis(box, couplings, axis, plane):
             cu, cv = box.coords[u], box.coords[v]
             mid = tuple((a + b) / 2.0 for a, b in zip(cu, cv))
             coords.append(mid)
-            mid_of[e] = m
             edges.append((u, m))
             J.append(Kp / couplings.beta if couplings.beta > 0 else 0.0)
             edges.append((m, v))
@@ -412,26 +407,7 @@ def reflection_for_axis(box, couplings, axis, plane):
         rc = list(float(x) for x in c)
         rc[axis] = 2 * plane - rc[axis]
         inv.append(index[tuple(rc)])
-    r = _build_reflection(graph, coup, inv)
-    return _orient_sides(r, coords, axis, plane)
-
-
-def _orient_sides(r, coords, axis, plane):
-    """Relabel lambda1 as the side with x_axis < plane (deterministic)."""
-    l1 = frozenset(v for v in range(len(coords)) if coords[v][axis] < plane)
-    l2 = frozenset(v for v in range(len(coords)) if coords[v][axis] > plane)
-    e1, e2 = [], []
-    for e, (u, v) in enumerate(r.graph.edges):
-        if u in r.lambda0 and v in r.lambda0:
-            continue
-        if u in l1 or v in l1:
-            e1.append(e)
-        else:
-            e2.append(e)
-    r.lambda1, r.lambda2 = l1, l2
-    r.e1, r.e2 = tuple(e1), tuple(e2)
-    r.check()
-    return r
+    return _build_reflection(graph, coup, inv)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .graphs import Couplings, FieldSpec, Graph, serialize_graph
 from . import spins
 
 TOL = 1e-10
+GHS_FIELDS = (0.0, 0.1, 0.2, 0.3, 0.5, 0.8)   # increasing
 
 
 @dataclass
@@ -84,11 +85,11 @@ def griffiths_suite(graph, couplings, fields=None, max_sets=None):
 # GHS
 
 
-def ghs_suite(graph, couplings, x=0, h_grid=(0.0, 0.1, 0.2, 0.3, 0.5, 0.8)):
+def ghs_suite(graph, couplings, x=0):
     """Concavity of the magnetization in a uniform field, h >= 0.
 
     Checks -u4 >= 0 at zero field for all quadruples, and that the second
-    difference of <s_x> along `h_grid` (uniform field) is nonpositive.
+    difference of <s_x> along GHS_FIELDS (uniform field) is nonpositive.
     Also computes, for the lexicographically first quadruple, the ratio
 
         (-u4/2) / (<s1 s2><s1 s3><s1 s4>)
@@ -111,18 +112,17 @@ def ghs_suite(graph, couplings, x=0, h_grid=(0.0, 0.1, 0.2, 0.3, 0.5, 0.8)):
         reports.append(_report("ghs_u4", "-u4%s >= 0" % (quad,), 0.0, -u4))
     if reports:
         reports[0].descriptor += " [tree-ratio %.6g, informational]" % first_ratio
-    h_grid = sorted(h_grid)
     mags = []
-    for h in h_grid:
+    for h in GHS_FIELDS:
         f = FieldSpec(graph.n, h={v: h for v in V})
         mags.append(spins.expectation(graph, couplings, [x], fields=f))
-    for i in range(1, len(h_grid) - 1):
+    for i in range(1, len(GHS_FIELDS) - 1):
         # non-uniform grid second difference via divided differences
-        d1 = (mags[i] - mags[i - 1]) / (h_grid[i] - h_grid[i - 1])
-        d2 = (mags[i + 1] - mags[i]) / (h_grid[i + 1] - h_grid[i])
+        d1 = (mags[i] - mags[i - 1]) / (GHS_FIELDS[i] - GHS_FIELDS[i - 1])
+        d2 = (mags[i + 1] - mags[i]) / (GHS_FIELDS[i + 1] - GHS_FIELDS[i])
         reports.append(_report(
             "ghs_concave",
-            "slope drop of <s_%d> at h=%g" % (x, h_grid[i]), d2, d1))
+            "slope drop of <s_%d> at h=%g" % (x, GHS_FIELDS[i]), d2, d1))
     return reports
 
 
@@ -130,20 +130,25 @@ def ghs_suite(graph, couplings, x=0, h_grid=(0.0, 0.1, 0.2, 0.3, 0.5, 0.8)):
 # Simon-Lieb
 
 
-def _reachable_subgraph(graph, couplings, S, x):
-    """The subgraph of sites reachable from x by paths that stop on first
-    arrival at S, with no S-S edges."""
-    S = frozenset(S)
-    seen = {x}
+def _x_side(graph, S, x):
+    """x and the sites reachable from it by paths that never enter S."""
+    side = {x}
     stack = [x]
     while stack:
         v = stack.pop()
         for e in graph.incident(v):
             u = graph.other_end(e, v)
-            if u not in seen:
-                seen.add(u)
-                if u not in S:
-                    stack.append(u)
+            if u not in side and u not in S:
+                side.add(u)
+                stack.append(u)
+    return side
+
+
+def _stopped_subgraph(graph, couplings, S, side):
+    """G_{S,x}: the x-side of S together with the sites of S next to it
+    (paths stop on first arrival at S), with no S-S edges."""
+    seen = side | ({graph.other_end(e, v) for v in side
+                    for e in graph.incident(v)} & S)
     keep = sorted(seen)
     vmap = {v: i for i, v in enumerate(keep)}
     edges = []
@@ -154,24 +159,6 @@ def _reachable_subgraph(graph, couplings, S, x):
             J.append(couplings.J[e])
     sub = Graph(len(keep), edges)
     return sub, Couplings(sub, J, couplings.beta), vmap
-
-
-def _is_cut(graph, S, x, y):
-    S = frozenset(S)
-    if x in S or y in S:
-        return True
-    seen = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for e in graph.incident(v):
-            u = graph.other_end(e, v)
-            if u == y:
-                return False
-            if u not in seen and u not in S:
-                seen.add(u)
-                stack.append(u)
-    return True
 
 
 def simon_lieb_suite(graph, couplings, x, y, S):
@@ -185,11 +172,12 @@ def simon_lieb_suite(graph, couplings, x, y, S):
     if not couplings.is_ferromagnetic:
         raise ValueError("Simon-Lieb requires J >= 0")
     S = frozenset(S)
-    if not _is_cut(graph, S, x, y):
+    side = _x_side(graph, S, x)
+    if x not in S and y in side:   # an S holding x separates trivially
         raise ValueError("S does not separate x from y")
     lhs = spins.expectation(graph, couplings, [x, y])
 
-    sub, subc, vmap = _reachable_subgraph(graph, couplings, S, x)
+    sub, subc, vmap = _stopped_subgraph(graph, couplings, S, side)
     rhs_site = 0.0
     for u in S:
         if u not in vmap:
@@ -200,20 +188,9 @@ def simon_lieb_suite(graph, couplings, x, y, S):
                        "cut S=%s, x=%d, y=%d" % (sorted(S), x, y),
                        lhs, rhs_site)]
 
-    # edge form: B = vertices reachable from x without leaving through S,
-    # interactions restricted to edges inside B
-    B = set()
-    stack = [x]
-    seen = {x}
-    while stack:
-        v = stack.pop()
-        B.add(v)
-        for e in graph.incident(v):
-            u = graph.other_end(e, v)
-            if u not in seen and u not in S:
-                seen.add(u)
-                stack.append(u)
-    B |= S
+    # edge form: B = the x-side of S plus S, interactions restricted to
+    # edges inside B
+    B = side | S
     inside = [e for e, (u, v) in enumerate(graph.edges)
               if u in B and v in B]
     restricted = couplings.with_depleted(
@@ -369,7 +346,7 @@ def fuzz_inequalities(n_trials=50, seed=0, max_vertices=6):
         batch += dss_suite(graph, couplings, 0, f)
         if n >= 3:
             x, y = 0, n - 1
-            if _is_cut(graph, [v for v in range(1, n - 1)], x, y):
+            if y not in _x_side(graph, frozenset(range(1, n - 1)), x):
                 batch += simon_lieb_suite(graph, couplings, x, y,
                                           range(1, n - 1))
         for rep in batch:

@@ -22,7 +22,6 @@ class ChainSpec:
     seed: int
     burn_in: int = 200
     sweeps: int = 2000
-    thinning: int = 1
 
 
 @dataclass
@@ -100,11 +99,10 @@ def metropolis_spin(graph, couplings, observables, fields=None, boundary=None,
     for _ in range(spec.burn_in):
         sweep()
     series = {name: [] for name in observables}
-    for t in range(spec.sweeps):
+    for _ in range(spec.sweeps):
         sweep()
-        if t % spec.thinning == 0:
-            for name, fn in observables.items():
-                series[name].append(fn(state))
+        for name, fn in observables.items():
+            series[name].append(fn(state))
     return {name: EstimatorResult(*_batch_stats(vals))
             for name, vals in series.items()}
 
@@ -147,11 +145,10 @@ def swendsen_wang(graph, couplings, observables, boundary=None,
     for _ in range(spec.burn_in):
         step()
     series = {name: [] for name in observables}
-    for t in range(spec.sweeps):
+    for _ in range(spec.sweeps):
         open_edges = step()
-        if t % spec.thinning == 0:
-            for name, fn in observables.items():
-                series[name].append(fn(state, open_edges))
+        for name, fn in observables.items():
+            series[name].append(fn(state, open_edges))
     return {name: EstimatorResult(*_batch_stats(vals))
             for name, vals in series.items()}
 
@@ -161,17 +158,15 @@ class AcceptanceError(RuntimeError):
 
 
 def current_rejection_sampler(graph, couplings, A, spec=ChainSpec(seed=0),
-                              n_samples=None, min_acceptance=1e-6,
-                              relaxed_boundary=None):
+                              n_samples=None, min_acceptance=1e-6):
     """Exact draws from the (parity, support) current measure with sources A.
 
     Each proposal draws every edge state independently with probabilities
     proportional to (1, sinh K, cosh K - 1) and accepts iff the odd-set
-    boundary matches A (or, with relaxed_boundary, matches A off that set).
-    Returns (list of EdgeStateConfig, acceptance rate).
+    boundary is A.  Returns (list of EdgeStateConfig, acceptance rate).
     """
     A = frozenset(A)
-    if len(A) % 2 and relaxed_boundary is None:
+    if len(A) % 2:
         raise AcceptanceError("odd source sets have acceptance zero")
     if n_samples is None:
         n_samples = spec.sweeps
@@ -179,7 +174,6 @@ def current_rejection_sampler(graph, couplings, A, spec=ChainSpec(seed=0),
     w = edge_weight_table(couplings)
     E = graph.n_edges
     probs = np.array([[x / sum(t) for x in t] for t in w])
-    boundary = frozenset(relaxed_boundary or ())
     samples = []
     proposals = 0
     probe = max(1000, 10 * n_samples)
@@ -187,7 +181,7 @@ def current_rejection_sampler(graph, couplings, A, spec=ChainSpec(seed=0),
         proposals += 1
         states = tuple(int(rng.choice(3, p=probs[e])) for e in range(E))
         cfg = EdgeStateConfig(graph, states)
-        if cfg.odd_vertices() - boundary == A:
+        if cfg.odd_vertices() == A:
             samples.append(cfg)
         if proposals >= probe and len(samples) / proposals < min_acceptance:
             raise AcceptanceError(

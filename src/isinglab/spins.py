@@ -20,9 +20,9 @@ Weight tables: an instance of at most _CHUNK rows (16 free spins) is
 enumerated once.  Its table stays in a least-recently-used store of _SLOTS
 entries (at most 1 MB), keyed by content: (n, edges, J, beta, per-vertex
 field totals h+g, clamped spins).  Mutating a Couplings or FieldSpec in
-place therefore misses the store rather than reading a stale table.  `cap`
-is checked before the lookup.  Larger instances stream chunk by chunk and
-are never retained.
+place therefore misses the store rather than reading a stale table.  The
+size cap DEFAULT_CAP is checked before the lookup.  Larger instances stream
+chunk by chunk and are never retained.
 
 Overflow and underflow: a chunk whose largest exponent E_max exceeds
 _MAX_EXPONENT is weighed as exp(E - c) with c = E_max - _MAX_EXPONENT, and
@@ -32,7 +32,8 @@ c = E_max.  Chunk sums are combined with the factors exp(c_k - max c).  As
 of at least e^-709, every sum stays finite and positive at any beta, and a
 chunk that needs no shift is weighed exactly as without one.  An
 expectation is a ratio, so the common factor cancels; a partition function
-outside the float64 range is returned as inf or 0.
+outside the float64 range is returned as inf or 0; partition_ratio divides
+two of them without forming either.
 """
 
 from __future__ import annotations
@@ -113,14 +114,14 @@ def _weigh(graph, couplings, fields, clamp, free):
         yield lo, w, math.fsum(w.tolist()), shift
 
 
-def _chunks(graph, couplings, fields, boundary, cap):
+def _chunks(graph, couplings, fields, boundary):
     """(clamp, free, chunks): the stored table of a small instance, or a
     generator over the chunks of a large one."""
     clamp = _clamped_from(boundary)
     free = [v for v in graph.vertices if v not in clamp]
-    if len(free) > cap:
+    if len(free) > DEFAULT_CAP:
         raise SizeError("2^%d spin configurations exceed the cap 2^%d"
-                        % (len(free), cap))
+                        % (len(free), DEFAULT_CAP))
     if (1 << len(free)) > _CHUNK:
         return clamp, free, _weigh(graph, couplings, fields, clamp, free)
     key = (graph.n, tuple(graph.edges), tuple(couplings.J), couplings.beta,
@@ -144,15 +145,36 @@ def _rescaled(sums, shifts):
     return [s * math.exp(c - top) for s, c in zip(sums, shifts)]
 
 
-def partition_function(graph, couplings, fields=None, boundary=None, cap=DEFAULT_CAP):
-    _, free, chunks = _chunks(graph, couplings, fields, boundary, cap)
+def _shifted_partition(graph, couplings, fields, boundary):
+    """(z, c) with Z = z * exp(c) and z finite and positive."""
+    _, free, chunks = _chunks(graph, couplings, fields, boundary)
     parts, shifts = [], []
     for _, _, total, shift in chunks:
         parts.append(total)
         shifts.append(shift)
-    z = math.fsum(_rescaled(parts, shifts)) / (1 << len(free))
+    return math.fsum(_rescaled(parts, shifts)) / (1 << len(free)), max(shifts)
+
+
+def partition_function(graph, couplings, fields=None, boundary=None):
+    z, shift = _shifted_partition(graph, couplings, fields, boundary)
     try:
-        return z * math.exp(max(shifts))
+        return z * math.exp(shift)
+    except OverflowError:
+        return math.inf
+
+
+def partition_ratio(graph, couplings_a, couplings_b, boundary_a=None,
+                    boundary_b=None):
+    """Z(couplings_a, boundary_a) / Z(couplings_b, boundary_b) at zero field.
+
+    The shifted sums are divided first and exp(c_a - c_b) is multiplied in
+    after, so no Z past the float range is ever formed; when neither sum
+    needed a shift the factor is exactly 1 and the result is the plain
+    quotient of the two partition functions, bit for bit."""
+    za, ca = _shifted_partition(graph, couplings_a, None, boundary_a)
+    zb, cb = _shifted_partition(graph, couplings_b, None, boundary_b)
+    try:
+        return za / zb * math.exp(ca - cb)
     except OverflowError:
         return math.inf
 
@@ -165,13 +187,13 @@ def _reduce_multiset(A):
     return [v for v, p in out.items() if p]
 
 
-def expectation(graph, couplings, A, fields=None, boundary=None, cap=DEFAULT_CAP):
+def expectation(graph, couplings, A, fields=None, boundary=None):
     """< prod_{x in A} sigma_x > ; A is a vertex multiset."""
     A = list(A)
     for v in A:
         if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
             raise ValueError("site %r is not a vertex of %r" % (v, graph))
-    clamp, free, chunks = _chunks(graph, couplings, fields, boundary, cap)
+    clamp, free, chunks = _chunks(graph, couplings, fields, boundary)
     bit = {v: j for j, v in enumerate(free)}
     mask, negative = 0, False
     for v in _reduce_multiset(A):
@@ -191,18 +213,18 @@ def expectation(graph, couplings, A, fields=None, boundary=None, cap=DEFAULT_CAP
     return math.fsum(_rescaled(num, shifts)) / math.fsum(_rescaled(den, shifts))
 
 
-def ursell4(graph, couplings, x1, x2, x3, x4, boundary=None, cap=DEFAULT_CAP):
+def ursell4(graph, couplings, x1, x2, x3, x4, boundary=None):
     """U4 = <1234> - <12><34> - <13><24> - <14><23>  (zero field)."""
     if len({x1, x2, x3, x4}) != 4:
         raise ValueError("ursell4 needs four distinct sites")
-    s4 = expectation(graph, couplings, [x1, x2, x3, x4], boundary=boundary, cap=cap)
-    p = lambda a, b: expectation(graph, couplings, [a, b], boundary=boundary, cap=cap)
+    s4 = expectation(graph, couplings, [x1, x2, x3, x4], boundary=boundary)
+    p = lambda a, b: expectation(graph, couplings, [a, b], boundary=boundary)
     return s4 - (p(x1, x2) * p(x3, x4) + p(x1, x3) * p(x2, x4)
                  + p(x1, x4) * p(x2, x3))
 
 
-def truncated_pair(graph, couplings, x, y, fields=None, boundary=None, cap=DEFAULT_CAP):
+def truncated_pair(graph, couplings, x, y, fields=None, boundary=None):
     """<sigma_x sigma_y> - <sigma_x><sigma_y>."""
-    return (expectation(graph, couplings, [x, y], fields, boundary, cap)
-            - expectation(graph, couplings, [x], fields, boundary, cap)
-            * expectation(graph, couplings, [y], fields, boundary, cap))
+    return (expectation(graph, couplings, [x, y], fields, boundary)
+            - expectation(graph, couplings, [x], fields, boundary)
+            * expectation(graph, couplings, [y], fields, boundary))

@@ -161,14 +161,14 @@ def test_backbone_completeness_and_properties():
     for _ in range(40):
         g, c = random_instance(rng, max_vertices=5, max_edges=8)
         x, y = rng.choice(g.n, 2, replace=False).tolist()
-        rep = backbone.check_path_properties(g, c, {x, y}, cap=8)
+        rep = backbone.check_path_properties(g, c, {x, y})
         assert rep["completeness"] <= 1e-10
         assert rep["rho_vs_grouping"] <= 1e-10
         assert rep["zeta_bounded"]
         assert rep["zeta_supermultiplicative_slack"] >= -1e-12
         assert rep["resummation"] <= 1e-10
         # dichotomy: rho vanishes exactly on inconsistent path tuples
-        groups = backbone.backbone_grouping(g, c, {x, y}, cap=8)
+        groups = backbone.backbone_grouping(g, c, {x, y})
         for paths in groups:
             assert backbone.walk_consistent(g, paths)
 

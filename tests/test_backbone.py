@@ -37,7 +37,7 @@ def test_completeness_fuzz(seed):
     rng = np.random.default_rng(seed)
     g, c = random_instance(rng, max_vertices=5, max_edges=8)
     x, y = rng.choice(g.n, 2, replace=False).tolist()
-    rep = backbone.check_path_properties(g, c, {x, y}, cap=8)
+    rep = backbone.check_path_properties(g, c, {x, y})
     assert rep["completeness"] <= 1e-10
     assert rep["rho_vs_grouping"] <= 1e-10
     assert rep["zeta_bounded"]

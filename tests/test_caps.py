@@ -1,0 +1,123 @@
+"""Size caps are module constants read at the one place that allocates.
+
+For each engine cap: the constant keeps its value, an instance one size past
+it raises SizeError before any work is done, and lowering the constant moves
+the boundary to the lowered value (that size still runs, the next one is
+refused).  No public callable of the package takes a `cap` argument.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import isinglab
+from isinglab import (backbone, currents, doubled, fk, gauge, graphs,
+                      inequalities, samplers, spins)
+from isinglab.gauge import PlaquetteComplex
+from isinglab.graphs import Couplings, Graph
+from isinglab.spins import SizeError
+
+
+def _path(n_edges):
+    g = Graph(n_edges + 1, [(i, i + 1) for i in range(n_edges)])
+    return g, Couplings(g, 1.0, 0.3)
+
+
+def _spin_sum(n_spins):
+    spins.partition_function(*_path(n_spins - 1))
+
+
+def _fk_sum(n_edges):
+    fk.fk_measure_expectation(*_path(n_edges), {})
+
+
+def _grouping(n_edges):
+    g, c = _path(n_edges)
+    backbone.backbone_grouping(g, c, {0, n_edges})
+
+
+def _double_direct(n_edges):
+    # 5^n_edges joint classes
+    doubled.double_sum_direct(*_path(n_edges), (), (), lambda state: 1.0)
+
+
+def _chain_sum(n_cells):
+    # the closed chains of 1 x 1 x n cells have dimension n
+    gauge.lgm_partition(PlaquetteComplex(3, (1, 1, n_cells)), 0.3)
+
+
+def _gauge_oracle(n_cells):
+    # 1 x 1 x n cells have 8 n + 4 edges
+    gauge.gauge_oracle_partition(PlaquetteComplex(3, (1, 1, n_cells)), 0.3)
+
+
+# module, constant, its value, engine, first refused size at that value,
+# a lowered value, the largest size that runs under it
+CAPS = [
+    (spins, "DEFAULT_CAP", 26, _spin_sum, 27, 4, 4),
+    (fk, "FK_EDGE_CAP", 20, _fk_sum, 21, 3, 3),
+    (backbone, "GROUPING_EDGE_CAP", 18, _grouping, 19, 3, 3),
+    (doubled, "DOUBLE_WORK_CAP", 40_000_000, _double_direct, 11, 125, 3),
+    (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
+    (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
+]
+IDS = [name for _, name, *_ in CAPS]
+
+
+@pytest.mark.parametrize("module, name, value, engine, refused, lowered, "
+                         "runs", CAPS, ids=IDS)
+def test_cap_boundary_is_kept(module, name, value, engine, refused, lowered,
+                              runs):
+    assert getattr(module, name) == value
+    with pytest.raises(SizeError):
+        engine(refused)
+
+
+@pytest.mark.parametrize("module, name, value, engine, refused, lowered, "
+                         "runs", CAPS, ids=IDS)
+def test_lowered_cap_moves_the_boundary(monkeypatch, module, name, value,
+                                        engine, refused, lowered, runs):
+    monkeypatch.setattr(module, name, lowered)
+    engine(runs)
+    with pytest.raises(SizeError):
+        engine(runs + 1)
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(isinglab.__path__):
+        module = importlib.import_module("isinglab." + info.name)
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__",
+                                               None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield module.__name__ + "." + attr, obj
+            elif inspect.isclass(obj):
+                for meth, fn in vars(obj).items():
+                    if inspect.isfunction(fn) and (meth == "__init__" or
+                                                   not meth.startswith("_")):
+                        yield "%s.%s.%s" % (module.__name__, attr, meth), fn
+
+
+def test_no_public_callable_takes_a_cap():
+    seen = dict(_public_callables())
+    assert "isinglab.spins.partition_function" in seen
+    assert "isinglab.gauge.PlaquetteComplex.__init__" in seen
+    takes_cap = [name for name, fn in seen.items()
+                 if "cap" in inspect.signature(fn).parameters]
+    assert takes_cap == []
+
+
+def test_single_valued_options_are_constants():
+    assert [f.name for f in dataclasses.fields(samplers.ChainSpec)] == [
+        "seed", "burn_in", "sweeps"]
+    for fn, param in ((doubled.double_sum_direct, "relaxed_boundary"),
+                      (doubled.double_event_probability, "relaxed_boundary"),
+                      (samplers.current_rejection_sampler, "relaxed_boundary"),
+                      (currents.truncated_flux_sum, "cutoff"),
+                      (inequalities.ghs_suite, "h_grid"),
+                      (graphs.generate_box_lattice, "boundary")):
+        assert param not in inspect.signature(fn).parameters

@@ -110,9 +110,10 @@ def test_weight_counts_cover_the_kernel():
     assert not shifted[0::2].any()   # |S| = 1 is odd
 
 
-def test_chain_cap_is_kept():
+def test_chain_cap_is_kept(monkeypatch):
+    monkeypatch.setattr(gauge, "CHAIN_CAP", 7)
     with pytest.raises(SizeError):
-        lgm_partition(PlaquetteComplex(3, (2, 2, 2)), 0.5, cap=7)
+        lgm_partition(PlaquetteComplex(3, (2, 2, 2)), 0.5)
 
 
 @pytest.mark.parametrize("cells", CELLS[:5])

@@ -342,3 +342,25 @@ def test_fewer_trials_than_batches_is_usage_error(capsys, what, trials):
     assert code == 2
     assert "--trials" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["exact", "tension", "--lattice", "box:d=2,L=3,4,bc=pm"],
+     "surface_tension"),
+    (["verify", "disorder", "--lattice", "box:d=2,L=3", "--trials", "3"],
+     "disorder_ratio"),
+    (["verify", "frustration", "--lattice", "box:d=2,L=3"], "z_ratio_ff"),
+    (["verify", "boundary", "--lattice", "box:d=2,L=3,bc=pm"],
+     "z_ratio_boundary"),
+    (["verify", "dobrushin", "--lattice", "box:d=2,L=3,5,bc=pm"],
+     "dobrushin_ratio"),
+])
+def test_spin_side_ratios_finite_at_large_beta(capsys, argv, quantity):
+    # every Z here is past the float range at beta 80 (these lhs were nan);
+    # the current sides still overflow, so only the spin side is checked
+    _, out, _ = run(capsys, *argv, "--beta", "80")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    lhs = [float(r[2]) for r in rows if r[1] == quantity]
+    assert lhs and all(math.isfinite(v) and v > 0 for v in lhs)
+    if quantity == "surface_tension":
+        assert rows[0][2:4] == ["160", "160"] and rows[0][6] == "true"

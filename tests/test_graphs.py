@@ -104,3 +104,21 @@ def test_induced_subgraph():
     assert sub.n == 3 and sub.n_edges == 2
     assert all(j == 1.0 for j in subc.J)
     assert set(vmap) == set(keep)
+
+
+@pytest.mark.parametrize("d, sides, axis", [
+    (2, (3, 3), 0), (2, (3, 5), 1), (2, (4, 3), 0), (2, (2, 4), 1),
+    (3, (3, 2, 2), 0), (3, (2, 3, 4), 1), (3, (2, 2, 3), 2),
+    (3, (2, 4, 2), 1)])
+def test_reflection_sides_are_oriented_by_the_plane(d, sides, axis):
+    box = BoxGraph(d, sides)
+    plane = (sides[axis] - 1) / 2.0
+    r = reflection_for_axis(box, Couplings(box, 1.0, 0.5), axis, plane)
+    coords = box.coords if r.graph is box else r.graph.coords
+    below = {v for v in r.graph.vertices if coords[v][axis] < plane}
+    above = {v for v in r.graph.vertices if coords[v][axis] > plane}
+    assert r.lambda1 == below and r.lambda2 == above
+    assert r.lambda0 == set(r.graph.vertices) - below - above
+    for side, edges in ((below, r.e1), (above, r.e2)):
+        assert edges == tuple(e for e, (u, v) in enumerate(r.graph.edges)
+                              if u in side or v in side)

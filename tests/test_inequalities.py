@@ -47,6 +47,25 @@ def test_simon_lieb_requires_cut():
     c = Couplings(g, 1.0, 0.5)
     with pytest.raises(ValueError):
         iq.simon_lieb_suite(g, c, 0, 2, {1})
+    # nothing separates x from itself, even with every neighbour in S
+    with pytest.raises(ValueError):
+        iq.simon_lieb_suite(g, c, 0, 0, {1, 2})
+
+
+def test_simon_lieb_sides_of_the_cut():
+    # x = 0 with a leaf 6; S = {2, 3} joined by an S-S edge; y = 5
+    g = Graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5),
+                  (0, 6)])
+    c = Couplings(g, [0.9, 0.5, 0.7, 0.4, 0.8, 0.6, 1.0, 0.3], 0.8)
+    site, edge = iq.simon_lieb_suite(g, c, 0, 5, {2, 3})
+    # the edge form's B is the x-side {0, 1, 6} plus S
+    assert edge.descriptor == "cut B=[0, 1, 2, 3, 6], x=0, y=5"
+    # G_{S,x}: the x-side and S, without the S-S edge (2, 3)
+    sub = Graph(5, [(0, 1), (1, 2), (1, 3), (0, 4)])
+    subc = Couplings(sub, [0.9, 0.5, 0.7, 0.3], 0.8)
+    rhs = sum(spins.expectation(sub, subc, [0, k])
+              * spins.expectation(g, c, [u, 5]) for k, u in ((2, 2), (3, 3)))
+    assert site.rhs == pytest.approx(rhs, rel=1e-14)
 
 
 def test_simon_lieb_tree_saturation():

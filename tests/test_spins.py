@@ -202,7 +202,7 @@ def test_bad_sites_raise_value_error():
         spins.ursell4(box, c, 0, 1, 2, -1)
 
 
-def test_table_never_stale():
+def test_table_never_stale(monkeypatch):
     box = BoxGraph(2, (3, 3))
     c = Couplings(box, [0.5 + 0.05 * e for e in range(box.n_edges)], 0.6)
     f = FieldSpec(box.n, h={0: 0.2}, g={3: -0.4})
@@ -232,10 +232,11 @@ def test_table_never_stale():
     # every change moved Z, so a stale table could not have agreed
     assert len(set(seen)) == 7
     # a stored table (6 free spins) still honours a smaller cap
+    monkeypatch.setattr(spins, "DEFAULT_CAP", 5)
     with pytest.raises(spins.SizeError):
-        spins.expectation(box, c, [4], f, b, cap=5)
+        spins.expectation(box, c, [4], f, b)
     with pytest.raises(spins.SizeError):
-        spins.partition_function(box, c, f, b, cap=5)
+        spins.partition_function(box, c, f, b)
 
 
 def test_repeated_calls_identical():
@@ -272,3 +273,54 @@ def test_table_retention_bound():
         spins.expectation(tri, Couplings(tri, 1.0, 0.1 * (k + 1)), [0, 1])
         assert len(spins._tables) <= spins._SLOTS
     assert len(spins._tables) == spins._SLOTS
+
+
+def _ratio_cases():
+    """(graph, couplings_a, couplings_b, boundary_a, boundary_b): the pairs
+    the package divides: signed J over |J|, flipped over plain couplings
+    and Dobrushin over all-plus boundaries."""
+    out = []
+    for sides in ((3, 3), (3, 4), (4, 4)):
+        box = BoxGraph(2, sides)
+        c = Couplings(box, [(-1) ** (e % 3) * (0.4 + 0.07 * e)
+                            for e in range(box.n_edges)], 0.45)
+        ferro = c.with_abs()
+        pm = box.dobrushin_boundary()
+        out += [(box, c, ferro, None, None),
+                (box, ferro.with_flipped([0, 2, 5]), ferro, None, None),
+                (box, ferro, ferro, pm, pm.all_plus()),
+                (box, c, c, pm, pm.all_plus())]
+    return out
+
+
+@pytest.mark.parametrize("g, ca, cb, ba, bb", _ratio_cases())
+def test_partition_ratio_is_the_plain_quotient(g, ca, cb, ba, bb):
+    assert spins.partition_ratio(g, ca, cb, ba, bb) == (
+        spins.partition_function(g, ca, boundary=ba)
+        / spins.partition_function(g, cb, boundary=bb))
+
+
+def test_partition_ratio_finite_past_the_float_range():
+    mpmath = pytest.importorskip("mpmath")
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 80.0)
+    pm = box.dobrushin_boundary()
+    flipped = c.with_flipped([0, 5])
+    # both partition functions are inf at beta 80, so the quotient is nan
+    assert math.isnan(spins.partition_function(box, flipped)
+                      / spins.partition_function(box, c))
+    with mpmath.workdps(50):
+        for ca, cb, ba, bb in ((flipped, c, None, None),
+                               (c, c, pm, pm.all_plus())):
+            _, za = _enumerate(box, ca, [], boundary=ba, mp=mpmath)
+            _, zb = _enumerate(box, cb, [], boundary=bb, mp=mpmath)
+            got = spins.partition_ratio(box, ca, cb, ba, bb)
+            assert 0.0 < got < 1e-60
+            assert got == pytest.approx(float(za / zb), rel=1e-12)
+
+
+def test_surface_tension_finite_at_large_beta():
+    from isinglab.doubled import surface_tension_ratio
+    box = BoxGraph(2, (3, 4))
+    # three bonds cross the interface, each costs 2 beta
+    assert surface_tension_ratio(box, Couplings(box, 1.0, 80.0)) == 160.0
