@@ -14,8 +14,7 @@ from .graphs import (BoundarySpec, BoxGraph, Couplings, FieldSpec, Graph,
                      parse_lattice_spec, reflection_for_axis,
                      serialize_graph)
 from .spins import expectation, partition_function, ursell4
-from .currents import (SourceConstraint, SupportView,
-                       correlation_via_currents, current_sum)
+from .currents import SupportView, correlation_via_currents, current_sum
 from .doubled import (boundary_magnetization, boundary_partition_ratio,
                       disorder_expectation, double_event_probability,
                       frustrated_correlation, frustrated_partition_ratio,

@@ -18,7 +18,8 @@ accordingly gives
 
 where Z' is the partition function with couplings removed on ghat and I is
 the consistency indicator (the walk replayed on gamma alone reproduces the
-tuple).
+tuple).  `backbone_grouping` therefore enumerates odd sets, not currents:
+the 2^E odd sets of `currents`, under its SINGLE_EDGE_CAP.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import (SourceConstraint, _trichotomy_chunks, _vertex_bits,
-                       _vertex_mask, current_sum)
-from .spins import SizeError
-from . import spins
-
-GROUPING_EDGE_CAP = 18   # 3^18 states; every kept weight row is held at once
+from . import currents, spins
 
 
 @dataclass(frozen=True)
@@ -148,39 +144,32 @@ def rho_weight(graph, couplings, paths):
 
 
 def backbone_grouping(graph, couplings, A):
-    """Definitional oracle: enumerate currents with sources A, group their
-    weights by backbone.  Returns dict paths-tuple -> weight / Z, keyed in
-    the order the enumeration first meets each backbone.
+    """Definitional oracle: enumerate the odd sets with odd vertices A and
+    group their signed weights by backbone.  Returns dict paths-tuple ->
+    weight / Z, keyed in the order the enumeration first meets each
+    backbone.
 
-    The walk and its sign depend only on the odd set, so each distinct odd
-    set is walked once.  Asserts along the way that rejected edges are
-    never odd.
+    The walk and its sign depend only on the odd set, and the enumeration
+    gives each odd set once, so each is walked once.  Asserts along the way
+    that rejected edges are never odd.  Both enumerations are bounded by
+    `currents.SINGLE_EDGE_CAP`.
     """
-    E = graph.n_edges
-    if E > GROUPING_EDGE_CAP:
-        raise SizeError("3^%d states exceed the grouping cap" % E)
     A = frozenset(A)
-    neg = couplings.negative_edges()
-    target = _vertex_mask(_vertex_bits(graph), A)
+    z = currents.current_sum(graph, couplings, ())
+    target = currents._vertex_mask(currents._vertex_bits(graph), A)
     terms = {}
     if target is not None:
-        kept_w, kept_odd = [], []
-        for w, parity, odd, sign in _trichotomy_chunks(graph, couplings):
-            rows = parity == target
-            kept_w.append(np.where(sign[rows], -w[rows], w[rows]))
-            kept_odd.append(odd[rows])
-        w, odd = np.concatenate(kept_w), np.concatenate(kept_odd)
-        masks, first, group = np.unique(odd, return_index=True,
-                                        return_inverse=True)
-        ws = np.split(w[np.argsort(group)], np.cumsum(np.bincount(group))[:-1])
-        for g in np.argsort(first, kind="stable"):
-            odd_set = frozenset(e for e in range(E) if int(masks[g]) >> e & 1)
-            paths = tuple(_walk(graph, odd_set, A))
-            for p in paths:
-                assert not (p.blocked - frozenset(p.edges)) & odd_set
-            terms.setdefault(paths, []).extend(ws[g].tolist())
-    z = current_sum(graph, couplings, SourceConstraint.exact(frozenset()),
-                    signed=bool(neg))
+        for w, parity, odd, sign in currents._odd_set_chunks(graph,
+                                                             couplings):
+            for r in np.flatnonzero(parity == target):
+                mask = int(odd[r])
+                odd_set = frozenset(e for e in range(graph.n_edges)
+                                    if mask >> e & 1)
+                paths = tuple(_walk(graph, odd_set, A))
+                for p in paths:
+                    assert not (p.blocked - frozenset(p.edges)) & odd_set
+                terms.setdefault(paths, []).append(
+                    -float(w[r]) if sign[r] else float(w[r]))
     return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
 
 

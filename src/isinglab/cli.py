@@ -447,8 +447,11 @@ def _cmd_sample(args):
             exact = single_support_expectations(
                 graph, c,
                 {"c": lambda labels: labels.connected(x, y)})["c"]
-            ss, acc = samplers.current_rejection_sampler(
-                graph, c, (), spec=spec, n_samples=args.trials)
+            try:
+                ss, acc = samplers.current_rejection_sampler(
+                    graph, c, (), spec=spec, n_samples=args.trials)
+            except samplers.AcceptanceError as exc:
+                raise UsageError(str(exc)) from exc
             vals = [1.0 if SupportView(graph, s.support).connected(x, y)
                     else 0.0 for s in ss]
             mean, stderr, n = samplers._batch_stats(vals)

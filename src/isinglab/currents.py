@@ -1,19 +1,18 @@
-"""Single random-current sums via the per-edge trichotomy.
+"""Single random-current sums over odd sets.
 
-A current n: E -> Z+ with weight prod (beta J)^n / n! is pushed forward onto
-its per-edge (parity, support) class:
+A current n: E -> Z+ with weight prod (beta J)^n / n! has per-edge parity
+classes: an even flux sums to cosh K, an odd one to sinh K, with K = beta |J|.
+A sum with no event sees only the parity, so the infinite flux sum collapses
+to a finite 2^|E| enumeration of odd sets (Aizenman 1982).  Signs of
+antiferromagnetic couplings are tracked separately: an odd set picks up
+(-1) for each negative edge in it.
 
-    Zero      weight 1
-    Odd       weight sinh K
-    EvenPos   weight cosh K - 1          with K = beta |J|.
+The trichotomy refines the even class by support: Zero (weight 1) and
+EvenPos (cosh K - 1).  `EdgeStateConfig` holds such a state for the
+rejection sampler, and `single_support_expectations` weighs supports by it.
 
-Every event in scope is measurable with respect to (parity, support), so the
-infinite flux sum collapses to a finite 3^|E| enumeration.  Signs of
-antiferromagnetic couplings are tracked separately: a configuration picks up
-(-1) for each Odd negative edge.
-
-The enumeration runs in numpy, in chunks of at most 3^10 states, in the
-order of a depth-first walk over the edges; every state's weight is the
+The enumeration runs in numpy, in chunks of at most 2^10 odd sets, in the
+order of a depth-first walk over the edges; every odd set's weight is the
 same left-to-right float product the walk would form, so sums over it do
 not depend on the chunking.  `backbone.backbone_grouping` reads the same
 chunks.
@@ -31,7 +30,7 @@ from .unionfind import UnionFind
 
 ZERO, ODD, EVENPOS = 0, 1, 2
 
-SINGLE_EDGE_CAP = 20
+SINGLE_EDGE_CAP = 20      # 2^20 odd sets (current sums and the grouping)
 SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single and double laws)
 SUPPORT_SIGMA_CAP = 20    # and a 2^20 sigma sum
 FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
@@ -39,30 +38,6 @@ FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
 
 class ConstraintError(ValueError):
     pass
-
-
-class SourceConstraint:
-    """Exact sources, or sources free on a boundary set."""
-
-    def __init__(self, mode, sources, boundary=frozenset()):
-        if mode not in ("exact", "relaxed"):
-            raise ValueError(mode)
-        sources = frozenset(sources)
-        if mode == "exact" and len(sources) % 2 == 1:
-            raise ConstraintError("odd source set %r" % (set(sources),))
-        if mode == "relaxed" and sources & frozenset(boundary):
-            raise ConstraintError("relaxed sources must lie off the boundary")
-        self.mode = mode
-        self.sources = sources
-        self.boundary = frozenset(boundary)
-
-    @classmethod
-    def exact(cls, A):
-        return cls("exact", A)
-
-    @classmethod
-    def relaxed_on_boundary(cls, A_interior, boundary):
-        return cls("relaxed", A_interior, boundary)
 
 
 @dataclass(frozen=True)
@@ -98,117 +73,111 @@ def edge_weight_table(couplings):
     return out
 
 
-_SUFFIX_EDGES = 10       # a chunk extends one prefix state over these
+_SUFFIX_EDGES = 10       # a chunk extends one prefix odd set over these
 
 
 def _vertex_bits(graph):
     """Bit of each touched vertex (an endpoint of some edge), in id order,
-    in the odd-vertex parity words of `_trichotomy_chunks`."""
+    in the odd-vertex parity words of `_odd_set_chunks`."""
     touched = sorted({v for uv in graph.edges for v in uv})
     return {v: 1 << i for i, v in enumerate(touched)}
 
 
 def _vertex_mask(bits, vertices):
     """Parity word of a vertex set; None if some vertex is untouched, as no
-    state then has it odd."""
+    odd set then has it odd."""
     if not frozenset(vertices) <= bits.keys():
         return None
     return sum(bits[v] for v in vertices)
 
 
-def _tripled(table, opts, op):
+def _extended(table, opts, op):
     return op(table[:, None], opts).ravel()
 
 
-def _trichotomy_chunks(graph, couplings):
-    """All trichotomy states, in the order of a depth-first recursion over
-    edges 0, 1, ..., E-1 that tries Zero, Odd, EvenPos at each edge and
-    leaves out an Odd (EvenPos) state of weight sinh K == 0 (cosh K - 1 ==
-    0).  Yields chunks (w, parity, odd, sign) of at most 3^_SUFFIX_EDGES
-    rows, one row per state:
+def _odd_set_chunks(graph, couplings):
+    """All odd sets, in the order of a depth-first recursion over edges 0,
+    1, ..., E-1 that tries even (weight cosh K), then odd (sinh K) at each
+    edge and leaves out an odd edge of weight sinh K == 0.  Returns an
+    iterator of chunks (w, parity, odd, sign) of at most 2^_SUFFIX_EDGES
+    rows, one row per odd set:
 
-        w        the left-to-right product 1.0 * w_0[s_0] * w_1[s_1] ...
+        w        the left-to-right product 1.0 * w_0 * w_1 ...
         parity   the odd vertices, as bits of `_vertex_bits`
-        odd      bit e set iff edge e is Odd
-        sign     parity of the Odd negative edges
+        odd      bit e set iff edge e is odd
+        sign     parity of the odd negative edges
 
     The first E - k edges (k = _SUFFIX_EDGES) make a prefix table; each
-    chunk extends one prefix row over the last k edges by tripling, so
+    chunk extends one prefix row over the last k edges by doubling, so
     every weight is built by the same float products as the recursion.
+    SINGLE_EDGE_CAP is checked before any table is built.
     """
     E = graph.n_edges
-    weights = edge_weight_table(couplings)
+    if E > SINGLE_EDGE_CAP:
+        raise SizeError("2^%d odd sets exceed the cap" % E)
     negative = couplings.negative_edges()
     bits = _vertex_bits(graph)
     opts = []
     for e, (u, v) in enumerate(graph.edges):
-        states = [ZERO] + [s for s in (ODD, EVENPOS) if weights[e][s] != 0.0]
-        flip = bits[u] | bits[v]
-        opts.append((
-            np.array([weights[e][s] for s in states]),
-            np.array([flip if s == ODD else 0 for s in states], np.int64),
-            np.array([1 << e if s == ODD else 0 for s in states], np.int64),
-            np.array([s == ODD and e in negative for s in states])))
+        K = couplings.K_abs(e)
+        n = 2 if math.sinh(K) else 1      # even, then odd unless weight 0
+        opts.append((np.array([math.cosh(K), math.sinh(K)][:n]),
+                     np.array([0, bits[u] | bits[v]][:n], np.int64),
+                     np.array([0, 1 << e][:n], np.int64),
+                     np.array([False, e in negative][:n])))
     ops = (np.multiply, np.bitwise_xor, np.bitwise_or, np.bitwise_xor)
     split = max(0, E - _SUFFIX_EDGES)
 
     def table(edges):
         cols = [np.array([x]) for x in (1.0, 0, 0, False)]
         for e in edges:
-            cols = [_tripled(c, o, op) for c, o, op in zip(cols, opts[e], ops)]
+            cols = [_extended(c, o, op)
+                    for c, o, op in zip(cols, opts[e], ops)]
         return cols
 
     prefix = table(range(split))
     suffix = table(range(split, E))
-    for i in range(len(prefix[0])):
+
+    def chunk(i):
         w = prefix[0][i:i + 1]
         for e in range(split, E):
-            w = _tripled(w, opts[e][0], np.multiply)
-        yield (w,) + tuple(op(p[i], s) for p, s, op
-                           in zip(prefix[1:], suffix[1:], ops[1:]))
+            w = _extended(w, opts[e][0], np.multiply)
+        return (w,) + tuple(op(p[i], s) for p, s, op
+                            in zip(prefix[1:], suffix[1:], ops[1:]))
+
+    return map(chunk, range(len(prefix[0])))
 
 
-def current_sum(graph, couplings, constraint, signed=False):
-    """Sum of trichotomy weights over states meeting the source constraint.
-
-    With exact empty sources and unsigned this equals the spin-oracle
-    partition function (for ferromagnetic J); the signed variant multiplies
-    each term by (-1)^{Odd flux over the negative edges}.
-    """
-    E = graph.n_edges
-    if E > SINGLE_EDGE_CAP:
-        raise SizeError("3^%d current states exceed the cap" % E)
-    bits = _vertex_bits(graph)
-    target = _vertex_mask(bits, constraint.sources)
+def current_sum(graph, couplings, A):
+    """Signed sum of the currents with sources A: each odd set with odd
+    vertices A weighs prod_odd sinh K * prod_even cosh K, times (-1) for
+    each negative edge in it.  With no sources this is the partition
+    function 2^-n sum_sigma e^{-H(sigma)}."""
+    A = frozenset(A)
+    if len(A) % 2:
+        raise ConstraintError("odd source set %r" % (set(A),))
+    chunks = _odd_set_chunks(graph, couplings)   # the cap holds for any A
+    target = _vertex_mask(_vertex_bits(graph), A)
     if target is None:
         return 0.0
-    free = -1
-    if constraint.mode == "relaxed":
-        free = ~_vertex_mask(bits, [v for v in constraint.boundary
-                                    if v in bits])
     terms = []
-    for w, parity, _, sign in _trichotomy_chunks(graph, couplings):
-        rows = (parity & free) == target
-        t = w[rows]
-        terms.append(np.where(sign[rows], -t, t) if signed else t)
+    for w, parity, _, sign in chunks:
+        rows = parity == target
+        terms.append(np.where(sign[rows], -w[rows], w[rows]))
     return _fsum(terms)
 
 
 def correlation_via_currents(graph, couplings, A):
     """<sigma_A> as a ratio of source-constrained current sums."""
-    A = frozenset(A)
-    signed = not couplings.is_ferromagnetic
-    num = current_sum(graph, couplings, SourceConstraint.exact(A),
-                      signed=signed)
-    den = current_sum(graph, couplings, SourceConstraint.exact(frozenset()),
-                      signed=signed)
-    return num / den
+    return (current_sum(graph, couplings, A)
+            / current_sum(graph, couplings, ()))
 
 
 def truncated_flux_sum(graph, couplings, A):
-    """Independent oracle for the trichotomy: sum w(n) over integer currents
-    with per-edge flux <= FLUX_CUTOFF and exact sources A, via truncated
-    series of cosh/sinh split by flux parity."""
+    """Independent oracle for the unsigned odd-set sums and the trichotomy
+    pushforward: sum w(n) over integer currents with per-edge flux <=
+    FLUX_CUTOFF and exact sources A, via truncated series of cosh/sinh split
+    by flux parity.  It weighs by K = beta |J| with no sign."""
     A = frozenset(A)
     if len(A) % 2:
         raise ConstraintError("odd source set")

@@ -272,11 +272,8 @@ def disorder_expectation(graph, couplings, flip_set):
     combined-support cycle crosses the flip set an odd number of times."""
     if not couplings.is_ferromagnetic:
         raise ValueError("disorder_expectation expects ferromagnetic J")
-    flip = frozenset(flip_set)
-    out = double_support_expectations(
-        graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": lambda labels: labels.is_ff(flip)})
-    return out["ff"]
+    return frustrated_partition_ratio(
+        graph, couplings.with_flipped(frozenset(flip_set)))
 
 
 @dataclass

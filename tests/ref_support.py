@@ -105,9 +105,3 @@ class RefSupportView(SupportView):
             return 0.0
         return -1.0 if p else 1.0
 
-
-def satisfied_by(constraint, odd_vertices):
-    """Whether a state with these odd vertices meets a SourceConstraint."""
-    if constraint.mode == "exact":
-        return frozenset(odd_vertices) == constraint.sources
-    return frozenset(odd_vertices) - constraint.boundary == constraint.sources

@@ -13,10 +13,10 @@ from isinglab.graphs import (BoundarySpec, BoxGraph, Couplings, FieldSpec,
                              Graph, reflection_for_axis)
 from isinglab import (backbone, doubled, fk, folding, gauge, inequalities,
                       samplers, spins)
-from isinglab.currents import SourceConstraint, current_sum, truncated_flux_sum
+from isinglab.currents import current_sum, truncated_flux_sum
 
 
-# -- 1: the 3-state edge pushforward agrees with integer flux sums ----------
+# -- 1: the odd-set current sums agree with integer flux sums --------------
 
 def test_trichotomy_exactness():
     rng = np.random.default_rng(101)
@@ -25,7 +25,8 @@ def test_trichotomy_exactness():
         V = list(g.vertices)
         A = frozenset() if rng.random() < 0.5 else \
             frozenset(rng.choice(V, 2, replace=False).tolist())
-        lhs = current_sum(g, c, SourceConstraint.exact(A))
+        # the flux sum weighs by |J| with no sign
+        lhs = current_sum(g, c.with_abs(), A)
         rhs = truncated_flux_sum(g, c, A)
         assert abs(lhs - rhs) <= 1e-10
 

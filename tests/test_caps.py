@@ -34,6 +34,10 @@ def _fk_sum(n_edges):
     fk.fk_measure_expectation(*_path(n_edges), {})
 
 
+def _current_sum(n_edges):
+    currents.current_sum(*_path(n_edges), {0, n_edges})
+
+
 def _grouping(n_edges):
     g, c = _path(n_edges)
     backbone.backbone_grouping(g, c, {0, n_edges})
@@ -59,12 +63,15 @@ def _gauge_oracle(n_cells):
 CAPS = [
     (spins, "DEFAULT_CAP", 26, _spin_sum, 27, 4, 4),
     (fk, "FK_EDGE_CAP", 20, _fk_sum, 21, 3, 3),
-    (backbone, "GROUPING_EDGE_CAP", 18, _grouping, 19, 3, 3),
+    (currents, "SINGLE_EDGE_CAP", 20, _current_sum, 21, 3, 3),
+    (currents, "SINGLE_EDGE_CAP", 20, _grouping, 21, 3, 3),
     (doubled, "DOUBLE_WORK_CAP", 40_000_000, _double_direct, 11, 125, 3),
     (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
     (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
 ]
-IDS = [name for _, name, *_ in CAPS]
+# one constant bounds both odd-set enumerations
+IDS = [name + ("-" + engine.__name__[1:] if module is currents else "")
+       for module, name, _, engine, *_ in CAPS]
 
 
 @pytest.mark.parametrize("module, name, value, engine, refused, lowered, "
@@ -119,5 +126,24 @@ def test_single_valued_options_are_constants():
                       (samplers.current_rejection_sampler, "relaxed_boundary"),
                       (currents.truncated_flux_sum, "cutoff"),
                       (inequalities.ghs_suite, "h_grid"),
-                      (graphs.generate_box_lattice, "boundary")):
+                      (graphs.generate_box_lattice, "boundary"),
+                      (currents.current_sum, "signed")):
         assert param not in inspect.signature(fn).parameters
+    for module, name in ((currents, "SourceConstraint"),
+                         (isinglab, "SourceConstraint"),
+                         (currents, "_trichotomy_chunks"),
+                         (backbone, "GROUPING_EDGE_CAP")):
+        assert not hasattr(module, name)
+
+
+def test_odd_set_cap_is_checked_before_allocating(monkeypatch):
+    # both entry points reach the one check in the enumerator before any
+    # table exists
+    def no_tables(*args):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(currents, "_vertex_bits", no_tables)
+    monkeypatch.setattr(currents, "_extended", no_tables)
+    for engine in (_current_sum, _grouping):
+        with pytest.raises(SizeError):
+            engine(21)

@@ -334,6 +334,16 @@ def test_currents_sample_past_the_support_caps_is_usage_error(capsys):
     assert out == ""
 
 
+def test_currents_sample_that_accepts_nothing_is_usage_error(capsys):
+    # the rejection sampler's probe accepts none of its 1000 proposals here
+    code, out, err = run(capsys, "sample", "currents", "--lattice",
+                         "box:d=2,L=3,4", "--beta", "0.8", "--sites", "0,11",
+                         "--seed", "1")
+    assert code == 2
+    assert err.startswith("error: acceptance")
+    assert out == ""
+
+
 @pytest.mark.parametrize("what", ["metropolis", "sw", "currents"])
 @pytest.mark.parametrize("trials", ["0", "5"])
 def test_fewer_trials_than_batches_is_usage_error(capsys, what, trials):

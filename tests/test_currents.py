@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_instance
 from isinglab.graphs import BoxGraph, Couplings, Graph
 from isinglab import spins
-from isinglab.currents import (ConstraintError, SourceConstraint,
-                               SupportView, correlation_via_currents, current_sum,
+from isinglab.currents import (ConstraintError, SupportView,
+                               correlation_via_currents, current_sum,
                                single_support_expectations,
                                truncated_flux_sum)
 from isinglab.spins import SizeError
@@ -18,9 +18,9 @@ from ref_support import RefSupportView
 def test_single_edge_partition():
     g = Graph(2, [(0, 1)])
     c = Couplings(g, 1.0, 0.7)
-    z = current_sum(g, c, SourceConstraint.exact(frozenset()))
+    z = current_sum(g, c, ())
     assert z == pytest.approx(math.cosh(0.7))
-    z2 = current_sum(g, c, SourceConstraint.exact(frozenset({0, 1})))
+    z2 = current_sum(g, c, {0, 1})
     assert z2 == pytest.approx(math.sinh(0.7))
 
 
@@ -34,19 +34,7 @@ def test_correlation_matches_spin_oracle(triangle):
 def test_odd_sources_rejected(triangle):
     c = Couplings(triangle, 1.0, 0.5)
     with pytest.raises(ConstraintError):
-        SourceConstraint.exact(frozenset({0}))
-
-
-def test_relaxed_boundary_equals_clamped_oracle():
-    # relaxing the source constraint on a vertex set is the same as summing
-    # the spin model with those spins clamped (up to normalization), so the
-    # ratio of relaxed current sums matches a ratio of clamped partition fns
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    c = Couplings(g, 1.0, 0.6)
-    relax = SourceConstraint.relaxed_on_boundary(frozenset(), frozenset({0, 2}))
-    z_relax = current_sum(g, c, relax)
-    z_exact = current_sum(g, c, SourceConstraint.exact(frozenset()))
-    assert z_relax >= z_exact
+        current_sum(triangle, c, {0})
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -58,14 +46,14 @@ def test_trichotomy_vs_truncated_flux(seed):
     V = list(g.vertices)
     A = frozenset() if rng.random() < 0.5 else \
         frozenset(rng.choice(V, 2, replace=False).tolist())
-    lhs = current_sum(g, c, SourceConstraint.exact(A))
+    lhs = current_sum(g, c, A)
     rhs = truncated_flux_sum(g, c, A)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_event_weighting_is_support_measurable(triangle):
     c = Couplings(triangle, 1.0, 0.5)
-    z = current_sum(triangle, c, SourceConstraint.exact(frozenset()))
+    z = current_sum(triangle, c, ())
     out = single_support_expectations(
         triangle, c, {"c": lambda labels: labels.connected(0, 1)})
     assert 0.0 < out["c"] < 1.0

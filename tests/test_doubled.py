@@ -116,6 +116,19 @@ def test_disorder_identity_fuzz(seed):
         lhs, abs=1e-10)
 
 
+def test_disorder_with_zero_couplings_in_the_flip_set():
+    # a flipped J = 0 edge is -0.0, not negative, and never in a support
+    box = BoxGraph(2, (3, 3))
+    rng = np.random.default_rng(4)
+    J = [float(j) for j in rng.uniform(0.5, 1.5, box.n_edges)]
+    J[2] = J[7] = 0.0
+    c = Couplings(box, J, 0.6)
+    for flip in ([2], [0, 2, 7], [1, 4, 9]):
+        want = spins.partition_ratio(box, c.with_flipped(flip), c)
+        assert doubled.disorder_expectation(box, c, flip) == pytest.approx(
+            want, rel=1e-12)
+
+
 def _pm_box(sides, beta):
     box = BoxGraph(2, sides)
     c = Couplings(box, 1.0, beta)

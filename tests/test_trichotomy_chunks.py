@@ -1,9 +1,15 @@
-"""`current_sum` and `backbone_grouping` enumerate the 3^E trichotomy states
-in numpy chunks.  The per-state recursions they replaced are kept here as
-the reference: every sum and every backbone group must come out the same,
-compared by repr.  The recursion also keeps its per-state event, the
-reference for the connection probability of the single-current support
-law."""
+"""`current_sum` and `backbone_grouping` enumerate the 2^E odd sets in numpy
+chunks.  Two per-state recursions are kept here as references:
+
+- the two-state recursion (even: cosh K, odd: sinh K) forms the same
+  left-to-right products, so every sum and every backbone group must come
+  out the same, compared by repr;
+- the three-state recursion (Zero, Odd, EvenPos) is the trichotomy
+  pushforward the odd sets sum up; its sums agree to rounding, and its
+  grouping has the same backbones in the same order.  It also keeps its
+  per-state event, the reference for the connection probability of the
+  single-current support law.
+"""
 
 import math
 
@@ -15,18 +21,66 @@ from conftest import random_instance
 from isinglab import backbone, currents
 from isinglab.backbone import _walk, extract_backbone
 from isinglab.currents import (EVENPOS, ODD, ZERO, EdgeStateConfig,
-                               SourceConstraint, SupportView,
-                               correlation_via_currents, current_sum,
-                               edge_weight_table, single_support_expectations)
+                               SupportView, correlation_via_currents,
+                               current_sum, edge_weight_table,
+                               single_support_expectations)
 from isinglab.graphs import BoxGraph, Couplings, Graph
-from ref_support import satisfied_by
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-state recursions
+# reference: the two-state recursion over odd sets
 
 
-def _ref_current_sum(graph, couplings, constraint, signed=False, event=None):
+def _odd_sets(graph, couplings):
+    """(odd edges, signed weight) of every odd set of nonzero weight, in
+    depth-first order: even before odd at each edge."""
+    E = graph.n_edges
+    neg = couplings.negative_edges()
+    out = []
+
+    def rec(e, w, odd):
+        if e == E:
+            out.append((frozenset(odd), -w if len(neg & set(odd)) % 2 else w))
+            return
+        K = couplings.K_abs(e)
+        rec(e + 1, w * math.cosh(K), odd)
+        if math.sinh(K):
+            rec(e + 1, w * math.sinh(K), odd + [e])
+
+    rec(0, 1.0, [])
+    return out
+
+
+def _odd_vertices(graph, odd):
+    deg = [0] * graph.n
+    for e in odd:
+        for v in graph.edges[e]:
+            deg[v] ^= 1
+    return frozenset(v for v in range(graph.n) if deg[v])
+
+
+def _two_state_sum(graph, couplings, A):
+    A = frozenset(A)
+    return math.fsum(w for odd, w in _odd_sets(graph, couplings)
+                     if _odd_vertices(graph, odd) == A)
+
+
+def _two_state_grouping(graph, couplings, A):
+    A = frozenset(A)
+    terms = {}
+    for odd, w in _odd_sets(graph, couplings):
+        if _odd_vertices(graph, odd) == A:
+            terms.setdefault(tuple(_walk(graph, odd, A)), []).append(w)
+    z = _two_state_sum(graph, couplings, ())
+    return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# reference: the three-state recursion over trichotomy states
+
+
+def _three_state_terms(graph, couplings, A, event=None):
+    A = frozenset(A)
     E = graph.n_edges
     weights = edge_weight_table(couplings)
     sign_edges = couplings.negative_edges()
@@ -37,11 +91,9 @@ def _ref_current_sum(graph, couplings, constraint, signed=False, event=None):
     def rec(e, w, parity, neg_parity):
         if e == E:
             odd = frozenset(v for v in range(graph.n) if parity & (1 << v))
-            if not satisfied_by(constraint, odd):
+            if odd != A:
                 return
-            t = w
-            if signed and (neg_parity & 1):
-                t = -t
+            t = -w if neg_parity & 1 else w
             if event is not None:
                 cfg = EdgeStateConfig(graph, tuple(states))
                 ev = event(cfg)
@@ -65,10 +117,14 @@ def _ref_current_sum(graph, couplings, constraint, signed=False, event=None):
         states[e] = ZERO
 
     rec(0, 1.0, 0, 0)
-    return math.fsum(terms)
+    return terms
 
 
-def _ref_backbone_grouping(graph, couplings, A):
+def _three_state_sum(graph, couplings, A, event=None):
+    return math.fsum(_three_state_terms(graph, couplings, A, event))
+
+
+def _three_state_grouping(graph, couplings, A):
     E = graph.n_edges
     A = frozenset(A)
     weights = edge_weight_table(couplings)
@@ -96,14 +152,12 @@ def _ref_backbone_grouping(graph, couplings, A):
             states.pop()
 
     rec(0, 1.0, [])
-    z = _ref_current_sum(graph, couplings,
-                         SourceConstraint.exact(frozenset()),
-                         signed=bool(neg))
+    z = _three_state_sum(graph, couplings, ())
     return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
 
 
 # ---------------------------------------------------------------------------
-# instances
+# instances and comparisons
 
 
 def _box(sides, signed, seed):
@@ -114,54 +168,50 @@ def _box(sides, signed, seed):
     return g, Couplings(g, J, 0.6)
 
 
-def _constraints(g):
+def _source_sets(g):
     last = g.n - 1
-    return [SourceConstraint.exact(frozenset()),
-            SourceConstraint.exact({0, last}),
-            SourceConstraint.exact({0, 1, last - 1, last}),
-            SourceConstraint.relaxed_on_boundary(frozenset(), {0, last}),
-            SourceConstraint.relaxed_on_boundary({1}, {0, last})]
+    return [(), (0, last), (0, 1, last - 1, last)]
 
 
-def _assert_sums_match(g, c, constraint):
-    for signed in (False, True):
-        got = current_sum(g, c, constraint, signed=signed)
-        want = _ref_current_sum(g, c, constraint, signed=signed)
-        assert repr(got) == repr(want)
+def _assert_sum_matches(g, c, A):
+    got = current_sum(g, c, A)
+    assert repr(got) == repr(_two_state_sum(g, c, A))
+    # relative to sum |t|: a signed sum may cancel to near zero
+    terms = _three_state_terms(g, c, A)
+    scale = math.fsum(abs(t) for t in terms)
+    assert abs(got - math.fsum(terms)) <= 1e-13 * scale
 
 
-def _assert_groupings_match(g, c, A):
+def _assert_grouping_matches(g, c, A):
     got = backbone.backbone_grouping(g, c, A)
-    want = _ref_backbone_grouping(g, c, A)
-    assert repr(list(got.items())) == repr(list(want.items()))
+    assert repr(list(got.items())) == repr(
+        list(_two_state_grouping(g, c, A).items()))
+    pushed = _three_state_grouping(g, c, A)
+    assert list(got) == list(pushed)
+    for paths, w in got.items():
+        assert w == pytest.approx(pushed[paths], rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("sides", [(2, 3), (3, 2), (2, 4)])
 @pytest.mark.parametrize("signed", [False, True])
 def test_box_sums_and_groupings_match_recursion(sides, signed):
     g, c = _box(sides, signed, seed=sum(sides) + signed)
-    for constraint in _constraints(g):
-        _assert_sums_match(g, c, constraint)
+    for A in _source_sets(g):
+        _assert_sum_matches(g, c, A)
     last = g.n - 1
     for A in ({0, last}, {0, 1, last - 1, last}, {0, 1, 2}):
-        _assert_groupings_match(g, c, A)
+        _assert_grouping_matches(g, c, A)
     assert repr(correlation_via_currents(g, c, {0, last})) == repr(
-        _ref_current_sum(g, c, SourceConstraint.exact({0, last}),
-                         signed=signed)
-        / _ref_current_sum(g, c, SourceConstraint.exact(frozenset()),
-                           signed=signed))
+        _two_state_sum(g, c, {0, last}) / _two_state_sum(g, c, ()))
 
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_3x3_matches_recursion_across_chunks(signed):
-    # 12 edges: nine chunks, each one prefix state over the last 10 edges
+    # 12 edges: four chunks, each one prefix odd set over the last 10 edges
     g, c = _box((3, 3), signed, seed=33 + signed)
-    got = current_sum(g, c, SourceConstraint.exact({0, 8}), signed=signed)
-    want = _ref_current_sum(g, c, SourceConstraint.exact({0, 8}),
-                            signed=signed)
-    assert repr(got) == repr(want)
+    _assert_sum_matches(g, c, {0, 8})
     if signed:
-        _assert_groupings_match(g, c, {0, 8})
+        _assert_grouping_matches(g, c, {0, 8})
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 3, 10]))
@@ -173,46 +223,63 @@ def test_fuzz_signed_graphs_match_recursion(seed, suffix_edges):
     g, c = random_instance(rng, max_vertices=5, max_edges=8, ferro=False)
     V = list(g.vertices)
     A = frozenset(rng.choice(V, 2, replace=False).tolist())
-    B = frozenset(rng.choice(V, 2, replace=False).tolist())
     saved = currents._SUFFIX_EDGES
     currents._SUFFIX_EDGES = suffix_edges
     try:
-        for constraint in (SourceConstraint.exact(frozenset()),
-                           SourceConstraint.exact(A),
-                           SourceConstraint.relaxed_on_boundary(A - B, B)):
-            _assert_sums_match(g, c, constraint)
-        _assert_groupings_match(g, c, A)
+        _assert_sum_matches(g, c, ())
+        _assert_sum_matches(g, c, A)
+        _assert_grouping_matches(g, c, A)
     finally:
         currents._SUFFIX_EDGES = saved
 
 
 def test_high_vertex_ids_isolated_vertices_and_zero_weight_edge():
     # ids past 63 and isolated vertices: parity bits number touched
-    # vertices only; J = 0 leaves Odd and EvenPos out of that edge
+    # vertices only; J = 0 leaves the odd state of that edge out
     g = Graph(70, [(0, 1), (1, 65), (65, 66), (0, 66), (1, 66), (3, 65)])
     c = Couplings(g, [0.7, -0.4, 0.9, 0.0, 0.5, 1.1], 0.8)
-    for constraint in (SourceConstraint.exact(frozenset()),
-                       SourceConstraint.exact({0, 65}),
-                       SourceConstraint.exact({3, 66}),
-                       SourceConstraint.exact({2, 65}),     # 2 is isolated
-                       SourceConstraint.relaxed_on_boundary({0}, {65, 69}),
-                       SourceConstraint.relaxed_on_boundary({69}, {65})):
-        _assert_sums_match(g, c, constraint)
+    for A in ((), (0, 65), (3, 66), (2, 65)):     # 2 is isolated
+        _assert_sum_matches(g, c, A)
     for A in ({0, 65}, {1, 3, 65, 66}, {2, 65}, {69, 0}):
-        _assert_groupings_match(g, c, A)
-    assert current_sum(g, c, SourceConstraint.exact({2, 65})) == 0.0
+        _assert_grouping_matches(g, c, A)
+    assert current_sum(g, c, {2, 65}) == 0.0
+    assert backbone.backbone_grouping(g, c, {2, 65}) == {}
 
 
 def test_zero_beta_and_edgeless_graphs():
     g = Graph(3, [(0, 1), (1, 2)])
     c = Couplings(g, 1.0, 0.0)
-    _assert_sums_match(g, c, SourceConstraint.exact(frozenset()))
-    _assert_sums_match(g, c, SourceConstraint.exact({0, 2}))
-    _assert_groupings_match(g, c, {0, 2})
+    _assert_sum_matches(g, c, ())
+    _assert_sum_matches(g, c, {0, 2})
+    _assert_grouping_matches(g, c, {0, 2})
     empty = Graph(2, [])
     c0 = Couplings(empty, 1.0, 0.5)
-    assert current_sum(empty, c0, SourceConstraint.exact(frozenset())) == 1.0
-    _assert_sums_match(empty, c0, SourceConstraint.exact({0, 1}))
+    assert current_sum(empty, c0, ()) == 1.0
+    _assert_sum_matches(empty, c0, {0, 1})
+
+
+@pytest.mark.parametrize("sides", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("sources", ["none", "corners"])
+def test_signed_sums_match_mpmath(sides, sources):
+    # current_sum(A) = 2^-n sum_sigma sigma_A prod_e exp(beta J_e s_u s_v),
+    # summed over spins at 40 digits: a route that shares nothing with
+    # the odd sets
+    mpmath = pytest.importorskip("mpmath")
+    g, c = _box(sides, True, seed=sum(sides))
+    A = () if sources == "none" else (0, g.n - 1)
+    with mpmath.workdps(40):
+        factor = [{s: mpmath.exp(mpmath.mpf(c.beta) * mpmath.mpf(J) * s)
+                   for s in (-1, 1)} for J in c.J]
+        total = mpmath.mpf(0)
+        for r in range(1 << g.n):
+            s = [1 - 2 * (r >> v & 1) for v in range(g.n)]
+            t = mpmath.mpf(math.prod(s[v] for v in A))
+            for e, (u, v) in enumerate(g.edges):
+                t *= factor[e][s[u] * s[v]]
+            total += t
+        want = total / 2 ** g.n
+    got = current_sum(g, c, A)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("beta", [0.2, 0.35, 0.9])
@@ -229,37 +296,40 @@ def test_single_law_connection_matches_recursion(sides, sites, beta):
     x, y = sites
     got = single_support_expectations(
         g, c, {"c": lambda labels: labels.connected(x, y)})["c"]
-    constraint = SourceConstraint.exact(frozenset())
-    num = _ref_current_sum(g, c, constraint, event=lambda cfg: SupportView(
+    unsigned = c.with_abs()
+    num = _three_state_sum(g, unsigned, (), event=lambda cfg: SupportView(
         g, cfg.support).connected(x, y))
-    assert got == pytest.approx(num / _ref_current_sum(g, c, constraint),
+    assert got == pytest.approx(num / _three_state_sum(g, unsigned, ()),
                                 rel=1e-12, abs=0)
 
 
 def test_chunks_visit_states_in_recursion_order():
     g, c = _box((2, 2), True, seed=3)
     E = g.n_edges
-    weights = edge_weight_table(c)
-    seen = []
-    _ref_current_sum(g, c, SourceConstraint.relaxed_on_boundary(
-        frozenset(), set(g.vertices)), event=lambda cfg: seen.append(cfg)
-        or True)
+    neg = c.negative_edges()
+    bits = currents._vertex_bits(g)
     saved = currents._SUFFIX_EDGES
     currents._SUFFIX_EDGES = 2
     try:
-        chunks = list(currents._trichotomy_chunks(g, c))
+        chunks = list(currents._odd_set_chunks(g, c))
     finally:
         currents._SUFFIX_EDGES = saved
-    assert len(chunks) == 3 ** (E - 2)
-    w = np.concatenate([ch[0] for ch in chunks])
-    odd = np.concatenate([ch[2] for ch in chunks])
-    assert len(w) == len(seen) == 3 ** E
-    for i, cfg in enumerate(seen):
-        assert odd[i] == sum(1 << e for e in cfg.odd_edges)
-        want = 1.0
-        for e, s in enumerate(cfg.states):
-            want *= weights[e][s]
-        assert float(w[i]) == want
+    assert len(chunks) == 2 ** (E - 2)
+    w, parity, odd, sign = (np.concatenate(col) for col in zip(*chunks))
+    seen = _odd_sets(g, c)
+    assert len(w) == len(seen) == 2 ** E
+    for i, (odd_set, want) in enumerate(seen):
+        assert odd[i] == sum(1 << e for e in odd_set)
+        assert parity[i] == sum(bits[v] for v in _odd_vertices(g, odd_set))
+        assert sign[i] == (len(odd_set & neg) % 2 == 1)
+        assert float(w[i]) == abs(want)
+
+
+def test_zero_weight_odd_states_are_left_out():
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    c = Couplings(g, [0.5, 0.0, -0.8], 0.7)
+    odd = np.concatenate([ch[2] for ch in currents._odd_set_chunks(g, c)])
+    assert sorted(odd.tolist()) == [0, 1, 4, 5]
 
 
 def test_grouping_walks_each_odd_set_once(monkeypatch):
