@@ -19,15 +19,14 @@ accordingly gives
 where Z' is the partition function with couplings removed on ghat and I is
 the consistency indicator (the walk replayed on gamma alone reproduces the
 tuple).  `backbone_grouping` therefore enumerates odd sets, not currents:
-the 2^E odd sets of `currents`, under its SINGLE_EDGE_CAP.
+the 2^(E - n + c) odd sets with odd vertices A, one coset of the cycle
+space, from `currents`, under its COSET_DIM_CAP.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import currents, spins
 
@@ -147,36 +146,33 @@ def backbone_grouping(graph, couplings, A):
     """Definitional oracle: enumerate the odd sets with odd vertices A and
     group their signed weights by backbone.  Returns dict paths-tuple ->
     weight / Z, keyed in the order the enumeration first meets each
-    backbone.
+    backbone.  ConstraintError for an odd source set.
 
     The walk and its sign depend only on the odd set, and the enumeration
     gives each odd set once, so each is walked once.  Asserts along the way
     that rejected edges are never odd.  Both enumerations are bounded by
-    `currents.SINGLE_EDGE_CAP`.
+    `currents.COSET_DIM_CAP`.
     """
-    A = frozenset(A)
+    A = currents._check_sources(A)
     z = currents.current_sum(graph, couplings, ())
-    target = currents._vertex_mask(currents._vertex_bits(graph), A)
     terms = {}
-    if target is not None:
-        for w, parity, odd, sign in currents._odd_set_chunks(graph,
-                                                             couplings):
-            for r in np.flatnonzero(parity == target):
-                mask = int(odd[r])
-                odd_set = frozenset(e for e in range(graph.n_edges)
-                                    if mask >> e & 1)
-                paths = tuple(_walk(graph, odd_set, A))
-                for p in paths:
-                    assert not (p.blocked - frozenset(p.edges)) & odd_set
-                terms.setdefault(paths, []).append(
-                    -float(w[r]) if sign[r] else float(w[r]))
+    for rows, t in currents._coset_terms(graph, couplings, A):
+        for row, w in zip(rows.tolist(), t.tolist()):
+            mask = sum(x << 64 * i for i, x in enumerate(row))
+            odd_set = frozenset(e for e in range(graph.n_edges)
+                                if mask >> e & 1)
+            paths = tuple(_walk(graph, odd_set, A))
+            for p in paths:
+                assert not (p.blocked - frozenset(p.edges)) & odd_set
+            terms.setdefault(paths, []).append(w)
     return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
 
 
 def check_path_properties(graph, couplings, A):
     """Certifies the path-expansion properties on one instance.
 
-    Enumerates the full backbone grouping for sources A and checks:
+    Enumerates the full backbone grouping for sources A (ConstraintError
+    if A is odd) and checks:
     completeness (sum of rho = <s_A>), the closed-form rho against the
     grouped weights, zeta <= 1, super-multiplicativity of zeta for
     multi-path tuples, and the last-path resummation identity.

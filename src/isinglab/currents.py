@@ -3,19 +3,20 @@
 A current n: E -> Z+ with weight prod (beta J)^n / n! has per-edge parity
 classes: an even flux sums to cosh K, an odd one to sinh K, with K = beta |J|.
 A sum with no event sees only the parity, so the infinite flux sum collapses
-to a finite 2^|E| enumeration of odd sets (Aizenman 1982).  Signs of
-antiferromagnetic couplings are tracked separately: an odd set picks up
-(-1) for each negative edge in it.
+to a finite sum over odd sets (Aizenman 1982).  Signs of antiferromagnetic
+couplings are tracked separately: an odd set picks up (-1) for each negative
+edge in it.
+
+The odd sets with odd vertices A are one coset of the graph's cycle space,
+so a sum with sources A visits 2^(E - n + c) of them, not 2^E.  `gf2` solves
+for the coset and lists it in numpy chunks, in the order of a depth-first
+walk over the edges; every odd set's weight is the same left-to-right float
+product the walk would form, so sums over it do not depend on the chunking.
+`backbone.backbone_grouping` reads the same chunks.
 
 The trichotomy refines the even class by support: Zero (weight 1) and
 EvenPos (cosh K - 1).  `EdgeStateConfig` holds such a state for the
 rejection sampler, and `single_support_expectations` weighs supports by it.
-
-The enumeration runs in numpy, in chunks of at most 2^10 odd sets, in the
-order of a depth-first walk over the edges; every odd set's weight is the
-same left-to-right float product the walk would form, so sums over it do
-not depend on the chunking.  `backbone.backbone_grouping` reads the same
-chunks.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .spins import SizeError
 from .unionfind import UnionFind
 
 ZERO, ODD, EVENPOS = 0, 1, 2
 
-SINGLE_EDGE_CAP = 20      # 2^20 odd sets (current sums and the grouping)
+COSET_DIM_CAP = 20        # 2^20 odd sets per source set: E - n + c <= 20
 SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single and double laws)
 SUPPORT_SIGMA_CAP = 20    # and a 2^20 sigma sum
 FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
@@ -73,79 +75,46 @@ def edge_weight_table(couplings):
     return out
 
 
-_SUFFIX_EDGES = 10       # a chunk extends one prefix odd set over these
+def _check_sources(A):
+    """A as a frozenset; ConstraintError if it is odd, as no current has an
+    odd number of sources."""
+    A = frozenset(A)
+    if len(A) % 2:
+        raise ConstraintError("odd source set %r" % (set(A),))
+    return A
 
 
-def _vertex_bits(graph):
-    """Bit of each touched vertex (an endpoint of some edge), in id order,
-    in the odd-vertex parity words of `_odd_set_chunks`."""
-    touched = sorted({v for uv in graph.edges for v in uv})
-    return {v: 1 << i for i, v in enumerate(touched)}
+def _coset_terms(graph, couplings, A):
+    """The odd sets with odd vertices exactly A, and their signed weights.
 
-
-def _vertex_mask(bits, vertices):
-    """Parity word of a vertex set; None if some vertex is untouched, as no
-    odd set then has it odd."""
-    if not frozenset(vertices) <= bits.keys():
-        return None
-    return sum(bits[v] for v in vertices)
-
-
-def _extended(table, opts, op):
-    return op(table[:, None], opts).ravel()
-
-
-def _odd_set_chunks(graph, couplings):
-    """All odd sets, in the order of a depth-first recursion over edges 0,
-    1, ..., E-1 that tries even (weight cosh K), then odd (sinh K) at each
-    edge and leaves out an odd edge of weight sinh K == 0.  Returns an
-    iterator of chunks (w, parity, odd, sign) of at most 2^_SUFFIX_EDGES
-    rows, one row per odd set:
-
-        w        the left-to-right product 1.0 * w_0 * w_1 ...
-        parity   the odd vertices, as bits of `_vertex_bits`
-        odd      bit e set iff edge e is odd
-        sign     parity of the odd negative edges
-
-    The first E - k edges (k = _SUFFIX_EDGES) make a prefix table; each
-    chunk extends one prefix row over the last k edges by doubling, so
-    every weight is built by the same float products as the recursion.
-    SINGLE_EDGE_CAP is checked before any table is built.
+    They are one coset of the cycle space of the edges with sinh K != 0
+    (an odd edge of weight 0 is left out), enumerated by `gf2` in chunks
+    (odd, t): odd holds one odd set per row as uint64 edge-bit words, and t
+    the product 1.0 * w_0 * w_1 ... * w_{E-1}, w_e = sinh K if e is odd and
+    cosh K if not, negated for an odd number of negative odd edges.  Rows
+    come in the order of a depth-first walk over edges 0, 1, ..., E-1 that
+    tries even before odd.  COSET_DIM_CAP bounds the coset dimension
+    E - n + c and is checked before any chunk is built.
     """
     E = graph.n_edges
-    if E > SINGLE_EDGE_CAP:
-        raise SizeError("2^%d odd sets exceed the cap" % E)
-    negative = couplings.negative_edges()
-    bits = _vertex_bits(graph)
-    opts = []
-    for e, (u, v) in enumerate(graph.edges):
-        K = couplings.K_abs(e)
-        n = 2 if math.sinh(K) else 1      # even, then odd unless weight 0
-        opts.append((np.array([math.cosh(K), math.sinh(K)][:n]),
-                     np.array([0, bits[u] | bits[v]][:n], np.int64),
-                     np.array([0, 1 << e][:n], np.int64),
-                     np.array([False, e in negative][:n])))
-    ops = (np.multiply, np.bitwise_xor, np.bitwise_or, np.bitwise_xor)
-    split = max(0, E - _SUFFIX_EDGES)
-
-    def table(edges):
-        cols = [np.array([x]) for x in (1.0, 0, 0, False)]
-        for e in edges:
-            cols = [_extended(c, o, op)
-                    for c, o, op in zip(cols, opts[e], ops)]
-        return cols
-
-    prefix = table(range(split))
-    suffix = table(range(split, E))
-
-    def chunk(i):
-        w = prefix[0][i:i + 1]
-        for e in range(split, E):
-            w = _extended(w, opts[e][0], np.multiply)
-        return (w,) + tuple(op(p[i], s) for p, s, op
-                            in zip(prefix[1:], suffix[1:], ops[1:]))
-
-    return map(chunk, range(len(prefix[0])))
+    K = [couplings.K_abs(e) for e in range(E)]
+    even, odd = [math.cosh(k) for k in K], [math.sinh(k) for k in K]
+    basis, x0 = gf2.solve({e: 1 << u | 1 << v for e, (u, v)
+                           in enumerate(graph.edges) if odd[e]},
+                          sum(1 << v for v in A))
+    if len(basis) > COSET_DIM_CAP:
+        raise SizeError("2^%d odd sets exceed the cap" % len(basis))
+    if x0 is None:
+        return
+    n_words = -(-E // 64)
+    negative = gf2.words(sum(1 << e for e in couplings.negative_edges()),
+                         n_words)
+    for rows, in gf2.coset_chunks(basis, [x0], n_words):
+        w = np.ones(len(rows))
+        for e in range(E):
+            w *= np.where(rows[:, e >> 6] >> np.uint64(e & 63) & np.uint64(1),
+                          odd[e], even[e])
+        yield rows, np.where(gf2.popcount(rows & negative) & 1, -w, w)
 
 
 def current_sum(graph, couplings, A):
@@ -153,18 +122,8 @@ def current_sum(graph, couplings, A):
     vertices A weighs prod_odd sinh K * prod_even cosh K, times (-1) for
     each negative edge in it.  With no sources this is the partition
     function 2^-n sum_sigma e^{-H(sigma)}."""
-    A = frozenset(A)
-    if len(A) % 2:
-        raise ConstraintError("odd source set %r" % (set(A),))
-    chunks = _odd_set_chunks(graph, couplings)   # the cap holds for any A
-    target = _vertex_mask(_vertex_bits(graph), A)
-    if target is None:
-        return 0.0
-    terms = []
-    for w, parity, _, sign in chunks:
-        rows = parity == target
-        terms.append(np.where(sign[rows], -w[rows], w[rows]))
-    return _fsum(terms)
+    A = _check_sources(A)
+    return _fsum([t for _, t in _coset_terms(graph, couplings, A)])
 
 
 def correlation_via_currents(graph, couplings, A):
@@ -178,9 +137,7 @@ def truncated_flux_sum(graph, couplings, A):
     pushforward: sum w(n) over integer currents with per-edge flux <=
     FLUX_CUTOFF and exact sources A, via truncated series of cosh/sinh split
     by flux parity.  It weighs by K = beta |J| with no sign."""
-    A = frozenset(A)
-    if len(A) % 2:
-        raise ConstraintError("odd source set")
+    A = _check_sources(A)
     even_s, odd_s = [], []
     for e in range(graph.n_edges):
         K = couplings.K_abs(e)

@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .currents import (SUPPORT_EDGE_CAP, SUPPORT_SIGMA_CAP, ConstraintError,
-                       SupportView, _chi, _dobrushin_events, _signs,
-                       _sigma_sum, _support_expectations, edge_weight_table)
+                       SupportView, _check_sources, _chi, _dobrushin_events,
+                       _signs, _sigma_sum, _support_expectations,
+                       edge_weight_table)
 from .spins import SizeError
 
 DOUBLE_WORK_CAP = 40_000_000
@@ -58,13 +59,6 @@ def _vertex_mask(vertices):
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _check_sources(A):
-    A = frozenset(A)
-    if len(A) % 2:
-        raise ConstraintError("odd source set %r" % (set(A),))
-    return A
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, _chi, _signs, _sigma_sum,
-                       _support_expectations, edge_weight_table)
+from .currents import (ConstraintError, _check_sources, _chi, _signs,
+                       _sigma_sum, _support_expectations, edge_weight_table)
 from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
 from .spins import SizeError
 from . import spins
@@ -44,9 +44,7 @@ class FoldedCurrentMeasure:
     def __init__(self, reflection, sources=(), relaxed_boundary=None):
         r = reflection
         graph = r.graph
-        A = frozenset(sources)
-        if len(A) % 2:
-            raise ConstraintError("odd source set %r" % (set(A),))
+        A = _check_sources(sources)
         if relaxed_boundary is None:
             constrained = set(graph.vertices)
         else:

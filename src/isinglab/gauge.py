@@ -11,8 +11,9 @@ closed meaning every edge lies in an even number of chain plaquettes (only
 parity matters, so chains are subsets).  The closed chains form the GF(2)
 kernel of the plaquette-boundary matrix.  Wilson loops insert a spanning
 surface S and shift chains by it.  A term depends on a chain only through
-its weight w = |S ^ O|, so the kernel is enumerated from a basis in numpy
-chunks of bitmasks and only the exact count of chains per weight is kept.
+its weight w = |S ^ O|, so `gf2`, the coset enumerator the current sums
+use too, lists each coset S ^ kernel in numpy chunks of bitmasks, and only
+the exact count of chains per weight is kept.
 Each sum is then sum_w n_w * term_w, exact in rationals and rounded once:
 math.fsum over all 2^dim terms, bit for bit.  A sum that leaves the float
 range is a signed inf, never an exception.  A Wilson loop is the ratio of
@@ -41,18 +42,11 @@ import numpy as np
 
 from .graphs import BoxGraph, Couplings, Graph
 from .spins import SizeError
-from . import spins, doubled, fk, sweep
+from . import spins, doubled, fk, gf2, sweep
 
 CHAIN_CAP = 24
 GAUGE_ORACLE_CAP = 20
 _ORACLE_CHUNK = 1 << 16   # field masks per numpy chunk in the oracle
-_CHAIN_CHUNK_BITS = 16    # closed chains per numpy chunk: 2^16
-_WORD = (1 << 64) - 1
-# _POP16[x] = popcount(x) for every 16-bit x
-_POP16 = np.zeros(1, dtype=np.uint8)
-for _ in range(16):
-    _POP16 = np.concatenate([_POP16, _POP16 + 1])
-_POP16.flags.writeable = False
 
 
 class PlaquetteComplex:
@@ -155,58 +149,21 @@ def rectangular_loop(cx, axes, corner, size):
     return WilsonLoop(frozenset(span), cx.edge_mask(span))
 
 
-def _kernel_basis(cx):
-    """Basis of plaquette subsets with empty GF(2) edge boundary."""
-    pivots = {}   # leading edge bit -> (edge_vec, plaquette_combo)
-    basis = []
-    for p in range(cx.n_plaquettes):
-        vec = cx.edge_mask([p])
-        combo = 1 << p
-        while vec:
-            lead = vec.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (vec, combo)
-                break
-            pv, pc = pivots[lead]
-            vec ^= pv
-            combo ^= pc
-        else:
-            basis.append(combo)
-    return basis
-
-
-def _words(mask, n_words):
-    """A plaquette bitmask as n_words little-endian uint64 words."""
-    return np.array([(mask >> (64 * i)) & _WORD for i in range(n_words)],
-                    dtype=np.uint64)
-
-
 def _weight_counts(cx, shift_masks):
     """For each plaquette mask S in shift_masks, the exact integer counts
     n_w, w = 0..|P|, of closed chains k with |S ^ k| = w.
 
-    The kernel is enumerated in chunks of up to 2^16 rows: xor-doubling over
-    the first 16 basis vectors gives one chunk, and each chunk xors in the
-    combination of the remaining basis vectors its index selects."""
+    The closed chains are the plaquette sets with no edge boundary; `gf2`
+    solves for a basis of them and lists each coset S ^ kernel in chunks of
+    up to 2^16 rows, which are counted by weight."""
     P = cx.n_plaquettes
-    basis = _kernel_basis(cx)
+    basis, _ = gf2.solve({p: cx.edge_mask([p]) for p in range(P)}, 0)
     if len(basis) > CHAIN_CAP:
         raise SizeError("kernel dimension %d exceeds the cap" % len(basis))
-    n_words = -(-P // 64)
-    low, high = basis[:_CHAIN_CHUNK_BITS], basis[_CHAIN_CHUNK_BITS:]
-    chunk = np.zeros((1, n_words), dtype=np.uint64)
-    for b in low:
-        chunk = np.concatenate([chunk, chunk ^ _words(b, n_words)])
     counts = [np.zeros(P + 1, dtype=np.int64) for _ in shift_masks]
-    for j in range(1 << len(high)):
-        prefix = 0
-        for i, b in enumerate(high):
-            if j >> i & 1:
-                prefix ^= b
-        for out, S in zip(counts, shift_masks):
-            x = chunk ^ _words(S ^ prefix, n_words)
-            w = _POP16[x.view(np.uint16)].sum(axis=1, dtype=np.intp)
-            out += np.bincount(w, minlength=P + 1)
+    for chunk in gf2.coset_chunks(basis, shift_masks, -(-P // 64)):
+        for out, rows in zip(counts, chunk):
+            out += np.bincount(gf2.popcount(rows), minlength=P + 1)
     return counts
 
 
@@ -301,7 +258,8 @@ def gauge_oracle_partition(cx, beta, edge_signs=None):
     rounded once, so it equals math.fsum over all 2^|E| fields bit for bit.
     A class weight past the float range is a signed inf, and so is a sum
     past it; the result is then non-finite instead of an OverflowError.
-    Independent of the chain sums: no kernel basis and no edge_mask.
+    Independent of the chain sums: no kernel basis, no edge_mask and no
+    `gf2`.
     """
     E = cx.n_edges
     if E > GAUGE_ORACLE_CAP:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_instance
 from isinglab.graphs import BoxGraph, Couplings, Graph
 from isinglab import backbone, spins
+from isinglab.currents import ConstraintError
 
 
 def test_single_edge_backbone():
@@ -108,3 +109,22 @@ def test_tree_diagram_bound_fuzz(seed):
     ids = rng.choice(g.n, 4, replace=False).tolist()
     lhs, rhs, ok = backbone.tree_diagram_check(g, c, *ids)
     assert ok
+
+
+def test_grouping_past_twenty_edges_sums_to_the_correlation():
+    # 4x4: 24 edges, a coset of dimension 9
+    g = BoxGraph(2, (4, 4))
+    rng = np.random.default_rng(44)
+    c = Couplings(g, [float(j) for j in rng.uniform(-1.0, 1.5, g.n_edges)],
+                  0.5)
+    groups = backbone.backbone_grouping(g, c, {0, 15})
+    assert len(groups) > 1
+    assert math.fsum(groups.values()) == pytest.approx(
+        spins.expectation(g, c, [0, 15]), rel=0, abs=1e-12)
+
+
+def test_odd_source_sets_are_refused(triangle):
+    c = Couplings(triangle, 1.0, 0.5)
+    for fn in (backbone.backbone_grouping, backbone.check_path_properties):
+        with pytest.raises(ConstraintError):
+            fn(triangle, c, {1})

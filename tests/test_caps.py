@@ -8,13 +8,14 @@ refused).  No public callable of the package takes a `cap` argument.
 
 import dataclasses
 import importlib
+import math
 import inspect
 import pkgutil
 
 import pytest
 
 import isinglab
-from isinglab import (backbone, currents, doubled, fk, gauge, graphs,
+from isinglab import (backbone, currents, doubled, fk, gauge, gf2, graphs,
                       inequalities, samplers, spins)
 from isinglab.gauge import PlaquetteComplex
 from isinglab.graphs import Couplings, Graph
@@ -34,13 +35,19 @@ def _fk_sum(n_edges):
     fk.fk_measure_expectation(*_path(n_edges), {})
 
 
-def _current_sum(n_edges):
-    currents.current_sum(*_path(n_edges), {0, n_edges})
+def _bundle(dim):
+    # two vertices joined by dim + 1 parallel edges: a cycle space of
+    # dimension dim, so 2^dim odd sets per source set
+    g = Graph(2, [(0, 1)] * (dim + 1))
+    return g, Couplings(g, 1.0, 0.3)
 
 
-def _grouping(n_edges):
-    g, c = _path(n_edges)
-    backbone.backbone_grouping(g, c, {0, n_edges})
+def _current_sum(dim):
+    currents.current_sum(*_bundle(dim), {0, 1})
+
+
+def _grouping(dim):
+    backbone.backbone_grouping(*_bundle(dim), {0, 1})
 
 
 def _double_direct(n_edges):
@@ -63,13 +70,13 @@ def _gauge_oracle(n_cells):
 CAPS = [
     (spins, "DEFAULT_CAP", 26, _spin_sum, 27, 4, 4),
     (fk, "FK_EDGE_CAP", 20, _fk_sum, 21, 3, 3),
-    (currents, "SINGLE_EDGE_CAP", 20, _current_sum, 21, 3, 3),
-    (currents, "SINGLE_EDGE_CAP", 20, _grouping, 21, 3, 3),
+    (currents, "COSET_DIM_CAP", 20, _current_sum, 21, 3, 3),
+    (currents, "COSET_DIM_CAP", 20, _grouping, 21, 3, 3),
     (doubled, "DOUBLE_WORK_CAP", 40_000_000, _double_direct, 11, 125, 3),
     (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
     (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
 ]
-# one constant bounds both odd-set enumerations
+# one constant bounds both odd-set enumerations, by the coset dimension
 IDS = [name + ("-" + engine.__name__[1:] if module is currents else "")
        for module, name, _, engine, *_ in CAPS]
 
@@ -132,18 +139,29 @@ def test_single_valued_options_are_constants():
     for module, name in ((currents, "SourceConstraint"),
                          (isinglab, "SourceConstraint"),
                          (currents, "_trichotomy_chunks"),
-                         (backbone, "GROUPING_EDGE_CAP")):
+                         (backbone, "GROUPING_EDGE_CAP"),
+                         (currents, "SINGLE_EDGE_CAP"),
+                         (currents, "_odd_set_chunks"),
+                         (gauge, "_kernel_basis"),
+                         (gauge, "_CHAIN_CHUNK_BITS")):
         assert not hasattr(module, name)
 
 
 def test_odd_set_cap_is_checked_before_allocating(monkeypatch):
-    # both entry points reach the one check in the enumerator before any
-    # table exists
-    def no_tables(*args):
+    # both entry points reach the one check on the coset dimension before
+    # any coset chunk exists
+    def no_chunks(*args):
         raise AssertionError("allocated past the cap")
 
-    monkeypatch.setattr(currents, "_vertex_bits", no_tables)
-    monkeypatch.setattr(currents, "_extended", no_tables)
+    monkeypatch.setattr(gf2, "coset_chunks", no_chunks)
     for engine in (_current_sum, _grouping):
         with pytest.raises(SizeError):
             engine(21)
+
+
+def test_odd_set_cap_counts_the_coset_dimension():
+    # a path has a cycle space of dimension 0: no edge count binds, and a
+    # 30-edge path sums its one odd set
+    g, c = _path(30)
+    assert currents.current_sum(g, c, {0, 30}) == pytest.approx(
+        math.sinh(0.3) ** 30, rel=1e-12)

@@ -1,18 +1,17 @@
 """`gauge._chain_sums` counts the closed chains by weight in numpy.  The
 Python Gray walk over the kernel that it replaced is kept here verbatim as
-the reference: every chain sum must come out the same, compared by repr,
-and Wilson loops must agree with the walk's ratio wherever that was
-finite."""
+the reference, with the elimination it walked: every chain sum must come
+out the same, compared by repr, and Wilson loops must agree with the walk's
+ratio wherever that was finite."""
 
 import math
 
 import pytest
 
-from isinglab import gauge
+from isinglab import gauge, gf2
 from isinglab.gauge import (CHAIN_CAP, PlaquetteComplex, SizeError,
-                            _cosh_sinh, _kernel_basis, _plaquette_mask,
-                            lgm_partition, rectangular_loop,
-                            wilson_expectation)
+                            _cosh_sinh, _plaquette_mask, lgm_partition,
+                            rectangular_loop, wilson_expectation)
 
 CELLS = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)]
 BETAS = (-0.4, 0.05, 0.45, 0.9, 2.5)
@@ -20,6 +19,26 @@ BETAS = (-0.4, 0.05, 0.45, 0.9, 2.5)
 
 # ---------------------------------------------------------------------------
 # reference: the Gray walk
+
+
+def _kernel_basis(cx):
+    """Basis of plaquette subsets with empty GF(2) edge boundary."""
+    pivots = {}   # leading edge bit -> (edge_vec, plaquette_combo)
+    basis = []
+    for p in range(cx.n_plaquettes):
+        vec = cx.edge_mask([p])
+        combo = 1 << p
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (vec, combo)
+                break
+            pv, pc = pivots[lead]
+            vec ^= pv
+            combo ^= pc
+        else:
+            basis.append(combo)
+    return basis
 
 
 def _ref_chain_sums(cx, beta, shift_masks, cap=CHAIN_CAP):
@@ -108,6 +127,26 @@ def test_weight_counts_cover_the_kernel():
     assert plain.sum() == shifted.sum() == 1 << dim
     assert plain[0] == 1 and not plain[1::2].any()
     assert not shifted[0::2].any()   # |S| = 1 is odd
+
+
+@pytest.mark.parametrize("cells", CELLS)
+def test_gf2_basis_spans_the_walked_kernel(cells):
+    # the same dimension, and every gf2 basis vector is a closed chain
+    # that the walk's basis reaches
+    cx = PlaquetteComplex(3, cells)
+    P = cx.n_plaquettes
+    basis, x0 = gf2.solve({p: cx.edge_mask([p]) for p in range(P)}, 0)
+    ref = _kernel_basis(cx)
+    assert x0 == 0 and len(basis) == len(ref)
+    for b in basis:
+        assert cx.edge_mask([p for p in range(P) if b >> p & 1]) == 0
+    rank = {}
+    for b in ref + basis:
+        while b and b.bit_length() in rank:
+            b ^= rank[b.bit_length()]
+        if b:
+            rank[b.bit_length()] = b
+    assert len(rank) == len(ref)
 
 
 def test_chain_cap_is_kept(monkeypatch):

@@ -374,3 +374,22 @@ def test_spin_side_ratios_finite_at_large_beta(capsys, argv, quantity):
     assert lhs and all(math.isfinite(v) and v > 0 for v in lhs)
     if quantity == "surface_tension":
         assert rows[0][2:4] == ["160", "160"] and rows[0][6] == "true"
+
+
+def test_pathprops_past_twenty_edges(capsys):
+    # 3x5: 22 edges, a coset of dimension 8
+    code, out, _ = run(capsys, "verify", "pathprops", "--lattice",
+                       "box:d=2,L=3,5", "--sites", "0,14", "--beta", "0.4")
+    assert code == 0
+    rows = out.splitlines()[2:]
+    assert len(rows) == 4
+    assert all(row.split(",")[6] == "true" for row in rows)
+
+
+def test_pathprops_with_an_odd_source_set_is_usage_error(capsys):
+    # --sites 4,4 is the source set {4}: no current has it
+    code, out, err = run(capsys, "verify", "pathprops", "--lattice",
+                         "box:d=2,L=3", "--sites", "4,4", "--beta", "0.4")
+    assert code == 2
+    assert "odd source set" in err
+    assert out == ""

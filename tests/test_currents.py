@@ -113,3 +113,19 @@ def test_pairable_predicate(triangle):
     assert sv.pairable(frozenset({0, 1}))
     assert not sv.pairable(frozenset({0, 2}))
     assert sv.pairable(frozenset())
+
+
+@pytest.mark.parametrize("sides,sources", [
+    ((4, 4), [(0, 15), (0, 3, 12, 15)]),
+    ((4, 5), [(0, 19)]),
+])
+def test_signed_boxes_past_twenty_edges_match_spin_oracle(sides, sources):
+    # 24 and 31 edges, but cosets of dimension 9 and 12: the cap counts
+    # the cycle space, not the edges
+    g = BoxGraph(2, sides)
+    rng = np.random.default_rng(sum(sides))
+    c = Couplings(g, [float(j) for j in rng.uniform(-1.5, 1.5, g.n_edges)],
+                  0.6)
+    for A in sources:
+        assert correlation_via_currents(g, c, A) == pytest.approx(
+            spins.expectation(g, c, A), rel=0, abs=1e-12)

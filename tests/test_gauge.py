@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -10,7 +11,7 @@ from isinglab.gauge import (PlaquetteComplex, WilsonLoop, build_dual_complex,
                             verify_wilson_disorder_duality,
                             wilson_expectation)
 from isinglab.graphs import BoxGraph, Couplings
-from isinglab import gauge, spins
+from isinglab import gauge, gf2, spins
 
 
 def test_partition_matches_oracle_2d():
@@ -106,7 +107,10 @@ def test_oracle_shares_no_chain_code(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the oracle used chain-sum code")
 
-    monkeypatch.setattr(gauge, "_kernel_basis", boom)
+    monkeypatch.setattr(gauge, "_weight_counts", boom)
+    for name, fn in vars(gf2).items():
+        if inspect.isfunction(fn) and fn.__module__ == gf2.__name__:
+            monkeypatch.setattr(gf2, name, boom)
     monkeypatch.setattr(gauge, "_chain_sums", boom)
     monkeypatch.setattr(gauge, "_plaquette_mask", boom)
     monkeypatch.setattr(PlaquetteComplex, "edge_mask", boom)

@@ -1,6 +1,9 @@
 """Engines that are checked against each other must not share code.
 
-`spins` is the root oracle, so it imports nothing from the package.
+`spins` is the root oracle, so it imports nothing from the package.  The
+current sums and the gauge chains share the GF(2) coset enumerator `gf2`,
+so the engines they are checked against (`spins`, `sweep`) and the
+samplers take nothing from it.
 `sample currents` checks the rejection sampler against the support kernel,
 so the sampler may take only the edge-state record and the per-edge weight
 table from `currents`, none of the kernel.
@@ -48,3 +51,9 @@ def test_samplers_take_no_kernel_from_currents():
     # none of _support_expectations, _sigma_sum, _pattern_labels or
     # single_support_expectations
     assert from_currents <= {"EdgeStateConfig", "edge_weight_table"}
+
+
+def test_spins_sweep_and_samplers_take_nothing_from_gf2():
+    for module in ("spins", "sweep", "samplers"):
+        for source, names in _package_imports(module):
+            assert "gf2" not in source and "gf2" not in names

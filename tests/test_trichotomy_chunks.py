@@ -1,5 +1,6 @@
-"""`current_sum` and `backbone_grouping` enumerate the 2^E odd sets in numpy
-chunks.  Two per-state recursions are kept here as references:
+"""`current_sum` and `backbone_grouping` enumerate the odd sets with odd
+vertices A, one coset of the cycle space, in numpy chunks (`gf2`).  Two
+per-state recursions over all odd sets are kept here as references:
 
 - the two-state recursion (even: cosh K, odd: sinh K) forms the same
   left-to-right products, so every sum and every backbone group must come
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_instance
-from isinglab import backbone, currents
+from isinglab import backbone, currents, gf2
 from isinglab.backbone import _walk, extract_backbone
-from isinglab.currents import (EVENPOS, ODD, ZERO, EdgeStateConfig,
-                               SupportView, correlation_via_currents,
+from isinglab.currents import (EVENPOS, ODD, ZERO, ConstraintError,
+                               EdgeStateConfig, SupportView,
+                               correlation_via_currents,
                                current_sum, edge_weight_table,
                                single_support_expectations)
 from isinglab.graphs import BoxGraph, Couplings, Graph
@@ -199,38 +201,41 @@ def test_box_sums_and_groupings_match_recursion(sides, signed):
     for A in _source_sets(g):
         _assert_sum_matches(g, c, A)
     last = g.n - 1
-    for A in ({0, last}, {0, 1, last - 1, last}, {0, 1, 2}):
+    for A in ({0, last}, {0, 1, last - 1, last}):
         _assert_grouping_matches(g, c, A)
+    with pytest.raises(ConstraintError):
+        backbone.backbone_grouping(g, c, {0, 1, 2})
     assert repr(correlation_via_currents(g, c, {0, last})) == repr(
         _two_state_sum(g, c, {0, last}) / _two_state_sum(g, c, ()))
 
 
 @pytest.mark.parametrize("signed", [False, True])
-def test_3x3_matches_recursion_across_chunks(signed):
-    # 12 edges: four chunks, each one prefix odd set over the last 10 edges
+def test_3x3_matches_recursion_across_chunks(monkeypatch, signed):
+    # 12 edges, a coset of dimension 4: four chunks of 2^2 odd sets
+    monkeypatch.setattr(gf2, "_CHUNK_BITS", 2)
     g, c = _box((3, 3), signed, seed=33 + signed)
     _assert_sum_matches(g, c, {0, 8})
     if signed:
         _assert_grouping_matches(g, c, {0, 8})
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 3, 10]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 3, 16]))
 @settings(max_examples=60, deadline=None)
-def test_fuzz_signed_graphs_match_recursion(seed, suffix_edges):
-    """Random signed graphs of at most 8 edges; a short suffix forces many
-    chunks and a long prefix table, so the split is exercised too."""
+def test_fuzz_signed_graphs_match_recursion(seed, chunk_bits):
+    """Random signed graphs of at most 8 edges; short chunks put most of the
+    basis in the per-chunk prefix, so the split is exercised too."""
     rng = np.random.default_rng(seed)
     g, c = random_instance(rng, max_vertices=5, max_edges=8, ferro=False)
     V = list(g.vertices)
     A = frozenset(rng.choice(V, 2, replace=False).tolist())
-    saved = currents._SUFFIX_EDGES
-    currents._SUFFIX_EDGES = suffix_edges
+    saved = gf2._CHUNK_BITS
+    gf2._CHUNK_BITS = chunk_bits
     try:
         _assert_sum_matches(g, c, ())
         _assert_sum_matches(g, c, A)
         _assert_grouping_matches(g, c, A)
     finally:
-        currents._SUFFIX_EDGES = saved
+        gf2._CHUNK_BITS = saved
 
 
 def test_high_vertex_ids_isolated_vertices_and_zero_weight_edge():
@@ -303,33 +308,38 @@ def test_single_law_connection_matches_recursion(sides, sites, beta):
                                 rel=1e-12, abs=0)
 
 
-def test_chunks_visit_states_in_recursion_order():
-    g, c = _box((2, 2), True, seed=3)
-    E = g.n_edges
-    neg = c.negative_edges()
-    bits = currents._vertex_bits(g)
-    saved = currents._SUFFIX_EDGES
-    currents._SUFFIX_EDGES = 2
-    try:
-        chunks = list(currents._odd_set_chunks(g, c))
-    finally:
-        currents._SUFFIX_EDGES = saved
-    assert len(chunks) == 2 ** (E - 2)
-    w, parity, odd, sign = (np.concatenate(col) for col in zip(*chunks))
-    seen = _odd_sets(g, c)
-    assert len(w) == len(seen) == 2 ** E
-    for i, (odd_set, want) in enumerate(seen):
-        assert odd[i] == sum(1 << e for e in odd_set)
-        assert parity[i] == sum(bits[v] for v in _odd_vertices(g, odd_set))
-        assert sign[i] == (len(odd_set & neg) % 2 == 1)
-        assert float(w[i]) == abs(want)
+def _masks(rows):
+    return [sum(x << 64 * i for i, x in enumerate(row))
+            for row in rows.tolist()]
+
+
+def test_chunks_visit_states_in_recursion_order(monkeypatch):
+    # chunks of two rows: the coset rows, their signs and weights come in
+    # the recursion's order
+    monkeypatch.setattr(gf2, "_CHUNK_BITS", 1)
+    for sides, A in (((2, 2), ()), ((2, 2), (0, 3)), ((2, 3), (0, 5)),
+                     ((3, 3), (1, 7))):
+        g, c = _box(sides, True, seed=3)
+        chunks = list(currents._coset_terms(g, c, frozenset(A)))
+        dim = g.n_edges - g.n + 1
+        assert len(chunks) == 2 ** (dim - 1)
+        odd = [m for rows, _ in chunks for m in _masks(rows)]
+        t = np.concatenate([t for _, t in chunks])
+        seen = [(o, w) for o, w in _odd_sets(g, c)
+                if _odd_vertices(g, o) == frozenset(A)]
+        assert len(t) == len(seen) == 2 ** dim
+        for i, (odd_set, want) in enumerate(seen):
+            assert odd[i] == sum(1 << e for e in odd_set)
+            assert repr(float(t[i])) == repr(want)
 
 
 def test_zero_weight_odd_states_are_left_out():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     c = Couplings(g, [0.5, 0.0, -0.8], 0.7)
-    odd = np.concatenate([ch[2] for ch in currents._odd_set_chunks(g, c)])
-    assert sorted(odd.tolist()) == [0, 1, 4, 5]
+    odd = [m for A in ((), (0, 1), (1, 2), (0, 2))
+           for rows, _ in currents._coset_terms(g, c, frozenset(A))
+           for m in _masks(rows)]
+    assert sorted(odd) == [0, 1, 4, 5]
 
 
 def test_grouping_walks_each_odd_set_once(monkeypatch):
