@@ -23,9 +23,8 @@ print("spin sum          :", spin)
 print("current sum       :", curr)
 print("cluster connection:", clus)
 
-p = double_event_probability(
-    g, c, frozenset(), frozenset(),
-    lambda st: 1.0 if st.view().connected(0, 2) else 0.0)
+p = double_event_probability(g, c, frozenset(), frozenset(),
+                             lambda labels: labels.connected(0, 2))
 print("double-current P(0<->2):", p, " = corr^2 =", spin * spin)
 
 # the triangle at tanh(K) = 1/2 is a classic hand-checkable value: 2/3

@@ -205,7 +205,7 @@ def _cmd_verify(args):
             corr = spins.expectation(graph, c, [x, y])
             p = doubled.double_event_probability(
                 graph, c, frozenset(), frozenset(),
-                lambda st: 1.0 if st.view().connected(x, y) else 0.0)
+                lambda labels: labels.connected(x, y))
             rows.append(Row(iid, "corr_sq_vs_double_connect", corr * corr, p,
                             tol=args.tol))
         elif w == "switching":
@@ -284,10 +284,11 @@ def _cmd_verify(args):
         elif w == "fkrcr":
             x, y = _sites(args, 2, graph)
             fkp, rcr = fk.fk_rcr_bridge(graph, c, x, y)
+            corr = spins.expectation(graph, c, [x, y])
             rows.append(Row(iid, "fk_sq_vs_rcr", fkp * fkp, rcr,
                             tol=args.tol))
-            rows.append(Row(iid, "fk_vs_corr",
-                            spins.expectation(graph, c, [x, y]), fkp,
+            rows.append(Row(iid, "fk_vs_corr", corr, fkp, tol=args.tol))
+            rows.append(Row(iid, "rcr_vs_corr_sq", corr * corr, rcr,
                             tol=args.tol))
         elif w == "duality":
             from .gauge import PlaquetteComplex, verify_duality

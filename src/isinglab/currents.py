@@ -179,10 +179,9 @@ def truncated_flux_sum(graph, couplings, A):
 # is a function of one chunk's _SupportLabels that gives one value per
 # pattern (or one value for all of them), built from the label queries
 # connected, connects_sets, reached, cluster_count, is_ff, sgn, has_edge,
-# touched and open_count.  The three current laws weigh all patterns by one
-# sigma sum, `_sigma_sum`, each with its own per-edge tables.  SupportView
-# answers connectivity for one support, for the direct double-current sums
-# and the samplers.
+# touched, open_count and pairable.  The three current laws weigh all
+# patterns by one sigma sum, `_sigma_sum`, each with its own per-edge tables.
+# SupportView answers connectivity for one support, for the samplers.
 
 _CHUNK_BITS = 16          # at most 2^16 patterns per chunk
 _CHUNK_CELLS = 1 << 22    # and at most this many (pattern, vertex) labels
@@ -206,20 +205,6 @@ class SupportView:
 
     def connected(self, u, v):
         return self._uf.connected(u, v)
-
-    def pairable(self, B):
-        """Existence of k <= m with boundary B inside this support: every
-        B-vertex is touched and each component holds an even number of them."""
-        B = frozenset(B)
-        if not B:
-            return True
-        if not B <= self.touched:
-            return False
-        counts = {}
-        for b in B:
-            r = self._uf.find(b)
-            counts[r] = counts.get(r, 0) + 1
-        return all(c % 2 == 0 for c in counts.values())
 
 
 def _merge(lab, u, v, par=None, ok=None, flag=False):
@@ -349,6 +334,24 @@ class _SupportLabels:
             self._parity[key] = (par[self._rows], ok[self._rows])
         return self._parity[key]
 
+    def pairable(self, B, edges=None, wired=()):
+        """Rows where B is the boundary of a subgraph of S & edges (all of S
+        for None) away from `wired`: each component of S & edges that holds
+        no wired vertex holds an even number of B vertices, so each of them
+        is touched.  Other edges are masked out by relabelling the chunk."""
+        lab = self.lab
+        if edges is not None:
+            keep = frozenset(edges)
+            cut = [tuple(e for e in es if e in keep) for es in self.bit_edges]
+            lab = _pattern_labels(self.graph, cut,
+                                  *self._chunk)[0][self._rows]
+        rows = np.arange(len(lab))
+        odd = np.zeros(lab.shape, dtype=bool)
+        for b in B:
+            odd[rows, lab[:, b]] ^= True
+        odd[rows[:, None], lab[:, list(wired)]] = False
+        return ~odd.any(1)
+
     def is_ff(self, flagged):
         return self.parity(flagged)[1]
 
@@ -363,9 +366,10 @@ def _fsum(arrays):
     return math.fsum(np.concatenate(arrays)) if arrays else 0.0
 
 
-def _support_expectations(graph, bit_edges, weigh, events):
-    """Normalized expectations of the named events over all support
-    patterns, plus '_total' (the raw weight sum).
+def _support_sums(graph, bit_edges, weigh, events):
+    """Weighted sums of the named events over all support patterns, plus
+    '_total' (the raw weight sum); with no pattern of nonzero weight every
+    sum is 0.0.
 
     Pattern `mask` is the support made of bit_edges[i] for the bits i of
     mask.  weigh(_SupportLabels) gives the weights of a chunk's patterns;
@@ -394,10 +398,27 @@ def _support_expectations(graph, bit_edges, weigh, events):
                                   wgt.shape)
             hit = val != 0
             acc[name].append(wgt[hit] * val[hit])
-    total = _fsum(tot)
-    out = {name: _fsum(terms) / total for name, terms in acc.items()}
+    out = {name: _fsum(terms) for name, terms in acc.items()}
+    out["_total"] = _fsum(tot)
+    return out
+
+
+def _support_expectations(graph, bit_edges, weigh, events):
+    """The sums of `_support_sums` divided by '_total', which is kept."""
+    out = _support_sums(graph, bit_edges, weigh, events)
+    total = out.pop("_total")
+    out = {name: s / total for name, s in out.items()}
     out["_total"] = total
     return out
+
+
+def _check_support_caps(n_edges, n_sigma):
+    """SizeError unless the 2^n_edges support patterns and the 2^n_sigma
+    rows of a current law's sigma sum fit their caps."""
+    if n_edges > SUPPORT_EDGE_CAP:
+        raise SizeError("2^%d support patterns exceed the cap" % n_edges)
+    if n_sigma > SUPPORT_SIGMA_CAP:
+        raise SizeError("2^%d parity assignments exceed the cap" % n_sigma)
 
 
 def _signs(k):
@@ -445,10 +466,7 @@ def single_support_expectations(graph, couplings, events):
         W(S) = 2^-n sum_sigma prod_{e in S} ((cosh K - 1) + sinh K chi_e).
     """
     E, n = graph.n_edges, graph.n
-    if E > SUPPORT_EDGE_CAP:
-        raise SizeError("2^%d support patterns exceed the cap" % E)
-    if n > SUPPORT_SIGMA_CAP:
-        raise SizeError("2^%d parity assignments exceed the cap" % n)
+    _check_support_caps(E, n)
     signs = _signs(n)
     pos = {v: v for v in range(n)}
     tabs = [even + odd * _chi(signs, uv, pos) for uv, (_, odd, even)

@@ -1,28 +1,33 @@
 """Double random-current machinery.
 
-Two independent currents n1, n2 are enumerated through their per-edge joint
-(parity, support) classes.  Two engines are provided:
+Two independent currents with sources A1, A2: n1 lives on every edge and n2
+on an edge set E2 (every edge unless `edges2` says otherwise).  Every
+double-current probability is a law of the combined support S of n1 + n2,
+and one engine computes it: `DoubleSupportMeasure` weighs each of the 2^|E|
+support patterns in closed form, and the support kernel of `currents`
+evaluates the events on the labels of the patterns (Aizenman 1982).
 
-* a direct class enumeration for nested edge sets (5 joint classes on shared
-  edges, 3 on edges carried by n1 only) used by the switching-lemma checker
-  and by general double-event probabilities on small graphs;
+Write the source constraints of n1 and n2 as sums over spins sigma, tau at
+the k constrained vertices, with chi_e the product of the spins at the ends
+of e.  Summing the flux of every edge, a shared edge in S weighs
+(c^2 - 1) + s c (chi_e^sigma + chi_e^tau) + s^2 chi_e^sigma chi_e^tau with
+s = sinh K, c = cosh K, and an edge of n1 alone weighs (c - 1) + s chi_e.
+With rho = sigma tau and c^2 - 1 = s^2 the shared factor is
+(1 + chi_e^rho)(s^2 + s c chi_e^sigma), and the weight factorises as
 
-* a support-pattern engine for pairs over the same graph, summing over the
-  combined support S and evaluating the parity sums in closed form.  For a
-  fixed S the weight factorizes as
+    W(S) = 2^-2k Q(S & E2; A2) G(S; A1 xor A2),
+    Q = sum_rho chi_rho(A2) prod_{e in S & E2} (1 + chi_e),
+    G = sum_sigma chi_sigma(A1 xor A2) prod_{e in S & E2} (s^2 + s c chi_e)
+                                       prod_{e in S - E2} ((c - 1) + s chi_e).
 
-      W(S) = Q1(S; A1) * G(S; A1 xor A2)
-
-  where Q1 counts parity assignments of n1 (per constrained vertex) and G
-  carries the per-edge factors sinh^2 K (equal parities) / sinh K cosh K
-  (opposite parities).  This follows from the change of variables
-  (odd1, odd2) -> (odd1, m = odd1 xor odd2): the joint class weights on a
-  supported edge are sinh^2 for m=0 (odd/odd or the even/even classes, since
-  cosh^2 - 1 = sinh^2) and sinh*cosh for m=1.  Cost 2^|E| instead of 5^|E|,
-  which is what makes clamped 3x4 boxes exact.  Q1 and G are each a sigma
-  sum over the constrained vertices, evaluated for all patterns at once by
-  `currents._sigma_sum`, the builder the single-current and folded laws
-  share.
+Q counts the parity patterns of n2, so its source is A2: it is nonzero iff
+A2 pairs within S & E2.  When E2 is every edge, A1 pairs within S wherever
+A2 and A1 xor A2 do, and the source A1 gives the same exact integers; under
+nesting only A2 is right.  Q is exact; G is a signed sum that leaves
+rounding residues where A1 xor A2 does not pair within S, so such patterns
+are weighed 0 by `pairable`.  Both are sigma sums over all patterns at once
+by `currents._sigma_sum`, the builder the single-current and folded laws
+share.
 """
 
 from __future__ import annotations
@@ -30,159 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .currents import (SUPPORT_EDGE_CAP, SUPPORT_SIGMA_CAP, ConstraintError,
-                       SupportView, _check_sources, _chi, _dobrushin_events,
-                       _signs, _sigma_sum, _support_expectations,
+from .currents import (ConstraintError, _check_sources, _check_support_caps,
+                       _chi, _dobrushin_events, _signs, _sigma_sum,
+                       _support_expectations, _support_sums,
                        edge_weight_table)
-from .spins import SizeError
-
-DOUBLE_WORK_CAP = 40_000_000
-
-
-@dataclass(frozen=True)
-class DoubleCurrentState:
-    graph: object
-    odd1: frozenset          # edges with odd n1
-    odd2: frozenset
-    support: frozenset       # support of n1+n2
-    shared_edges: frozenset  # edge ids carrying both currents
-
-    def view(self):
-        return SupportView(self.graph, self.support)
-
-    def shared_view(self):
-        return SupportView(self.graph, self.support & self.shared_edges)
-
-
-def _vertex_mask(vertices):
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-# ---------------------------------------------------------------------------
-# direct enumeration (nested edge sets)
-
-
-def double_sum_direct(graph, couplings, A1, A2, term_fn, edges2=None):
-    """Sum of w(n1) w(n2) term_fn(state) over per-edge joint classes.
-
-    n1 lives on all edges of `graph`, n2 on `edges2` (default: all), both
-    with exact sources.  term_fn receives a DoubleCurrentState and returns a
-    float (0/1 for events).
-    """
-    A1, A2 = _check_sources(A1), _check_sources(A2)
-    E = graph.n_edges
-    all_edges = list(range(E))
-    shared = frozenset(all_edges if edges2 is None else edges2)
-    only1 = [e for e in all_edges if e not in shared]
-    if A2 and edges2 is not None:
-        touched2 = {v for e in shared for v in graph.edges[e]}
-        if not A2 <= touched2:
-            raise ConstraintError("A2 must lie on the subgraph carrying n2")
-    work = (5 ** len(shared)) * (3 ** len(only1))
-    if work > DOUBLE_WORK_CAP:
-        raise SizeError("double-current work %d exceeds cap %d"
-                        % (work, DOUBLE_WORK_CAP))
-
-    w = edge_weight_table(couplings)
-    # joint classes on shared edges: (odd1, odd2, supported) -> weight
-    shared_classes = []
-    for e in sorted(shared):
-        one, s, c1 = 1.0, w[e][1], w[e][2] + 1.0  # sinh, cosh
-        shared_classes.append((e, [
-            (0, 0, 0, 1.0),
-            (0, 0, 1, c1 * c1 - 1.0),
-            (1, 0, 1, s * c1),
-            (0, 1, 1, c1 * s),
-            (1, 1, 1, s * s),
-        ]))
-    only_classes = [(e, [(0, 0, 0, 1.0), (1, 0, 1, w[e][1]), (0, 0, 1, w[e][2])])
-                    for e in only1]
-    plan = shared_classes + only_classes
-
-    m1, m2 = _vertex_mask(A1), _vertex_mask(A2)
-    ends = graph.edges
-    terms = []
-    odd1_edges = []
-    odd2_edges = []
-    supp_edges = []
-
-    def rec(i, weight, p1, p2):
-        if i == len(plan):
-            if p1 != m1 or p2 != m2:
-                return
-            state = DoubleCurrentState(graph, frozenset(odd1_edges),
-                                       frozenset(odd2_edges),
-                                       frozenset(supp_edges), shared)
-            val = term_fn(state)
-            if val:
-                terms.append(weight * float(val))
-            return
-        e, classes = plan[i]
-        u, v = ends[e]
-        flip = (1 << u) | (1 << v)
-        for o1, o2, s, cw in classes:
-            if cw == 0.0:
-                continue
-            if o1:
-                odd1_edges.append(e)
-            if o2:
-                odd2_edges.append(e)
-            if s:
-                supp_edges.append(e)
-            rec(i + 1, weight * cw, p1 ^ (flip if o1 else 0),
-                p2 ^ (flip if o2 else 0))
-            if o1:
-                odd1_edges.pop()
-            if o2:
-                odd2_edges.pop()
-            if s:
-                supp_edges.pop()
-
-    rec(0, 1.0, 0, 0)
-    return math.fsum(terms)
-
-
-def double_event_probability(graph, couplings, A1, A2, event, edges2=None):
-    """P^{A1,A2}(event) under the normalized double-current weight."""
-    num = double_sum_direct(graph, couplings, A1, A2, event, edges2)
-    den = double_sum_direct(graph, couplings, A1, A2, lambda s: 1.0, edges2)
-    return num / den
-
-
-def indicator_pairable(B, state):
-    """1_B[n1+n2]: exists k <= n1+n2 supported on the shared edges with
-    boundary B, i.e. B pairable within the shared-edge support."""
-    return 1.0 if state.shared_view().pairable(B) else 0.0
-
-
-def verify_switching(graph, couplings, A1, A2, B, F=None, edges2=None):
-    """Both sides of the source-switching identity; returns (lhs, rhs, diff).
-
-    lhs: sources (A1, A2);  rhs: sources (A1 xor B, A2 xor B); both weighted
-    by F(n1+n2) * 1_B[n1+n2].  F defaults to 1; it must be measurable with
-    respect to (parity, support) of the combined current.
-    """
-    B = frozenset(B)
-    if len(B) % 2:
-        raise ConstraintError("odd switching set")
-    if F is None:
-        F = lambda state: 1.0
-
-    def term(state):
-        ind = indicator_pairable(B, state)
-        return ind and ind * F(state)
-
-    lhs = double_sum_direct(graph, couplings, A1, A2, term, edges2)
-    rhs = double_sum_direct(graph, couplings,
-                            frozenset(A1) ^ B, frozenset(A2) ^ B, term, edges2)
-    return lhs, rhs, abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# support-pattern engine (same graph, optionally relaxed boundary sources)
 
 
 class DoubleSupportMeasure:
@@ -190,51 +46,104 @@ class DoubleSupportMeasure:
 
     `constrained`: vertices whose sources are pinned (everything for free
     boundary conditions, the interior for relaxed/+ boundary conditions).
-    A1, A2 must consist of constrained vertices.
+    A1, A2 must consist of constrained vertices.  n2 lives on `edges2`
+    (default: every edge), which must touch A2.
     """
 
-    def __init__(self, graph, couplings, constrained, A1, A2):
+    def __init__(self, graph, couplings, constrained, A1, A2, edges2=None):
         A1, A2 = _check_sources(A1), _check_sources(A2)
         constrained = sorted(constrained)
         if not (A1 <= set(constrained) and A2 <= set(constrained)):
             raise ConstraintError("sources must be constrained vertices")
         E = graph.n_edges
-        if E > SUPPORT_EDGE_CAP:
-            raise SizeError("2^%d support patterns exceed the cap" % E)
+        shared = set(range(E) if edges2 is None else edges2)
+        if edges2 is not None and not A2 <= {v for e in shared
+                                             for v in graph.edges[e]}:
+            raise ConstraintError("A2 must lie on the subgraph carrying n2")
         k = len(constrained)
-        if k > SUPPORT_SIGMA_CAP:
-            raise SizeError("2^%d parity assignments exceed the cap" % k)
+        _check_support_caps(E, k)
         self.graph = graph
         pos = {v: i for i, v in enumerate(constrained)}
         signs = _signs(k)
-        # per edge: the parity count 1 + chi, the weight sinh^2 + sinh cosh chi
-        f_tabs, g_tabs = [], []
-        for uv, (_, s, c1) in zip(graph.edges, edge_weight_table(couplings)):
+        q_tabs, g_tabs = [], []
+        for e, (uv, (_, s, c1)) in enumerate(
+                zip(graph.edges, edge_weight_table(couplings))):
             chi = _chi(signs, uv, pos)
-            f_tabs.append(1.0 + chi)
-            g_tabs.append(s * s + s * (c1 + 1.0) * chi)
+            if e in shared:
+                q_tabs.append(1.0 + chi)
+                g_tabs.append(s * s + s * (c1 + 1.0) * chi)
+            else:
+                q_tabs.append(1.0)
+                g_tabs.append(c1 + s * chi)
         edges = list(range(E))
-        # W[sa, sb] = 2^{-2k} (srcA . FA FB)(srcB . GA GB)
-        M1 = _sigma_sum(edges, f_tabs, _chi(signs, A1, pos))
+        # W[sa, sb] = 2^{-2k} (srcA . QA QB)(srcB . GA GB); _W[pattern]
+        # holds it for pattern sa | sb << (E // 2)
+        M1 = _sigma_sum(edges, q_tabs, _chi(signs, A2, pos))
         M2 = _sigma_sum(edges, g_tabs, _chi(signs, A1 ^ A2, pos))
-        self._W = (M1 * M2) * (1.0 / (len(signs) * len(signs)))
+        self._W = ((M1 * M2) * (1.0 / (len(signs) * len(signs)))).T.ravel()
+        # G vanishes unless A1 xor A2 pairs within S, away from the
+        # unconstrained vertices
+        self._diff = A1 ^ A2
+        self._unconstrained = set(graph.vertices) - set(constrained)
+
+    def _weigh(self, labels):
+        w = self._W[labels.masks]
+        if self._diff:
+            w[~labels.pairable(self._diff, wired=self._unconstrained)] = 0.0
+        return w
+
+    def _sums(self, events):
+        """Raw weighted sums of the events, as in `currents._support_sums`."""
+        return _support_sums(self.graph,
+                             [(e,) for e in range(self.graph.n_edges)],
+                             self._weigh, events)
 
     def expectations(self, events):
         """events: dict name -> fn(labels), where `labels` holds a chunk
         of combined supports and the event gives one value per support,
         read off the label queries (connected, connects_sets, reached,
-        cluster_count, is_ff, sgn, has_edge, touched, open_count).  Returns
-        dict of normalized expectations plus '_total' (the raw weight
-        sum)."""
-        W = self._W.T.ravel()   # pattern sa | sb << half is W[sa, sb]
+        cluster_count, is_ff, sgn, has_edge, touched, open_count,
+        pairable).  Returns dict of normalized expectations plus '_total'
+        (the raw weight sum)."""
         return _support_expectations(
             self.graph, [(e,) for e in range(self.graph.n_edges)],
-            lambda labels: W[labels.masks], events)
+            self._weigh, events)
 
 
 def double_support_expectations(graph, couplings, constrained, A1, A2, events):
     m = DoubleSupportMeasure(graph, couplings, constrained, A1, A2)
     return m.expectations(events)
+
+
+def double_event_probability(graph, couplings, A1, A2, event, edges2=None):
+    """P^{A1,A2}(event) under the normalized double-current weight; event
+    is fn(labels) on the combined support."""
+    m = DoubleSupportMeasure(graph, couplings, graph.vertices, A1, A2, edges2)
+    return m.expectations({"e": event})["e"]
+
+
+def verify_switching(graph, couplings, A1, A2, B, F=None, edges2=None):
+    """Both sides of the source-switching identity; returns (lhs, rhs, diff).
+
+    lhs: sources (A1, A2);  rhs: sources (A1 xor B, A2 xor B); both are the
+    raw weight sums of F(S) * 1_B[S], where 1_B says that B pairs within
+    S & edges2, the part of the combined support S that n2 can carry.  F
+    is an event fn(labels) on S and defaults to 1.  A side whose sources
+    no current pair has sums to 0.0.
+    """
+    B = frozenset(B)
+    if len(B) % 2:
+        raise ConstraintError("odd switching set")
+
+    def term(labels):
+        ind = labels.pairable(B, edges2)
+        return ind if F is None else ind * F(labels)
+
+    lhs, rhs = (DoubleSupportMeasure(graph, couplings, graph.vertices, S1, S2,
+                                     edges2)._sums({"t": term})["t"]
+                for S1, S2 in ((A1, A2), (frozenset(A1) ^ B,
+                                          frozenset(A2) ^ B)))
+    return lhs, rhs, abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +227,8 @@ def surface_tension_ratio(box, couplings, axis=None):
 def source_overlap_ratio(graph, couplings, A, B):
     """E^{A xor B, 0}(1_A[n1+n2]); equals <s_A><s_B>/<s_A s_B>."""
     A, B = frozenset(A), frozenset(B)
-    return double_event_probability(
-        graph, couplings, A ^ B, frozenset(),
-        lambda state: indicator_pairable(A, state))
+    return double_event_probability(graph, couplings, A ^ B, frozenset(),
+                                    lambda labels: labels.pairable(A))
 
 
 def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):
@@ -334,13 +242,12 @@ def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):
     else:
         pA = double_event_probability(
             graph, couplings, frozenset({x1, x2}), frozenset({x3, x4}),
-            lambda st: 1.0 if st.view().connected(x1, x3) else 0.0)
+            lambda labels: labels.connected(x1, x3))
         valueA = -2.0 * pre * pA
 
-    def all_connected(st):
-        v = st.view()
-        return 1.0 if (v.connected(x1, x2) and v.connected(x1, x3)
-                       and v.connected(x1, x4)) else 0.0
+    def all_connected(labels):
+        return (labels.connected(x1, x2) & labels.connected(x1, x3)
+                & labels.connected(x1, x4))
 
     s4 = spins.expectation(graph, couplings, [x1, x2, x3, x4])
     if s4 == 0.0:

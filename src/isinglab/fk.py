@@ -79,7 +79,7 @@ def fk_rcr_bridge(graph, couplings, x, y):
     fk_prob = connection_probability(graph, couplings, x, y)
     rcr_prob = doubled.double_event_probability(
         graph, couplings, frozenset(), frozenset(),
-        lambda st: 1.0 if st.view().connected(x, y) else 0.0)
+        lambda labels: labels.connected(x, y))
     return fk_prob, rcr_prob
 
 

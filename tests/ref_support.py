@@ -68,8 +68,22 @@ class ParityUnionFind:
 
 
 class RefSupportView(SupportView):
-    """SupportView plus the cluster, set and parity queries of the label
-    kernel, answered with union-finds over the one support."""
+    """SupportView plus the pairing, cluster, set and parity queries of the
+    label kernel, answered with union-finds over the one support."""
+
+    def pairable(self, B):
+        """Existence of k <= m with boundary B inside this support: every
+        B-vertex is touched and each component holds an even number of them."""
+        B = frozenset(B)
+        if not B:
+            return True
+        if not B <= self.touched:
+            return False
+        counts = {}
+        for b in B:
+            r = self._uf.find(b)
+            counts[r] = counts.get(r, 0) + 1
+        return all(c % 2 == 0 for c in counts.values())
 
     def cluster_count(self, wired=None):
         """Number of clusters of the spanning subgraph; with `wired`, only

@@ -41,13 +41,13 @@ def test_correlation_squared_identity():
         corr = spins.expectation(g, c, [x, y])
         p = doubled.double_event_probability(
             g, c, frozenset(), frozenset(),
-            lambda st: 1.0 if st.view().connected(x, y) else 0.0)
+            lambda labels: labels.connected(x, y))
         assert abs(corr * corr - p) <= 1e-10
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     c = Couplings(tri, 1.0, math.atanh(0.5))
     p = doubled.double_event_probability(
         tri, c, frozenset(), frozenset(),
-        lambda st: 1.0 if st.view().connected(0, 1) else 0.0)
+        lambda labels: labels.connected(0, 1))
     assert abs(p - 4.0 / 9.0) <= 1e-12
 
 

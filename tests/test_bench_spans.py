@@ -10,7 +10,7 @@ from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.gauge import PlaquetteComplex
 from isinglab.graphs import Couplings, Graph, _build_reflection
-from isinglab import backbone, currents, doubled, fk, gauge, spins
+from isinglab import backbone, cli, currents, doubled, fk, gauge, spins
 
 SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -30,7 +30,7 @@ def _load_spans():
     return module
 
 
-def test_recorder_sees_support_engines():
+def test_recorder_sees_support_engines(capsys):
     spans = _load_spans()
     g = Graph(3, [(0, 1), (1, 2)])
     c = Couplings(g, 1.0, 0.5)
@@ -44,6 +44,8 @@ def test_recorder_sees_support_engines():
             event)
         FoldedCurrentMeasure(refl).expectations(event)
         doubled.verify_switching(g, c, {0, 1}, {1, 2}, {0, 2})
+        cli.cli_dispatch(["sample", "currents", "--lattice", "box:d=2,L=2",
+                          "--beta", "0.5", "--sites", "0,3", "--seed", "1"])
     finally:
         rec.uninstall()
     by_id = {r[0]: r for r in rec.records()}
@@ -58,14 +60,22 @@ def test_recorder_sees_support_engines():
             out.append(r[1])
         return out
 
-    # the kernel engines build no SupportView; the direct double sums build
-    # one per state through indicator_pairable and are charged for it
+    # the kernel engines build no SupportView: the switching sums run on
+    # the double support measure, and the one build left is the current
+    # sampler's check in `sample currents`
     chains = [ancestors(r) for r in by_id.values() if r[1] == SUPPORTVIEW]
     assert chains
     for chain in chains:
-        assert chain[:2] == ["doubled.indicator_pairable",
-                             "doubled.double_sum_direct"]
+        assert chain[-1] == "cli.cli_dispatch"
+        assert not {n for n in chain if n.startswith("doubled.")}
         assert not set(ENGINE_SPANS) & set(chain)
+    switching = [r for r in by_id.values()
+                 if r[1] == "doubled.verify_switching"]
+    assert len(switching) == 1
+    under = {r[1] for r in by_id.values()
+             if switching[0][1] in ancestors(r)}
+    assert "doubled.DoubleSupportMeasure.__init__" in under
+    assert SUPPORTVIEW not in under
     # uninstall put the originals back
     assert not hasattr(fk.fk_measure_expectation, "__wrapped__")
 

@@ -50,9 +50,16 @@ def _grouping(dim):
     backbone.backbone_grouping(*_bundle(dim), {0, 1})
 
 
-def _double_direct(n_edges):
-    # 5^n_edges joint classes
-    doubled.double_sum_direct(*_path(n_edges), (), (), lambda state: 1.0)
+def _double_support(n_edges):
+    # 2^n_edges support patterns of a path, n_edges + 1 sigma spins
+    doubled.verify_switching(*_path(n_edges), {0, 1}, {0, 1}, {0, 1})
+
+
+def _double_sigma(n_spins):
+    # one edge among n_spins vertices, all of them constrained
+    g = Graph(n_spins, [(0, 1)])
+    doubled.verify_switching(g, Couplings(g, 1.0, 0.3), {0, 1}, {0, 1},
+                             {0, 1})
 
 
 def _chain_sum(n_cells):
@@ -72,7 +79,8 @@ CAPS = [
     (fk, "FK_EDGE_CAP", 20, _fk_sum, 21, 3, 3),
     (currents, "COSET_DIM_CAP", 20, _current_sum, 21, 3, 3),
     (currents, "COSET_DIM_CAP", 20, _grouping, 21, 3, 3),
-    (doubled, "DOUBLE_WORK_CAP", 40_000_000, _double_direct, 11, 125, 3),
+    (currents, "SUPPORT_EDGE_CAP", 18, _double_support, 19, 3, 3),
+    (currents, "SUPPORT_SIGMA_CAP", 20, _double_sigma, 21, 3, 3),
     (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
     (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
 ]
@@ -128,8 +136,7 @@ def test_no_public_callable_takes_a_cap():
 def test_single_valued_options_are_constants():
     assert [f.name for f in dataclasses.fields(samplers.ChainSpec)] == [
         "seed", "burn_in", "sweeps"]
-    for fn, param in ((doubled.double_sum_direct, "relaxed_boundary"),
-                      (doubled.double_event_probability, "relaxed_boundary"),
+    for fn, param in ((doubled.double_event_probability, "relaxed_boundary"),
                       (samplers.current_rejection_sampler, "relaxed_boundary"),
                       (currents.truncated_flux_sum, "cutoff"),
                       (inequalities.ghs_suite, "h_grid"),
@@ -143,7 +150,12 @@ def test_single_valued_options_are_constants():
                          (currents, "SINGLE_EDGE_CAP"),
                          (currents, "_odd_set_chunks"),
                          (gauge, "_kernel_basis"),
-                         (gauge, "_CHAIN_CHUNK_BITS")):
+                         (gauge, "_CHAIN_CHUNK_BITS"),
+                         (doubled, "DOUBLE_WORK_CAP"),
+                         (doubled, "double_sum_direct"),
+                         (doubled, "DoubleCurrentState"),
+                         (doubled, "indicator_pairable"),
+                         (currents.SupportView, "pairable")):
         assert not hasattr(module, name)
 
 

@@ -1,7 +1,9 @@
 import math
+import time
 
 import pytest
 
+from isinglab import doubled
 from isinglab.cli import cli_dispatch
 
 
@@ -393,3 +395,36 @@ def test_pathprops_with_an_odd_source_set_is_usage_error(capsys):
     assert code == 2
     assert "odd source set" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("lattice", ["box:d=2,L=3", "box:d=2,L=3,4"])
+@pytest.mark.parametrize("what", ["xtoy", "switching", "ursell", "fkrcr"])
+def test_double_current_verbs_on_3x3_and_3x4(capsys, what, lattice):
+    # 12 and 17 edges: the support law weighs 2^E patterns, where the
+    # per-class recursion needed 5^E
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", what, "--lattice", lattice,
+                         "--trials", "2", "--beta", "0.4")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert rows and all(row[6] == "true" for row in rows)
+
+
+def test_fkrcr_spin_leg_catches_a_wrong_double_law(capsys, monkeypatch):
+    # fk_sq_vs_rcr compares two users of the support kernel; the spin leg
+    # rcr_vs_corr_sq fails when the double law weighs even edges by cosh K
+    # instead of cosh K - 1, while the FK side still matches the spins
+    argv = ["verify", "fkrcr", "--lattice", "box:d=2,L=3", "--beta", "0.4"]
+    passes = lambda out: {row.split(",")[1]: row.split(",")[6]
+                          for row in out.splitlines()[2:]}
+    _, out, _ = run(capsys, *argv)
+    assert passes(out) == {"fk_sq_vs_rcr": "true", "fk_vs_corr": "true",
+                           "rcr_vs_corr_sq": "true"}
+    table = doubled.edge_weight_table
+    monkeypatch.setattr(doubled, "edge_weight_table", lambda c: [
+        (one, s, c1 + 1.0) for one, s, c1 in table(c)])
+    _, out, _ = run(capsys, *argv)
+    got = passes(out)
+    assert got["rcr_vs_corr_sq"] == "false"
+    assert got["fk_vs_corr"] == "true"

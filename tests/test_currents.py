@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_instance
 from isinglab.graphs import BoxGraph, Couplings, Graph
 from isinglab import spins
-from isinglab.currents import (ConstraintError, SupportView,
+from isinglab.currents import (ConstraintError,
                                correlation_via_currents, current_sum,
                                single_support_expectations,
                                truncated_flux_sum)
@@ -109,7 +109,7 @@ def test_support_view_sign_and_ff():
 
 
 def test_pairable_predicate(triangle):
-    sv = SupportView(triangle, [0])  # edge 0 = (0,1)
+    sv = RefSupportView(triangle, [0])  # edge 0 = (0,1)
     assert sv.pairable(frozenset({0, 1}))
     assert not sv.pairable(frozenset({0, 2}))
     assert sv.pairable(frozenset())

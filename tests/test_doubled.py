@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_instance
 from isinglab.graphs import BoundarySpec, BoxGraph, Couplings, Graph
 from isinglab import doubled, spins
+from ref_double import double_sum_direct, ref_switching
 
 
 def test_two_point_squared_is_connection_probability(triangle):
@@ -14,7 +15,7 @@ def test_two_point_squared_is_connection_probability(triangle):
     corr = spins.expectation(triangle, c, [0, 1])
     p = doubled.double_event_probability(
         triangle, c, frozenset(), frozenset(),
-        lambda st_: 1.0 if st_.view().connected(0, 1) else 0.0)
+        lambda labels: labels.connected(0, 1))
     assert p == pytest.approx(corr * corr, abs=1e-12)
     # landmark: (2/3)^2 = 4/9 at t = 1/2
     assert p == pytest.approx(4.0 / 9.0, abs=1e-12)
@@ -29,7 +30,7 @@ def test_xtoy_fuzz(seed):
     corr = spins.expectation(g, c, [x, y])
     p = doubled.double_event_probability(
         g, c, frozenset(), frozenset(),
-        lambda st_: 1.0 if st_.view().connected(x, y) else 0.0)
+        lambda labels: labels.connected(x, y))
     assert p == pytest.approx(corr * corr, abs=1e-10)
 
 
@@ -47,22 +48,104 @@ def test_switching_fuzz(seed):
 
 def test_switching_with_event(triangle):
     c = Couplings(triangle, [0.9, 0.4, 0.7], 1.0)
-    F = lambda st_: 1.0 if st_.view().connected(0, 2) else 0.0
+    F = lambda labels: labels.connected(0, 2)
     lhs, rhs, diff = doubled.verify_switching(
         triangle, c, frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}),
         F=F)
     assert diff <= 1e-12
+    direct = lambda A1, A2: double_sum_direct(
+        triangle, c, A1, A2, lambda st_: float(
+            st_.view().pairable({0, 1}) and st_.view().connected(0, 2)))
+    assert lhs == pytest.approx(direct({0, 1}, {1, 2}), rel=1e-12)
+    assert rhs == pytest.approx(direct(set(), {0, 2}), rel=1e-12)
 
 
-def test_support_measure_matches_direct(triangle):
-    c = Couplings(triangle, [0.8, 0.5, 0.3], 1.0)
-    direct = doubled.double_event_probability(
-        triangle, c, frozenset({0, 1}), frozenset(),
-        lambda st_: 1.0 if st_.view().connected(0, 2) else 0.0)
-    fast = doubled.double_support_expectations(
-        triangle, c, list(triangle.vertices), frozenset({0, 1}), frozenset(),
-        {"e": lambda labels: labels.connected(0, 2)})["e"]
-    assert fast == pytest.approx(direct, abs=1e-12)
+def _nested_instances(seed, count):
+    """Random graphs with sources A1, A2, a switching set B and, for every
+    other instance, a proper edge subset E2 carrying n2 (None: all edges)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        g, c = random_instance(rng, max_vertices=5, max_edges=7, ferro=False)
+        V = list(g.vertices)
+        pick = lambda: frozenset(rng.choice(V, 2, replace=False).tolist())
+        A1, A2, B = pick(), pick(), pick()
+        r = rng.random()
+        if r < 0.4:
+            A1 = frozenset()
+        if r < 0.2:
+            A2 = frozenset()
+        edges2 = None
+        if len(out) % 2:
+            keep = [e for e in range(g.n_edges) if rng.random() < 0.6]
+            touched = {v for e in keep for v in g.edges[e]}
+            if not (keep and len(keep) < g.n_edges and A2 <= touched
+                    and (A2 ^ B) <= touched):
+                continue
+            edges2 = keep
+        out.append((g, c, A1, A2, B, edges2))
+    return out
+
+
+def _close(got, want):
+    # an exact zero stays exactly 0; everything else to 1e-12 relative
+    return got == want if want == 0.0 else abs(got - want) <= 1e-12 * abs(
+        want)
+
+
+def test_support_measure_matches_direct():
+    # totals, an event and both switching sides, on full and nested edge
+    # sets with and without sources, against the per-class recursion
+    nested = 0
+    for g, c, A1, A2, B, edges2 in _nested_instances(0, 80):
+        nested += edges2 is not None
+        m = doubled.DoubleSupportMeasure(g, c, list(g.vertices), A1, A2,
+                                         edges2)
+        got = m._sums({"c": lambda labels: labels.connected(0, 1)})
+        assert _close(got["_total"], double_sum_direct(
+            g, c, A1, A2, lambda st_: 1.0, edges2))
+        assert _close(got["c"], double_sum_direct(
+            g, c, A1, A2, lambda st_: float(st_.view().connected(0, 1)),
+            edges2))
+        lhs, rhs, _ = doubled.verify_switching(g, c, A1, A2, B,
+                                               edges2=edges2)
+        want_lhs, want_rhs = ref_switching(g, c, A1, A2, B, edges2)
+        assert _close(lhs, want_lhs) and _close(rhs, want_rhs)
+    assert nested == 40
+
+
+# two draws of the benchmark's switching generator (bench/battery.py
+# _switching_instance, seed 1, batteries 0 and 2), copied as literals
+_OFF_EDGE_SOURCE = (
+    Graph(5, [(0, 1), (0, 3), (1, 2), (1, 3)]),
+    [0.63539014830243778, 1.3717656643043701, 1.2771037128364071,
+     0.55414299583181592], 0.77427685674733371, {3, 4}, {1, 3}, {3, 4})
+_UNPAIRABLE_DIFFERENCE = (
+    Graph(5, [(0, 1), (0, 2), (0, 4), (2, 4)]),
+    [1.020944865607623, 0.94164970682685434, 1.1020104316627959,
+     1.4649592454097653], 0.61650375601815521, {3, 4}, {2, 4}, {1, 4})
+
+
+def test_switching_side_without_currents_is_zero():
+    # vertex 4 sits off every edge, so no current pair has the sources of
+    # either side: both raw sums are 0, not a division by a zero total
+    g, J, beta, A1, A2, B = _OFF_EDGE_SOURCE
+    c = Couplings(g, J, beta)
+    assert doubled.verify_switching(g, c, A1, A2, B) == (0.0, 0.0, 0.0)
+    assert ref_switching(g, c, A1, A2, B) == (0.0, 0.0)
+
+
+def test_unpairable_source_difference_weighs_exactly_zero():
+    # A1 xor A2 = {2, 3} pairs in no support (vertex 3 is isolated); the
+    # signed sigma sum G leaves residues of order 1e-18 there, and the
+    # pairable mask keeps the direct engine's exact 0
+    g, J, beta, A1, A2, B = _UNPAIRABLE_DIFFERENCE
+    c = Couplings(g, J, beta)
+    assert ref_switching(g, c, A1, A2, B) == (0.0, 0.0)
+    assert doubled.verify_switching(g, c, A1, A2, B) == (0.0, 0.0, 0.0)
+    m = doubled.DoubleSupportMeasure(g, c, list(g.vertices), A1, A2)
+    assert np.any(m._W != 0.0)
+    assert m._sums({})["_total"] == 0.0
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -174,3 +257,7 @@ def test_source_overlap_ratio(triangle):
     val = doubled.source_overlap_ratio(triangle, c, A, B)
     s = lambda S: spins.expectation(triangle, c, sorted(S))
     assert val == pytest.approx(s(A) * s(B) / s(A ^ B), abs=1e-12)
+    pair_a = lambda st_: 1.0 if st_.view().pairable(A) else 0.0
+    direct = (double_sum_direct(triangle, c, A ^ B, (), pair_a)
+              / double_sum_direct(triangle, c, A ^ B, (), lambda st_: 1.0))
+    assert val == pytest.approx(direct, rel=1e-12)

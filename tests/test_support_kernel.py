@@ -60,17 +60,23 @@ def _ref_fk(graph, couplings, events, boundary=None):
     return _ref_expectations(weighted_views(), events)
 
 
-def _ref_double(measure, events):
-    W = measure._W
-    half = W.shape[0].bit_length() - 1
+def _pairs_away_from(view, B, wired):
+    """B pairs within the view's support; components that hold a wired
+    vertex may hold any number of B vertices."""
+    return view.pairable({b for b in B
+                          if not any(view.connected(b, w) for w in wired)})
+
+
+def _ref_double(measure, events, B=(), wired=()):
+    """The measure's pattern weights, with the patterns where the source
+    difference B does not pair away from the unconstrained vertices
+    `wired` weighed 0."""
     E = measure.graph.n_edges
-    weighted_views = (
-        (float(W[sa, sb]),
-         RefSupportView(measure.graph,
-                        [e for e in range(E)
-                         if (int(sa) | int(sb) << half) >> e & 1]))
-        for sa, sb in np.argwhere(W != 0.0))
-    return _ref_expectations(weighted_views, events)
+    views = ((float(measure._W[p]),
+              RefSupportView(measure.graph, [e for e in range(E) if p >> e & 1]))
+             for p in np.flatnonzero(measure._W))
+    return _ref_expectations(((w, view) for w, view in views
+                              if _pairs_away_from(view, B, wired)), events)
 
 
 def _ref_folded(measure, reflection, events):
@@ -157,13 +163,14 @@ def _engines(graph, couplings, wired, constrained, sources):
                                               boundary=wired),
          lambda ev: _ref_fk(graph, abs_c, ev, boundary=wired)),
     ]
-    measures = [DoubleSupportMeasure(graph, couplings, constrained, sources,
-                                     ())]
+    relaxed = DoubleSupportMeasure(graph, couplings, constrained, sources, ())
+    unconstrained = set(graph.vertices) - set(constrained)
+    out.append((relaxed.expectations, lambda ev: _ref_double(
+        relaxed, ev, sources, unconstrained)))
     if graph.n <= 20:
-        measures.append(DoubleSupportMeasure(
-            graph, couplings, list(graph.vertices), (), ()))
-    for m in measures:
-        out.append((m.expectations, lambda ev, m=m: _ref_double(m, ev)))
+        free = DoubleSupportMeasure(graph, couplings, list(graph.vertices),
+                                    (), ())
+        out.append((free.expectations, lambda ev: _ref_double(free, ev)))
     return out
 
 
