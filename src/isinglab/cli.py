@@ -149,12 +149,15 @@ def _refuse_fields(fields, command):
 def _wilson_tol(mean, n, exact):
     """Distance from the mean of n 0/1 draws to the end of their z = 4
     Wilson score interval on the side of `exact`, so |mean - exact| <= tol
-    iff `exact` lies in the interval."""
+    iff `exact` lies in the interval.  At mean 0 or 1 the interval's end is
+    the mean itself, which rounding can leave just inside it, so the
+    distance is clamped at 0."""
     z = 4.0
     q = z * z / n
     center = (mean + q / 2.0) / (1.0 + q)
     half = z * math.sqrt(mean * (1.0 - mean) / n + q / (4.0 * n)) / (1.0 + q)
-    return center + half - mean if exact >= mean else mean - center + half
+    return max(0.0, center + half - mean if exact >= mean
+               else mean - center + half)
 
 
 # ---------------------------------------------------------------------------

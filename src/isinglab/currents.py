@@ -67,11 +67,21 @@ class EdgeStateConfig:
 
 
 def edge_weight_table(couplings):
-    """Per edge: (1, sinh K, cosh K - 1) with K = beta |J|."""
+    """Per edge: (1, sinh K, cosh K - 1) with K = beta |J|.
+
+    ValueError if an edge's weights, or their total e^K, overflow a float.
+    """
     out = []
     for e in range(couplings.graph.n_edges):
         K = couplings.K_abs(e)
-        out.append((1.0, math.sinh(K), math.cosh(K) - 1.0))
+        try:
+            row = (1.0, math.sinh(K), math.cosh(K) - 1.0)
+        except OverflowError:
+            row = (1.0, math.inf, math.inf)
+        if not math.isfinite(sum(row)):
+            raise ValueError("edge %d: K = %r overflows the current weights "
+                             "(sinh K, cosh K - 1)" % (e, K))
+        out.append(row)
     return out
 
 

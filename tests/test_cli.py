@@ -428,3 +428,31 @@ def test_fkrcr_spin_leg_catches_a_wrong_double_law(capsys, monkeypatch):
     got = passes(out)
     assert got["rcr_vs_corr_sq"] == "false"
     assert got["fk_vs_corr"] == "true"
+
+
+@pytest.mark.parametrize("trials", [20, 50])
+def test_score_interval_tolerance_is_never_negative(capsys, trials):
+    # every draw connects 0 and 3 and the exact law is 1 to the last digit;
+    # the end of the score interval at mean 1 used to round to 1 - 1.1e-16,
+    # a tolerance of -1.1e-16 that failed abs_diff 0
+    from isinglab.cli import _wilson_tol
+    assert _wilson_tol(1.0, trials, 1.0) == 0.0
+    code, out, _ = run(capsys, "sample", "currents", "--lattice",
+                       "box:d=2,L=2", "--beta", "20", "--seed", "1",
+                       "--sites", "0,3", "--trials", str(trials))
+    row = out.splitlines()[2].split(",")
+    assert row[1:7] == ["sampler_currents", "1", "1", "0", "0", "true"]
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["sample", "currents"],
+                                  ["verify", "frustration"],
+                                  ["verify", "disorder"], ["verify", "xtoy"],
+                                  ["verify", "fkrcr"]])
+def test_overflowing_current_weights_are_usage_errors(capsys, argv):
+    # sinh 800 is past the float range
+    code, out, err = run(capsys, *argv, "--lattice", "box:d=2,L=2",
+                         "--beta", "800")
+    assert code == 2
+    assert err.startswith("error: edge 0: K = 800.0 overflows")
+    assert out == ""

@@ -9,6 +9,7 @@ from isinglab.graphs import BoxGraph, Couplings, Graph
 from isinglab import spins
 from isinglab.currents import (ConstraintError,
                                correlation_via_currents, current_sum,
+                               edge_weight_table,
                                single_support_expectations,
                                truncated_flux_sum)
 from isinglab.spins import SizeError
@@ -129,3 +130,11 @@ def test_signed_boxes_past_twenty_edges_match_spin_oracle(sides, sources):
     for A in sources:
         assert correlation_via_currents(g, c, A) == pytest.approx(
             spins.expectation(g, c, A), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [709.9, 800.0])
+def test_overflowing_weight_table_names_the_edge(beta):
+    # at K = 709.9 sinh K is finite but the total e^K is not
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="edge 1: K = %r" % beta):
+        edge_weight_table(Couplings(g, [1e-3, 1.0], beta))
