@@ -219,27 +219,6 @@ def check_path_properties(graph, couplings, A):
     }
 
 
-def remap_paths(paths, edge_map, vertex_map):
-    """Translate a path tuple into another graph's edge/vertex ids."""
-    return tuple(BackbonePath(tuple(edge_map[e] for e in p.edges),
-                              tuple(vertex_map[v] for v in p.vertices),
-                              frozenset(edge_map[e] for e in p.blocked))
-                 for p in paths)
-
-
-def zeta_domain_monotone(small_graph, small_couplings, big_graph,
-                         big_couplings, paths, edge_map, vertex_map):
-    """zeta computed in a larger graph is no larger than in the subgraph.
-
-    `paths` lives in the small graph; edge_map/vertex_map translate its ids
-    into the big graph (couplings must agree on mapped edges).  Returns
-    (zeta_small, zeta_big)."""
-    zs = zeta_weight(small_graph, small_couplings, paths)
-    zb = zeta_weight(big_graph, big_couplings,
-                     remap_paths(paths, edge_map, vertex_map))
-    return zs, zb
-
-
 def tree_diagram_check(graph, couplings, x1, x2, x3, x4):
     """(lhs, rhs, pass): |U4| <= 2 sum_u prod_j <s_{x_j} s_u>."""
     lhs = abs(spins.ursell4(graph, couplings, x1, x2, x3, x4))

@@ -16,7 +16,11 @@ product the walk would form, so sums over it do not depend on the chunking.
 
 The trichotomy refines the even class by support: Zero (weight 1) and
 EvenPos (cosh K - 1).  `EdgeStateConfig` holds such a state for the
-rejection sampler, and `single_support_expectations` weighs supports by it.
+rejection sampler, and `single_support_expectations` weighs supports by it,
+as a sum of positive terms over the subgraphs of odd edges.  `_subgraph_sums`
+forms such sums for all 2^E supports at once by one subset-sum ("zeta")
+transform (Björklund, Husfeldt, Kaski and Koivisto 2007); the double- and
+folded-current laws of `doubled` and `folding` are products of two of them.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from .unionfind import UnionFind
 ZERO, ODD, EVENPOS = 0, 1, 2
 
 COSET_DIM_CAP = 20        # 2^20 odd sets per source set: E - n + c <= 20
-SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single and double laws)
-SUPPORT_SIGMA_CAP = 20    # and a 2^20 sigma sum
+SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single, double, folded)
 FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
 
 
@@ -190,7 +193,8 @@ def truncated_flux_sum(graph, couplings, A):
 # pattern (or one value for all of them), built from the label queries
 # connected, connects_sets, reached, cluster_count, is_ff, sgn, has_edge,
 # touched, open_count and pairable.  The three current laws weigh all
-# patterns by one sigma sum, `_sigma_sum`, each with its own per-edge tables.
+# patterns by positive subgraph sums, `_subgraph_sums`, one subset-sum
+# transform over the patterns with per-edge weights (a, b).
 # SupportView answers connectivity for one support, for the samplers.
 
 _CHUNK_BITS = 16          # at most 2^16 patterns per chunk
@@ -344,11 +348,11 @@ class _SupportLabels:
             self._parity[key] = (par[self._rows], ok[self._rows])
         return self._parity[key]
 
-    def pairable(self, B, edges=None, wired=()):
+    def pairable(self, B, edges=None):
         """Rows where B is the boundary of a subgraph of S & edges (all of S
-        for None) away from `wired`: each component of S & edges that holds
-        no wired vertex holds an even number of B vertices, so each of them
-        is touched.  Other edges are masked out by relabelling the chunk."""
+        for None): each component of S & edges holds an even number of B
+        vertices, so each of them is touched.  Other edges are masked out by
+        relabelling the chunk."""
         lab = self.lab
         if edges is not None:
             keep = frozenset(edges)
@@ -359,7 +363,6 @@ class _SupportLabels:
         odd = np.zeros(lab.shape, dtype=bool)
         for b in B:
             odd[rows, lab[:, b]] ^= True
-        odd[rows[:, None], lab[:, list(wired)]] = False
         return ~odd.any(1)
 
     def is_ff(self, flagged):
@@ -422,67 +425,63 @@ def _support_expectations(graph, bit_edges, weigh, events):
     return out
 
 
-def _check_support_caps(n_edges, n_sigma):
-    """SizeError unless the 2^n_edges support patterns and the 2^n_sigma
-    rows of a current law's sigma sum fit their caps."""
-    if n_edges > SUPPORT_EDGE_CAP:
-        raise SizeError("2^%d support patterns exceed the cap" % n_edges)
-    if n_sigma > SUPPORT_SIGMA_CAP:
-        raise SizeError("2^%d parity assignments exceed the cap" % n_sigma)
+def _check_support_cap(n_patterns):
+    """SizeError unless the 2^n_patterns support patterns of a current law
+    fit the cap."""
+    if n_patterns > SUPPORT_EDGE_CAP:
+        raise SizeError("2^%d support patterns exceed the cap" % n_patterns)
 
 
-def _signs(k):
-    """The 2^k x k matrix of +-1 spins: row r holds the bits of r."""
-    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2 - 1
+def _syndromes(ends, constrained, target):
+    """The boundaries, on the constrained vertices, of the pattern edges
+    with end pairs `ends` and of the vertex set `target`, as bit masks over
+    the constrained vertices that some edge touches.  The target mask is -1,
+    which no boundary equals, when it holds a vertex that no edge touches."""
+    pos = {}
+    bounds = []
+    for uv in ends:
+        m = 0
+        for v in uv:
+            if v in constrained:
+                m ^= 1 << pos.setdefault(v, len(pos))
+        bounds.append(m)
+    if not target <= pos.keys():
+        return bounds, -1
+    return bounds, sum(1 << pos[v] for v in target)
 
 
-def _chi(signs, sites, pos):
-    """Per row of `signs`: the product of the spins in columns pos[v] over
-    the sites v found in pos (the others are not summed over)."""
-    out = np.ones(len(signs))
-    for v in sites:
-        if v in pos:
-            out = out * signs[:, pos[v]]
-    return out
-
-
-def _sigma_sum(pattern_edges, tabs, src):
-    """W[a, b] = sum_sigma src(sigma) prod tabs[e](sigma) over the edges of
-    pattern_edges that pattern a | b << (m // 2) selects, m =
-    len(pattern_edges); tabs[e] and src are arrays over the sigma rows.
-    Each half of the pattern bits gets a meet-in-the-middle product table,
-    and the sum is one matrix product of the two."""
-    def table(edge_list):
-        out = np.empty((1 << len(edge_list), len(src)))
-        out[0] = 1.0
-        for mask in range(1, len(out)):
-            low = mask & -mask
-            out[mask] = out[mask ^ low] * tabs[edge_list[low.bit_length() - 1]]
-        return out
-
-    m = len(pattern_edges)
-    TA = table(pattern_edges[:m // 2])
-    TA *= src
-    return TA @ table(pattern_edges[m // 2:]).T
+def _subgraph_sums(bounds, target, a, b):
+    """h[S] = sum over F within S with boundary `target` of
+    prod_{e in F} b_e prod_{e in S - F} a_e, for every pattern S: bit i of S
+    is the edge with boundary bounds[i].  The boundaries of all patterns
+    are built by doubling over the bits (an edge sets at most two bits, so
+    int64 holds those of 31 edges); then one subset-sum butterfly per bit
+    turns the indicator of the boundary into h."""
+    synd = np.zeros(1, dtype=np.int64)
+    for bound in bounds:
+        synd = np.concatenate((synd, synd ^ bound))
+    h = (synd == target).astype(float)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        pair = h.reshape(-1, 2, 1 << i)
+        pair[:, 1] = bi * pair[:, 1] + ai * pair[:, 0]
+    return h
 
 
 def single_support_expectations(graph, couplings, events):
     """Normalized expectations of the named events (as in
     `_support_expectations`) over the support S of one sourceless current,
     K = beta |J|, plus '_total' (the sourceless current sum, which is
-    2^-n sum_sigma e^{-H(sigma)} at |J|).  The sigma sum keeps the odd sets
-    with no odd vertex:
+    2^-n sum_sigma e^{-H(sigma)} at |J|).  The odd edges of S form an even
+    subgraph F, and the even edges of S are nonzero:
 
-        W(S) = 2^-n sum_sigma prod_{e in S} ((cosh K - 1) + sinh K chi_e).
+        W(S) = sum_{F within S, dF = 0} prod_F sinh K prod_{S-F} (cosh K - 1).
     """
-    E, n = graph.n_edges, graph.n
-    _check_support_caps(E, n)
-    signs = _signs(n)
-    pos = {v: v for v in range(n)}
-    tabs = [even + odd * _chi(signs, uv, pos) for uv, (_, odd, even)
-            in zip(graph.edges, edge_weight_table(couplings))]
-    W = _sigma_sum(list(range(E)), tabs, np.ones(len(signs))) / len(signs)
-    W = W.T.ravel()     # pattern a | b << (E // 2) is W[a, b]
+    E = graph.n_edges
+    _check_support_cap(E)
+    table = edge_weight_table(couplings)
+    W = _subgraph_sums(*_syndromes(graph.edges, set(graph.vertices), set()),
+                       [even for _, _, even in table],
+                       [odd for _, odd, _ in table])
     return _support_expectations(graph, [(e,) for e in range(E)],
                                  lambda labels: W[labels.masks], events)
 

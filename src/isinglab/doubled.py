@@ -7,27 +7,24 @@ and one engine computes it: `DoubleSupportMeasure` weighs each of the 2^|E|
 support patterns in closed form, and the support kernel of `currents`
 evaluates the events on the labels of the patterns (Aizenman 1982).
 
-Write the source constraints of n1 and n2 as sums over spins sigma, tau at
-the k constrained vertices, with chi_e the product of the spins at the ends
-of e.  Summing the flux of every edge, a shared edge in S weighs
-(c^2 - 1) + s c (chi_e^sigma + chi_e^tau) + s^2 chi_e^sigma chi_e^tau with
-s = sinh K, c = cosh K, and an edge of n1 alone weighs (c - 1) + s chi_e.
-With rho = sigma tau and c^2 - 1 = s^2 the shared factor is
-(1 + chi_e^rho)(s^2 + s c chi_e^sigma), and the weight factorises as
+Only the source constraints at the `constrained` vertices count.  Summing
+the flux of every edge, with s = sinh K and c = cosh K, an edge of S that
+carries both currents weighs s^2 when their parities agree (c^2 - 1 = s^2
+when both are even) and s c when they differ, and an edge of n1 alone
+weighs s (odd) or c - 1 (even).  Let F2 be the odd edges of n2 and F those
+where the parities differ; then dF2 = A2 and dF = A1 xor A2, and the
+weight factorises as
 
-    W(S) = 2^-2k Q(S & E2; A2) G(S; A1 xor A2),
-    Q = sum_rho chi_rho(A2) prod_{e in S & E2} (1 + chi_e),
-    G = sum_sigma chi_sigma(A1 xor A2) prod_{e in S & E2} (s^2 + s c chi_e)
-                                       prod_{e in S - E2} ((c - 1) + s chi_e).
+    W(S) = Q(S & E2; A2) G(S; A1 xor A2),
+    Q = #{F2 within S & E2 : dF2 = A2},
+    G = sum_{F within S, dF = A1 xor A2} prod_{F & E2} s c
+        prod_{(S - F) & E2} s^2 prod_{F - E2} s prod_{(S - F) - E2} (c - 1),
 
-Q counts the parity patterns of n2, so its source is A2: it is nonzero iff
-A2 pairs within S & E2.  When E2 is every edge, A1 pairs within S wherever
-A2 and A1 xor A2 do, and the source A1 gives the same exact integers; under
-nesting only A2 is right.  Q is exact; G is a signed sum that leaves
-rounding residues where A1 xor A2 does not pair within S, so such patterns
-are weighed 0 by `pairable`.  Both are sigma sums over all patterns at once
-by `currents._sigma_sum`, the builder the single-current and folded laws
-share.
+each one `currents._subgraph_sums` over all patterns at once, the transform
+the single-current law uses.  Both are sums of nonnegative terms, so W is
+exactly 0 where A2 does not pair within S & E2 or A1 xor A2 within S (a
+component that holds an unconstrained vertex pairs any source).
+`folding` weighs its folded law by the same product.
 """
 
 from __future__ import annotations
@@ -35,10 +32,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .currents import (ConstraintError, _check_sources, _check_support_caps,
-                       _chi, _dobrushin_events, _signs, _sigma_sum,
-                       _support_expectations, _support_sums,
+from .currents import (ConstraintError, _check_sources, _check_support_cap,
+                       _dobrushin_events, _subgraph_sums,
+                       _support_expectations, _support_sums, _syndromes,
                        edge_weight_table)
+
+
+def _double_weights(ends, table, shared, q, g):
+    """W = Q G over the patterns of the edges with end pairs `ends` and
+    weight rows `table` (as `edge_weight_table`); the positions `shared`
+    carry both currents.  q and g are the (constrained vertices, target) of
+    Q and of G."""
+    one = [1.0] * len(ends)
+    in2 = [float(i in shared) for i in range(len(ends))]
+    a = [s * s if i in shared else even
+         for i, (_, s, even) in enumerate(table)]
+    b = [s * (even + 1.0) if i in shared else s
+         for i, (_, s, even) in enumerate(table)]
+    return (_subgraph_sums(*_syndromes(ends, *q), one, in2)
+            * _subgraph_sums(*_syndromes(ends, *g), a, b))
 
 
 class DoubleSupportMeasure:
@@ -52,45 +64,23 @@ class DoubleSupportMeasure:
 
     def __init__(self, graph, couplings, constrained, A1, A2, edges2=None):
         A1, A2 = _check_sources(A1), _check_sources(A2)
-        constrained = sorted(constrained)
-        if not (A1 <= set(constrained) and A2 <= set(constrained)):
+        constrained = set(constrained)
+        if not (A1 <= constrained and A2 <= constrained):
             raise ConstraintError("sources must be constrained vertices")
         E = graph.n_edges
         shared = set(range(E) if edges2 is None else edges2)
         if edges2 is not None and not A2 <= {v for e in shared
                                              for v in graph.edges[e]}:
             raise ConstraintError("A2 must lie on the subgraph carrying n2")
-        k = len(constrained)
-        _check_support_caps(E, k)
+        _check_support_cap(E)
         self.graph = graph
-        pos = {v: i for i, v in enumerate(constrained)}
-        signs = _signs(k)
-        q_tabs, g_tabs = [], []
-        for e, (uv, (_, s, c1)) in enumerate(
-                zip(graph.edges, edge_weight_table(couplings))):
-            chi = _chi(signs, uv, pos)
-            if e in shared:
-                q_tabs.append(1.0 + chi)
-                g_tabs.append(s * s + s * (c1 + 1.0) * chi)
-            else:
-                q_tabs.append(1.0)
-                g_tabs.append(c1 + s * chi)
-        edges = list(range(E))
-        # W[sa, sb] = 2^{-2k} (srcA . QA QB)(srcB . GA GB); _W[pattern]
-        # holds it for pattern sa | sb << (E // 2)
-        M1 = _sigma_sum(edges, q_tabs, _chi(signs, A2, pos))
-        M2 = _sigma_sum(edges, g_tabs, _chi(signs, A1 ^ A2, pos))
-        self._W = ((M1 * M2) * (1.0 / (len(signs) * len(signs)))).T.ravel()
-        # G vanishes unless A1 xor A2 pairs within S, away from the
-        # unconstrained vertices
-        self._diff = A1 ^ A2
-        self._unconstrained = set(graph.vertices) - set(constrained)
+        # _W[pattern]: bit e of the pattern puts edge e in S
+        self._W = _double_weights(graph.edges, edge_weight_table(couplings),
+                                  shared, (constrained, A2),
+                                  (constrained, A1 ^ A2))
 
     def _weigh(self, labels):
-        w = self._W[labels.masks]
-        if self._diff:
-            w[~labels.pairable(self._diff, wired=self._unconstrained)] = 0.0
-        return w
+        return self._W[labels.masks]
 
     def _sums(self, events):
         """Raw weighted sums of the events, as in `currents._support_sums`."""
@@ -222,13 +212,6 @@ def surface_tension_ratio(box, couplings, axis=None):
             area += 1
     return -math.log(spins.partition_ratio(box, couplings, couplings, bspec,
                                            bspec.all_plus())) / area
-
-
-def source_overlap_ratio(graph, couplings, A, B):
-    """E^{A xor B, 0}(1_A[n1+n2]); equals <s_A><s_B>/<s_A s_B>."""
-    A, B = frozenset(A), frozenset(B)
-    return double_event_probability(graph, couplings, A ^ B, frozenset(),
-                                    lambda labels: labels.pairable(A))
 
 
 def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):

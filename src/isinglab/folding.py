@@ -5,37 +5,33 @@ its mirror image: events live on the support of n + R(n).  Writing
 n = (n0, n1, n2) over the fixed-plane edges E0 and the two sides E1, E2, and
 pulling n2 back onto E1, the combined support is determined by
 
-    S0 = supp(n0) in E0,    T = supp(n1) | R(supp(n2)) in E1,
+    S0 = supp(n0) in E0,    T = supp(n1) | R(supp(n2)) in E1.
 
-and the total weight of a pattern (S0, T) factorizes over edges after the
-usual parity-to-spin transform.  Three sigma families appear: alpha (n1
-parities at constrained side-1 vertices), gamma (mirrored n2 parities at the
-same vertices) and delta (joint parities at constrained plane vertices).
-The per-edge factors are
+This is the double-current law of `doubled` on the folded graph E0 + E1:
+n0 + n1 is the first current, on every folded edge, and the pulled-back n2
+the second, on E1 alone.  The sources split the same way.  At a constrained
+side-1 vertex v, n1 has the source [v in A] and the pulled-back n2 the
+source [R(v) in A]; at a constrained plane vertex only the joint parity of
+n0, n1 and n2 is fixed.  So with S1, M2 and P the side-1 sources, the
+mirror images of the side-2 sources and the plane sources,
 
-    b in E0, b in S0:   (cosh K - 1) + sinh K * chi_delta(b)
-    b in E1, b in T:    (cosh^2 K - 1) + sinh K cosh K (chi_a + chi_g)
-                        + sinh^2 K * chi_a chi_g
+    W(S0, T) = Q(T; M2) G(S0 + T; S1 xor M2 xor P),
 
-(the E1 factor is the sum over the eight not-both-zero trichotomy states of
-the pair (b, R(b))).  Cost: 2^(|E0|+|E1|) patterns times a 2^k sigma sum,
-evaluated by `currents._sigma_sum`, the meet-in-the-middle builder the
-single- and double-current laws share; only nonzero patterns are visited
-for events.
+with Q constrained at the side-1 vertices only and G at the side-1 and
+plane vertices, both by `doubled._double_weights`.  Cost: one subset-sum
+transform over the 2^(|E0|+|E1|) patterns for each of Q and G; only
+nonzero patterns are visited for events.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, _check_sources, _chi, _signs,
-                       _sigma_sum, _support_expectations, edge_weight_table)
+from .currents import (ConstraintError, _check_sources, _check_support_cap,
+                       _support_expectations, edge_weight_table)
+from .doubled import _double_weights
 from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
-from .spins import SizeError
 from . import spins
-
-PATTERN_CAP = 16
-SIGMA_CAP = 22
 
 
 class FoldedCurrentMeasure:
@@ -56,39 +52,18 @@ class FoldedCurrentMeasure:
             if sym != constrained:
                 raise ConstraintError("free boundary must be reflection-symmetric")
 
-        c1 = sorted(constrained & r.lambda1)
-        c0 = sorted(constrained & r.lambda0)
-        k = 2 * len(c1) + len(c0)
-        if k > SIGMA_CAP:
-            raise SizeError("2^%d sigma assignments exceed the cap" % k)
         pattern_edges = list(r.e0) + list(r.e1)
-        m = len(pattern_edges)
-        if m > PATTERN_CAP:
-            raise SizeError("2^%d folded patterns exceed the cap" % m)
-
-        # sigma variable layout: alpha_v, gamma_v for v in c1; delta_v for c0
-        alpha = {v: i for i, v in enumerate(c1)}
-        gamma = {v: len(c1) + i for i, v in enumerate(c1)}
-        delta = {v: 2 * len(c1) + i for i, v in enumerate(c0)}
-        signs = _signs(k)
-
-        side_a, side_g = {**delta, **alpha}, {**delta, **gamma}
+        _check_support_cap(len(pattern_edges))
+        c1 = constrained & r.lambda1
+        mirrored = frozenset(r.involution[v] for v in A & r.lambda2)
         w = edge_weight_table(r.couplings)
-        tabs = {}
-        for e in r.e0:
-            s, c = w[e][1], w[e][2] + 1.0
-            tabs[e] = (c - 1.0) + s * _chi(signs, graph.edges[e], delta)
-        for e in r.e1:
-            s, c = w[e][1], w[e][2] + 1.0
-            xa = _chi(signs, graph.edges[e], side_a)
-            xg = _chi(signs, graph.edges[e], side_g)
-            tabs[e] = (c * c - 1.0) + s * c * (xa + xg) + s * s * (xa * xg)
-
-        # a side-2 source is the gamma spin of its mirror image
-        mirror = {r.involution[v]: i for v, i in gamma.items()}
-        src = _chi(signs, A, {**mirror, **delta, **alpha})
-        self._W = _sigma_sum(pattern_edges, tabs, src) / len(signs)
-        # bit i of a pattern mask adds pattern_edges[i] and its mirror
+        # _W[pattern]: bit i of the pattern adds pattern_edges[i] and its
+        # mirror
+        self._W = _double_weights(
+            [graph.edges[e] for e in pattern_edges],
+            [w[e] for e in pattern_edges],
+            range(len(r.e0), len(pattern_edges)), (c1, mirrored),
+            (c1 | (constrained & r.lambda0), (A - r.lambda2) ^ mirrored))
         self._bit_edges = [tuple(sorted({e, r.edge_map[e]}))
                            for e in pattern_edges]
         self.graph = graph
@@ -100,9 +75,9 @@ class FoldedCurrentMeasure:
         cluster_count, is_ff, sgn, has_edge, touched, open_count).  Returns
         dict of normalized expectations plus '_total' (the raw weight
         sum)."""
-        W = self._W.T.ravel()   # pattern a | b << (m // 2) is W[a, b]
         return _support_expectations(self.graph, self._bit_edges,
-                                     lambda labels: W[labels.masks], events)
+                                     lambda labels: self._W[labels.masks],
+                                     events)
 
 
 # ---------------------------------------------------------------------------

@@ -298,15 +298,6 @@ def gauge_oracle_partition(cx, beta, edge_signs=None):
         return math.inf if total > 0 else -math.inf
 
 
-def gauge_transform_mask(cx, vertex):
-    """Edge mask flipped by the gauge transformation at one vertex."""
-    m = 0
-    for e, (u, v) in enumerate(cx.edges):
-        if vertex in (u, v):
-            m ^= 1 << e
-    return m
-
-
 # ---------------------------------------------------------------------------
 # duality
 

@@ -15,10 +15,10 @@ import pkgutil
 import pytest
 
 import isinglab
-from isinglab import (backbone, currents, doubled, fk, gauge, gf2, graphs,
-                      inequalities, samplers, spins)
+from isinglab import (backbone, currents, doubled, fk, folding, gauge, gf2,
+                      graphs, inequalities, samplers, spins)
 from isinglab.gauge import PlaquetteComplex
-from isinglab.graphs import Couplings, Graph
+from isinglab.graphs import Couplings, Graph, _build_reflection
 from isinglab.spins import SizeError
 
 
@@ -55,11 +55,13 @@ def _double_support(n_edges):
     doubled.verify_switching(*_path(n_edges), {0, 1}, {0, 1}, {0, 1})
 
 
-def _double_sigma(n_spins):
-    # one edge among n_spins vertices, all of them constrained
-    g = Graph(n_spins, [(0, 1)])
-    doubled.verify_switching(g, Couplings(g, 1.0, 0.3), {0, 1}, {0, 1},
-                             {0, 1})
+def _folded_support(n_edges):
+    # a path of 2 n_edges edges folded about its middle vertex: 2^n_edges
+    # folded patterns
+    g, c = _path(2 * n_edges)
+    reflection = _build_reflection(g, c, {v: 2 * n_edges - v
+                                          for v in g.vertices})
+    folding.FoldedCurrentMeasure(reflection, {0, 2 * n_edges})
 
 
 def _chain_sum(n_cells):
@@ -80,11 +82,12 @@ CAPS = [
     (currents, "COSET_DIM_CAP", 20, _current_sum, 21, 3, 3),
     (currents, "COSET_DIM_CAP", 20, _grouping, 21, 3, 3),
     (currents, "SUPPORT_EDGE_CAP", 18, _double_support, 19, 3, 3),
-    (currents, "SUPPORT_SIGMA_CAP", 20, _double_sigma, 21, 3, 3),
+    (currents, "SUPPORT_EDGE_CAP", 18, _folded_support, 19, 3, 3),
     (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
     (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
 ]
-# one constant bounds both odd-set enumerations, by the coset dimension
+# one constant bounds both odd-set enumerations, by the coset dimension,
+# and one the support patterns of all three current laws
 IDS = [name + ("-" + engine.__name__[1:] if module is currents else "")
        for module, name, _, engine, *_ in CAPS]
 
@@ -155,8 +158,40 @@ def test_single_valued_options_are_constants():
                          (doubled, "double_sum_direct"),
                          (doubled, "DoubleCurrentState"),
                          (doubled, "indicator_pairable"),
-                         (currents.SupportView, "pairable")):
+                         (currents.SupportView, "pairable"),
+                         (currents, "SUPPORT_SIGMA_CAP"),
+                         (currents, "_sigma_sum"),
+                         (currents, "_signs"),
+                         (currents, "_chi"),
+                         (folding, "SIGMA_CAP"),
+                         (folding, "PATTERN_CAP"),
+                         (gauge, "gauge_transform_mask"),
+                         (doubled, "source_overlap_ratio"),
+                         (backbone, "zeta_domain_monotone"),
+                         (backbone, "remap_paths")):
         assert not hasattr(module, name)
+    assert "wired" not in inspect.signature(
+        currents._SupportLabels.pairable).parameters
+
+
+def test_many_constrained_vertices_need_no_cap():
+    # the support laws count patterns, not constrained spins: 22 vertices,
+    # all constrained, with a frustrated triangle and an edge far away.
+    # Isolated spins change no normalized spin quantity, so the oracle runs
+    # on the same edges over 5 vertices.
+    J = [0.8, -1.1, 0.6, 0.9]
+    g = Graph(22, [(0, 1), (1, 2), (0, 2), (20, 21)])
+    c = Couplings(g, J, 0.7)
+    h = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    ch = Couplings(h, J, 0.7)
+    assert doubled.frustrated_partition_ratio(g, c) == pytest.approx(
+        spins.partition_ratio(h, ch, ch.with_abs()), rel=1e-12)
+    assert doubled.frustrated_correlation(g, c, 0, 2) == pytest.approx(
+        spins.expectation(h, ch, [0, 2])
+        * spins.expectation(h, ch.with_abs(), [0, 2]), rel=1e-12)
+    total = currents.single_support_expectations(g, c, {})["_total"]
+    assert total == pytest.approx(
+        spins.partition_function(h, ch.with_abs()), rel=1e-12)
 
 
 def test_odd_set_cap_is_checked_before_allocating(monkeypatch):

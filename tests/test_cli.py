@@ -114,6 +114,16 @@ def test_verify_dobrushin(capsys):
     assert "dobrushin_mag" in out
 
 
+def test_verify_fold_past_sixteen_pattern_bits(capsys):
+    # the 5x4 fold has 17 folded pattern bits, within the one support cap
+    code, out, err = run(capsys, "verify", "fold", "--lattice",
+                         "box:d=2,L=5,4", "--beta", "0.4")
+    assert (code, err) == (0, "")
+    row = out.splitlines()[2].split(",")
+    assert row[1] == "folded_correlation" and row[6] == "true"
+    assert float(row[2]) == pytest.approx(float(row[3]), rel=1e-12)
+
+
 def test_graph_file_input(tmp_path, capsys):
     gf = tmp_path / "tri.txt"
     gf.write_text("edge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
@@ -285,17 +295,17 @@ def test_zero_variance_currents_sample_uses_score_interval(capsys, seed):
 
 
 def test_currents_sample_with_spread_keeps_stderr_gate(capsys):
-    # rhs is the single-current support law; its sigma sum cancels, so it
-    # sits 1.2e-15 relative from the high-precision value
+    # rhs is the single-current support law, a ratio of sums of positive
+    # subgraph weights; it sits 5e-16 relative from the high-precision value
     code, out, _ = run(capsys, *SAMPLE_CURRENTS, "--seed", "6")
     assert code == 0
     row = out.splitlines()[2].rsplit(",", 1)[0]
     assert row == (
         "beta=0.35,sampler_currents,0.050000000000000003,"
-        "0.023695369053489769,0.026304630946510234,"
-        "-0.026304630946510234,true")
+        "0.023695369053489786,0.026304630946510216,"
+        "-0.026304630946510216,true")
     rhs = float(row.split(",")[3])
-    assert rhs == pytest.approx(0.02369536905348979839, rel=1e-14, abs=0)
+    assert rhs == pytest.approx(0.02369536905348979839, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("what,seed", [("metropolis", "1"),

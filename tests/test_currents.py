@@ -64,7 +64,7 @@ def test_event_weighting_is_support_measurable(triangle):
 @pytest.mark.parametrize("sides", [(2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
 def test_single_law_total_matches_spin_oracle(sides):
     # sum_S W(S) = Z(|J|) / 2^n: the spin oracle shares no code with the
-    # sigma-sum builder
+    # subgraph sums
     box = BoxGraph(2, sides)
     rng = np.random.default_rng(sum(sides))
     c = Couplings(box, [float(j) for j in rng.uniform(-1.5, 1.5,
@@ -77,15 +77,33 @@ def test_single_law_total_matches_spin_oracle(sides):
 def test_single_law_size_caps(monkeypatch):
     from isinglab import currents
 
-    def no_tables(k):
+    def no_tables(*args):
         raise AssertionError("allocated past the cap")
 
-    monkeypatch.setattr(currents, "_signs", no_tables)
+    monkeypatch.setattr(currents, "_subgraph_sums", no_tables)
     path19 = Graph(20, [(i, i + 1) for i in range(19)])     # 19 edges
-    spread = Graph(21, [(0, 1), (19, 20)])                  # 21 spins
-    for g in (path19, spread):
-        with pytest.raises(SizeError):
-            single_support_expectations(g, Couplings(g, 1.0, 0.5), {})
+    with pytest.raises(SizeError):
+        single_support_expectations(path19, Couplings(path19, 1.0, 0.5), {})
+    monkeypatch.undo()
+    # 21 spins on 2 edges: the spins count for nothing
+    spread = Graph(21, [(0, 1), (19, 20)])
+    c = Couplings(spread, [0.9, -0.4], 0.5)
+    got = single_support_expectations(
+        spread, c, {"c": lambda labels: labels.connected(19, 20)})
+    assert got["c"] == pytest.approx(1.0 - 1.0 / math.cosh(0.2), rel=1e-14)
+    assert got["_total"] == pytest.approx(math.cosh(0.45) * math.cosh(0.2),
+                                          rel=1e-14)
+
+
+def test_single_law_is_accurate_at_small_K():
+    # a 15-edge path: S is all of it with weight (cosh K - 1)^15, against a
+    # total cosh(K)^15; a cancelling spin sum gave 3.3e-9 relative here
+    g = Graph(16, [(i, i + 1) for i in range(15)])
+    got = single_support_expectations(
+        g, Couplings(g, 1.0, 0.5),
+        {"c": lambda labels: labels.connected(0, 15)})["c"]
+    c = math.cosh(0.5)
+    assert got == pytest.approx(((c - 1.0) / c) ** 15, rel=1e-14, abs=0)
 
 
 def test_support_view_connectivity():

@@ -136,15 +136,15 @@ def test_switching_side_without_currents_is_zero():
 
 
 def test_unpairable_source_difference_weighs_exactly_zero():
-    # A1 xor A2 = {2, 3} pairs in no support (vertex 3 is isolated); the
-    # signed sigma sum G leaves residues of order 1e-18 there, and the
-    # pairable mask keeps the direct engine's exact 0
+    # A1 xor A2 = {2, 3} pairs in no support (vertex 3 is isolated); G has
+    # no subgraph with that boundary, so every weight is the direct
+    # engine's exact 0 (a signed sigma sum left residues of order 1e-18)
     g, J, beta, A1, A2, B = _UNPAIRABLE_DIFFERENCE
     c = Couplings(g, J, beta)
     assert ref_switching(g, c, A1, A2, B) == (0.0, 0.0)
     assert doubled.verify_switching(g, c, A1, A2, B) == (0.0, 0.0, 0.0)
     m = doubled.DoubleSupportMeasure(g, c, list(g.vertices), A1, A2)
-    assert np.any(m._W != 0.0)
+    assert not np.any(m._W)
     assert m._sums({})["_total"] == 0.0
 
 
@@ -251,10 +251,18 @@ def test_surface_tension_positive_and_increasing():
     assert taus == sorted(taus)
 
 
+def source_overlap_ratio(graph, couplings, A, B):
+    """E^{A xor B, 0}(1_A[n1+n2]); equals <s_A><s_B>/<s_A s_B>."""
+    A, B = frozenset(A), frozenset(B)
+    return doubled.double_event_probability(graph, couplings, A ^ B,
+                                            frozenset(),
+                                            lambda labels: labels.pairable(A))
+
+
 def test_source_overlap_ratio(triangle):
     c = Couplings(triangle, [0.6, 0.9, 0.4], 1.0)
     A, B = frozenset({0, 1}), frozenset({1, 2})
-    val = doubled.source_overlap_ratio(triangle, c, A, B)
+    val = source_overlap_ratio(triangle, c, A, B)
     s = lambda S: spins.expectation(triangle, c, sorted(S))
     assert val == pytest.approx(s(A) * s(B) / s(A ^ B), abs=1e-12)
     pair_a = lambda st_: 1.0 if st_.view().pairable(A) else 0.0

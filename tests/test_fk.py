@@ -44,6 +44,14 @@ def test_fk_rcr_bridge(triangle):
                                 abs=1e-12)
 
 
+def test_fk_rcr_bridge_is_accurate_at_small_beta():
+    # P(0 <-> 11) is 1e-15 on 3x4 at beta 0.02; a cancelling spin sum in
+    # the double law gave rcr 2.6e-11 relative from fk^2
+    box = BoxGraph(2, (3, 4))
+    fkp, rcr = fk.fk_rcr_bridge(box, Couplings(box, 1.0, 0.02), 0, 11)
+    assert rcr == pytest.approx(fkp * fkp, rel=1e-13, abs=0)
+
+
 def test_bridge_rejects_frustration(triangle):
     c = Couplings(triangle, [1.0, -1.0, 1.0], 0.5)
     with pytest.raises(ValueError):

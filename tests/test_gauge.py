@@ -6,12 +6,20 @@ import pytest
 from isinglab.gauge import (PlaquetteComplex, WilsonLoop, build_dual_complex,
                             convexity_rate, deconfinement_bound_report,
                             dual_beta, gauge_oracle_partition,
-                            gauge_transform_mask, lgm_partition,
-                            rectangular_loop, verify_duality,
+                            lgm_partition, rectangular_loop, verify_duality,
                             verify_wilson_disorder_duality,
                             wilson_expectation)
 from isinglab.graphs import BoxGraph, Couplings
 from isinglab import gauge, gf2, spins
+
+
+def gauge_transform_mask(cx, vertex):
+    """Edge mask flipped by the gauge transformation at one vertex."""
+    m = 0
+    for e, (u, v) in enumerate(cx.edges):
+        if vertex in (u, v):
+            m ^= 1 << e
+    return m
 
 
 def test_partition_matches_oracle_2d():

@@ -48,7 +48,7 @@ def test_samplers_take_no_kernel_from_currents():
             from_currents |= names
         else:
             assert module != "" or "currents" not in names
-    # none of _support_expectations, _sigma_sum, _pattern_labels or
+    # none of _support_expectations, _subgraph_sums, _pattern_labels or
     # single_support_expectations
     assert from_currents <= {"EdgeStateConfig", "edge_weight_table"}
 

@@ -82,22 +82,18 @@ def _ref_double(measure, events, B=(), wired=()):
 def _ref_folded(measure, reflection, events):
     r = reflection
     pattern_edges = list(r.e0) + list(r.e1)
-    halfA = pattern_edges[:len(pattern_edges) // 2]
-    halfB = pattern_edges[len(pattern_edges) // 2:]
 
-    def support(maskA, maskB):
+    def support(mask):
         U = set()
-        for mask, half in ((maskA, halfA), (maskB, halfB)):
-            for i, e in enumerate(half):
-                if mask & (1 << i):
-                    U.add(e)
-                    U.add(r.edge_map[e])
+        for i, e in enumerate(pattern_edges):
+            if mask & (1 << i):
+                U.add(e)
+                U.add(r.edge_map[e])
         return U
 
-    weighted_views = (
-        (float(measure._W[a, b]),
-         RefSupportView(measure.graph, support(int(a), int(b))))
-        for a, b in np.argwhere(measure._W != 0.0))
+    weighted_views = ((float(measure._W[p]),
+                       RefSupportView(measure.graph, support(int(p))))
+                      for p in np.flatnonzero(measure._W))
     return _ref_expectations(weighted_views, events)
 
 

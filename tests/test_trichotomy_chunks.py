@@ -293,7 +293,8 @@ def test_signed_sums_match_mpmath(sides, sources):
 def test_single_law_connection_matches_recursion(sides, sites, beta):
     # the exact side of `sample currents`: the weight of the sourceless
     # states whose support connects the two sites, over their total; the
-    # sigma sum cancels, so it agrees to rounding, not bit for bit
+    # subgraph sums add in another order, so it agrees to rounding, not
+    # bit for bit
     g = BoxGraph(2, sides)
     rng = np.random.default_rng(7)
     c = Couplings(g, [float(j) for j in rng.uniform(-1.5, 1.5, g.n_edges)],
