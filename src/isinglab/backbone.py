@@ -168,6 +168,11 @@ def backbone_grouping(graph, couplings, A):
     return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
 
 
+def _worst(values, pick=max):
+    """pick([0.0, *values]), or nan when some value is nan."""
+    return math.nan if any(map(math.isnan, values)) else pick([0.0, *values])
+
+
 def check_path_properties(graph, couplings, A):
     """Certifies the path-expansion properties on one instance.
 
@@ -182,22 +187,20 @@ def check_path_properties(graph, couplings, A):
     groups = backbone_grouping(graph, couplings, A)
     corr = spins.expectation(graph, couplings, A)
     total = math.fsum(groups.values())
-    worst_rho = 0.0
-    worst_super = 0.0
+    rho_diffs, super_slacks, resum_diffs = [], [], []
     ferro = couplings.is_ferromagnetic  # zeta in (0,1] only without frustration
     zeta_ok = True
     for paths, grouped in groups.items():
         rho = rho_weight(graph, couplings, paths)
-        worst_rho = max(worst_rho, abs(rho - grouped))
+        rho_diffs.append(abs(rho - grouped))
         zt = zeta_weight(graph, couplings, paths)
-        if ferro and zt > 1.0 + 1e-12:
+        if not math.isfinite(zt) or ferro and zt > 1.0 + 1e-12:
             zeta_ok = False
         if ferro and len(paths) > 1:
             prod = math.prod(zeta_weight(graph, couplings, [p]) for p in paths)
-            worst_super = min(worst_super, zt - prod)
+            super_slacks.append(zt - prod)
     # resummation of the last path: marginalize the grouping over the final
     # pair and compare with rho(front) * depleted correlation
-    worst_resum = 0.0
     if len(A) >= 4:
         fronts = {}
         for paths, grouped in groups.items():
@@ -208,13 +211,13 @@ def check_path_properties(graph, couplings, A):
             depleted = couplings.with_depleted(combined_blocked(front))
             rhs = (rho_weight(graph, couplings, front)
                    * spins.expectation(graph, depleted, pair))
-            worst_resum = max(worst_resum, abs(lhs - rhs))
+            resum_diffs.append(abs(lhs - rhs))
     return {
         "completeness": abs(total - corr),
-        "rho_vs_grouping": worst_rho,
+        "rho_vs_grouping": _worst(rho_diffs),
         "zeta_bounded": zeta_ok,
-        "zeta_supermultiplicative_slack": worst_super,
-        "resummation": worst_resum,
+        "zeta_supermultiplicative_slack": _worst(super_slacks, min),
+        "resummation": _worst(resum_diffs),
         "n_backbones": len(groups),
     }
 

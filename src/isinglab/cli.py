@@ -204,6 +204,9 @@ def _cmd_verify(args):
         iid = "beta=%g" % beta
         w = args.what
         if w == "xtoy":
+            if not c.is_ferromagnetic:
+                raise ValueError("the x-to-y identity needs ferromagnetic "
+                                 "couplings")
             x, y = _sites(args, 2, graph)
             corr = spins.expectation(graph, c, [x, y])
             p = doubled.double_event_probability(

@@ -20,7 +20,8 @@ rejection sampler, and `single_support_expectations` weighs supports by it,
 as a sum of positive terms over the subgraphs of odd edges.  `_subgraph_sums`
 forms such sums for all 2^E supports at once by one subset-sum ("zeta")
 transform (Björklund, Husfeldt, Kaski and Koivisto 2007); the double- and
-folded-current laws of `doubled` and `folding` are products of two of them.
+folded-current laws of `doubled` and `folding` are products of two of them,
+and the FK weight of `fk` is one of them times the edge factors.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .unionfind import UnionFind
 ZERO, ODD, EVENPOS = 0, 1, 2
 
 COSET_DIM_CAP = 20        # 2^20 odd sets per source set: E - n + c <= 20
-SUPPORT_EDGE_CAP = 18     # 2^18 support patterns (single, double, folded)
+SUPPORT_EDGE_CAP = 20     # 2^20 support patterns (every support law)
 FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
 
 
@@ -187,14 +188,12 @@ def truncated_flux_sum(graph, couplings, A):
 # support views, support labels and the support-pattern kernel shared by the
 # single-current, double-current, folded-current and FK engines.  A support
 # pattern is a bit mask: bit i adds the edges bit_edges[i].  Each engine
-# weighs the patterns its own way; the kernel labels the components of a
-# whole chunk of patterns in numpy and sums the weighted events.  An event
-# is a function of one chunk's _SupportLabels that gives one value per
-# pattern (or one value for all of them), built from the label queries
-# connected, connects_sets, reached, cluster_count, is_ff, sgn, has_edge,
-# touched, open_count and pairable.  The three current laws weigh all
-# patterns by positive subgraph sums, `_subgraph_sums`, one subset-sum
-# transform over the patterns with per-edge weights (a, b).
+# hands the kernel a table W of the weights of all its patterns, built from
+# positive subgraph sums, `_subgraph_sums`: one subset-sum transform over the
+# patterns with per-edge weights (a, b).  The kernel labels the components
+# of a whole chunk of patterns in numpy and sums the weighted events.  An
+# event is a function of one chunk's _SupportLabels that gives one value per
+# pattern (or one value for all of them), built from its label queries.
 # SupportView answers connectivity for one support, for the samplers.
 
 _CHUNK_BITS = 16          # at most 2^16 patterns per chunk
@@ -278,8 +277,9 @@ def _pattern_labels(graph, bit_edges, base, nbits, flagged=None):
 class _SupportLabels:
     """One chunk of support patterns, labelled; events read it.
 
-    The array counterparts of the SupportView queries return one value per
-    pattern (row).  `restrict` keeps a subset of the rows.
+    The label queries connected, connects_sets, reached, cluster_count,
+    is_ff, sgn, has_edge, touched, open_count and pairable return one value
+    per pattern (row).  `restrict` keeps a subset of the rows.
     """
 
     def __init__(self, graph, bit_edges, base, nbits):
@@ -379,18 +379,18 @@ def _fsum(arrays):
     return math.fsum(np.concatenate(arrays)) if arrays else 0.0
 
 
-def _support_sums(graph, bit_edges, weigh, events):
+def _support_sums(graph, bit_edges, W, events):
     """Weighted sums of the named events over all support patterns, plus
     '_total' (the raw weight sum); with no pattern of nonzero weight every
     sum is 0.0.
 
     Pattern `mask` is the support made of bit_edges[i] for the bits i of
-    mask.  weigh(_SupportLabels) gives the weights of a chunk's patterns;
-    patterns of weight 0 are dropped.  events: dict name ->
-    fn(_SupportLabels), giving the value of every kept pattern of a chunk
-    (an array with one entry per row, or one value for all rows).  Every
-    event sums the terms weight * value of nonzero value with math.fsum, so
-    the result does not depend on the order the patterns are visited in.
+    mask, and W[mask] its weight; patterns of weight 0 are dropped before
+    they are labelled.  events: dict name -> fn(_SupportLabels), giving the
+    value of every kept pattern of a chunk (an array with one entry per
+    row, or one value for all rows).  Every event sums the terms weight *
+    value of nonzero value with math.fsum, so the result does not depend on
+    the order the patterns are visited in.
     """
     nbits = len(bit_edges)
     chunk = min(nbits, _CHUNK_BITS,
@@ -398,12 +398,12 @@ def _support_sums(graph, bit_edges, weigh, events):
     acc = {name: [] for name in events}
     tot = []
     for base in range(0, 1 << nbits, 1 << chunk):
-        labels = _SupportLabels(graph, bit_edges, base, chunk)
-        wgt = weigh(labels)
+        wgt = W[base:base + (1 << chunk)]
         rows = np.flatnonzero(wgt)
         if not len(rows):
             continue
         wgt = wgt[rows]
+        labels = _SupportLabels(graph, bit_edges, base, chunk)
         labels.restrict(rows)
         tot.append(wgt)
         for name, fn in events.items():
@@ -416,20 +416,13 @@ def _support_sums(graph, bit_edges, weigh, events):
     return out
 
 
-def _support_expectations(graph, bit_edges, weigh, events):
+def _support_expectations(graph, bit_edges, W, events):
     """The sums of `_support_sums` divided by '_total', which is kept."""
-    out = _support_sums(graph, bit_edges, weigh, events)
+    out = _support_sums(graph, bit_edges, W, events)
     total = out.pop("_total")
     out = {name: s / total for name, s in out.items()}
     out["_total"] = total
     return out
-
-
-def _check_support_cap(n_patterns):
-    """SizeError unless the 2^n_patterns support patterns of a current law
-    fit the cap."""
-    if n_patterns > SUPPORT_EDGE_CAP:
-        raise SizeError("2^%d support patterns exceed the cap" % n_patterns)
 
 
 def _syndromes(ends, constrained, target):
@@ -456,7 +449,11 @@ def _subgraph_sums(bounds, target, a, b):
     is the edge with boundary bounds[i].  The boundaries of all patterns
     are built by doubling over the bits (an edge sets at most two bits, so
     int64 holds those of 31 edges); then one subset-sum butterfly per bit
-    turns the indicator of the boundary into h."""
+    turns the indicator of the boundary into h.  Every support law builds
+    its tables here, so the one pattern cap is checked here, before any
+    table exists."""
+    if len(bounds) > SUPPORT_EDGE_CAP:
+        raise SizeError("2^%d support patterns exceed the cap" % len(bounds))
     synd = np.zeros(1, dtype=np.int64)
     for bound in bounds:
         synd = np.concatenate((synd, synd ^ bound))
@@ -476,14 +473,12 @@ def single_support_expectations(graph, couplings, events):
 
         W(S) = sum_{F within S, dF = 0} prod_F sinh K prod_{S-F} (cosh K - 1).
     """
-    E = graph.n_edges
-    _check_support_cap(E)
     table = edge_weight_table(couplings)
     W = _subgraph_sums(*_syndromes(graph.edges, set(graph.vertices), set()),
                        [even for _, _, even in table],
                        [odd for _, odd, _ in table])
-    return _support_expectations(graph, [(e,) for e in range(E)],
-                                 lambda labels: W[labels.masks], events)
+    return _support_expectations(graph, [(e,) for e in range(graph.n_edges)],
+                                 W, events)
 
 
 def _dobrushin_events(boundary_spec, x=None):

@@ -32,10 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .currents import (ConstraintError, _check_sources, _check_support_cap,
-                       _dobrushin_events, _subgraph_sums,
-                       _support_expectations, _support_sums, _syndromes,
-                       edge_weight_table)
+from .currents import (ConstraintError, _check_sources, _dobrushin_events,
+                       _subgraph_sums, _support_expectations, _support_sums,
+                       _syndromes, edge_weight_table)
 
 
 def _double_weights(ends, table, shared, q, g):
@@ -72,37 +71,24 @@ class DoubleSupportMeasure:
         if edges2 is not None and not A2 <= {v for e in shared
                                              for v in graph.edges[e]}:
             raise ConstraintError("A2 must lie on the subgraph carrying n2")
-        _check_support_cap(E)
         self.graph = graph
+        self._bit_edges = [(e,) for e in range(E)]
         # _W[pattern]: bit e of the pattern puts edge e in S
         self._W = _double_weights(graph.edges, edge_weight_table(couplings),
                                   shared, (constrained, A2),
                                   (constrained, A1 ^ A2))
 
-    def _weigh(self, labels):
-        return self._W[labels.masks]
-
     def _sums(self, events):
         """Raw weighted sums of the events, as in `currents._support_sums`."""
-        return _support_sums(self.graph,
-                             [(e,) for e in range(self.graph.n_edges)],
-                             self._weigh, events)
+        return _support_sums(self.graph, self._bit_edges, self._W, events)
 
     def expectations(self, events):
-        """events: dict name -> fn(labels), where `labels` holds a chunk
-        of combined supports and the event gives one value per support,
-        read off the label queries (connected, connects_sets, reached,
-        cluster_count, is_ff, sgn, has_edge, touched, open_count,
-        pairable).  Returns dict of normalized expectations plus '_total'
-        (the raw weight sum)."""
-        return _support_expectations(
-            self.graph, [(e,) for e in range(self.graph.n_edges)],
-            self._weigh, events)
-
-
-def double_support_expectations(graph, couplings, constrained, A1, A2, events):
-    m = DoubleSupportMeasure(graph, couplings, constrained, A1, A2)
-    return m.expectations(events)
+        """events: dict name -> fn(labels), where `labels` (a
+        `currents._SupportLabels`) holds a chunk of combined supports and
+        the event gives one value per support.  Returns dict of normalized
+        expectations plus '_total' (the raw weight sum)."""
+        return _support_expectations(self.graph, self._bit_edges, self._W,
+                                     events)
 
 
 def double_event_probability(graph, couplings, A1, A2, event, edges2=None):
@@ -144,19 +130,16 @@ def frustrated_partition_ratio(graph, couplings):
     """Z(J)/Z(|J|) as the double-current probability that the combined
     support is frustration-free for the signs of J."""
     neg = couplings.negative_edges()
-    out = double_support_expectations(
-        graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": lambda labels: labels.is_ff(neg)})
-    return out["ff"]
+    m = DoubleSupportMeasure(graph, couplings, graph.vertices, (), ())
+    return m.expectations({"ff": lambda labels: labels.is_ff(neg)})["ff"]
 
 
 def frustrated_correlation(graph, couplings, u, v):
     """E(sgn_J(u,v; n1+n2) | FF) = <s_u s_v>_J * <s_u s_v>_{|J|}."""
     neg = couplings.negative_edges()
-    out = double_support_expectations(
-        graph, couplings, list(graph.vertices), frozenset(), frozenset(),
-        {"ff": lambda labels: labels.is_ff(neg),
-         "sgn": lambda labels: labels.sgn(u, v, neg)})
+    m = DoubleSupportMeasure(graph, couplings, graph.vertices, (), ())
+    out = m.expectations({"ff": lambda labels: labels.is_ff(neg),
+                          "sgn": lambda labels: labels.sgn(u, v, neg)})
     return out["sgn"] / out["ff"]
 
 
@@ -177,19 +160,17 @@ class BoundaryMagnetization:
 
 def boundary_partition_ratio(graph, couplings, boundary_spec):
     """Z^{pm}/Z^{+} = P^{0,0;+}(dLam_- not connected to dLam_+)."""
-    out = double_support_expectations(
-        graph, couplings, boundary_spec.interior(graph), frozenset(),
-        frozenset(), _dobrushin_events(boundary_spec))
-    return out["ff"]
+    m = DoubleSupportMeasure(graph, couplings, boundary_spec.interior(graph),
+                             (), ())
+    return m.expectations(_dobrushin_events(boundary_spec))["ff"]
 
 
 def boundary_magnetization(graph, couplings, boundary_spec, x):
     interior = boundary_spec.interior(graph)
     if x not in interior:
         raise ValueError("x must be an interior site")
-    out = double_support_expectations(graph, couplings, interior,
-                                      frozenset(), frozenset(),
-                                      _dobrushin_events(boundary_spec, x))
+    m = DoubleSupportMeasure(graph, couplings, interior, (), ())
+    out = m.expectations(_dobrushin_events(boundary_spec, x))
     pm = (out["x_plus"] - out["x_minus"]) / out["ff"]
     return BoundaryMagnetization(plus_prob=out["x_bdry"], pm_expr=pm)
 
@@ -215,8 +196,11 @@ def surface_tension_ratio(box, couplings, axis=None):
 
 
 def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):
-    """Both double-current forms of U4; returns (valueA, valueB)."""
+    """Both double-current forms of U4; returns (valueA, valueB).  The
+    current laws see only |J|, so a negative coupling raises ValueError."""
     from . import spins
+    if not couplings.is_ferromagnetic:
+        raise ValueError("the Ursell identities need ferromagnetic couplings")
     s2 = lambda a, b: spins.expectation(graph, couplings, [a, b])
     pre = s2(x1, x2) * s2(x3, x4)
     if pre == 0.0:

@@ -2,11 +2,27 @@
 
 Weights: prod_{b in w} p_b prod_{b notin w} (1-p_b) * q^{N(w)}, with
 p_b = 1 - exp(-2 beta |J_b|).  With a wired boundary the cluster count is
-replaced by N0(w), the number of clusters not reaching a designated
-boundary vertex.  Everything here is a plain 2^|E| sum over open-edge
-masks, run by the support-pattern kernel of `currents`: each chunk of
-masks gets numpy component labels, which give both the cluster count in
-the weight and the built-in events.
+replaced by N0(w), the number of clusters not reaching a boundary vertex.
+Everything here is a plain 2^|E| sum over open-edge masks, run by the
+support-pattern kernel of `currents`, which labels the components of whole
+chunks of masks in numpy for the built-in events.
+
+For q = 2 the cluster weight is a subgraph count, so FK weighs its masks
+by a table of `currents._subgraph_sums`, as the current laws do.  Call the
+n0 vertices off the boundary free.  The subgraphs F of w with even degree
+at every free vertex, the boundary vertices left unconstrained, are the
+cycle space of w with the boundary contracted to one vertex (its parity
+follows from the others), of dimension |w| - n0 + N0(w).  So
+
+    2^N0(w) = 2^(n0 - |w|) #{F within w : dF = 0 at the free vertices},
+
+the count behind the coupling of FK clusters and even subgraphs (Grimmett
+and Janson 2009, "Random even graphs"; Aizenman 1982).  The table starts as
+that count, by `_subgraph_sums` with a = b = 1, times 2^n0; one pass per
+edge, in edge order, then multiplies in 1 - p_b where the edge is closed and
+p_b / 2 where it is open.  The count, 2^n0 and the halving are exact powers
+of 2, so each weight is the float that the left-to-right product of the
+plain edge factors times 2^N0 gives, unless some weight is subnormal.
 """
 
 from __future__ import annotations
@@ -15,11 +31,10 @@ import math
 
 import numpy as np
 
-from .currents import _dobrushin_events, _support_expectations
-from .spins import SizeError
+from .currents import (_dobrushin_events, _subgraph_sums,
+                       _support_expectations, _syndromes)
 from . import spins, doubled
 
-FK_EDGE_CAP = 20
 Q = 2.0
 
 
@@ -32,29 +47,25 @@ def fk_weights(couplings):
 def fk_measure_expectation(graph, couplings, events, boundary=None):
     """Normalized expectations of the named events under the FK measure.
 
-    events: dict name -> fn(labels), where `labels` holds a chunk of open
-    edge sets and the event gives one value per set, read off the label
-    queries (connected, connects_sets, reached, cluster_count, is_ff, sgn,
-    has_edge, touched, open_count).  `boundary` is a vertex set; when
-    given, the cluster weight uses N0 (wired / plus state).
+    events: dict name -> fn(labels), where `labels` (a
+    `currents._SupportLabels`) holds a chunk of open edge sets and the event
+    gives one value per set.  `boundary` is a vertex set; when given, the
+    cluster weight uses N0 (wired / plus state).
     Returns the dict of expectations plus '_total', the unnormalized sum:
     Z(|J|) e^{-beta sum |J|} 2^n, or with wired counting
     Z^+(|J|) e^{-beta sum |J|} 2^{n - |boundary|}, i.e. 2 to the number of
     free spins times the spin-oracle Z (which carries 1/2 per free spin).
     """
     E = graph.n_edges
-    if E > FK_EDGE_CAP:
-        raise SizeError("2^%d cluster configurations exceed the cap" % E)
-    p = fk_weights(couplings)
-
-    def weigh(labels):
-        w = np.ones(len(labels.masks))
-        for e in range(E):
-            w *= np.where(labels.masks >> e & 1, p[e], 1.0 - p[e])
-        return w * Q ** labels.cluster_count(boundary)
-
-    return _support_expectations(graph, [(e,) for e in range(E)], weigh,
-                                 events)
+    free = set(graph.vertices) - set(boundary or ())
+    W = _subgraph_sums(*_syndromes(graph.edges, free, frozenset()),
+                       [1.0] * E, [1.0] * E)
+    W *= Q ** len(free)
+    for i, p in enumerate(fk_weights(couplings)):
+        pair = W.reshape(-1, 2, 1 << i)
+        pair[:, 0] *= 1.0 - p
+        pair[:, 1] *= p / Q
+    return _support_expectations(graph, [(e,) for e in range(E)], W, events)
 
 
 def connection_probability(graph, couplings, x, y):

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, _check_sources, _check_support_cap,
-                       _support_expectations, edge_weight_table)
+from .currents import (ConstraintError, _check_sources, _support_expectations,
+                       edge_weight_table)
 from .doubled import _double_weights
 from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
 from . import spins
@@ -53,7 +53,6 @@ class FoldedCurrentMeasure:
                 raise ConstraintError("free boundary must be reflection-symmetric")
 
         pattern_edges = list(r.e0) + list(r.e1)
-        _check_support_cap(len(pattern_edges))
         c1 = constrained & r.lambda1
         mirrored = frozenset(r.involution[v] for v in A & r.lambda2)
         w = edge_weight_table(r.couplings)
@@ -69,14 +68,11 @@ class FoldedCurrentMeasure:
         self.graph = graph
 
     def expectations(self, events):
-        """events: name -> fn(labels), where `labels` holds a chunk of
-        supports supp(n + R(n)) and the event gives one value per support,
-        read off the label queries (connected, connects_sets, reached,
-        cluster_count, is_ff, sgn, has_edge, touched, open_count).  Returns
-        dict of normalized expectations plus '_total' (the raw weight
-        sum)."""
-        return _support_expectations(self.graph, self._bit_edges,
-                                     lambda labels: self._W[labels.masks],
+        """events: name -> fn(labels), where `labels` (a
+        `currents._SupportLabels`) holds a chunk of supports supp(n + R(n))
+        and the event gives one value per support.  Returns dict of
+        normalized expectations plus '_total' (the raw weight sum)."""
+        return _support_expectations(self.graph, self._bit_edges, self._W,
                                      events)
 
 

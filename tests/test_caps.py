@@ -50,6 +50,10 @@ def _grouping(dim):
     backbone.backbone_grouping(*_bundle(dim), {0, 1})
 
 
+def _single_support(n_edges):
+    currents.single_support_expectations(*_path(n_edges), {})
+
+
 def _double_support(n_edges):
     # 2^n_edges support patterns of a path, n_edges + 1 sigma spins
     doubled.verify_switching(*_path(n_edges), {0, 1}, {0, 1}, {0, 1})
@@ -78,16 +82,16 @@ def _gauge_oracle(n_cells):
 # a lowered value, the largest size that runs under it
 CAPS = [
     (spins, "DEFAULT_CAP", 26, _spin_sum, 27, 4, 4),
-    (fk, "FK_EDGE_CAP", 20, _fk_sum, 21, 3, 3),
+    (currents, "SUPPORT_EDGE_CAP", 20, _fk_sum, 21, 3, 3),
     (currents, "COSET_DIM_CAP", 20, _current_sum, 21, 3, 3),
     (currents, "COSET_DIM_CAP", 20, _grouping, 21, 3, 3),
-    (currents, "SUPPORT_EDGE_CAP", 18, _double_support, 19, 3, 3),
-    (currents, "SUPPORT_EDGE_CAP", 18, _folded_support, 19, 3, 3),
+    (currents, "SUPPORT_EDGE_CAP", 20, _double_support, 21, 3, 3),
+    (currents, "SUPPORT_EDGE_CAP", 20, _folded_support, 21, 3, 3),
     (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
     (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
 ]
 # one constant bounds both odd-set enumerations, by the coset dimension,
-# and one the support patterns of all three current laws
+# and one the support patterns of all four support laws
 IDS = [name + ("-" + engine.__name__[1:] if module is currents else "")
        for module, name, _, engine, *_ in CAPS]
 
@@ -168,7 +172,11 @@ def test_single_valued_options_are_constants():
                          (gauge, "gauge_transform_mask"),
                          (doubled, "source_overlap_ratio"),
                          (backbone, "zeta_domain_monotone"),
-                         (backbone, "remap_paths")):
+                         (backbone, "remap_paths"),
+                         (fk, "FK_EDGE_CAP"),
+                         (currents, "_check_support_cap"),
+                         (doubled, "double_support_expectations"),
+                         (doubled.DoubleSupportMeasure, "_weigh")):
         assert not hasattr(module, name)
     assert "wired" not in inspect.signature(
         currents._SupportLabels.pairable).parameters
@@ -202,6 +210,22 @@ def test_odd_set_cap_is_checked_before_allocating(monkeypatch):
 
     monkeypatch.setattr(gf2, "coset_chunks", no_chunks)
     for engine in (_current_sum, _grouping):
+        with pytest.raises(SizeError):
+            engine(21)
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError("allocated past the cap")
+
+
+def test_support_cap_is_checked_before_allocating(monkeypatch):
+    # all four support laws reach the one check in `_subgraph_sums` before
+    # any numpy array exists
+    for module in (currents, fk, folding):
+        monkeypatch.setattr(module, "np", _NoArrays())
+    for engine in (_single_support, _double_support, _folded_support,
+                   _fk_sum):
         with pytest.raises(SizeError):
             engine(21)
 

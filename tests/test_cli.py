@@ -338,7 +338,7 @@ def test_zero_variance_chain_still_fails_a_wrong_exact(capsys, monkeypatch,
 
 
 def test_currents_sample_past_the_support_caps_is_usage_error(capsys):
-    # 4x4 has 24 edges, past the 18-edge cap of the single-current law
+    # 4x4 has 24 edges, past the 20-edge cap of the single-current law
     code, out, err = run(capsys, "sample", "currents", "--lattice",
                          "box:d=2,L=4", "--beta", "0.3")
     assert code == 2
@@ -466,3 +466,37 @@ def test_overflowing_current_weights_are_usage_errors(capsys, argv):
     assert code == 2
     assert err.startswith("error: edge 0: K = 800.0 overflows")
     assert out == ""
+
+
+def test_pathprops_nan_rows_fail(capsys):
+    # at beta 80 the grouping is nan; a worst-of over nan used to read 0
+    # and the zeta bound 1, both with pass=true
+    code, out, _ = run(capsys, "verify", "pathprops", "--lattice",
+                       "box:d=2,L=3", "--sites", "0,8", "--beta", "80")
+    assert code == 1
+    got = {line.split(",")[1]: line.split(",")[6]
+           for line in out.splitlines()[2:]}
+    assert got["backbone_rho_vs_grouping"] == "false"
+    assert got["backbone_zeta_bounded"] == "false"
+
+
+@pytest.mark.parametrize("what", ["xtoy", "ursell"])
+def test_current_identities_refuse_signed_couplings(tmp_path, capsys, what):
+    # the current sides are laws of |J|: these rows used to fail, exit 1
+    gf = tmp_path / "signed.txt"
+    gf.write_text("edge 0 2 1.329\nedge 0 1 0.034\nedge 1 3 1.429\n"
+                  "edge 2 3 -1.257\n")
+    code, out, err = run(capsys, "verify", what, "--graph", str(gf),
+                         "--beta", "0.4")
+    assert code == 2
+    assert "ferromagnetic" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["disorder", "--trials", "3"], ["fkrcr"]])
+def test_support_laws_at_nineteen_edges(capsys, argv):
+    # the 2x7 box has 19 edges, past the old 18-bit cap of the double law
+    code, out, err = run(capsys, "verify", argv[0], "--lattice",
+                         "box:d=2,L=2,7", "--beta", "0.4", *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 5

@@ -77,13 +77,15 @@ def test_single_law_total_matches_spin_oracle(sides):
 def test_single_law_size_caps(monkeypatch):
     from isinglab import currents
 
-    def no_tables(*args):
-        raise AssertionError("allocated past the cap")
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError("allocated past the cap")
 
-    monkeypatch.setattr(currents, "_subgraph_sums", no_tables)
-    path19 = Graph(20, [(i, i + 1) for i in range(19)])     # 19 edges
+    # the check comes first in `_subgraph_sums`, before any table
+    monkeypatch.setattr(currents, "np", NoArrays())
+    path21 = Graph(22, [(i, i + 1) for i in range(21)])     # 21 edges
     with pytest.raises(SizeError):
-        single_support_expectations(path19, Couplings(path19, 1.0, 0.5), {})
+        single_support_expectations(path21, Couplings(path21, 1.0, 0.5), {})
     monkeypatch.undo()
     # 21 spins on 2 edges: the spins count for nothing
     spread = Graph(21, [(0, 1), (19, 20)])

@@ -269,3 +269,24 @@ def test_source_overlap_ratio(triangle):
     direct = (double_sum_direct(triangle, c, A ^ B, (), pair_a)
               / double_sum_direct(triangle, c, A ^ B, (), lambda st_: 1.0))
     assert val == pytest.approx(direct, rel=1e-12)
+
+
+def test_double_law_at_twenty_pattern_bits():
+    # 3x4 plus three chords: 20 edges, the largest law under the cap
+    box = BoxGraph(2, [3, 4])
+    g = Graph(12, list(box.edges) + [(0, 5), (6, 11), (2, 9)])
+    assert g.n_edges == 20
+    c = Couplings(g, 1.0, 0.3)
+    p = doubled.double_event_probability(
+        g, c, frozenset(), frozenset(), lambda labels: labels.connected(0, 11))
+    assert p == pytest.approx(spins.expectation(g, c, [0, 11]) ** 2,
+                              rel=1e-12)
+
+
+def test_frustrated_ratio_at_nineteen_pattern_bits():
+    box = BoxGraph(2, [2, 7])
+    assert box.n_edges == 19
+    J = np.random.default_rng(7).uniform(-1.0, 1.0, box.n_edges)
+    c = Couplings(box, J.tolist(), 0.6)
+    assert doubled.frustrated_partition_ratio(box, c) == pytest.approx(
+        spins.partition_ratio(box, c, c.with_abs()), rel=1e-12)

@@ -118,3 +118,14 @@ def test_wired_counting():
     free = fk.fk_measure_expectation(box, c, ev)["c"]
     wired = fk.fk_measure_expectation(box, c, ev, boundary=bdry)["c"]
     assert wired >= free - 1e-12
+
+
+def test_connection_at_twenty_edges():
+    # 3x4 plus three chords: 20 edges, the largest FK sum under the cap
+    box = BoxGraph(2, [3, 4])
+    g = Graph(12, list(box.edges) + [(0, 5), (6, 11), (2, 9)])
+    c = Couplings(g, 1.0, 0.4)
+    corr = spins.expectation(g, c, [0, 11])
+    assert corr > 0.1
+    assert fk.connection_probability(g, c, 0, 11) == pytest.approx(
+        corr, rel=1e-12)
