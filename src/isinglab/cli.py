@@ -297,14 +297,12 @@ def _cmd_verify(args):
             rows.append(Row(iid, "rcr_vs_corr_sq", corr * corr, rcr,
                             tol=args.tol))
         elif w == "duality":
-            from .gauge import PlaquetteComplex, verify_duality
+            from .gauge import PlaquetteComplex
             box = graph
             if not hasattr(box, "sides") or box.d != 3:
                 raise UsageError("duality needs a d=3 --lattice box")
             cx = PlaquetteComplex(box.d, [s - 1 for s in box.sides])
-            lhs, rhs, _ = verify_duality(cx, beta)
-            rows.append(Row(iid, "gauge_duality", lhs, rhs,
-                            tol=args.tol * max(1.0, abs(lhs))))
+            rows.append(_duality_row(iid, cx, beta, args.tol))
         elif w == "pathprops":
             x, y = _sites(args, 2, graph)
             rep = backbone.check_path_properties(graph, c, {x, y})
@@ -367,10 +365,18 @@ def _cmd_ineq(args):
     return rows
 
 
+def _duality_row(iid, cx, beta, tol):
+    """The gauge_duality row of a plaquette complex; `tol` is scaled by
+    max(1, |lhs|)."""
+    from .gauge import verify_duality
+    lhs, rhs, _ = verify_duality(cx, beta)
+    return Row(iid, "gauge_duality", lhs, rhs, tol=tol * max(1.0, abs(lhs)))
+
+
 def _cmd_gauge(args):
     from .gauge import (PlaquetteComplex, deconfinement_bound_report,
                         dual_beta, lgm_partition, rectangular_loop,
-                        verify_duality, wilson_expectation)
+                        wilson_expectation)
     rows = []
     for beta in _betas(args):
         iid = "beta=%g" % beta
@@ -388,6 +394,10 @@ def _cmd_gauge(args):
             rep = deconfinement_bound_report(
                 graph, c, 0, plane,
                 window={1: (0, graph.sides[1] // 2)})
+            # the chain compares support-law engines; <T_F> gets a spin leg
+            rows.append(Row(iid, "disorder_vs_spin", spins.partition_ratio(
+                graph, c.with_flipped(rep["flip_edges"]), c),
+                rep["disorder"], tol=args.tol))
             chain = [("wilson_ge_disconnect", rep["disorder"],
                       rep["fk_disconnect"]),
                      ("disconnect_ge_product", rep["fk_disconnect"],
@@ -416,9 +426,7 @@ def _cmd_gauge(args):
                 rows.append(Row(iid, "wilson_%dx%d" % (ell, ell), w, w,
                                 kind="value"))
         elif args.what == "dualcheck":
-            lhs, rhs, _ = verify_duality(cx, beta)
-            rows.append(Row(iid, "gauge_duality", lhs, rhs,
-                            tol=args.tol * max(1.0, abs(lhs))))
+            rows.append(_duality_row(iid, cx, beta, args.tol))
         else:
             raise UsageError("unknown gauge target %r" % args.what)
     return rows

@@ -193,7 +193,9 @@ def truncated_flux_sum(graph, couplings, A):
 # patterns with per-edge weights (a, b).  The kernel labels the components
 # of a whole chunk of patterns in numpy and sums the weighted events.  An
 # event is a function of one chunk's _SupportLabels that gives one value per
-# pattern (or one value for all of them), built from its label queries.
+# pattern (or one value for all of them), built from its connectivity
+# queries.  Parity questions (frustration, signs, pairing) need no labels:
+# each is a `_subgraph_sums` table with b = +-1 or 0 (see `doubled`).
 # SupportView answers connectivity for one support, for the samplers.
 
 _CHUNK_BITS = 16          # at most 2^16 patterns per chunk
@@ -206,60 +208,34 @@ class SupportView:
     def __init__(self, graph, edge_ids):
         self.graph = graph
         self.edge_ids = frozenset(edge_ids)
-        uf = UnionFind(graph.n)
-        touched = set()
+        self._uf = UnionFind(graph.n)
         for e in self.edge_ids:
-            u, v = graph.edges[e]
-            uf.union(u, v)
-            touched.add(u)
-            touched.add(v)
-        self._uf = uf
-        self.touched = touched
+            self._uf.union(*graph.edges[e])
 
     def connected(self, u, v):
         return self._uf.connected(u, v)
 
 
-def _merge(lab, u, v, par=None, ok=None, flag=False):
+def _merge(lab, u, v):
     """Add edge (u, v) to every row of `lab` in place: the component with
-    the larger label takes the smaller one.  With `par`/`ok`, also shift
-    the moved component's Z2 offsets so the edge has parity `flag`, and
-    clear `ok` in rows where the edge closes a cycle odd over the flags."""
+    the larger label takes the smaller one."""
     a, b = lab[:, u], lab[:, v]
     lo = np.minimum(a, b)[:, None]
-    moved = lab == np.maximum(a, b)[:, None]
-    if par is not None:
-        odd = par[:, u] ^ par[:, v] ^ flag
-        same = a == b
-        ok &= ~(same & odd)
-        par ^= moved & (odd & ~same)[:, None]
-    np.copyto(lab, lo, where=moved)
+    np.copyto(lab, lo, where=lab == np.maximum(a, b)[:, None])
 
 
-def _pattern_labels(graph, bit_edges, base, nbits, flagged=None):
+def _pattern_labels(graph, bit_edges, base, nbits):
     """Labels of the patterns base + r, r < 2^nbits (base a multiple of
-    2^nbits), built by doubling over the low bits.
-
-    lab[r, v] is the smallest vertex of v's component.  With a `flagged`
-    edge set, par[r, v] is v's Z2 offset from that vertex over the flagged
-    edges and ok[r] is False once some cycle is odd; else both are None.
-    """
+    2^nbits), built by doubling over the low bits: lab[r, v] is the
+    smallest vertex of v's component."""
     n = graph.n
     dtype = np.int8 if n <= 127 else np.int16 if n < 1 << 15 else np.int32
     lab = np.empty((1 << nbits, n), dtype=dtype)
     lab[0] = np.arange(n)
-    par = ok = None
-    if flagged is not None:
-        par = np.zeros(lab.shape, dtype=bool)
-        ok = np.ones(len(lab), dtype=bool)
 
     def add(i, rows):
         for e in bit_edges[i]:
-            u, v = graph.edges[e]
-            if flagged is None:
-                _merge(lab[rows], u, v)
-            else:
-                _merge(lab[rows], u, v, par[rows], ok[rows], e in flagged)
+            _merge(lab[rows], *graph.edges[e])
 
     for i in range(nbits, len(bit_edges)):
         if base >> i & 1:
@@ -267,35 +243,23 @@ def _pattern_labels(graph, bit_edges, base, nbits, flagged=None):
     for i in range(nbits):
         h = 1 << i
         lab[h:2 * h] = lab[:h]
-        if flagged is not None:
-            par[h:2 * h] = par[:h]
-            ok[h:2 * h] = ok[:h]
         add(i, slice(h, 2 * h))
-    return lab, par, ok
+    return lab
 
 
 class _SupportLabels:
-    """One chunk of support patterns, labelled; events read it.
+    """The kept patterns base + rows of one chunk, labelled; events read it.
 
-    The label queries connected, connects_sets, reached, cluster_count,
-    is_ff, sgn, has_edge, touched, open_count and pairable return one value
-    per pattern (row).  `restrict` keeps a subset of the rows.
+    The connectivity queries connected, connects_sets, reached,
+    cluster_count, has_edge and open_count return one value per pattern
+    (row).
     """
 
-    def __init__(self, graph, bit_edges, base, nbits):
+    def __init__(self, graph, bit_edges, base, nbits, rows):
         self.graph = graph
         self.bit_edges = bit_edges
-        self._chunk = (base, nbits)
-        self._rows = slice(None)
-        self._parity = {}
-        self.masks = base + np.arange(1 << nbits, dtype=np.int64)
-        self.lab = _pattern_labels(graph, bit_edges, base, nbits)[0]
-
-    def restrict(self, rows):
-        self._rows = rows
-        self.masks = self.masks[rows]
-        self.lab = self.lab[rows]
-        self._parity = {}
+        self.masks = base + rows
+        self.lab = _pattern_labels(graph, bit_edges, base, nbits)[rows]
 
     def _bits_with(self, keep):
         """Rows whose pattern has some bit i with keep(bit_edges[i])."""
@@ -310,10 +274,6 @@ class _SupportLabels:
 
     def open_count(self):
         return sum(self.has_edge(e) * 1 for e in range(self.graph.n_edges))
-
-    def touched(self, v):
-        ends = self.graph.edges
-        return self._bits_with(lambda es: any(v in ends[e] for e in es))
 
     def _marks(self, S):
         """marks[r, l]: some vertex of S has the label l in row r."""
@@ -337,42 +297,6 @@ class _SupportLabels:
         if wired is None:
             return count
         return count - self._marks(wired).sum(1)
-
-    def parity(self, flagged):
-        """(par, ok) of `_pattern_labels` over the flagged edges."""
-        key = frozenset(flagged)
-        if key not in self._parity:
-            base, nbits = self._chunk
-            _, par, ok = _pattern_labels(self.graph, self.bit_edges, base,
-                                         nbits, key)
-            self._parity[key] = (par[self._rows], ok[self._rows])
-        return self._parity[key]
-
-    def pairable(self, B, edges=None):
-        """Rows where B is the boundary of a subgraph of S & edges (all of S
-        for None): each component of S & edges holds an even number of B
-        vertices, so each of them is touched.  Other edges are masked out by
-        relabelling the chunk."""
-        lab = self.lab
-        if edges is not None:
-            keep = frozenset(edges)
-            cut = [tuple(e for e in es if e in keep) for es in self.bit_edges]
-            lab = _pattern_labels(self.graph, cut,
-                                  *self._chunk)[0][self._rows]
-        rows = np.arange(len(lab))
-        odd = np.zeros(lab.shape, dtype=bool)
-        for b in B:
-            odd[rows, lab[:, b]] ^= True
-        return ~odd.any(1)
-
-    def is_ff(self, flagged):
-        return self.parity(flagged)[1]
-
-    def sgn(self, u, v, flagged):
-        par, ok = self.parity(flagged)
-        hit = (ok & self.connected(u, v) & self.touched(u)
-               & self.touched(v))
-        return np.where(hit, np.where(par[:, u] ^ par[:, v], -1.0, 1.0), 0.0)
 
 
 def _fsum(arrays):
@@ -403,8 +327,7 @@ def _support_sums(graph, bit_edges, W, events):
         if not len(rows):
             continue
         wgt = wgt[rows]
-        labels = _SupportLabels(graph, bit_edges, base, chunk)
-        labels.restrict(rows)
+        labels = _SupportLabels(graph, bit_edges, base, chunk, rows)
         tot.append(wgt)
         for name, fn in events.items():
             val = np.broadcast_to(np.asarray(fn(labels), dtype=float),
@@ -480,24 +403,3 @@ def single_support_expectations(graph, couplings, events):
     return _support_expectations(graph, [(e,) for e in range(graph.n_edges)],
                                  W, events)
 
-
-def _dobrushin_events(boundary_spec, x=None):
-    """Events of the mixed-boundary identities on a support wired at the
-    boundary: 'ff' (no minus-plus connection) and, for a site x, 'x_bdry'
-    (x reaches the boundary) and 'x_plus' / 'x_minus' (x reaches that part
-    of the boundary and the support is ff)."""
-    plus = boundary_spec.plus_set
-    minus = boundary_spec.minus_set
-
-    def ff(labels):
-        return ~labels.connects_sets(minus, plus)
-
-    events = {"ff": ff}
-    if x is not None:
-        bdry = plus | minus
-        events["x_bdry"] = lambda labels: labels.connects_sets([x], bdry)
-        events["x_plus"] = (
-            lambda labels: ff(labels) & labels.connects_sets([x], plus))
-        events["x_minus"] = (
-            lambda labels: ff(labels) & labels.connects_sets([x], minus))
-    return events

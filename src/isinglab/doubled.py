@@ -25,6 +25,12 @@ the single-current law uses.  Both are sums of nonnegative terms, so W is
 exactly 0 where A2 does not pair within S & E2 or A1 xor A2 within S (a
 component that holds an unconstrained vertex pairs any source).
 `folding` weighs its folded law by the same product.
+
+Parity questions are signed counts.  With s_e = +-1, Q_s(S; t) =
+sum_{F within S, dF = t} prod_F s_e sums a character over a coset of the
+even subgraphs of S: it is Q(S; t) 1[FF] times the s-product of a path
+joining t (FF: every cycle of S has s-product +1), or 0 when t does not
+pair in S.  The entries are exact integers, so Q_s G is exactly W, -W or 0.
 """
 
 from __future__ import annotations
@@ -32,24 +38,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .currents import (ConstraintError, _check_sources, _dobrushin_events,
+from .currents import (ConstraintError, _check_sources, _fsum,
                        _subgraph_sums, _support_expectations, _support_sums,
                        _syndromes, edge_weight_table)
 
 
-def _double_weights(ends, table, shared, q, g):
-    """W = Q G over the patterns of the edges with end pairs `ends` and
-    weight rows `table` (as `edge_weight_table`); the positions `shared`
-    carry both currents.  q and g are the (constrained vertices, target) of
-    Q and of G."""
-    one = [1.0] * len(ends)
-    in2 = [float(i in shared) for i in range(len(ends))]
+def _q_table(ends, shared, constrained, target, signs=None):
+    """Q_s(S & shared; target) for every pattern S of the edges with end
+    pairs `ends`; every s_e is 1 for signs None."""
+    b = [float(i in shared) * (1.0 if signs is None else signs[i])
+         for i in range(len(ends))]
+    return _subgraph_sums(*_syndromes(ends, constrained, target),
+                          [1.0] * len(ends), b)
+
+
+def _g_table(ends, table, shared, constrained, target):
+    """G over the patterns of the edges with end pairs `ends` and weight
+    rows `table` (as `edge_weight_table`); the positions `shared` carry
+    both currents."""
     a = [s * s if i in shared else even
          for i, (_, s, even) in enumerate(table)]
     b = [s * (even + 1.0) if i in shared else s
          for i, (_, s, even) in enumerate(table)]
-    return (_subgraph_sums(*_syndromes(ends, *q), one, in2)
-            * _subgraph_sums(*_syndromes(ends, *g), a, b))
+    return _subgraph_sums(*_syndromes(ends, constrained, target), a, b)
 
 
 class DoubleSupportMeasure:
@@ -72,15 +83,12 @@ class DoubleSupportMeasure:
                                              for v in graph.edges[e]}:
             raise ConstraintError("A2 must lie on the subgraph carrying n2")
         self.graph = graph
+        self._shared = shared
         self._bit_edges = [(e,) for e in range(E)]
         # _W[pattern]: bit e of the pattern puts edge e in S
-        self._W = _double_weights(graph.edges, edge_weight_table(couplings),
-                                  shared, (constrained, A2),
-                                  (constrained, A1 ^ A2))
-
-    def _sums(self, events):
-        """Raw weighted sums of the events, as in `currents._support_sums`."""
-        return _support_sums(self.graph, self._bit_edges, self._W, events)
+        self._W = (_q_table(graph.edges, shared, constrained, A2)
+                   * _g_table(graph.edges, edge_weight_table(couplings),
+                              shared, constrained, A1 ^ A2))
 
     def expectations(self, events):
         """events: dict name -> fn(labels), where `labels` (a
@@ -103,44 +111,82 @@ def verify_switching(graph, couplings, A1, A2, B, F=None, edges2=None):
 
     lhs: sources (A1, A2);  rhs: sources (A1 xor B, A2 xor B); both are the
     raw weight sums of F(S) * 1_B[S], where 1_B says that B pairs within
-    S & edges2, the part of the combined support S that n2 can carry.  F
-    is an event fn(labels) on S and defaults to 1.  A side whose sources
-    no current pair has sums to 0.0.
+    S & edges2, the part of the combined support S that n2 can carry: the
+    count of subgraphs of S & edges2 with boundary B is nonzero.  F is an
+    event fn(labels) on S and defaults to 1.  A side whose sources no
+    current pair has sums to 0.0.
     """
     B = frozenset(B)
     if len(B) % 2:
         raise ConstraintError("odd switching set")
-
-    def term(labels):
-        ind = labels.pairable(B, edges2)
-        return ind if F is None else ind * F(labels)
-
-    lhs, rhs = (DoubleSupportMeasure(graph, couplings, graph.vertices, S1, S2,
-                                     edges2)._sums({"t": term})["t"]
-                for S1, S2 in ((A1, A2), (frozenset(A1) ^ B,
-                                          frozenset(A2) ^ B)))
+    sides = [DoubleSupportMeasure(graph, couplings, graph.vertices, S1, S2,
+                                  edges2)
+             for S1, S2 in ((A1, A2), (frozenset(A1) ^ B, frozenset(A2) ^ B))]
+    pairs = _q_table(graph.edges, sides[0]._shared, graph.vertices, B) != 0
+    lhs, rhs = (_fsum([m._W[pairs]]) if F is None else _support_sums(
+        graph, m._bit_edges, m._W * pairs, {"t": F})["t"] for m in sides)
     return lhs, rhs, abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
-# frustration, boundaries, disorder
+# frustration, boundaries, disorder: signed tables
+
+
+def _sourceless_law(graph, couplings, constrained):
+    """weigh(target, signs) = Q_s(S; target) G(S; {}) of the sourceless
+    double law on every edge; weigh({}) is W."""
+    ends, shared = graph.edges, range(graph.n_edges)
+    G = _g_table(ends, edge_weight_table(couplings), shared, constrained,
+                 frozenset())
+    return lambda target, signs=None: (
+        _q_table(ends, shared, constrained, target, signs) * G)
+
+
+def _ratio(t, total):
+    return _fsum([t[t != 0]]) / total
+
+
+def _frustration(weigh, couplings, u=None, v=None):
+    """(P(FF), E(sgn(u, v) 1[FF])) under the law `weigh`, s = -1 on the
+    negative couplings; the sign is 1 for u = v and None without sites."""
+    neg = couplings.negative_edges()
+    s = [-1.0 if e in neg else 1.0 for e in range(couplings.graph.n_edges)]
+    total = _fsum([weigh(frozenset())])
+    sign = None if u is None else _ratio(weigh({u} ^ {v}, s), total)
+    return _ratio(weigh(frozenset(), s), total), sign
+
+
+def _dobrushin(weigh, graph, boundary_spec, x=None):
+    """(P(minus not<-> plus), P(x <-> boundary), P(x <-> plus, FF) -
+    P(x <-> minus, FF) over P(FF)) under the law `weigh`, which leaves the
+    boundary unconstrained, s = -1 on the edges with one end in the minus
+    set; the last two are None without x."""
+    if x is not None and x not in boundary_spec.interior(graph):
+        raise ValueError("x must be an interior site")
+    minus = boundary_spec.minus_set
+    s = [-1.0 if (u in minus) != (v in minus) else 1.0
+         for u, v in graph.edges]
+    total = _fsum([weigh(frozenset())])
+    ff = _ratio(weigh(frozenset(), s), total)
+    if x is None:
+        return ff, None, None
+    t = weigh({x}, s)
+    return (ff, _ratio(weigh({x}), total),
+            (_ratio(t[t > 0], total) - _ratio(-t[t < 0], total)) / ff)
 
 
 def frustrated_partition_ratio(graph, couplings):
     """Z(J)/Z(|J|) as the double-current probability that the combined
     support is frustration-free for the signs of J."""
-    neg = couplings.negative_edges()
-    m = DoubleSupportMeasure(graph, couplings, graph.vertices, (), ())
-    return m.expectations({"ff": lambda labels: labels.is_ff(neg)})["ff"]
+    return _frustration(_sourceless_law(graph, couplings, graph.vertices),
+                        couplings)[0]
 
 
 def frustrated_correlation(graph, couplings, u, v):
     """E(sgn_J(u,v; n1+n2) | FF) = <s_u s_v>_J * <s_u s_v>_{|J|}."""
-    neg = couplings.negative_edges()
-    m = DoubleSupportMeasure(graph, couplings, graph.vertices, (), ())
-    out = m.expectations({"ff": lambda labels: labels.is_ff(neg),
-                          "sgn": lambda labels: labels.sgn(u, v, neg)})
-    return out["sgn"] / out["ff"]
+    ff, sign = _frustration(_sourceless_law(graph, couplings, graph.vertices),
+                            couplings, u, v)
+    return sign / ff
 
 
 def disorder_expectation(graph, couplings, flip_set):
@@ -160,19 +206,16 @@ class BoundaryMagnetization:
 
 def boundary_partition_ratio(graph, couplings, boundary_spec):
     """Z^{pm}/Z^{+} = P^{0,0;+}(dLam_- not connected to dLam_+)."""
-    m = DoubleSupportMeasure(graph, couplings, boundary_spec.interior(graph),
-                             (), ())
-    return m.expectations(_dobrushin_events(boundary_spec))["ff"]
+    return _dobrushin(_sourceless_law(graph, couplings,
+                                      boundary_spec.interior(graph)),
+                      graph, boundary_spec)[0]
 
 
 def boundary_magnetization(graph, couplings, boundary_spec, x):
-    interior = boundary_spec.interior(graph)
-    if x not in interior:
-        raise ValueError("x must be an interior site")
-    m = DoubleSupportMeasure(graph, couplings, interior, (), ())
-    out = m.expectations(_dobrushin_events(boundary_spec, x))
-    pm = (out["x_plus"] - out["x_minus"]) / out["ff"]
-    return BoundaryMagnetization(plus_prob=out["x_bdry"], pm_expr=pm)
+    _, plus, pm = _dobrushin(_sourceless_law(
+        graph, couplings, boundary_spec.interior(graph)), graph,
+        boundary_spec, x)
+    return BoundaryMagnetization(plus_prob=plus, pm_expr=pm)
 
 
 def surface_tension_ratio(box, couplings, axis=None):

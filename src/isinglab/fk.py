@@ -23,6 +23,10 @@ edge, in edge order, then multiplies in 1 - p_b where the edge is closed and
 p_b / 2 where it is open.  The count, 2^n0 and the halving are exact powers
 of 2, so each weight is the float that the left-to-right product of the
 plain edge factors times 2^N0 gives, unless some weight is subnormal.
+
+Frustration and the mixed boundary are the signed counts of `doubled`: the
+count built with b = s_e = +-1 and a target boundary t, before the same
+edge-factor pass, is the count times 1[FF] times the sign of t's path.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ import math
 
 import numpy as np
 
-from .currents import (_dobrushin_events, _subgraph_sums,
-                       _support_expectations, _syndromes)
+from .currents import _subgraph_sums, _support_expectations, _syndromes
 from . import spins, doubled
 
 Q = 2.0
@@ -56,16 +59,31 @@ def fk_measure_expectation(graph, couplings, events, boundary=None):
     Z^+(|J|) e^{-beta sum |J|} 2^{n - |boundary|}, i.e. 2 to the number of
     free spins times the spin-oracle Z (which carries 1/2 per free spin).
     """
-    E = graph.n_edges
     free = set(graph.vertices) - set(boundary or ())
-    W = _subgraph_sums(*_syndromes(graph.edges, free, frozenset()),
-                       [1.0] * E, [1.0] * E)
-    W *= Q ** len(free)
-    for i, p in enumerate(fk_weights(couplings)):
-        pair = W.reshape(-1, 2, 1 << i)
-        pair[:, 0] *= 1.0 - p
-        pair[:, 1] *= p / Q
-    return _support_expectations(graph, [(e,) for e in range(E)], W, events)
+    return _support_expectations(graph,
+                                 [(e,) for e in range(graph.n_edges)],
+                                 _fk_law(graph, couplings, free)(frozenset()),
+                                 events)
+
+
+def _fk_law(graph, couplings, free):
+    """weigh(target, signs): the FK weights of all open-edge masks, with the
+    count of the module docstring replaced by its signed form, the sum over
+    F within w with dF = target at the free vertices of prod_F s_e;
+    weigh({}) is the FK weight."""
+    E, ps = graph.n_edges, fk_weights(couplings)
+
+    def weigh(target, signs=None):
+        W = _subgraph_sums(*_syndromes(graph.edges, free, target),
+                           [1.0] * E, signs or [1.0] * E)
+        W *= Q ** len(free)
+        for i, p in enumerate(ps):
+            pair = W.reshape(-1, 2, 1 << i)
+            pair[:, 0] *= 1.0 - p
+            pair[:, 1] *= p / Q
+        return W
+
+    return weigh
 
 
 def connection_probability(graph, couplings, x, y):
@@ -102,21 +120,18 @@ def fk_frustration_adjusted(graph, couplings, u=None, v=None):
     the u-v connection across negative edges (0 when disconnected).
     Cross-checks both against the spin oracle; returns a report dict.
     """
-    neg = couplings.negative_edges()
     abs_c = couplings.with_abs()
-    events = {"ff": lambda labels: labels.is_ff(neg)}
-    if u is not None:
-        events["sgn"] = lambda labels: labels.sgn(u, v, neg)
-    out = fk_measure_expectation(graph, abs_c, events)
+    ff, sign = doubled._frustration(
+        _fk_law(graph, abs_c, set(graph.vertices)), couplings, u, v)
     z_ratio = spins.partition_ratio(graph, couplings, abs_c)
     rep = {
-        "ff_prob": out["ff"],
+        "ff_prob": ff,
         "z_ratio_spin": z_ratio,
-        "z_match": abs(out["ff"] - z_ratio),
+        "z_match": abs(ff - z_ratio),
     }
     if u is not None:
         corr = spins.expectation(graph, couplings, [u, v])
-        rep["corr_fk"] = out["sgn"] / out["ff"]
+        rep["corr_fk"] = sign / ff
         rep["corr_spin"] = corr
         rep["corr_match"] = abs(rep["corr_fk"] - corr)
     return rep
@@ -130,17 +145,18 @@ def fk_boundary_report(graph, couplings, boundary_spec, x=None):
     <s_x>^+ = P(x<->bdry).
     """
     bdry = boundary_spec.plus_set | boundary_spec.minus_set
-    events = _dobrushin_events(boundary_spec, x)
-    out = fk_measure_expectation(graph, couplings, events, boundary=bdry)
-    rep = {"ratio_fk": out["ff"],
+    ratio, plus, pm = doubled._dobrushin(
+        _fk_law(graph, couplings, set(graph.vertices) - bdry), graph,
+        boundary_spec, x)
+    rep = {"ratio_fk": ratio,
            "ratio_spin": spins.partition_ratio(
                graph, couplings, couplings, boundary_spec,
                boundary_spec.all_plus())}
     if x is not None:
-        rep["mag_pm_fk"] = (out["x_plus"] - out["x_minus"]) / out["ff"]
+        rep["mag_pm_fk"] = pm
         rep["mag_pm_spin"] = spins.expectation(graph, couplings, [x],
                                                boundary=boundary_spec)
-        rep["mag_plus_fk"] = out["x_bdry"]
+        rep["mag_plus_fk"] = plus
         rep["mag_plus_spin"] = spins.expectation(
             graph, couplings, [x], boundary=boundary_spec.all_plus())
     return rep

@@ -18,7 +18,7 @@ mirror images of the side-2 sources and the plane sources,
     W(S0, T) = Q(T; M2) G(S0 + T; S1 xor M2 xor P),
 
 with Q constrained at the side-1 vertices only and G at the side-1 and
-plane vertices, both by `doubled._double_weights`.  Cost: one subset-sum
+plane vertices, by `doubled._q_table` and `_g_table`.  Cost: one subset-sum
 transform over the 2^(|E0|+|E1|) patterns for each of Q and G; only
 nonzero patterns are visited for events.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from .currents import (ConstraintError, _check_sources, _support_expectations,
                        edge_weight_table)
-from .doubled import _double_weights
+from .doubled import _g_table, _q_table
 from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
 from . import spins
 
@@ -58,11 +58,12 @@ class FoldedCurrentMeasure:
         w = edge_weight_table(r.couplings)
         # _W[pattern]: bit i of the pattern adds pattern_edges[i] and its
         # mirror
-        self._W = _double_weights(
-            [graph.edges[e] for e in pattern_edges],
-            [w[e] for e in pattern_edges],
-            range(len(r.e0), len(pattern_edges)), (c1, mirrored),
-            (c1 | (constrained & r.lambda0), (A - r.lambda2) ^ mirrored))
+        ends = [graph.edges[e] for e in pattern_edges]
+        side = range(len(r.e0), len(pattern_edges))
+        self._W = (_q_table(ends, side, c1, mirrored)
+                   * _g_table(ends, [w[e] for e in pattern_edges], side,
+                              c1 | (constrained & r.lambda0),
+                              (A - r.lambda2) ^ mirrored))
         self._bit_edges = [tuple(sorted({e, r.edge_map[e]}))
                            for e in pattern_edges]
         self.graph = graph

@@ -89,7 +89,7 @@ def pairable_mask(graph, B, wired, edges=None):
     keep = range(graph.n_edges) if edges is None else set(edges)
     lab = _pattern_labels(graph, [(e,) if e in keep else ()
                                   for e in range(graph.n_edges)], 0,
-                          graph.n_edges)[0]
+                          graph.n_edges)
     rows = np.arange(len(lab))
     odd = np.zeros(lab.shape, dtype=bool)
     for b in B:

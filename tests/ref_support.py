@@ -77,7 +77,7 @@ class RefSupportView(SupportView):
         B = frozenset(B)
         if not B:
             return True
-        if not B <= self.touched:
+        if not B <= {v for e in self.edge_ids for v in self.graph.edges[e]}:
             return False
         counts = {}
         for b in B:
@@ -110,12 +110,13 @@ class RefSupportView(SupportView):
 
     def sgn(self, u, v, negative_edges):
         """Relative-parity sign of the u-v connection; 0 unless the support
-        is frustration-free and actually connects u to v."""
+        is frustration-free and connects u to v (1 for u = v on a
+        frustration-free support)."""
         puf = self.parity_labels(negative_edges)
         if not puf.consistent:
             return 0.0
         p = puf.relative_parity(u, v)
-        if p is None or not (u in self.touched and v in self.touched):
+        if p is None:
             return 0.0
         return -1.0 if p else 1.0
 

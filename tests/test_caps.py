@@ -176,10 +176,18 @@ def test_single_valued_options_are_constants():
                          (fk, "FK_EDGE_CAP"),
                          (currents, "_check_support_cap"),
                          (doubled, "double_support_expectations"),
-                         (doubled.DoubleSupportMeasure, "_weigh")):
+                         (doubled.DoubleSupportMeasure, "_weigh"),
+                         (doubled.DoubleSupportMeasure, "_sums"),
+                         (currents, "_dobrushin_events"),
+                         (currents._SupportLabels, "parity"),
+                         (currents._SupportLabels, "is_ff"),
+                         (currents._SupportLabels, "sgn"),
+                         (currents._SupportLabels, "touched"),
+                         (currents._SupportLabels, "pairable"),
+                         (currents._SupportLabels, "restrict")):
         assert not hasattr(module, name)
-    assert "wired" not in inspect.signature(
-        currents._SupportLabels.pairable).parameters
+    assert "flagged" not in inspect.signature(
+        currents._pattern_labels).parameters
 
 
 def test_many_constrained_vertices_need_no_cap():

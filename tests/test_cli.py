@@ -500,3 +500,37 @@ def test_support_laws_at_nineteen_edges(capsys, argv):
                          "box:d=2,L=2,7", "--beta", "0.4", *argv[1:])
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 5
+
+
+def test_frustration_correlation_of_a_site_with_itself(capsys):
+    # <s_4 s_4> = 1 on both sides; the sign query used to need an edge at
+    # site 4 in the support and gave 0.0100, 0.555 and 0.993
+    code, out, err = run(capsys, "verify", "frustration", "--lattice",
+                         "box:d=2,L=3", "--sites", "4,4",
+                         "--beta-sweep", "0.05:0.85:0.4")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    corr = [row for row in rows if row[1] == "corr_product_ff"]
+    assert [row[2:4] for row in corr] == [["1", "1"]] * 3
+
+
+@pytest.mark.parametrize("lattice", ["box:d=2,L=4,3", "box:d=2,L=2,3"])
+def test_deconfine_disorder_has_a_spin_leg(capsys, monkeypatch, lattice):
+    # wilson_ge_disconnect compares two support-law users; disorder_vs_spin
+    # checks <T_F> against the spin oracle and fails when the double law
+    # weighs even edges by cosh K instead of cosh K - 1
+    argv = ["gauge", "deconfine", "--lattice", lattice,
+            "--beta-sweep", "0.2:1.2:0.5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [row[6] for row in rows if row[1] == "disorder_vs_spin"] == [
+        "true"] * 3
+    table = doubled.edge_weight_table
+    monkeypatch.setattr(doubled, "edge_weight_table", lambda c: [
+        (one, s, c1 + 1.0) for one, s, c1 in table(c)])
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    got = {(row[0], row[1]): row[6] for row in
+           (line.split(",") for line in out.splitlines()[2:])}
+    assert got[("beta=0.7", "disorder_vs_spin")] == "false"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_instance
 from isinglab.graphs import BoundarySpec, BoxGraph, Couplings, Graph
-from isinglab import doubled, spins
+from isinglab import currents, doubled, spins
 from ref_double import double_sum_direct, ref_switching
 
 
@@ -101,7 +101,9 @@ def test_support_measure_matches_direct():
         nested += edges2 is not None
         m = doubled.DoubleSupportMeasure(g, c, list(g.vertices), A1, A2,
                                          edges2)
-        got = m._sums({"c": lambda labels: labels.connected(0, 1)})
+        got = currents._support_sums(
+            g, m._bit_edges, m._W,
+            {"c": lambda labels: labels.connected(0, 1)})
         assert _close(got["_total"], double_sum_direct(
             g, c, A1, A2, lambda st_: 1.0, edges2))
         assert _close(got["c"], double_sum_direct(
@@ -145,7 +147,8 @@ def test_unpairable_source_difference_weighs_exactly_zero():
     assert doubled.verify_switching(g, c, A1, A2, B) == (0.0, 0.0, 0.0)
     m = doubled.DoubleSupportMeasure(g, c, list(g.vertices), A1, A2)
     assert not np.any(m._W)
-    assert m._sums({})["_total"] == 0.0
+    assert currents._support_sums(g, m._bit_edges, m._W,
+                                  {})["_total"] == 0.0
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -252,11 +255,12 @@ def test_surface_tension_positive_and_increasing():
 
 
 def source_overlap_ratio(graph, couplings, A, B):
-    """E^{A xor B, 0}(1_A[n1+n2]); equals <s_A><s_B>/<s_A s_B>."""
+    """E^{A xor B, 0}(1_A[n1+n2]) for a pair A, where 1_A says that A's two
+    vertices are connected; equals <s_A><s_B>/<s_A s_B>."""
     A, B = frozenset(A), frozenset(B)
-    return doubled.double_event_probability(graph, couplings, A ^ B,
-                                            frozenset(),
-                                            lambda labels: labels.pairable(A))
+    return doubled.double_event_probability(
+        graph, couplings, A ^ B, frozenset(),
+        lambda labels: labels.connected(*A))
 
 
 def test_source_overlap_ratio(triangle):

@@ -69,6 +69,20 @@ def test_frustration_adjusted_fuzz(seed):
     assert rep["corr_match"] <= 1e-10
 
 
+def test_frustration_adjusted_site_with_itself():
+    # <s_u s_u> = 1, also at a site no edge touches (vertex 3); the sign
+    # query used to need an edge at u in the open set
+    g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    c = Couplings(g, [0.8, -1.1, 0.6], 0.7)
+    box = BoxGraph(2, (3, 3))
+    cb = Couplings(box, np.random.default_rng(3).uniform(
+        -1.0, 1.0, box.n_edges).tolist(), 0.9)
+    for graph, couplings, u in ((g, c, 0), (g, c, 3), (box, cb, 4)):
+        rep = fk.fk_frustration_adjusted(graph, couplings, u, u)
+        assert rep["corr_fk"] == 1.0
+        assert rep["corr_match"] == 0.0
+
+
 def test_boundary_report():
     box = BoxGraph(2, (3, 3))
     c = Couplings(box, 1.0, 0.5)
@@ -83,6 +97,19 @@ def test_boundary_report():
     # the single-cluster wired formula needs no square
     assert rep["mag_plus_fk"] == pytest.approx(rep["mag_plus_spin"],
                                                abs=1e-10)
+
+
+def test_boundary_report_refuses_a_boundary_site():
+    # <s_x> at a clamped site is its clamp, not an identity; the signed
+    # boundary table has no path from x there, so x is refused as the
+    # double law refuses it
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 0.5)
+    bspec = BoundarySpec({v: (BoundarySpec.MINUS if box.coords[v][0] == 0
+                              else BoundarySpec.PLUS)
+                          for v in box.boundary_vertices()})
+    with pytest.raises(ValueError, match="interior"):
+        fk.fk_boundary_report(box, c, bspec, 0)
 
 
 def test_monotone_event_library(triangle):

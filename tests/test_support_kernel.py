@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isinglab import currents, doubled, fk, folding, gauge, spins
-from isinglab.currents import SupportView, _dobrushin_events
+from isinglab.currents import SupportView
 from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
 from isinglab.graphs import (BoundarySpec, BoxGraph, Couplings, Graph,
@@ -102,7 +102,6 @@ def _ref_folded(measure, reflection, events):
 
 
 def _event_pairs(graph, couplings, u, v, U, V, wired, some_edges):
-    neg = couplings.negative_edges()
     need = frozenset(some_edges)
     F = fk.monotone_event("connect", u, v)
     G = fk.monotone_event("open_count")
@@ -118,12 +117,6 @@ def _event_pairs(graph, couplings, u, v, U, V, wired, some_edges):
         "fg": (lambda lab: F(lab) * G(lab),
                lambda sv: ((1.0 if sv.connected(u, v) else 0.0)
                            * float(len(sv.edge_ids)))),
-        "ff": (lambda lab: lab.is_ff(neg),
-               lambda sv: 1.0 if sv.is_ff(neg) else 0.0),
-        "sgn": (lambda lab: lab.sgn(u, v, neg),
-                lambda sv: sv.sgn(u, v, neg)),
-        "sgn_uu": (lambda lab: lab.sgn(u, u, neg),
-                   lambda sv: sv.sgn(u, u, neg)),
         "clusters": (lambda lab: lab.cluster_count(),
                      lambda sv: float(sv.cluster_count())),
         "clusters_wired": (lambda lab: lab.cluster_count(wired),
@@ -235,19 +228,28 @@ def _pm_boundary(box):
 
 @pytest.mark.parametrize("chunk_bits", [16, 3])
 def test_dobrushin_events_match(monkeypatch, chunk_bits):
+    # the boundary results read signed tables, not labels; each must equal
+    # the per-view connection events.  Row 0 is the minus set, so two edges
+    # have both ends in it.
     monkeypatch.setattr(currents, "_CHUNK_BITS", chunk_bits)
     box = BoxGraph(2, (3, 3))
     c = Couplings(box, 1.0, 0.55)
     bspec = _pm_boundary(box)
     bdry = bspec.plus_set | bspec.minus_set
     x = sorted(bspec.interior(box))[0]
-    label_events = _dobrushin_events(bspec, x)
     view_events = _ref_dobrushin_events(bspec, x)
-    _assert_same(fk.fk_measure_expectation(box, c, label_events,
-                                           boundary=bdry),
-                 _ref_fk(box, c, view_events, boundary=bdry))
     m = DoubleSupportMeasure(box, c, bspec.interior(box), (), ())
-    _assert_same(m.expectations(label_events), _ref_double(m, view_events))
+    for ref, got in (
+            (_ref_double(m, view_events),
+             (doubled.boundary_partition_ratio(box, c, bspec),
+              doubled.boundary_magnetization(box, c, bspec, x).plus_prob,
+              doubled.boundary_magnetization(box, c, bspec, x).pm_expr)),
+            (_ref_fk(box, c, view_events, boundary=bdry),
+             tuple(fk.fk_boundary_report(box, c, bspec, x)[k] for k in (
+                 "ratio_fk", "mag_plus_fk", "mag_pm_fk")))):
+        want = (ref["ff"], ref["x_bdry"],
+                (ref["x_plus"] - ref["x_minus"]) / ref["ff"])
+        assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 def test_folded_measures_match():
@@ -268,20 +270,38 @@ def test_folded_measures_match():
             _ref_folded(meas, refl, {k: r for k, (_, r) in pairs.items()}))
 
 
-def test_public_results_match_reference():
-    box, c = _signed_box((3, 3), 0.6, seed=5)
+def _check_frustration(graph, c, u, v):
+    """The frustration results of both laws against the per-view parity
+    union-find, by repr."""
     neg = c.negative_edges()
-    ff = lambda sv: 1.0 if sv.is_ff(neg) else 0.0
-    sgn = lambda sv: sv.sgn(0, 8, neg)
-    free = DoubleSupportMeasure(box, c, list(box.vertices), (), ())
-    ref = _ref_double(free, {"ff": ff, "sgn": sgn})
-    assert repr(doubled.frustrated_partition_ratio(box, c)) == repr(ref["ff"])
-    assert repr(doubled.frustrated_correlation(box, c, 0, 8)) == repr(
+    events = {"ff": lambda sv: 1.0 if sv.is_ff(neg) else 0.0,
+              "sgn": lambda sv: sv.sgn(u, v, neg)}
+    free = DoubleSupportMeasure(graph, c, list(graph.vertices), (), ())
+    ref = _ref_double(free, events)
+    assert repr(doubled.frustrated_partition_ratio(graph, c)) == repr(
+        ref["ff"])
+    assert repr(doubled.frustrated_correlation(graph, c, u, v)) == repr(
         ref["sgn"] / ref["ff"])
-    ref = _ref_fk(box, c.with_abs(), {"ff": ff, "sgn": sgn})
-    rep = fk.fk_frustration_adjusted(box, c, 0, 8)
+    ref = _ref_fk(graph, c.with_abs(), events)
+    rep = fk.fk_frustration_adjusted(graph, c, u, v)
     assert repr(rep["ff_prob"]) == repr(ref["ff"])
     assert repr(rep["corr_fk"]) == repr(ref["sgn"] / ref["ff"])
+
+
+def test_public_results_match_reference(monkeypatch):
+    box, c = _signed_box((3, 3), 0.6, seed=5)
+    for u, v in ((0, 8), (4, 4)):
+        _check_frustration(box, c, u, v)
+    # 200 vertices, most of them isolated, and sites on no edge; the FK
+    # report's spin legs cannot run on 200 spins and are not compared
+    monkeypatch.setattr(spins, "partition_ratio", lambda *a, **k: 1.0)
+    monkeypatch.setattr(spins, "expectation", lambda *a, **k: 1.0)
+    g = Graph(200, [(0, 1), (1, 2), (2, 0), (3, 150), (150, 199), (0, 199),
+                    (5, 6)])
+    cg = Couplings(g, [0.7, -0.4, 0.9, -1.1, 0.5, 0.8, 0.3], 0.6)
+    for u, v in ((0, 150), (2, 2), (1, 6), (100, 100), (100, 1)):
+        _check_frustration(g, cg, u, v)
+    monkeypatch.undo()
     ferro = c.with_abs()
     flip = [0, 4, 7]
     free = DoubleSupportMeasure(box, ferro, list(box.vertices), (), ())
@@ -471,3 +491,4 @@ def test_fuzz_engines_match_per_view_loop(inst):
         _check_instance(g, c, u, v, U, V, wired, some, constrained, sources)
     finally:
         currents._CHUNK_BITS = saved
+    _check_frustration(g, c, u, v)
