@@ -132,14 +132,20 @@ def zeta_weight(graph, couplings, paths):
     return (zp / z) * coshs
 
 
+def _rho_zeta(graph, couplings, paths):
+    """(rho, zeta) of `paths`, with zeta computed once."""
+    zeta = zeta_weight(graph, couplings, paths)
+    if not walk_consistent(graph, paths):
+        return 0.0, zeta
+    tanhs = math.prod(math.tanh(couplings.K(e))
+                      for p in paths for e in p.edges)
+    return zeta * tanhs, zeta
+
+
 def rho_weight(graph, couplings, paths):
     """rho = I * zeta * prod tanh(beta J_b): the exact probability (times
     <s_A>-normalization Z) of the backbone being `paths`."""
-    if not walk_consistent(graph, paths):
-        return 0.0
-    tanhs = math.prod(math.tanh(couplings.K(e))
-                      for p in paths for e in p.edges)
-    return zeta_weight(graph, couplings, paths) * tanhs
+    return _rho_zeta(graph, couplings, paths)[0]
 
 
 def backbone_grouping(graph, couplings, A):
@@ -191,9 +197,8 @@ def check_path_properties(graph, couplings, A):
     ferro = couplings.is_ferromagnetic  # zeta in (0,1] only without frustration
     zeta_ok = True
     for paths, grouped in groups.items():
-        rho = rho_weight(graph, couplings, paths)
+        rho, zt = _rho_zeta(graph, couplings, paths)
         rho_diffs.append(abs(rho - grouped))
-        zt = zeta_weight(graph, couplings, paths)
         if not math.isfinite(zt) or ferro and zt > 1.0 + 1e-12:
             zeta_ok = False
         if ferro and len(paths) > 1:

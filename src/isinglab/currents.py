@@ -21,7 +21,8 @@ as a sum of positive terms over the subgraphs of odd edges.  `_subgraph_sums`
 forms such sums for all 2^E supports at once by one subset-sum ("zeta")
 transform (Björklund, Husfeldt, Kaski and Koivisto 2007); the double- and
 folded-current laws of `doubled` and `folding` are products of two of them,
-and the FK weight of `fk` is one of them times the edge factors.
+and the FK weight of `fk` is one of them times the edge factors.  Their
+events are such sums too: a connection is a pairing count (`_SupportLabels`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ ZERO, ODD, EVENPOS = 0, 1, 2
 
 COSET_DIM_CAP = 20        # 2^20 odd sets per source set: E - n + c <= 20
 SUPPORT_EDGE_CAP = 20     # 2^20 support patterns (every support law)
-FLUX_CUTOFF = 40          # largest per-edge flux in truncated_flux_sum
 
 
 class ConstraintError(ValueError):
@@ -146,60 +146,16 @@ def correlation_via_currents(graph, couplings, A):
             / current_sum(graph, couplings, ()))
 
 
-def truncated_flux_sum(graph, couplings, A):
-    """Independent oracle for the unsigned odd-set sums and the trichotomy
-    pushforward: sum w(n) over integer currents with per-edge flux <=
-    FLUX_CUTOFF and exact sources A, via truncated series of cosh/sinh split
-    by flux parity.  It weighs by K = beta |J| with no sign."""
-    A = _check_sources(A)
-    even_s, odd_s = [], []
-    for e in range(graph.n_edges):
-        K = couplings.K_abs(e)
-        ev = od = 0.0
-        term = 1.0
-        for n in range(FLUX_CUTOFF + 1):
-            if n > 0:
-                term *= K / n
-            if n % 2 == 0:
-                ev += term
-            else:
-                od += term
-        even_s.append(ev)
-        odd_s.append(od)
-    E = graph.n_edges
-    terms = []
-    for mask in range(1 << E):
-        parity = 0
-        w = 1.0
-        for e in range(E):
-            if mask & (1 << e):
-                u, v = graph.edges[e]
-                parity ^= (1 << u) ^ (1 << v)
-                w *= odd_s[e]
-            else:
-                w *= even_s[e]
-        odd = frozenset(v for v in range(graph.n) if parity & (1 << v))
-        if odd == A:
-            terms.append(w)
-    return math.fsum(terms)
-
-
 # ---------------------------------------------------------------------------
-# support views, support labels and the support-pattern kernel shared by the
-# single-current, double-current, folded-current and FK engines.  A support
-# pattern is a bit mask: bit i adds the edges bit_edges[i].  Each engine
-# hands the kernel a table W of the weights of all its patterns, built from
-# positive subgraph sums, `_subgraph_sums`: one subset-sum transform over the
-# patterns with per-edge weights (a, b).  The kernel labels the components
-# of a whole chunk of patterns in numpy and sums the weighted events.  An
-# event is a function of one chunk's _SupportLabels that gives one value per
-# pattern (or one value for all of them), built from its connectivity
-# queries.  Parity questions (frustration, signs, pairing) need no labels:
-# each is a `_subgraph_sums` table with b = +-1 or 0 (see `doubled`).
+# support views and the support-pattern kernel shared by the single-current,
+# double-current, folded-current and FK engines.  A support pattern is a bit
+# mask: bit i adds the edges bit_edges[i].  Each engine hands the kernel a
+# table W of the weights of all its patterns, built by `_subgraph_sums`.  An
+# event is a function of the _SupportLabels of the patterns of nonzero
+# weight that gives one value per pattern (or one value for all of them).
+# Its questions are subgraph sums too: connectivity with a = b = 1, parity
+# (frustration, signs, pairing) with b = +-1 or 0 (see `doubled`).
 # SupportView answers connectivity for one support, for the samplers.
-
-_CHUNK_BITS = 16          # at most 2^16 patterns per chunk
-_CHUNK_CELLS = 1 << 22    # and at most this many (pattern, vertex) labels
 
 
 class SupportView:
@@ -216,87 +172,79 @@ class SupportView:
         return self._uf.connected(u, v)
 
 
-def _merge(lab, u, v):
-    """Add edge (u, v) to every row of `lab` in place: the component with
-    the larger label takes the smaller one."""
-    a, b = lab[:, u], lab[:, v]
-    lo = np.minimum(a, b)[:, None]
-    np.copyto(lab, lo, where=lab == np.maximum(a, b)[:, None])
-
-
-def _pattern_labels(graph, bit_edges, base, nbits):
-    """Labels of the patterns base + r, r < 2^nbits (base a multiple of
-    2^nbits), built by doubling over the low bits: lab[r, v] is the
-    smallest vertex of v's component."""
-    n = graph.n
-    dtype = np.int8 if n <= 127 else np.int16 if n < 1 << 15 else np.int32
-    lab = np.empty((1 << nbits, n), dtype=dtype)
-    lab[0] = np.arange(n)
-
-    def add(i, rows):
-        for e in bit_edges[i]:
-            _merge(lab[rows], *graph.edges[e])
-
-    for i in range(nbits, len(bit_edges)):
-        if base >> i & 1:
-            add(i, slice(0, 1))
-    for i in range(nbits):
-        h = 1 << i
-        lab[h:2 * h] = lab[:h]
-        add(i, slice(h, 2 * h))
-    return lab
-
-
 class _SupportLabels:
-    """The kept patterns base + rows of one chunk, labelled; events read it.
+    """The patterns of nonzero weight W[mask], one edge per bit; the queries
+    connected, connects_sets, reached, has_edge and open_count give one
+    value per kept pattern.
 
-    The connectivity queries connected, connects_sets, reached,
-    cluster_count, has_edge and open_count return one value per pattern
-    (row).
+    Connectivity is a pairing count (Aizenman 1982; Grimmett and Janson
+    2009): v's component meets a vertex set S exactly when some F within
+    the pattern has boundary {v} off S, as only S can take F's other odd
+    end.  Each (S, v) is one `_subgraph_sums` table with a = b = 1.
     """
 
-    def __init__(self, graph, bit_edges, base, nbits, rows):
+    def __init__(self, graph, bit_edges, W):
         self.graph = graph
         self.bit_edges = bit_edges
-        self.masks = base + rows
-        self.lab = _pattern_labels(graph, bit_edges, base, nbits)[rows]
+        self.masks = np.flatnonzero(W)
+        self.weights = W[self.masks]
+        self._ends = [graph.edges[e] for e, in bit_edges]
+        self._columns = {}
 
-    def _bits_with(self, keep):
-        """Rows whose pattern has some bit i with keep(bit_edges[i])."""
-        m = 0
-        for i, es in enumerate(self.bit_edges):
-            if keep(es):
-                m |= 1 << i
-        return (self.masks & m) != 0
+    def _reach(self, S, v):
+        """reach[r]: v's component holds a vertex of S in kept pattern r."""
+        S = frozenset(S)
+        if v in S or not S:
+            return np.full(len(self.masks), v in S)
+        if (S, v) not in self._columns:
+            ones = [1.0] * len(self._ends)
+            count = _subgraph_sums(*_syndromes(
+                self._ends, set(self.graph.vertices) - S, {v}), ones, ones)
+            column = count[self.masks] != 0
+            column.flags.writeable = False      # it is kept and shared
+            self._columns[S, v] = column
+        return self._columns[S, v]
+
+    def connected(self, u, v):
+        return self._reach({u}, v)
+
+    def reached(self, S):
+        """reached[r, v]: v's component holds a vertex of S in pattern r."""
+        return np.array([self._reach(S, v) for v in self.graph.vertices]).T
+
+    def connects_sets(self, U, V):
+        """One query per vertex of the smaller set."""
+        few, many = sorted((set(U), set(V)), key=len)
+        out = np.zeros(len(self.masks), dtype=bool)
+        for v in few:
+            out |= self._reach(many, v)
+        return out
 
     def has_edge(self, e):
-        return self._bits_with(lambda es: e in es)
+        m = sum(1 << i for i, es in enumerate(self.bit_edges) if e in es)
+        return (self.masks & m) != 0
 
     def open_count(self):
         return sum(self.has_edge(e) * 1 for e in range(self.graph.n_edges))
 
-    def _marks(self, S):
-        """marks[r, l]: some vertex of S has the label l in row r."""
-        marks = np.zeros(self.lab.shape, dtype=bool)
-        marks[np.arange(len(marks))[:, None], self.lab[:, list(S)]] = True
-        return marks
+    def sums(self, events):
+        """name -> math.fsum of weight * value over the kept patterns of
+        nonzero value, plus '_total' (the raw weight sum); events: name ->
+        fn(labels), giving one value per kept pattern or one for all."""
+        out = {}
+        for name, fn in events.items():
+            val = np.broadcast_to(np.asarray(fn(self), dtype=float),
+                                  self.weights.shape)
+            hit = val != 0
+            out[name] = math.fsum(self.weights[hit] * val[hit])
+        out["_total"] = math.fsum(self.weights)
+        return out
 
-    def reached(self, S):
-        """reached[r, v]: v's component holds a vertex of S in row r."""
-        marks = self._marks(S)
-        return marks[np.arange(len(marks))[:, None], self.lab]
-
-    def connected(self, u, v):
-        return self.lab[:, u] == self.lab[:, v]
-
-    def connects_sets(self, U, V):
-        return self.reached(U)[:, list(V)].any(1)
-
-    def cluster_count(self, wired=None):
-        count = (self.lab == np.arange(self.graph.n)).sum(1)
-        if wired is None:
-            return count
-        return count - self._marks(wired).sum(1)
+    def expectations(self, events):
+        """The sums of `sums` divided by '_total', which is kept."""
+        out = self.sums(events)
+        return {name: s if name == "_total" else s / out["_total"]
+                for name, s in out.items()}
 
 
 def _fsum(arrays):
@@ -304,48 +252,9 @@ def _fsum(arrays):
 
 
 def _support_sums(graph, bit_edges, W, events):
-    """Weighted sums of the named events over all support patterns, plus
-    '_total' (the raw weight sum); with no pattern of nonzero weight every
-    sum is 0.0.
-
-    Pattern `mask` is the support made of bit_edges[i] for the bits i of
-    mask, and W[mask] its weight; patterns of weight 0 are dropped before
-    they are labelled.  events: dict name -> fn(_SupportLabels), giving the
-    value of every kept pattern of a chunk (an array with one entry per
-    row, or one value for all rows).  Every event sums the terms weight *
-    value of nonzero value with math.fsum, so the result does not depend on
-    the order the patterns are visited in.
-    """
-    nbits = len(bit_edges)
-    chunk = min(nbits, _CHUNK_BITS,
-                max(0, (_CHUNK_CELLS // max(graph.n, 1)).bit_length() - 1))
-    acc = {name: [] for name in events}
-    tot = []
-    for base in range(0, 1 << nbits, 1 << chunk):
-        wgt = W[base:base + (1 << chunk)]
-        rows = np.flatnonzero(wgt)
-        if not len(rows):
-            continue
-        wgt = wgt[rows]
-        labels = _SupportLabels(graph, bit_edges, base, chunk, rows)
-        tot.append(wgt)
-        for name, fn in events.items():
-            val = np.broadcast_to(np.asarray(fn(labels), dtype=float),
-                                  wgt.shape)
-            hit = val != 0
-            acc[name].append(wgt[hit] * val[hit])
-    out = {name: _fsum(terms) for name, terms in acc.items()}
-    out["_total"] = _fsum(tot)
-    return out
-
-
-def _support_expectations(graph, bit_edges, W, events):
-    """The sums of `_support_sums` divided by '_total', which is kept."""
-    out = _support_sums(graph, bit_edges, W, events)
-    total = out.pop("_total")
-    out = {name: s / total for name, s in out.items()}
-    out["_total"] = total
-    return out
+    """`_SupportLabels.sums` over the patterns of W (bit i adds the edges
+    bit_edges[i], and W[mask] is the weight of pattern mask)."""
+    return _SupportLabels(graph, bit_edges, W).sums(events)
 
 
 def _syndromes(ends, constrained, target):
@@ -389,8 +298,8 @@ def _subgraph_sums(bounds, target, a, b):
 
 def single_support_expectations(graph, couplings, events):
     """Normalized expectations of the named events (as in
-    `_support_expectations`) over the support S of one sourceless current,
-    K = beta |J|, plus '_total' (the sourceless current sum, which is
+    `_SupportLabels.expectations`) over the support S of one sourceless
+    current, K = beta |J|, plus '_total' (the sourceless current sum, which is
     2^-n sum_sigma e^{-H(sigma)} at |J|).  The odd edges of S form an even
     subgraph F, and the even edges of S are nonzero:
 
@@ -400,6 +309,6 @@ def single_support_expectations(graph, couplings, events):
     W = _subgraph_sums(*_syndromes(graph.edges, set(graph.vertices), set()),
                        [even for _, _, even in table],
                        [odd for _, odd, _ in table])
-    return _support_expectations(graph, [(e,) for e in range(graph.n_edges)],
-                                 W, events)
+    return _SupportLabels(graph, [(e,) for e in range(graph.n_edges)],
+                          W).expectations(events)
 

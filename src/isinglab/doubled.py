@@ -5,7 +5,8 @@ on an edge set E2 (every edge unless `edges2` says otherwise).  Every
 double-current probability is a law of the combined support S of n1 + n2,
 and one engine computes it: `DoubleSupportMeasure` weighs each of the 2^|E|
 support patterns in closed form, and the support kernel of `currents`
-evaluates the events on the labels of the patterns (Aizenman 1982).
+evaluates the events on them, each connection a subgraph count
+(Aizenman 1982).
 
 Only the source constraints at the `constrained` vertices count.  Summing
 the flux of every edge, with s = sinh K and c = cosh K, an edge of S that
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .currents import (ConstraintError, _check_sources, _fsum,
-                       _subgraph_sums, _support_expectations, _support_sums,
+                       _subgraph_sums, _support_sums, _SupportLabels,
                        _syndromes, edge_weight_table)
 
 
@@ -92,11 +93,11 @@ class DoubleSupportMeasure:
 
     def expectations(self, events):
         """events: dict name -> fn(labels), where `labels` (a
-        `currents._SupportLabels`) holds a chunk of combined supports and
-        the event gives one value per support.  Returns dict of normalized
-        expectations plus '_total' (the raw weight sum)."""
-        return _support_expectations(self.graph, self._bit_edges, self._W,
-                                     events)
+        `currents._SupportLabels`) holds the combined supports of nonzero
+        weight and the event gives one value per support.  Returns dict of
+        normalized expectations plus '_total' (the raw weight sum)."""
+        return _SupportLabels(self.graph, self._bit_edges,
+                              self._W).expectations(events)
 
 
 def double_event_probability(graph, couplings, A1, A2, event, edges2=None):
@@ -160,7 +161,14 @@ def _dobrushin(weigh, graph, boundary_spec, x=None):
     """(P(minus not<-> plus), P(x <-> boundary), P(x <-> plus, FF) -
     P(x <-> minus, FF) over P(FF)) under the law `weigh`, which leaves the
     boundary unconstrained, s = -1 on the edges with one end in the minus
-    set; the last two are None without x."""
+    set; the last two are None without x.  ValueError for a boundary vertex
+    designated free, which the law would leave unconstrained where the spin
+    side of these identities clamps it +."""
+    free = (boundary_spec.boundary - boundary_spec.plus_set
+            - boundary_spec.minus_set)
+    if free:
+        raise ValueError("the +- boundary laws need plus or minus at every "
+                         "boundary vertex; free: %s" % sorted(free))
     if x is not None and x not in boundary_spec.interior(graph):
         raise ValueError("x must be an interior site")
     minus = boundary_spec.minus_set

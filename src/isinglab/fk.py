@@ -4,8 +4,8 @@ Weights: prod_{b in w} p_b prod_{b notin w} (1-p_b) * q^{N(w)}, with
 p_b = 1 - exp(-2 beta |J_b|).  With a wired boundary the cluster count is
 replaced by N0(w), the number of clusters not reaching a boundary vertex.
 Everything here is a plain 2^|E| sum over open-edge masks, run by the
-support-pattern kernel of `currents`, which labels the components of whole
-chunks of masks in numpy for the built-in events.
+support-pattern kernel of `currents`, which answers the built-in events
+with subgraph counts.
 
 For q = 2 the cluster weight is a subgraph count, so FK weighs its masks
 by a table of `currents._subgraph_sums`, as the current laws do.  Call the
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .currents import _subgraph_sums, _support_expectations, _syndromes
+from .currents import _subgraph_sums, _SupportLabels, _syndromes
 from . import spins, doubled
 
 Q = 2.0
@@ -51,19 +51,18 @@ def fk_measure_expectation(graph, couplings, events, boundary=None):
     """Normalized expectations of the named events under the FK measure.
 
     events: dict name -> fn(labels), where `labels` (a
-    `currents._SupportLabels`) holds a chunk of open edge sets and the event
-    gives one value per set.  `boundary` is a vertex set; when given, the
-    cluster weight uses N0 (wired / plus state).
+    `currents._SupportLabels`) holds the open edge sets of nonzero weight and
+    the event gives one value per set.  `boundary` is a vertex set; when
+    given, the cluster weight uses N0 (wired / plus state).
     Returns the dict of expectations plus '_total', the unnormalized sum:
     Z(|J|) e^{-beta sum |J|} 2^n, or with wired counting
     Z^+(|J|) e^{-beta sum |J|} 2^{n - |boundary|}, i.e. 2 to the number of
     free spins times the spin-oracle Z (which carries 1/2 per free spin).
     """
     free = set(graph.vertices) - set(boundary or ())
-    return _support_expectations(graph,
-                                 [(e,) for e in range(graph.n_edges)],
-                                 _fk_law(graph, couplings, free)(frozenset()),
-                                 events)
+    return _SupportLabels(graph, [(e,) for e in range(graph.n_edges)],
+                          _fk_law(graph, couplings, free)(frozenset())
+                          ).expectations(events)
 
 
 def _fk_law(graph, couplings, free):

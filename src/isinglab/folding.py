@@ -21,13 +21,20 @@ with Q constrained at the side-1 vertices only and G at the side-1 and
 plane vertices, by `doubled._q_table` and `_g_table`.  Cost: one subset-sum
 transform over the 2^(|E0|+|E1|) patterns for each of Q and G; only
 nonzero patterns are visited for events.
+
+Events are read on the folded support S0 + T.  With fold(v) = R(v) on side
+2 and v elsewhere, u <-> v in supp(n + R(n)) iff fold(u) <-> fold(v) in the
+folded support and, for u and v on opposite sides, that cluster meets
+lambda0: a folded path lies in side 1 and the plane, where it and its
+mirror image are paths of the support, and a path that changes side passes
+the plane, as no edge joins the two sides.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .currents import (ConstraintError, _check_sources, _support_expectations,
+from .currents import (ConstraintError, _check_sources, _SupportLabels,
                        edge_weight_table)
 from .doubled import _g_table, _q_table
 from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
@@ -64,17 +71,40 @@ class FoldedCurrentMeasure:
                    * _g_table(ends, [w[e] for e in pattern_edges], side,
                               c1 | (constrained & r.lambda0),
                               (A - r.lambda2) ^ mirrored))
-        self._bit_edges = [tuple(sorted({e, r.edge_map[e]}))
-                           for e in pattern_edges]
+        self._labels = _FoldedLabels(r, pattern_edges, self._W)
         self.graph = graph
 
     def expectations(self, events):
-        """events: name -> fn(labels), where `labels` (a
-        `currents._SupportLabels`) holds a chunk of supports supp(n + R(n))
-        and the event gives one value per support.  Returns dict of
-        normalized expectations plus '_total' (the raw weight sum)."""
-        return _support_expectations(self.graph, self._bit_edges, self._W,
-                                     events)
+        """events: name -> fn(labels), where `labels` (a `_FoldedLabels`)
+        holds the supports supp(n + R(n)) of nonzero weight and the event
+        gives one value per support.  Returns dict of normalized
+        expectations plus '_total' (the raw weight sum)."""
+        return self._labels.expectations(events)
+
+
+class _FoldedLabels(_SupportLabels):
+    """`currents._SupportLabels` on supp(n + R(n)), read on the folded
+    support as the module docstring says; has_edge sees both edges of a
+    bit."""
+
+    def __init__(self, reflection, pattern_edges, W):
+        super().__init__(reflection.graph, [(e,) for e in pattern_edges], W)
+        self.bit_edges = [tuple(sorted({e, reflection.edge_map[e]}))
+                          for e in pattern_edges]
+        self._r = reflection
+
+    def _reach(self, S, v):
+        r = self._r
+        fold = lambda w: r.involution[w] if w in r.lambda2 else w
+        other = (r.lambda2 if v in r.lambda1 else
+                 r.lambda1 if v in r.lambda2 else ())
+        near = {fold(s) for s in S if s not in other}
+        far = {fold(s) for s in S if s in other} - near
+        hit = super()._reach(near, fold(v))
+        if far:
+            hit = hit | (super()._reach(far, fold(v))
+                         & super()._reach(r.lambda0, fold(v)))
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +193,7 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
         """0 where the support joins the minus boundary to the plane; else
         <s_x> on the region not folded-connected to the off-plane boundary,
         with + clamped at the plane's boundary sites, one spin-oracle call
-        per distinct region of the chunk."""
+        per distinct region."""
         keep = ff(labels)
         regions, inverse = np.unique(~labels.reached(off_plane_bdry)[keep],
                                      axis=0, return_inverse=True)

@@ -362,23 +362,13 @@ def verify_wilson_disorder_duality(cx, beta, loop):
 
 def convexity_rate(R):
     """g with 1 - R = exp(-g R): the sharpest g making 1 - r >= e^{-g r}
-    valid on all r in [0, R]; bisection, unique by convexity."""
+    valid on all r in [0, R], unique by convexity; in closed form,
+    g = -log(1 - R) / R."""
     if not 0.0 <= R < 1.0:
         raise ValueError("need 0 <= R < 1")
     if R == 0.0:
         return 1.0
-    target = 1.0 - R
-    lo, hi = 1e-12, 1e3
-    f = lambda g: math.exp(-g * R) - target
-    if f(lo) < 0 or f(hi) > 0:
-        raise ValueError("no root bracketed for R=%g" % R)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -math.log1p(-R) / R
 
 
 def deconfinement_bound_report(box, couplings, axis, plane, window=None):

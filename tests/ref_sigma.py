@@ -14,7 +14,8 @@ pattern edge i.
 
 import numpy as np
 
-from isinglab.currents import _pattern_labels, edge_weight_table
+from isinglab.currents import edge_weight_table
+from ref_support import pattern_labels
 
 
 def _signs(k):
@@ -87,9 +88,9 @@ def pairable_mask(graph, B, wired, edges=None):
     (all of S for None) that holds no `wired` vertex holds an even number
     of B vertices."""
     keep = range(graph.n_edges) if edges is None else set(edges)
-    lab = _pattern_labels(graph, [(e,) if e in keep else ()
-                                  for e in range(graph.n_edges)], 0,
-                          graph.n_edges)
+    lab = pattern_labels(graph, [(e,) if e in keep else ()
+                                 for e in range(graph.n_edges)], 0,
+                         graph.n_edges)
     rows = np.arange(len(lab))
     odd = np.zeros(lab.shape, dtype=bool)
     for b in B:

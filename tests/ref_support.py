@@ -1,11 +1,45 @@
 """Per-support reference queries, kept apart from the library.
 
-The support kernel answers cluster counts, set connections, frustration and
-relative signs for whole chunks of patterns in numpy.  The union-find forms
-here answer them for one support at a time; the tests compare the two.
+The support kernel answers connections, frustration and relative signs for
+all patterns at once with subgraph counts.  The union-find forms here answer
+them for one support at a time, and `pattern_labels` labels the components
+of many patterns by doubling over the pattern bits; the tests compare them.
 """
 
+import numpy as np
+
 from isinglab.currents import SupportView
+
+
+def _merge(lab, u, v):
+    """Add edge (u, v) to every row of `lab` in place: the component with
+    the larger label takes the smaller one."""
+    a, b = lab[:, u], lab[:, v]
+    lo = np.minimum(a, b)[:, None]
+    np.copyto(lab, lo, where=lab == np.maximum(a, b)[:, None])
+
+
+def pattern_labels(graph, bit_edges, base, nbits):
+    """Labels of the patterns base + r, r < 2^nbits (base a multiple of
+    2^nbits), built by doubling over the low bits: lab[r, v] is the
+    smallest vertex of v's component."""
+    n = graph.n
+    dtype = np.int8 if n <= 127 else np.int16 if n < 1 << 15 else np.int32
+    lab = np.empty((1 << nbits, n), dtype=dtype)
+    lab[0] = np.arange(n)
+
+    def add(i, rows):
+        for e in bit_edges[i]:
+            _merge(lab[rows], *graph.edges[e])
+
+    for i in range(nbits, len(bit_edges)):
+        if base >> i & 1:
+            add(i, slice(0, 1))
+    for i in range(nbits):
+        h = 1 << i
+        lab[h:2 * h] = lab[:h]
+        add(i, slice(h, 2 * h))
+    return lab
 
 
 class ParityUnionFind:

@@ -61,6 +61,25 @@ def test_four_source_resummation():
     assert rep["resummation"] <= 1e-10
 
 
+def test_path_properties_weigh_each_backbone_once(monkeypatch):
+    # one depleted spin sum Z' per backbone: rho and the zeta bound share
+    # one zeta
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 0.4)
+    depleted = []
+    oracle = spins.partition_function
+
+    def counted(graph, couplings, *args, **kwargs):
+        if couplings is not c:
+            depleted.append(couplings)
+        return oracle(graph, couplings, *args, **kwargs)
+
+    monkeypatch.setattr(spins, "partition_function", counted)
+    rep = backbone.check_path_properties(box, c, {0, 8})
+    assert rep["n_backbones"] > 1
+    assert len(depleted) == rep["n_backbones"]
+
+
 def test_walk_determinism(triangle):
     c = Couplings(triangle, 1.0, 0.5)
     from isinglab.currents import EdgeStateConfig, ODD

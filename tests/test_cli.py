@@ -225,6 +225,20 @@ def test_box_only_commands_refuse_graph_files(tmp_path, capsys, argv):
     assert out == ""
 
 
+def test_boundary_refuses_free_designation(tmp_path, capsys):
+    # with vertex 6 free, z_ratio_boundary compared 0.569 with 0.611 and
+    # the verb exited 1: the two sides took different boundary conditions
+    gf = tmp_path / "g7.txt"
+    gf.write_text("edge 0 1 0.7\nedge 1 2 0.8\nedge 2 3 0.9\nedge 3 4 1.0\n"
+                  "edge 1 5 0.75\nedge 5 3 0.85\nedge 5 6 0.95\n"
+                  "boundary 0 minus\nboundary 4 plus\nboundary 6 free\n")
+    code, out, err = run(capsys, "verify", "boundary", "--graph", str(gf),
+                         "--beta", "0.7")
+    assert code == 2
+    assert "free" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("loop, lattice, message", [
     ("2", "box:d=3,L=2", "does not fit"),
     ("2", "box:d=3,L=2,3,3", "does not fit"),

@@ -10,9 +10,9 @@ from isinglab import spins
 from isinglab.currents import (ConstraintError,
                                correlation_via_currents, current_sum,
                                edge_weight_table,
-                               single_support_expectations,
-                               truncated_flux_sum)
+                               single_support_expectations)
 from isinglab.spins import SizeError
+from ref_flux import truncated_flux_sum
 from ref_support import RefSupportView
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_instance
 from isinglab.graphs import BoundarySpec, BoxGraph, Couplings, Graph
-from isinglab import currents, doubled, spins
+from isinglab import currents, doubled, fk, spins
 from ref_double import double_sum_direct, ref_switching
 
 
@@ -244,6 +244,21 @@ def test_boundary_magnetization_formulas():
     # the plus-connection probability is the SQUARE of the + magnetization
     assert bm.plus_prob == pytest.approx(m_plus * m_plus, abs=1e-10)
     assert bm.pm_expr == pytest.approx(m_pm * m_plus, abs=1e-10)
+
+
+def test_free_boundary_designation_is_refused():
+    # the spin side clamps a designated vertex +, while the law would leave
+    # it unconstrained: z_ratio_boundary read 0.569 against 0.611 here
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 3), (5, 6)])
+    c = Couplings(g, [0.7, 0.8, 0.9, 1.0, 0.75, 0.85, 0.95], 0.7)
+    bspec = BoundarySpec({0: BoundarySpec.MINUS, 4: BoundarySpec.PLUS,
+                          6: BoundarySpec.FREE})
+    for call in (lambda: doubled.boundary_partition_ratio(g, c, bspec),
+                 lambda: doubled.boundary_magnetization(g, c, bspec, 2),
+                 lambda: fk.fk_boundary_report(g, c, bspec),
+                 lambda: fk.fk_boundary_report(g, c, bspec, 2)):
+        with pytest.raises(ValueError, match="free"):
+            call()
 
 
 def test_surface_tension_positive_and_increasing():

@@ -202,6 +202,14 @@ def test_convexity_rate_landmarks():
         convexity_rate(1.0)
 
 
+@pytest.mark.parametrize("R", [1e-9, 1e-4, 0.05])
+def test_convexity_rate_is_exact_at_small_R(R):
+    # g = -log(1 - R) / R = sum_k R^k / (k + 1); a bisection to 1e-13 in g
+    # was 8.4e-8 relative off at R = 1e-9 and 6.9e-13 at R = 1e-4
+    series = math.fsum(R ** k / (k + 1) for k in range(40))
+    assert convexity_rate(R) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("beta", [0.3, 0.5])
 def test_deconfinement_chain(beta):
     box = BoxGraph(2, (3, 3))

@@ -1,5 +1,5 @@
-"""The support-pattern kernel labels whole chunks of support patterns in
-numpy and reads every event off the labels.  The per-pattern loop it
+"""The support-pattern kernel answers every event for all support patterns
+at once, each connection a subgraph count.  The per-pattern loop it
 replaced, one RefSupportView (a union-find) per pattern, is kept here as
 the reference: every engine and event must give the same floats, compared by
 repr."""
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isinglab import currents, doubled, fk, folding, gauge, spins
+from isinglab import doubled, fk, folding, gauge, spins
 from isinglab.currents import SupportView
 from isinglab.doubled import DoubleSupportMeasure
 from isinglab.folding import FoldedCurrentMeasure
@@ -117,10 +117,6 @@ def _event_pairs(graph, couplings, u, v, U, V, wired, some_edges):
         "fg": (lambda lab: F(lab) * G(lab),
                lambda sv: ((1.0 if sv.connected(u, v) else 0.0)
                            * float(len(sv.edge_ids)))),
-        "clusters": (lambda lab: lab.cluster_count(),
-                     lambda sv: float(sv.cluster_count())),
-        "clusters_wired": (lambda lab: lab.cluster_count(wired),
-                           lambda sv: float(sv.cluster_count(wired))),
         "reached": (lambda lab: lab.reached(U)[:, v],
                     lambda sv: 1.0 if sv.connects_sets(U, [v]) else 0.0),
     }
@@ -196,18 +192,15 @@ def _signed_box(sides, beta, seed):
     return box, Couplings(box, J, beta)
 
 
-@pytest.mark.parametrize("beta, chunk_bits", [(0.3, 16), (0.8, 4)])
-def test_engines_match_per_view_loop(monkeypatch, beta, chunk_bits):
-    # a small chunk makes most patterns start from a base row with high
-    # bits set
-    monkeypatch.setattr(currents, "_CHUNK_BITS", chunk_bits)
+@pytest.mark.parametrize("beta", [0.3, 0.8])
+def test_engines_match_per_view_loop(beta):
     box, c = _signed_box((3, 3), beta, seed=11)
     _check_instance(box, c, 0, 8, [0, 1], [7, 8], {0, 2, 6}, [0, 3, 5],
                     constrained=[1, 3, 4, 5, 7], sources=(3, 5))
 
 
 def test_isolated_vertices_and_wide_labels():
-    # 200 vertices need int16 labels; most are isolated
+    # 200 vertices, most of them isolated
     g = Graph(200, [(0, 1), (1, 2), (2, 0), (3, 150), (150, 199), (0, 199),
                     (5, 6)])
     c = Couplings(g, [0.7, -0.4, 0.9, -1.1, 0.5, 0.8, 0.3], 0.6)
@@ -226,12 +219,10 @@ def _pm_boundary(box):
                          for v in box.boundary_vertices()})
 
 
-@pytest.mark.parametrize("chunk_bits", [16, 3])
-def test_dobrushin_events_match(monkeypatch, chunk_bits):
-    # the boundary results read signed tables, not labels; each must equal
-    # the per-view connection events.  Row 0 is the minus set, so two edges
-    # have both ends in it.
-    monkeypatch.setattr(currents, "_CHUNK_BITS", chunk_bits)
+def test_dobrushin_events_match():
+    # the boundary results read signed tables; each must equal the per-view
+    # connection events.  Row 0 is the minus set, so two edges have both
+    # ends in it.
     box = BoxGraph(2, (3, 3))
     c = Couplings(box, 1.0, 0.55)
     bspec = _pm_boundary(box)
@@ -268,6 +259,41 @@ def test_folded_measures_match():
         _assert_same(
             meas.expectations({k: a for k, (a, _) in pairs.items()}),
             _ref_folded(meas, refl, {k: r for k, (_, r) in pairs.items()}))
+
+
+@pytest.mark.parametrize("sides, plane", [((5, 3), 2), ((4, 3), 1.5)])
+def test_folded_queries_match_unfolded_support(sides, plane):
+    # the folded labels answer on the folded support; each query must equal
+    # the union-find on supp(n + R(n)), on a vertex plane and on a mid-edge
+    # plane: pairs across the plane, a plane vertex with side 2, and the
+    # sets reached from an S0 that is not reflection-symmetric
+    box = BoxGraph(2, sides)
+    refl = reflection_for_axis(box, Couplings(box, 1.0, 0.6), 0, plane)
+    inv = refl.involution
+    side1, side2 = sorted(refl.lambda1), sorted(refl.lambda2)
+    x, y, p, z = side1[0], side1[-1], sorted(refl.lambda0)[0], side2[1]
+    S0 = [x, z]
+    assert inv[x] != z
+    pairs = {
+        "x_Ry": (x, inv[y]), "x_Rx": (x, inv[x]), "Rx_y": (inv[x], y),
+        "p_z": (p, z), "z_p": (z, p), "Rx_z": (inv[x], z)}
+    events = {k: (lambda lab, u=u, v=v: lab.connected(u, v),
+                  lambda sv, u=u, v=v: 1.0 if sv.connected(u, v) else 0.0)
+              for k, (u, v) in pairs.items()}
+    for w in refl.graph.vertices:
+        events["reached_%d" % w] = (
+            lambda lab, w=w: lab.reached(S0)[:, w],
+            lambda sv, w=w: 1.0 if sv.connects_sets(S0, [w]) else 0.0)
+    events["S0_pz"] = (lambda lab: lab.connects_sets(S0, [p, z]),
+                       lambda sv: 1.0 if sv.connects_sets(S0, [p, z])
+                       else 0.0)
+    bdry = frozenset(box.boundary_vertices())
+    for meas in (FoldedCurrentMeasure(refl, sources={x, y}),
+                 FoldedCurrentMeasure(refl, sources={x, inv[y]}),
+                 FoldedCurrentMeasure(refl, relaxed_boundary=bdry)):
+        _assert_same(
+            meas.expectations({k: a for k, (a, _) in events.items()}),
+            _ref_folded(meas, refl, {k: r for k, (_, r) in events.items()}))
 
 
 def _check_frustration(graph, c, u, v):
@@ -325,7 +351,7 @@ def test_public_results_match_reference(monkeypatch):
 
 def test_constant_events_broadcast():
     # an event that does not depend on the labels gives one value for all
-    # the patterns of a chunk
+    # the patterns
     box, c = _signed_box((3, 3), 0.5, seed=3)
     abs_c = c.with_abs()
     out = fk.fk_measure_expectation(
@@ -342,8 +368,8 @@ def test_constant_events_broadcast():
 
 
 def test_stale_support_view_event_raises():
-    # an fn(SupportView) event gets the labels of a whole chunk; its truth
-    # test on an array raises instead of giving a number
+    # an fn(SupportView) event gets the labels of all the patterns; its
+    # truth test on an array raises instead of giving a number
     stale = {"c": lambda sv: 1.0 if sv.connected(0, 1) else 0.0}
     box = BoxGraph(2, (3, 3))
     c = Couplings(box, 1.0, 0.5)
@@ -393,12 +419,9 @@ def _ref_dobrushin(box, couplings, x):
     return out["ff"], out["mag"] / out["ff"]
 
 
-@pytest.mark.parametrize("sides, beta, chunk_bits", [
-    ((3, 5), 0.3, 16), ((3, 5), 0.8, 3), ((5, 3), 0.3, 3),
-    ((5, 3), 0.8, 16)])
-def test_dobrushin_identities_match_per_view_loop(monkeypatch, sides, beta,
-                                                   chunk_bits):
-    monkeypatch.setattr(currents, "_CHUNK_BITS", chunk_bits)
+@pytest.mark.parametrize("sides, beta", [
+    ((3, 5), 0.3), ((3, 5), 0.8), ((5, 3), 0.3), ((5, 3), 0.8)])
+def test_dobrushin_identities_match_per_view_loop(sides, beta):
     box = BoxGraph(2, sides)
     c = Couplings(box, 1.0, beta)
     rep = folding.dobrushin_identities(box, c)
@@ -474,21 +497,14 @@ def _instances(draw):
                          max_size=3))
     constrained = sorted(set(draw(st.lists(verts, max_size=n))))
     src = [w for w in constrained[:2]] if len(constrained) >= 2 else []
-    chunk_bits = draw(st.integers(0, 4))
     g = Graph(n, edges)
     return (g, Couplings(g, J, beta), u, v, U, V, wired, some, constrained,
-            tuple(src), chunk_bits)
+            tuple(src))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_instances())
 def test_fuzz_engines_match_per_view_loop(inst):
-    (g, c, u, v, U, V, wired, some, constrained, sources,
-     chunk_bits) = inst
-    saved = currents._CHUNK_BITS
-    currents._CHUNK_BITS = chunk_bits
-    try:
-        _check_instance(g, c, u, v, U, V, wired, some, constrained, sources)
-    finally:
-        currents._CHUNK_BITS = saved
+    g, c, u, v, U, V, wired, some, constrained, sources = inst
+    _check_instance(g, c, u, v, U, V, wired, some, constrained, sources)
     _check_frustration(g, c, u, v)
