@@ -219,12 +219,12 @@ def _pm_boundary(box):
                          for v in box.boundary_vertices()})
 
 
-def test_dobrushin_events_match():
+@pytest.mark.parametrize("seed", [16, 3])
+def test_dobrushin_events_match(seed):
     # the boundary results read signed tables; each must equal the per-view
     # connection events.  Row 0 is the minus set, so two edges have both
-    # ends in it.
-    box = BoxGraph(2, (3, 3))
-    c = Couplings(box, 1.0, 0.55)
+    # ends in it.  The couplings are signed and drawn per seed.
+    box, c = _signed_box((3, 3), 0.55, seed)
     bspec = _pm_boundary(box)
     bdry = bspec.plus_set | bspec.minus_set
     x = sorted(bspec.interior(box))[0]
