@@ -229,11 +229,13 @@ def check_path_properties(graph, couplings, A):
 
 def tree_diagram_check(graph, couplings, x1, x2, x3, x4):
     """(lhs, rhs, pass): |U4| <= 2 sum_u prod_j <s_{x_j} s_u>."""
-    lhs = abs(spins.ursell4(graph, couplings, x1, x2, x3, x4))
+    quad = (x1, x2, x3, x4)
+    values = spins.moments(graph, couplings, spins.ursell4_sets(*quad) + [
+        [xj, u] for u in graph.vertices for xj in quad if xj != u])
+    lhs = abs(spins.ursell4_value(*values[:7]))
+    pairs = iter(values[7:])
     rhs = 0.0
     for u in graph.vertices:
-        rhs += math.prod(spins.expectation(graph, couplings, [xj, u])
-                         if xj != u else 1.0
-                         for xj in (x1, x2, x3, x4))
+        rhs += math.prod(next(pairs) if xj != u else 1.0 for xj in quad)
     rhs *= 2.0
     return lhs, rhs, lhs <= rhs + 1e-12

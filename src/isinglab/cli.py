@@ -146,6 +146,18 @@ def _refuse_fields(fields, command):
                          % command)
 
 
+def _refuse_boundary(bspec, command, own=None):
+    """UsageError for a command that takes no boundary, or only its own
+    split `own`: its rows would answer the free (or own) instance's
+    question, with `pass=true`."""
+    if bspec is not None and (own is None
+                              or bspec.designation != own.designation):
+        raise UsageError("%s does not support %s (bc= in --lattice, boundary "
+                         "lines in --graph)" % (
+                             command, "a boundary" if own is None else
+                             "a boundary other than its own bc=pm split"))
+
+
 def _wilson_tol(mean, n, exact):
     """Distance from the mean of n 0/1 draws to the end of their z = 4
     Wilson score interval on the side of `exact`, so |mean - exact| <= tol
@@ -188,6 +200,8 @@ def _cmd_exact(args):
             from .doubled import surface_tension_ratio
             if not hasattr(graph, "coords"):
                 raise UsageError("tension needs a --lattice box")
+            _refuse_boundary(bspec, "exact tension",
+                             own=graph.dobrushin_boundary())
             v = surface_tension_ratio(graph, c)
             rows.append(Row(iid, "surface_tension", v, v, kind="value"))
     return rows
@@ -197,6 +211,8 @@ def _cmd_verify(args):
     from . import doubled, fk, folding, backbone
     graph, coup, fields, bspec = _load_instance(args)
     _refuse_fields(fields, "verify")
+    if args.what not in ("boundary", "dobrushin"):
+        _refuse_boundary(bspec, "verify " + args.what)
     rng = np.random.default_rng(args.seed)
     rows = []
     for beta in _betas(args):
@@ -282,6 +298,8 @@ def _cmd_verify(args):
             box = graph
             if not hasattr(box, "sides"):
                 raise UsageError("dobrushin needs a --lattice box")
+            _refuse_boundary(bspec, "verify dobrushin",
+                             own=box.dobrushin_boundary())
             rep = folding.dobrushin_identities(box, c)
             rows.append(Row(iid, "dobrushin_ratio", rep["ratio_spin"],
                             rep["ratio_folded"], tol=args.tol))
@@ -322,6 +340,7 @@ def _cmd_ineq(args):
     graph, coup, fields, bspec = _load_instance(args)
     if args.what in ("ghs", "simonlieb", "tree"):
         _refuse_fields(fields, "ineq " + args.what)
+    _refuse_boundary(bspec, "ineq " + args.what)
     rows = []
     for beta in _betas(args):
         c = coup.with_beta(beta * coup.beta)
@@ -386,9 +405,10 @@ def _cmd_gauge(args):
             rows.append(Row(iid, "dual_beta", v, v, kind="value"))
             continue
         if args.what == "deconfine":
-            graph, coup, _, _ = _load_instance(args)
+            graph, coup, _, bspec = _load_instance(args)
             if not hasattr(graph, "sides"):
                 raise UsageError("deconfine needs a --lattice box")
+            _refuse_boundary(bspec, "gauge deconfine")
             c = coup.with_beta(beta * coup.beta)
             plane = graph.sides[0] // 2 - 0.5
             rep = deconfinement_bound_report(
@@ -438,6 +458,8 @@ def _cmd_sample(args):
     graph, coup, fields, bspec = _load_instance(args)
     if args.what != "metropolis":
         _refuse_fields(fields, "sample " + args.what)
+    if args.what == "currents":
+        _refuse_boundary(bspec, "sample currents")
     if args.trials < samplers.N_BATCHES:
         raise UsageError("--trials must be at least %d (one draw per batch)"
                          % samplers.N_BATCHES)

@@ -252,8 +252,9 @@ def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):
     from . import spins
     if not couplings.is_ferromagnetic:
         raise ValueError("the Ursell identities need ferromagnetic couplings")
-    s2 = lambda a, b: spins.expectation(graph, couplings, [a, b])
-    pre = s2(x1, x2) * s2(x3, x4)
+    s12, s34, s4 = spins.moments(graph, couplings,
+                                 [[x1, x2], [x3, x4], [x1, x2, x3, x4]])
+    pre = s12 * s34
     if pre == 0.0:
         # a required pair is disconnected; both forms degenerate to zero
         valueA = 0.0
@@ -267,7 +268,6 @@ def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):
         return (labels.connected(x1, x2) & labels.connected(x1, x3)
                 & labels.connected(x1, x4))
 
-    s4 = spins.expectation(graph, couplings, [x1, x2, x3, x4])
     if s4 == 0.0:
         valueB = 0.0
     else:

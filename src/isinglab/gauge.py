@@ -402,8 +402,7 @@ def deconfinement_bound_report(box, couplings, axis, plane, window=None):
     B1 = fk.fk_measure_expectation(
         box, couplings,
         {"cut": lambda labels: ~labels.connects_sets(U, V)})["cut"]
-    corrs = [spins.expectation(box, couplings, [u, v])
-             for u in U for v in V]
+    corrs = spins.moments(box, couplings, [[u, v] for u in U for v in V])
     B2 = math.prod(1.0 - c for c in corrs)
     R = max(corrs)
     g = convexity_rate(R)

@@ -60,24 +60,19 @@ def griffiths_suite(graph, couplings, fields=None, max_sets=None):
     V = list(graph.vertices)
     sets = [(v,) for v in V] + list(itertools.combinations(V, 2))
     has_field = fields is not None and not fields.is_zero()
-    reports = []
-    for A in sets:
-        if len(A) % 2 and not has_field:
-            continue
-        val = spins.expectation(graph, couplings, A, fields=fields)
-        reports.append(_report("griffiths1", "<s_%s> >= 0" % (A,), 0.0, val))
     pairs = list(itertools.combinations(sets, 2))
     if max_sets is not None:
         pairs = pairs[:max_sets]
-    for A, B in pairs:
-        if (len(A) + len(B)) % 2 and not has_field:
-            continue
-        ab = spins.expectation(graph, couplings, list(A) + list(B),
-                               fields=fields)
-        a = spins.expectation(graph, couplings, A, fields=fields)
-        b = spins.expectation(graph, couplings, B, fields=fields)
-        reports.append(_report("griffiths2",
-                               "<s_%s s_%s> >= product" % (A, B), a * b, ab))
+    if not has_field:
+        pairs = [(A, B) for A, B in pairs if (len(A) + len(B)) % 2 == 0]
+    values = spins.moments(graph, couplings,
+                           sets + [A + B for A, B in pairs], fields=fields)
+    value = dict(zip(sets, values))
+    reports = [_report("griffiths1", "<s_%s> >= 0" % (A,), 0.0, value[A])
+               for A in sets if len(A) % 2 == 0 or has_field]
+    for (A, B), ab in zip(pairs, values[len(sets):]):
+        reports.append(_report("griffiths2", "<s_%s s_%s> >= product"
+                               % (A, B), value[A] * value[B], ab))
     return reports
 
 
@@ -100,17 +95,18 @@ def ghs_suite(graph, couplings, x=0):
     if not couplings.is_ferromagnetic:
         raise ValueError("GHS requires J >= 0")
     V = list(graph.vertices)
-    reports = []
-    first_ratio = None
-    for quad in itertools.combinations(V, 4):
-        u4 = spins.ursell4(graph, couplings, *quad)
-        if first_ratio is None:
-            denom = math.prod(
-                spins.expectation(graph, couplings, [quad[0], q])
-                if q != quad[0] else 1.0 for q in quad[1:])
-            first_ratio = (-u4 / 2.0) / denom if denom else float("nan")
-        reports.append(_report("ghs_u4", "-u4%s >= 0" % (quad,), 0.0, -u4))
+    quads = list(itertools.combinations(V, 4))
+    asked = [A for quad in quads for A in spins.ursell4_sets(*quad)]
+    if quads:   # the tree ratio's <s1 s2><s1 s3><s1 s4>
+        asked += [[quads[0][0], q] for q in quads[0][1:]]
+    values = spins.moments(graph, couplings, asked)
+    u4s = [spins.ursell4_value(*values[7 * i:7 * i + 7])
+           for i in range(len(quads))]
+    reports = [_report("ghs_u4", "-u4%s >= 0" % (quad,), 0.0, -u4)
+               for quad, u4 in zip(quads, u4s)]
     if reports:
+        denom = math.prod(values[-3:])
+        first_ratio = (-u4s[0] / 2.0) / denom if denom else float("nan")
         reports[0].descriptor += " [tree-ratio %.6g, informational]" % first_ratio
     mags = []
     for h in GHS_FIELDS:
@@ -175,33 +171,34 @@ def simon_lieb_suite(graph, couplings, x, y, S):
     side = _x_side(graph, S, x)
     if x not in S and y in side:   # an S holding x separates trivially
         raise ValueError("S does not separate x from y")
-    lhs = spins.expectation(graph, couplings, [x, y])
-
     sub, subc, vmap = _stopped_subgraph(graph, couplings, S, side)
-    rhs_site = 0.0
-    for u in S:
-        if u not in vmap:
-            continue
-        rhs_site += (spins.expectation(sub, subc, [vmap[x], vmap[u]])
-                     * spins.expectation(graph, couplings, [u, y]))
-    reports = [_report("simon_lieb_site",
-                       "cut S=%s, x=%d, y=%d" % (sorted(S), x, y),
-                       lhs, rhs_site)]
-
+    us = [u for u in S if u in vmap]
     # edge form: B = the x-side of S plus S, interactions restricted to
-    # edges inside B
+    # edges inside B; (a, b, e) for each cut edge e leaving B at a
     B = side | S
     inside = [e for e, (u, v) in enumerate(graph.edges)
               if u in B and v in B]
     restricted = couplings.with_depleted(
         set(range(graph.n_edges)) - set(inside))
+    cut = [(a, b, e) for e, (u, v) in enumerate(graph.edges)
+           for a, b in ((u, v), (v, u)) if a in B and b not in B]
+
+    full = spins.moments(graph, couplings, [[x, y]] + [[u, y] for u in us]
+                         + [[b, y] for _, b, _ in cut])
+    lhs = full[0]
+    rhs_site = 0.0
+    for near, far in zip(spins.moments(sub, subc, [[vmap[x], vmap[u]]
+                                                   for u in us]),
+                         full[1:]):
+        rhs_site += near * far
+    reports = [_report("simon_lieb_site",
+                       "cut S=%s, x=%d, y=%d" % (sorted(S), x, y),
+                       lhs, rhs_site)]
     rhs_edge = 0.0
-    for e, (u, v) in enumerate(graph.edges):
-        for a, b in ((u, v), (v, u)):
-            if a in B and b not in B:
-                rhs_edge += (spins.expectation(graph, restricted, [x, a])
-                             * math.tanh(couplings.K(e))
-                             * spins.expectation(graph, couplings, [b, y]))
+    for (_, _, e), near, far in zip(
+            cut, spins.moments(graph, restricted, [[x, a] for a, _, _ in cut]),
+            full[1 + len(us):]):
+        rhs_edge += near * math.tanh(couplings.K(e)) * far
     reports.append(_report("simon_lieb_edge",
                            "cut B=%s, x=%d, y=%d" % (sorted(B), x, y),
                            lhs, rhs_edge))
@@ -267,11 +264,15 @@ def dss_suite(graph, couplings, x, fields):
                            lhs_g, rhs_g))
 
     f_g = FieldSpec(n, g={v: val for v, val in enumerate(g)})
-    for y in graph.vertices:
-        if y == x:
-            continue
-        lhs_t = spins.truncated_pair(graph, couplings, x, y, fields=f_g)
-        rhs_t = spins.truncated_pair(graph, couplings, x, y)
+    ys = [y for y in graph.vertices if y != x]
+    asked = [A for y in ys for A in ([x, y], [x], [y])]
+
+    def truncated(fields=None):
+        """<s_x; s_y> for each y, from one moments call."""
+        values = iter(spins.moments(graph, couplings, asked, fields=fields))
+        return [xy - sx * sy for xy, sx, sy in zip(values, values, values)]
+
+    for y, lhs_t, rhs_t in zip(ys, truncated(f_g), truncated()):
         reports.append(_report(
             "dss_truncated_presumed",
             "<s_%d; s_%d>_g <= zero-field value [presumed form]" % (x, y),

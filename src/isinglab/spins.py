@@ -11,18 +11,38 @@ j-th free vertex the spin +1 when bit j of i is set, so for a set A the
 product prod_{x in A} sigma_x is the exact sign (-1)^popcount(~i & mask_A)
 times the clamped spins of A.  For row lo + r of a chunk starting at lo,
 ~(lo + r) & mask_A = (~lo & mask_A) ^ (r & mask_A), so the sign is one
-lookup in the parity table of the _CHUNK row offsets.  A chunk is kept as
-its float64 weights and their math.fsum; <sigma_A> is one fsum of +-w per
-chunk, and fsum is correctly rounded, so results are independent of
-chunking.
+lookup in the sign table of the _CHUNK row offsets, flipped by the parity
+of the chunk's high rows popcount(~lo & mask_A).  <sigma_A> is
+fsum(+-w) / fsum(w), each an fsum over chunks of per-chunk sums.
+
+Exact signed sums: one kernel, _signed_sums, gives the per-chunk sums of
+every moment, one math.fsum per moment and chunk.  When a chunk is weighed,
+its rows are sorted into bins by the stored exponent E of their weight,
+E // 8, so a bin whose smallest binary exponent is e0 holds weights below
+2^(e0+8) (zeros and subnormals, E = 0, count as e0 = -1022).  Each w is
+split into hi, w with the low 27 of its 52 stored significand bits cleared,
+and lo = w - hi; both are exact.  In a bin, hi is a multiple of 2^(e0-25)
+below 2^(e0+8), so a sum of at most 2^16 terms +-hi is a multiple of
+2^(e0-25) below 2^(e0+24): 49 bits.  lo is a multiple of 2^(e0-52) below
+2^(e0-18), so a sum of as many +-lo needs 50 bits.  Every partial sum that
+np.add.reduceat forms in a bin is therefore exact, in any order, and the
+one math.fsum over the hi and lo partials of all bins rounds their exact
+total once: the float math.fsum gives over the signed weights row by row,
+without a Python float per row.  The chunk's fsum(w) is the same bin sum
+with every sign +, taken when it is weighed.  moments reduces each set to
+its key (free-spin mask, sign of its clamped spins) and evaluates each
+distinct key once per chunk, keys in groups whose sign arrays hold at most
+_CHUNK rows in all.
 
 Weight tables: an instance of at most _CHUNK rows (16 free spins) is
-enumerated once.  Its table stays in a least-recently-used store of _SLOTS
-entries (at most 1 MB), keyed by content: (n, edges, J, beta, per-vertex
-field totals h+g, clamped spins).  Mutating a Couplings or FieldSpec in
-place therefore misses the store rather than reading a stale table.  The
-size cap DEFAULT_CAP is checked before the lookup.  Larger instances stream
-chunk by chunk and are never retained.
+enumerated once.  Its table (per row its uint16 offset and the hi and lo
+parts of its weight, 18 bytes, so 1.2 MB at 2^16 rows) stays in a
+least-recently-used store of _SLOTS entries (at most 2.4 MB),
+keyed by content: (n, edges, J, beta, per-vertex field totals h+g, clamped
+spins).  Mutating a Couplings or FieldSpec in place therefore misses the
+store rather than reading a stale table.  The size cap DEFAULT_CAP is
+checked before the lookup.  Larger instances stream chunk by chunk and are
+never retained.
 
 Overflow and underflow: a chunk whose largest exponent E_max exceeds
 _MAX_EXPONENT is weighed as exp(E - c) with c = E_max - _MAX_EXPONENT, and
@@ -49,15 +69,24 @@ _CHUNK = 1 << _CHUNK_BITS
 _SLOTS = 2
 _MAX_EXPONENT = 690.0
 _MIN_EXPONENT = -709.0
-_ROWS = np.arange(_CHUNK, dtype=np.intp)
-_ROWS.flags.writeable = False
-# _PARITY[r] = popcount(r) & 1 for every row offset r < _CHUNK
-_PARITY = np.zeros(1, dtype=np.uint8)
+# _SIGN[r] = (-1)^popcount(r) for every row offset r < _CHUNK
+_SIGN = np.ones(1)
 for _ in range(_CHUNK_BITS):
-    _PARITY = np.concatenate([_PARITY, _PARITY ^ 1])
-_PARITY.flags.writeable = False
+    _SIGN = np.concatenate([_SIGN, -_SIGN])
+_SIGN.flags.writeable = False
+# _SPINS[r, j] = +1 if bit j of the row offset r is set, else -1 (the two
+# little-endian bytes of r hold its _CHUNK_BITS = 16 bits)
+_SPINS = np.unpackbits(np.arange(_CHUNK, dtype="<u2").view(np.uint8).reshape(
+    _CHUNK, 2), axis=1, bitorder="little").view(np.int8)
+_SPINS *= 2
+_SPINS -= 1
+_SPINS.flags.writeable = False
+_ROW = np.min_scalar_type(_CHUNK - 1)
+_HIGH = ~np.uint64((1 << 27) - 1)     # clears the low 27 significand bits
+_BIN = np.uint64(55)                  # stored exponent // 8
 
-# content key -> list of (lo, weights, fsum of weights, exponent shift)
+# content key -> list of chunks (lo, rows, parts, starts, fsum of the
+# weights, exponent shift); see _split
 _tables = OrderedDict()
 
 
@@ -71,47 +100,82 @@ def _clamped_from(boundary):
     return boundary.clamped()
 
 
-def _spin_chunks(n_free):
-    """Yield (lo, spins) with spins in {-1,+1}, shape (chunk, n_free)."""
-    total = 1 << n_free
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((idx[:, None] >> np.arange(n_free, dtype=np.uint64)) & 1)
-        yield lo, bits.astype(np.int8) * 2 - 1
+def _split(w):
+    """(rows, parts, starts, total): the row offsets sorted by the bin of
+    their weight (its stored exponent // 8), the hi (parts[0]) and lo
+    (parts[1]) parts of the sorted weights, the first position of each bin,
+    and fsum(w): the exact sum of the bins, every sign +."""
+    bins = (w.view(np.uint64) >> _BIN).astype(np.uint16)
+    order = bins.argsort(kind="stable")
+    bins = bins[order]
+    first = np.empty(len(w), dtype=bool)
+    first[0] = True
+    np.not_equal(bins[1:], bins[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    w = w[order]
+    hi = (w.view(np.uint64) & _HIGH).view(np.float64)
+    parts = np.array((hi, w - hi))
+    total = math.fsum(np.add.reduceat(parts, starts, axis=1).ravel().tolist())
+    return order.astype(_ROW), parts, starts, total
+
+
+def _signed_sums(chunk, keys):
+    """[fsum of the chunk's weights w_r * (-1)^popcount(~(lo + r) & mask),
+    negated when `negative`] for each key (mask, negative), exactly."""
+    lo, rows, parts, starts = chunk[:4]
+    out = []
+    step = _CHUNK // len(rows)
+    for k in range(0, len(keys), step):
+        group = keys[k:k + step]
+        low = np.array([mask & (_CHUNK - 1) for mask, _ in group],
+                       dtype=rows.dtype)
+        sign = _SIGN.take(rows & low[:, None])
+        his, los = np.add.reduceat(parts[:, None, :] * sign, starts,
+                                   axis=2).tolist()
+        for (mask, negative), a, b in zip(group, his, los):
+            s = math.fsum(a + b)
+            # 0.0 - s: a zero sum stays +0.0, as fsum of the negated terms
+            out.append(0.0 - s if negative ^ (int.bit_count(~lo & mask) & 1)
+                       else s)
+    return out
 
 
 def _weigh(graph, couplings, fields, clamp, free):
-    """Yield (lo, w, fsum(w), c) per chunk: w = exp(energy - c)."""
-    beta = couplings.beta
-    H = np.zeros(graph.n)
-    if fields is not None:
-        for v in graph.vertices:
-            H[v] = beta * fields.total(v)
-    K = np.array([beta * j for j in couplings.J])
-    e_u = np.array([u for (u, _) in graph.edges], dtype=np.intp)
-    e_v = np.array([v for (_, v) in graph.edges], dtype=np.intp)
-    free_idx = np.array(free, dtype=np.intp)
+    """Yield the chunks (lo, *_split(w), c) of w = exp(energy - c).
 
-    base = np.zeros(graph.n, dtype=np.float64)
+    The energy is the float64 products full @ H and (s_u s_v) @ K of the
+    +-1 spin configurations; without fields there is no field term."""
+    beta = couplings.beta
+    if fields is not None:
+        H = np.array([beta * fields.total(v) for v in graph.vertices])
+    K = np.array([beta * j for j in couplings.J])
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    low = np.array(free[:_CHUNK_BITS], dtype=np.intp)
+    base = np.zeros(graph.n, dtype=np.int8)
     for v, s in clamp.items():
         base[v] = s
 
-    for lo, spins in _spin_chunks(len(free)):
-        full = np.tile(base, (spins.shape[0], 1))
-        if len(free):
-            full[:, free_idx] = spins
-        energy = full @ H
+    for lo in range(0, 1 << len(free), _CHUNK):
+        # free spin j is bit j of the row lo + r: of r below _CHUNK_BITS
+        for j in range(_CHUNK_BITS, len(free)):
+            base[free[j]] = 1 if lo >> j & 1 else -1
+        full = np.empty((min(1 << len(free), _CHUNK), graph.n), dtype=np.int8)
+        full[:] = base
+        full[:, low] = _SPINS[:len(full), :len(low)]
+        energy = (np.zeros(len(full)) if fields is None
+                  else full.astype(np.float64) @ H)
         if graph.n_edges:
-            energy = energy + (full[:, e_u] * full[:, e_v]) @ K
+            bonds = full[:, ends[:, 0]] * full[:, ends[:, 1]]
+            energy = energy + bonds.astype(np.float64) @ K
         top = float(energy.max())
         shift = (top - _MAX_EXPONENT if top > _MAX_EXPONENT
                  else top if top < _MIN_EXPONENT else 0.0)
         if shift:
             energy = energy - shift
-        w = np.exp(energy)
-        w.flags.writeable = False
-        yield lo, w, math.fsum(w.tolist()), shift
+        rows, parts, starts, total = _split(np.exp(energy))
+        for a in (rows, parts, starts):
+            a.flags.writeable = False
+        yield lo, rows, parts, starts, total, shift
 
 
 def _chunks(graph, couplings, fields, boundary):
@@ -139,20 +203,21 @@ def _chunks(graph, couplings, fields, boundary):
     return clamp, free, table
 
 
-def _rescaled(sums, shifts):
-    """Chunk sums brought to the scale of the largest shift."""
+def _scales(shifts):
+    """The factors exp(c - max c) that bring chunk sums to one scale."""
     top = max(shifts)
-    return [s * math.exp(c - top) for s, c in zip(sums, shifts)]
+    return [math.exp(c - top) for c in shifts]
 
 
 def _shifted_partition(graph, couplings, fields, boundary):
     """(z, c) with Z = z * exp(c) and z finite and positive."""
     _, free, chunks = _chunks(graph, couplings, fields, boundary)
-    parts, shifts = [], []
-    for _, _, total, shift in chunks:
-        parts.append(total)
-        shifts.append(shift)
-    return math.fsum(_rescaled(parts, shifts)) / (1 << len(free)), max(shifts)
+    sums, shifts = [], []
+    for chunk in chunks:
+        sums.append(chunk[-2])
+        shifts.append(chunk[-1])
+    z = math.fsum([t * f for t, f in zip(sums, _scales(shifts))])
+    return z / (1 << len(free)), max(shifts)
 
 
 def partition_function(graph, couplings, fields=None, boundary=None):
@@ -187,44 +252,73 @@ def _reduce_multiset(A):
     return [v for v, p in out.items() if p]
 
 
+def moments(graph, couplings, sets, fields=None, boundary=None):
+    """[< prod_{x in A} sigma_x > for A in sets]; each A is a vertex
+    multiset.  Every site is checked before the instance is weighed or
+    fetched, once; each distinct key (mask, sign of the clamped spins) is
+    then one exact signed sum per chunk, so every moment is the float
+    expectation gives for its set alone."""
+    sets = [list(A) for A in sets]
+    for A in sets:
+        for v in A:
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
+                raise ValueError("site %r is not a vertex of %r" % (v, graph))
+    if not sets:
+        return []
+    clamp, free, chunks = _chunks(graph, couplings, fields, boundary)
+    bit = {v: 1 << j for j, v in enumerate(free)}
+    keys = []
+    for A in sets:
+        mask, negative = 0, False
+        for v in _reduce_multiset(A):
+            if v in clamp:
+                negative ^= clamp[v] < 0
+            else:
+                mask |= bit[v]
+        keys.append((mask, negative))
+    distinct = list(dict.fromkeys(keys))
+    sums, den, shifts = [], [], []
+    for chunk in chunks:
+        sums.append(_signed_sums(chunk, distinct))
+        den.append(chunk[-2])
+        shifts.append(chunk[-1])
+    if len(sums) == 1:   # a stored table: fsum([t * exp(0)]) is t
+        values = [t / den[0] for t in sums[0]]
+    else:
+        scale = _scales(shifts)
+        z = math.fsum([t * f for t, f in zip(den, scale)])
+        values = [math.fsum([t * f for t, f in zip(num, scale)]) / z
+                  for num in zip(*sums)]
+    value = dict(zip(distinct, values))
+    return [value[key] for key in keys]
+
+
 def expectation(graph, couplings, A, fields=None, boundary=None):
     """< prod_{x in A} sigma_x > ; A is a vertex multiset."""
-    A = list(A)
-    for v in A:
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
-            raise ValueError("site %r is not a vertex of %r" % (v, graph))
-    clamp, free, chunks = _chunks(graph, couplings, fields, boundary)
-    bit = {v: j for j, v in enumerate(free)}
-    mask, negative = 0, False
-    for v in _reduce_multiset(A):
-        if v in clamp:
-            negative ^= clamp[v] < 0
-        else:
-            mask |= 1 << bit[v]
-    low = mask & (_CHUNK - 1)
-    num, den, shifts = [], [], []
-    for lo, w, total, shift in chunks:
-        odd = _PARITY[_ROWS[:len(w)] & low]
-        if negative ^ (int.bit_count(~lo & mask) & 1):
-            odd = odd ^ 1
-        num.append(math.fsum(np.where(odd, -w, w).tolist()))
-        den.append(total)
-        shifts.append(shift)
-    return math.fsum(_rescaled(num, shifts)) / math.fsum(_rescaled(den, shifts))
+    return moments(graph, couplings, [A], fields, boundary)[0]
+
+
+def ursell4_sets(x1, x2, x3, x4):
+    """The sets whose moments ursell4_value combines, in its order."""
+    if len({x1, x2, x3, x4}) != 4:
+        raise ValueError("ursell4 needs four distinct sites")
+    return [[x1, x2, x3, x4], [x1, x2], [x3, x4], [x1, x3], [x2, x4],
+            [x1, x4], [x2, x3]]
+
+
+def ursell4_value(s1234, s12, s34, s13, s24, s14, s23):
+    return s1234 - (s12 * s34 + s13 * s24 + s14 * s23)
 
 
 def ursell4(graph, couplings, x1, x2, x3, x4, boundary=None):
     """U4 = <1234> - <12><34> - <13><24> - <14><23>  (zero field)."""
-    if len({x1, x2, x3, x4}) != 4:
-        raise ValueError("ursell4 needs four distinct sites")
-    s4 = expectation(graph, couplings, [x1, x2, x3, x4], boundary=boundary)
-    p = lambda a, b: expectation(graph, couplings, [a, b], boundary=boundary)
-    return s4 - (p(x1, x2) * p(x3, x4) + p(x1, x3) * p(x2, x4)
-                 + p(x1, x4) * p(x2, x3))
+    return ursell4_value(*moments(graph, couplings,
+                                  ursell4_sets(x1, x2, x3, x4),
+                                  boundary=boundary))
 
 
 def truncated_pair(graph, couplings, x, y, fields=None, boundary=None):
     """<sigma_x sigma_y> - <sigma_x><sigma_y>."""
-    return (expectation(graph, couplings, [x, y], fields, boundary)
-            - expectation(graph, couplings, [x], fields, boundary)
-            * expectation(graph, couplings, [y], fields, boundary))
+    xy, sx, sy = moments(graph, couplings, [[x, y], [x], [y]], fields,
+                         boundary)
+    return xy - sx * sy

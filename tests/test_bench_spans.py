@@ -88,13 +88,15 @@ def test_recorder_sees_spin_oracle():
     rec.install()
     try:
         spins.partition_function(g, c)
-        spins.expectation(g, c, [0, 2])
+        for A in ([0, 2], [0, 2], [0], [2]):
+            spins.expectation(g, c, A)
+        # truncated_pair is one spins.moments call, which is not hooked
         spins.truncated_pair(g, c, 0, 2)
     finally:
         rec.uninstall()
     names = {r[1] for r in rec.records()}
     assert set(SPIN_SPANS) <= names
-    # one instance, five calls (truncated_pair makes three): four repeats
+    # one instance, five hooked calls: four repeats
     assert rec.work["spins.calls"] == 5
     assert rec.work["spins.repeats"] == 4
     assert not hasattr(spins.expectation, "__wrapped__")

@@ -271,6 +271,37 @@ def test_commands_without_fields_refuse_them(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["ineq", w] for w in ("griffiths", "ghs", "simonlieb", "dss", "smms",
+                          "vanbeijeren")] + [
+    ["ineq", "tree", "--sites", "0,2,6,8"], ["gauge", "deconfine"],
+    ["sample", "currents"]] + [
+    ["verify", w] for w in ("xtoy", "switching", "ursell", "frustration",
+                            "disorder", "fold", "fkrcr", "pathprops")])
+def test_commands_without_a_boundary_refuse_one(capsys, argv):
+    # these dropped the boundary: ineq tree printed the free box's row,
+    # lhs 0.032341136862245143, rhs 0.1221730261696356, pass=true
+    for bc in ("pm", "plus"):
+        code, out, err = run(capsys, *argv, "--lattice",
+                             "box:d=2,L=3,bc=" + bc, "--beta", "0.4")
+        assert code == 2
+        assert "does not support a boundary" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "dobrushin"],
+                                  ["exact", "tension"]])
+def test_own_dobrushin_split_refuses_another_boundary(capsys, argv):
+    # both build the box's own Dobrushin split; bc=pm is that split
+    code, out, err = run(capsys, *argv, "--lattice", "box:d=2,L=3,bc=plus",
+                         "--beta", "0.4")
+    assert (code, out) == (2, "")
+    assert "other than its own bc=pm split" in err
+    code, _, err = run(capsys, *argv, "--lattice", "box:d=2,L=3,bc=pm",
+                       "--beta", "0.4")
+    assert (code, err) == (0, "")
+
+
 def test_metropolis_and_griffiths_use_graph_fields(tmp_path, capsys):
     from isinglab import spins
     from isinglab.graphs import parse_graph_file

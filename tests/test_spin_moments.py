@@ -1,0 +1,152 @@
+"""spins.moments against the set-by-set reference, by repr.
+
+Every moment of one batched call must be the float that `ref_spins` gives
+with one fsum over the signed weights of its set, and the float
+`spins.expectation` gives for the set alone.
+"""
+
+import pytest
+
+from isinglab import spins
+from isinglab.graphs import BoundarySpec, BoxGraph, Couplings, FieldSpec, Graph
+
+import ref_spins
+
+
+def _signed_couplings(graph, beta, seed):
+    J = [(-1) ** ((e * 7 + seed) % 3 == 0) * (0.35 + 0.11 * ((e * 5 + seed) % 9))
+         for e in range(graph.n_edges)]
+    return Couplings(graph, J, beta)
+
+
+def _mixed_fields(graph):
+    return FieldSpec(graph.n, h={v: 0.05 * (v % 4) for v in graph.vertices},
+                     g={v: 0.3 * (-1) ** v - 0.1 for v in graph.vertices
+                        if v % 3})
+
+
+def _sets(graph, clamp=()):
+    """Pairs, a quadruple, singletons, repeated sites, the empty set, and
+    sets differing only by clamped (minus) spins."""
+    n = graph.n
+    out = [[], [0], [n - 1], [0, n - 1], [1, n // 2], [0, 1, n - 2, n - 1],
+           [2, 2], [1, 1, 3], [0, 3, 3, 3, 5], [4, 1, 4, 1]]
+    for m in clamp:
+        out += [[m], [m, 1], [1], [m, 1, n // 2], [1, n // 2], [m, m, 1]]
+    return out
+
+
+def _assert_moments(graph, couplings, sets, fields=None, boundary=None,
+                    alone=None):
+    """Batched and the first `alone` (all) sets on their own equal the
+    reference by repr, and so does Z."""
+    got = spins.moments(graph, couplings, sets, fields, boundary)
+    want = ref_spins.moments(graph, couplings, sets, fields, boundary)
+    assert list(map(repr, got)) == list(map(repr, want))
+    alone = [spins.expectation(graph, couplings, A, fields, boundary)
+             for A in sets[:alone]]
+    assert list(map(repr, alone)) == list(map(repr, want[:len(alone)]))
+    assert repr(spins.partition_function(graph, couplings, fields,
+                                         boundary)) == repr(
+        ref_spins.partition_function(graph, couplings, fields, boundary))
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.4, 0.9, 3.0])
+@pytest.mark.parametrize("sides", [(3, 3), (3, 4)])
+def test_signed_couplings_fields_and_clamps(sides, beta):
+    box = BoxGraph(2, sides)
+    c = _signed_couplings(box, beta, sum(sides))
+    pm = box.dobrushin_boundary()
+    minus = sorted(pm.minus_set)[:2]
+    f = _mixed_fields(box)
+    for fields, boundary in ((None, None), (f, None), (None, pm), (f, pm),
+                             (f, box.plus_boundary())):
+        clamp = minus if boundary is pm else ()
+        _assert_moments(box, c, _sets(box, clamp), fields, boundary)
+
+
+def test_sets_that_differ_by_a_clamped_minus_spin():
+    # [x] and [x, m] with m clamped -1 share the free mask: their moments
+    # are opposite, so a key without the clamp sign gives both one value
+    box = BoxGraph(2, (3, 3))
+    c = _signed_couplings(box, 0.6, 2)
+    pm = box.dobrushin_boundary()
+    m = min(pm.minus_set)
+    sets = [[4], [4, m], [4, 1, m], [4, 1]]
+    got = spins.moments(box, c, sets, _mixed_fields(box), pm)
+    assert got[0] == -got[1] != 0.0 and got[2] == -got[3] != 0.0
+    _assert_moments(box, c, sets, _mixed_fields(box), pm)
+
+
+def test_repeated_sites_cancel():
+    box = BoxGraph(2, (3, 3))
+    c = _signed_couplings(box, 0.7, 1)
+    f = _mixed_fields(box)
+    got = spins.moments(box, c, [[3, 3], [3, 3, 5], [5], [0, 3, 0, 3], []],
+                        fields=f)
+    assert got[0] == got[3] == got[4] == 1.0
+    assert got[1] == got[2] != 0.0
+    _assert_moments(box, c, [[3, 3], [3, 3, 5], [5], [5, 5, 5]], f)
+
+
+@pytest.mark.parametrize("n_free", [17, 19])
+def test_streamed_chunks(n_free):
+    # 2 and 8 chunks of 2^16 rows; sites past bit 16 set the chunk's
+    # high-row parity
+    n = n_free + 1
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (2, n - 3)]
+    g = Graph(n, edges)
+    c = _signed_couplings(g, 0.5, n)
+    f = FieldSpec(n, h={0: 0.2, n - 2: 0.4}, g={1: -0.3, n - 3: 0.25})
+    clamp = BoundarySpec({n // 2: BoundarySpec.MINUS})
+    sets = [[0], [n - 1], [n - 2], [0, n - 1], [n - 3, n - 2, n // 2],
+            [16, 17], [n // 2], [1, n - 1, n - 1]]
+    _assert_moments(g, c, sets, f, clamp, alone=2)
+
+
+@pytest.mark.parametrize("beta", [80.0, 700.0])
+def test_shifted_chunks_and_subnormal_weights(beta):
+    # past e^709 every chunk is shifted; at beta 700 most weights of the
+    # signed box underflow to subnormals or zero
+    box = BoxGraph(2, (3, 3))
+    c = _signed_couplings(box, beta, 4)
+    pm = box.dobrushin_boundary()
+    for fields, boundary in ((None, None), (_mixed_fields(box), None),
+                             (None, pm)):
+        clamp = sorted(pm.minus_set)[:1] if boundary is pm else ()
+        _assert_moments(box, c, _sets(box, clamp), fields, boundary)
+    # 17 free spins: two chunks with different shifts
+    g = Graph(17, [(i, i + 1) for i in range(16)] + [(0, 16)])
+    cg = _signed_couplings(g, beta, 3)
+    _assert_moments(g, cg, [[0], [16], [0, 16], [3, 9], [16, 16]],
+                    FieldSpec(17, h={16: 0.5}, g={0: -0.2}))
+
+
+def test_every_site_is_checked_before_any_table(monkeypatch):
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 0.4)
+
+    def touched(*args):
+        raise AssertionError("a table was touched")
+
+    monkeypatch.setattr(spins, "_chunks", touched)
+    for bad in (9, -1, 1.0, "0"):
+        with pytest.raises(ValueError, match="site %r" % (bad,)):
+            spins.moments(box, c, [[0, 1], [2], [3, bad]])
+    assert spins.moments(box, c, []) == []
+    assert spins.moments(box, c, iter([])) == []
+
+
+def test_size_error_before_weighing(monkeypatch):
+    def weighed(*args):
+        raise AssertionError("weighed past the cap")
+
+    monkeypatch.setattr(spins, "_weigh", weighed)
+    big = Graph(27, [(i, i + 1) for i in range(26)])
+    with pytest.raises(spins.SizeError):
+        spins.moments(big, Couplings(big, 1.0, 0.3), [[0, 26], [1]])
+    # a stored table's size (9 free spins) still honours a smaller cap
+    monkeypatch.setattr(spins, "DEFAULT_CAP", 8)
+    box = BoxGraph(2, (3, 3))
+    with pytest.raises(spins.SizeError):
+        spins.moments(box, Couplings(box, 1.0, 0.3), [[0]])
