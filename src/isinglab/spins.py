@@ -150,18 +150,19 @@ def _weigh(graph, couplings, fields, clamp, free):
         H = np.array([beta * fields.total(v) for v in graph.vertices])
     K = np.array([beta * j for j in couplings.J])
     ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-    low = np.array(free[:_CHUNK_BITS], dtype=np.intp)
+    tabled = np.array(free[:_CHUNK_BITS], dtype=np.intp)
     base = np.zeros(graph.n, dtype=np.int8)
     for v, s in clamp.items():
         base[v] = s
 
     for lo in range(0, 1 << len(free), _CHUNK):
-        # free spin j is bit j of the row lo + r: of r below _CHUNK_BITS
+        # free spin j is bit j of the row lo + r: of r (_SPINS) below
+        # _CHUNK_BITS, of lo above
         for j in range(_CHUNK_BITS, len(free)):
             base[free[j]] = 1 if lo >> j & 1 else -1
         full = np.empty((min(1 << len(free), _CHUNK), graph.n), dtype=np.int8)
         full[:] = base
-        full[:, low] = _SPINS[:len(full), :len(low)]
+        full[:, tabled] = _SPINS[:len(full), :len(tabled)]
         energy = (np.zeros(len(full)) if fields is None
                   else full.astype(np.float64) @ H)
         if graph.n_edges:
