@@ -70,7 +70,7 @@ _SLOTS = 2
 _MAX_EXPONENT = 690.0
 _MIN_EXPONENT = -709.0
 # _SIGN[r] = (-1)^popcount(r) for every row offset r < _CHUNK
-_SIGN = np.ones(1)
+_SIGN = np.ones(1, dtype=np.int8)
 for _ in range(_CHUNK_BITS):
     _SIGN = np.concatenate([_SIGN, -_SIGN])
 _SIGN.flags.writeable = False
