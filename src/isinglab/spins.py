@@ -283,14 +283,10 @@ def moments(graph, couplings, sets, fields=None, boundary=None):
         sums.append(_signed_sums(chunk, distinct))
         den.append(chunk[-2])
         shifts.append(chunk[-1])
-    if len(sums) == 1:   # a stored table: fsum([t * exp(0)]) is t
-        values = [t / den[0] for t in sums[0]]
-    else:
-        scale = _scales(shifts)
-        z = math.fsum([t * f for t, f in zip(den, scale)])
-        values = [math.fsum([t * f for t, f in zip(num, scale)]) / z
-                  for num in zip(*sums)]
-    value = dict(zip(distinct, values))
+    scale = _scales(shifts)
+    z = math.fsum([t * f for t, f in zip(den, scale)])
+    value = {key: math.fsum([t * f for t, f in zip(num, scale)]) / z
+             for key, num in zip(distinct, zip(*sums))}
     return [value[key] for key in keys]
 
 
