@@ -364,7 +364,7 @@ def _cmd_ineq(args):
             box = graph
             if not hasattr(box, "sides"):
                 raise UsageError("smms needs a --lattice box")
-            mid = (box.sides[0] - 1) // 2
+            mid = (box.sides[0] - 1) / 2
             refl = reflection_for_axis(box, c, 0, mid)
             x, y = sorted(refl.lambda1)[:2]
             reps = iq.smms_suite(refl, x, y)

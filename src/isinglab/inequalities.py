@@ -42,6 +42,28 @@ def _report(ineq_id, descriptor, lhs, rhs):
     return IneqReport(ineq_id, descriptor, float(lhs), float(rhs))
 
 
+# A suite is planned as (requests, finish): each request (graph, asks) is a
+# spins.family_moments call, and finish turns its rows, one list per
+# request, into reports.  Requests on one graph object are answered by one
+# call, so the fuzzer weighs a trial's field and coupling instances of all
+# suites together; each moment is the float its instance gives alone.
+
+
+def _answer(requests):
+    """[the family_moments rows of asks for (graph, asks) in requests]."""
+    merged = {}
+    for graph, asks in requests:
+        merged.setdefault(id(graph), (graph, []))[1].extend(asks)
+    rows = {key: iter(spins.family_moments(graph, asks))
+            for key, (graph, asks) in merged.items()}
+    return [[next(rows[id(graph)]) for _ in asks] for graph, asks in requests]
+
+
+def _run(plan):
+    requests, finish = plan
+    return finish(_answer(requests))
+
+
 # ---------------------------------------------------------------------------
 # Griffiths
 
@@ -53,6 +75,10 @@ def griffiths_suite(graph, couplings, fields=None, max_sets=None):
     field is present), and <s_A s_B> >= <s_A><s_B>.  Vertex subsets up to
     size 2 are used, optionally truncated to `max_sets` pairs.
     """
+    return _run(_griffiths(graph, couplings, fields, max_sets))
+
+
+def _griffiths(graph, couplings, fields, max_sets):
     if not couplings.is_ferromagnetic:
         raise ValueError("Griffiths inequalities require J >= 0")
     if fields is not None and any(g != 0.0 for g in fields.g):
@@ -65,15 +91,19 @@ def griffiths_suite(graph, couplings, fields=None, max_sets=None):
         pairs = pairs[:max_sets]
     if not has_field:
         pairs = [(A, B) for A, B in pairs if (len(A) + len(B)) % 2 == 0]
-    values = spins.moments(graph, couplings,
-                           sets + [A + B for A, B in pairs], fields=fields)
-    value = dict(zip(sets, values))
-    reports = [_report("griffiths1", "<s_%s> >= 0" % (A,), 0.0, value[A])
-               for A in sets if len(A) % 2 == 0 or has_field]
-    for (A, B), ab in zip(pairs, values[len(sets):]):
-        reports.append(_report("griffiths2", "<s_%s s_%s> >= product"
-                               % (A, B), value[A] * value[B], ab))
-    return reports
+
+    def finish(answers):
+        (values,), = answers
+        value = dict(zip(sets, values))
+        reports = [_report("griffiths1", "<s_%s> >= 0" % (A,), 0.0, value[A])
+                   for A in sets if len(A) % 2 == 0 or has_field]
+        for (A, B), ab in zip(pairs, values[len(sets):]):
+            reports.append(_report("griffiths2", "<s_%s s_%s> >= product"
+                                   % (A, B), value[A] * value[B], ab))
+        return reports
+
+    return [(graph, [(couplings, fields,
+                      sets + [A + B for A, B in pairs])])], finish
 
 
 # ---------------------------------------------------------------------------
@@ -92,34 +122,45 @@ def ghs_suite(graph, couplings, x=0):
     which the tree-diagram picture suggests should be O(1); the ratio is
     reported in the descriptor but NOT asserted.
     """
+    return _run(_ghs(graph, couplings, x))
+
+
+def _ghs(graph, couplings, x):
     if not couplings.is_ferromagnetic:
         raise ValueError("GHS requires J >= 0")
     V = list(graph.vertices)
     quads = list(itertools.combinations(V, 4))
-    asked = [A for quad in quads for A in spins.ursell4_sets(*quad)]
-    if quads:   # the tree ratio's <s1 s2><s1 s3><s1 s4>
-        asked += [[quads[0][0], q] for q in quads[0][1:]]
-    values = spins.moments(graph, couplings, asked)
-    u4s = [spins.ursell4_value(*values[7 * i:7 * i + 7])
-           for i in range(len(quads))]
-    reports = [_report("ghs_u4", "-u4%s >= 0" % (quad,), 0.0, -u4)
-               for quad, u4 in zip(quads, u4s)]
-    if reports:
-        denom = math.prod(values[-3:])
-        first_ratio = (-u4s[0] / 2.0) / denom if denom else float("nan")
-        reports[0].descriptor += " [tree-ratio %.6g, informational]" % first_ratio
-    mags = []
-    for h in GHS_FIELDS:
-        f = FieldSpec(graph.n, h={v: h for v in V})
-        mags.append(spins.expectation(graph, couplings, [x], fields=f))
-    for i in range(1, len(GHS_FIELDS) - 1):
-        # non-uniform grid second difference via divided differences
-        d1 = (mags[i] - mags[i - 1]) / (GHS_FIELDS[i] - GHS_FIELDS[i - 1])
-        d2 = (mags[i + 1] - mags[i]) / (GHS_FIELDS[i + 1] - GHS_FIELDS[i])
-        reports.append(_report(
-            "ghs_concave",
-            "slope drop of <s_%d> at h=%g" % (x, GHS_FIELDS[i]), d2, d1))
-    return reports
+    # every quadruple and pair once: the pairs of a sorted quadruple, and
+    # those of the tree ratio's <s1 s2><s1 s3><s1 s4>, are sorted pairs
+    asked = quads + list(itertools.combinations(V, 2)) if quads else []
+    fields = [FieldSpec(graph.n, h={v: h for v in V}) for h in GHS_FIELDS]
+
+    def finish(answers):
+        (values, *mags), = answers
+        mags = [m for m, in mags]
+        value = dict(zip(asked, values))
+        u4s = [spins.ursell4_value(*[value[tuple(A)]
+                                     for A in spins.ursell4_sets(*quad)])
+               for quad in quads]
+        reports = [_report("ghs_u4", "-u4%s >= 0" % (quad,), 0.0, -u4)
+                   for quad, u4 in zip(quads, u4s)]
+        if reports:
+            denom = math.prod(value[quads[0][0], q] for q in quads[0][1:])
+            first_ratio = (-u4s[0] / 2.0) / denom if denom else float("nan")
+            reports[0].descriptor += (" [tree-ratio %.6g, informational]"
+                                      % first_ratio)
+        for i in range(1, len(GHS_FIELDS) - 1):
+            # non-uniform grid second difference via divided differences
+            d1 = (mags[i] - mags[i - 1]) / (GHS_FIELDS[i] - GHS_FIELDS[i - 1])
+            d2 = (mags[i + 1] - mags[i]) / (GHS_FIELDS[i + 1] - GHS_FIELDS[i])
+            reports.append(_report(
+                "ghs_concave",
+                "slope drop of <s_%d> at h=%g" % (x, GHS_FIELDS[i]), d2, d1))
+        return reports
+
+    # the zero field's sets and <s_x> along GHS_FIELDS, in one family
+    return [(graph, [(couplings, None, asked)]
+             + [(couplings, f, [[x]]) for f in fields])], finish
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +206,10 @@ def simon_lieb_suite(graph, couplings, x, y, S):
     Edge form (B = the x-side of the cut, including S): <s_x s_y> <=
     sum over cut edges (u,v) of <s_x s_u>_B tanh(beta J_uv) <s_v s_y>.
     """
+    return _run(_simon_lieb(graph, couplings, x, y, S))
+
+
+def _simon_lieb(graph, couplings, x, y, S):
     if not couplings.is_ferromagnetic:
         raise ValueError("Simon-Lieb requires J >= 0")
     S = frozenset(S)
@@ -183,26 +228,29 @@ def simon_lieb_suite(graph, couplings, x, y, S):
     cut = [(a, b, e) for e, (u, v) in enumerate(graph.edges)
            for a, b in ((u, v), (v, u)) if a in B and b not in B]
 
-    full = spins.moments(graph, couplings, [[x, y]] + [[u, y] for u in us]
-                         + [[b, y] for _, b, _ in cut])
-    lhs = full[0]
-    rhs_site = 0.0
-    for near, far in zip(spins.moments(sub, subc, [[vmap[x], vmap[u]]
-                                                   for u in us]),
-                         full[1:]):
-        rhs_site += near * far
-    reports = [_report("simon_lieb_site",
-                       "cut S=%s, x=%d, y=%d" % (sorted(S), x, y),
-                       lhs, rhs_site)]
-    rhs_edge = 0.0
-    for (_, _, e), near, far in zip(
-            cut, spins.moments(graph, restricted, [[x, a] for a, _, _ in cut]),
-            full[1 + len(us):]):
-        rhs_edge += near * math.tanh(couplings.K(e)) * far
-    reports.append(_report("simon_lieb_edge",
-                           "cut B=%s, x=%d, y=%d" % (sorted(B), x, y),
-                           lhs, rhs_edge))
-    return reports
+
+    def finish(answers):
+        (full, near_edge), (near_site,) = answers
+        lhs = full[0]
+        rhs_site = 0.0
+        for near, far in zip(near_site, full[1:]):
+            rhs_site += near * far
+        reports = [_report("simon_lieb_site",
+                           "cut S=%s, x=%d, y=%d" % (sorted(S), x, y),
+                           lhs, rhs_site)]
+        rhs_edge = 0.0
+        for (_, _, e), near, far in zip(cut, near_edge, full[1 + len(us):]):
+            rhs_edge += near * math.tanh(couplings.K(e)) * far
+        reports.append(_report("simon_lieb_edge",
+                               "cut B=%s, x=%d, y=%d" % (sorted(B), x, y),
+                               lhs, rhs_edge))
+        return reports
+
+    # the full and restricted couplings in one family
+    return [(graph, [(couplings, None, [[x, y]] + [[u, y] for u in us]
+                      + [[b, y] for _, b, _ in cut]),
+                     (restricted, None, [[x, a] for a, _, _ in cut])]),
+            (sub, [(subc, None, [[vmap[x], vmap[u]] for u in us])])], finish
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +269,24 @@ def dss_suite(graph, couplings, x, fields):
     with a zero field on the right; presumed reading of the degenerate
     original formulation).
     """
+    return _run(_dss(graph, couplings, x, fields))
+
+
+def _dss(graph, couplings, x, fields):
     if not couplings.is_ferromagnetic:
         raise ValueError("the field-splitting inequality requires J >= 0")
     n = graph.n
-
-    def mag(hv, gv):
-        f = FieldSpec(n, h={v: val for v, val in enumerate(hv)},
-                      g={v: val for v, val in enumerate(gv)})
-        return spins.expectation(graph, couplings, [x], fields=f)
-
     h = fields.h
     g = fields.g
     zero = [0.0] * n
-    neg = lambda vec: [-v for v in vec]
-    lhs = mag(h, g) - mag(zero, [gi - hi for gi, hi in zip(g, h)])
-    rhs = mag(h, zero) - mag(zero, neg(h))
-    reports = [_report("dss_main", "split field at x=%d" % x, lhs, rhs)]
+
+    def field(hv, gv):
+        return FieldSpec(n, h={v: val for v, val in enumerate(hv)},
+                         g={v: val for v, val in enumerate(gv)})
+
+    ys = [y for y in graph.vertices if y != x]
+    asked = [A for y in ys for A in ([x, y], [x], [y])]
+    f_g = FieldSpec(n, g={v: val for v, val in enumerate(g)})
 
     # ghost form on the doubled-edge graph: ghost vertex n, one h-edge and
     # one g-edge per site
@@ -251,33 +301,40 @@ def dss_suite(graph, couplings, x, fields):
         J.append(g[v])
     ghosted = Graph(n + 1, edges)
 
-    def ghost_corr(gsign):
+    def ghost(gsign):
         Jg = list(J)
-        for i, v in enumerate(range(n)):
+        for i in range(n):
             Jg[len(graph.edges) + n + i] *= gsign
-        return spins.expectation(ghosted, Couplings(ghosted, Jg, scale),
-                                 [x, n])
+        return Couplings(ghosted, Jg, scale), None, [[x, n]]
 
-    lhs_g = ghost_corr(+1.0) + ghost_corr(-1.0)
-    rhs_g = 2.0 * ghost_corr(0.0)
-    reports.append(_report("dss_ghost", "ghost-edge form at x=%d" % x,
-                           lhs_g, rhs_g))
-
-    f_g = FieldSpec(n, g={v: val for v, val in enumerate(g)})
-    ys = [y for y in graph.vertices if y != x]
-    asked = [A for y in ys for A in ([x, y], [x], [y])]
-
-    def truncated(fields=None):
-        """<s_x; s_y> for each y, from one moments call."""
-        values = iter(spins.moments(graph, couplings, asked, fields=fields))
+    def truncated(values):
+        """<s_x; s_y> for each y, from the moments of `asked`."""
+        values = iter(values)
         return [xy - sx * sy for xy, sx, sy in zip(values, values, values)]
 
-    for y, lhs_t, rhs_t in zip(ys, truncated(f_g), truncated()):
-        reports.append(_report(
-            "dss_truncated_presumed",
-            "<s_%d; s_%d>_g <= zero-field value [presumed form]" % (x, y),
-            lhs_t, rhs_t))
-    return reports
+    def finish(answers):
+        main, ghosts = answers
+        (m_hg,), (m_g_h,), (m_h,), (m_neg_h,), at_g, at_zero = main
+        (plus,), (minus,), (off,) = ghosts
+        reports = [_report("dss_main", "split field at x=%d" % x,
+                           m_hg - m_g_h, m_h - m_neg_h),
+                   _report("dss_ghost", "ghost-edge form at x=%d" % x,
+                           plus + minus, 2.0 * off)]
+        for y, lhs_t, rhs_t in zip(ys, truncated(at_g), truncated(at_zero)):
+            reports.append(_report(
+                "dss_truncated_presumed",
+                "<s_%d; s_%d>_g <= zero-field value [presumed form]" % (x, y),
+                lhs_t, rhs_t))
+        return reports
+
+    # <s_x> at the four split fields, then the pairs of <s_x; s_y> at the
+    # field g and at zero field, in one family; the three ghost couplings
+    # in another
+    return [(graph, [(couplings, f, [[x]]) for f in (
+                field(h, g), field(zero, [gi - hi for gi, hi in zip(g, h)]),
+                field(h, zero), field(zero, [-v for v in h]))]
+             + [(couplings, f_g, asked), (couplings, None, asked)]),
+            (ghosted, [ghost(+1.0), ghost(-1.0), ghost(0.0)])], finish
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +398,19 @@ def fuzz_inequalities(n_trials=50, seed=0, max_vertices=6):
         g = rng.uniform(-1.0, 1.0, size=n)
         f = FieldSpec(n, h=list(h), g=list(g))
         fh = FieldSpec(n, h=list(h))
-        batch = []
-        batch += griffiths_suite(graph, couplings, fields=fh, max_sets=10)
-        batch += ghs_suite(graph, couplings)
-        batch += dss_suite(graph, couplings, 0, f)
+        plans = [_griffiths(graph, couplings, fh, 10),
+                 _ghs(graph, couplings, 0), _dss(graph, couplings, 0, f)]
         if n >= 3:
             x, y = 0, n - 1
             if y not in _x_side(graph, frozenset(range(1, n - 1)), x):
-                batch += simon_lieb_suite(graph, couplings, x, y,
-                                          range(1, n - 1))
+                plans.append(_simon_lieb(graph, couplings, x, y,
+                                         range(1, n - 1)))
+        # every suite's instances on one graph in one family
+        answers = iter(_answer([r for requests, _ in plans
+                                for r in requests]))
+        batch = []
+        for requests, finish in plans:
+            batch += finish([next(answers) for _ in requests])
         for rep in batch:
             all_reports.append(rep)
             if rep.slack < worst[0]:

@@ -29,20 +29,37 @@ np.add.reduceat forms in a bin is therefore exact, in any order, and the
 one math.fsum over the hi and lo partials of all bins rounds their exact
 total once: the float math.fsum gives over the signed weights row by row,
 without a Python float per row.  The chunk's fsum(w) is the same bin sum
-with every sign +, taken when it is weighed.  moments reduces each set to
-its key (free-spin mask, sign of its clamped spins) and evaluates each
-distinct key once per chunk, keys in groups whose sign arrays hold at most
-_CHUNK rows in all.
+with every sign +, taken when it is weighed.  family_moments reduces each
+set to its key (free-spin mask, sign of its clamped spins) and evaluates
+each distinct key once per chunk, keys in groups whose sign arrays hold at
+most _CHUNK rows in all.
+
+Stacks: family_moments answers several instances on one graph and boundary
+(fields and couplings differ) in one call; moments is its one-instance
+case.  Up to _CHUNK rows of small instances are weighed as one stack: the
+configurations and bond products are built once, each instance's energy is
+its own two gemvs, full @ H and (s_u s_v) @ K, exactly as for the instance
+alone, with its own exponent shift, and the stack is binned and split once,
+the instance index (at most _MEMBERS = 256 of them) in the 8 bits above
+the bin in the sort key.  So no bin spans two instances, and each bin
+partial is the exact sum of one instance's weights, as when weighed alone.
+A key asked of a run of a stack's instances is summed over that run with
+one sign array; the partials are then split back by instance, and the
+fsum of an instance's partials, exact in any grouping, is the float it
+gets alone, bit for bit.  A large instance is a stack of one per chunk.
 
 Weight tables: an instance of at most _CHUNK rows (16 free spins) is
-enumerated once.  Its table (per row its uint16 offset and the hi and lo
+enumerated once.  Its stack (per row its uint16 offset and the hi and lo
 parts of its weight, 18 bytes, so 1.2 MB at 2^16 rows) stays in a
-least-recently-used store of _SLOTS entries (at most 2.4 MB),
-keyed by content: (n, edges, J, beta, per-vertex field totals h+g, clamped
-spins).  Mutating a Couplings or FieldSpec in place therefore misses the
-store rather than reading a stale table.  The size cap DEFAULT_CAP is
-checked before the lookup.  Larger instances stream chunk by chunk and are
-never retained.
+least-recently-used store of instances that holds at most _STORE_STACKS =
+2 stacks and _STORE_ROWS = 2 * _CHUNK rows (2.4 MB): a stack is held while
+any of its instances is, and counted whole.  The store is keyed by content:
+(n, edges, clamped spins, J, beta, per-vertex field totals h+g), a field
+whose totals are all zero keyed as no field, since x + (+-0.0) leaves
+every energy as it is.  Mutating a Couplings or FieldSpec in place
+therefore misses the store rather than reading a stale table.  The size
+cap DEFAULT_CAP is checked before the lookup.  Larger instances stream
+chunk by chunk and are never retained.
 
 Overflow and underflow: a chunk whose largest exponent E_max exceeds
 _MAX_EXPONENT is weighed as exp(E - c) with c = E_max - _MAX_EXPONENT, and
@@ -83,15 +100,55 @@ _SPINS -= 1
 _SPINS.flags.writeable = False
 _ROW = np.min_scalar_type(_CHUNK - 1)
 _HIGH = ~np.uint64((1 << 27) - 1)     # clears the low 27 significand bits
-_BIN = np.uint64(55)                  # stored exponent // 8
-
-# content key -> list of chunks (lo, rows, parts, starts, fsum of the
-# weights, exponent shift); see _split
-_tables = OrderedDict()
+_BIN = np.uint64(55)                  # stored exponent // 8, below 2^8
+_MEMBERS = 256                        # instances a uint16 bin key can index
+_STORE_ROWS = 2 * _CHUNK
+_STORE_STACKS = 2
+# the instance index of a stack, above the 8 bits of the bin
+_MEMBER_KEYS = np.arange(_MEMBERS, dtype=np.uint16)[:, None] << 8
 
 
 class SizeError(ValueError):
     pass
+
+
+class _Store(OrderedDict):
+    """Content key -> (stack, m), instance m of a weighed stack, least
+    recently used first.  A stack is held while any of its instances is:
+    at most _STORE_STACKS stacks, whose rows, counted in `rows`, are at
+    most _STORE_ROWS."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = 0
+        self.held = {}      # id(stack) -> its instances in the store
+
+    def fetch(self, key):
+        table = self.get(key)
+        if table is not None:
+            self.move_to_end(key)
+        return table
+
+    def keep(self, stack, keys):
+        """Store instance m of a new stack under keys[m]."""
+        for m, key in enumerate(keys):
+            self[key] = stack, m
+        self.held[id(stack)] = len(keys)
+        self.rows += len(stack[2])
+        while self.rows > _STORE_ROWS or len(self.held) > _STORE_STACKS:
+            old = self.popitem(last=False)[1][0]
+            self.held[id(old)] -= 1
+            if not self.held[id(old)]:
+                del self.held[id(old)]
+                self.rows -= len(old[2])
+
+    def clear(self):
+        super().clear()
+        self.rows = 0
+        self.held.clear()
+
+
+_tables = _Store()
 
 
 def _clamped_from(boundary):
@@ -100,12 +157,20 @@ def _clamped_from(boundary):
     return boundary.clamped()
 
 
-def _split(w):
-    """(rows, parts, starts, total): the row offsets sorted by the bin of
-    their weight (its stored exponent // 8), the hi (parts[0]) and lo
-    (parts[1]) parts of the sorted weights, the first position of each bin,
-    and fsum(w): the exact sum of the bins, every sign +."""
+def _split(w, members):
+    """(rows, parts, starts, bounds, totals) for a stack of `members`
+    instances of size = len(w) // members weights each, sorted by a key
+    that holds the instance index above the bin of the weight (its stored
+    exponent // 8): the stack rows m * size + r of the sorted weights
+    (instance m, row offset r), their hi (parts[0]) and lo (parts[1])
+    parts, the first position of each bin, and per instance m its bins
+    bounds[m] .. bounds[m + 1] (its weights are the sorted positions m *
+    size ..) and fsum of its weights: the exact sum of its bins, every
+    sign +."""
+    size = len(w) // members
     bins = (w.view(np.uint64) >> _BIN).astype(np.uint16)
+    keyed = bins.reshape(members, size)
+    keyed |= _MEMBER_KEYS[:members]
     order = bins.argsort(kind="stable")
     bins = bins[order]
     first = np.empty(len(w), dtype=bool)
@@ -115,93 +180,144 @@ def _split(w):
     w = w[order]
     hi = (w.view(np.uint64) & _HIGH).view(np.float64)
     parts = np.array((hi, w - hi))
-    total = math.fsum(np.add.reduceat(parts, starts, axis=1).ravel().tolist())
-    return order.astype(_ROW), parts, starts, total
+    his, los = np.add.reduceat(parts, starts, axis=1).tolist()
+    bounds = starts.searchsorted(np.arange(0, len(w) + 1, size)).tolist()
+    totals = [math.fsum(his[i:j] + los[i:j])
+              for i, j in zip(bounds, bounds[1:])]
+    return order.astype(_ROW), parts, starts, bounds, totals
 
 
-def _signed_sums(chunk, keys):
-    """[fsum of the chunk's weights w_r * (-1)^popcount(~(lo + r) & mask),
-    negated when `negative`] for each key (mask, negative), exactly."""
-    lo, rows, parts, starts = chunk[:4]
-    out = []
-    step = _CHUNK // len(rows)
-    for k in range(0, len(keys), step):
-        group = keys[k:k + step]
-        low = np.array([mask & (_CHUNK - 1) for mask, _ in group],
-                       dtype=rows.dtype)
-        sign = _SIGN.take(rows & low[:, None])
-        his, los = np.add.reduceat(parts[:, None, :] * sign, starts,
-                                   axis=2).tolist()
-        for (mask, negative), a, b in zip(group, his, los):
-            s = math.fsum(a + b)
-            # 0.0 - s: a zero sum stays +0.0, as fsum of the negated terms
-            out.append(0.0 - s if negative ^ (int.bit_count(~lo & mask) & 1)
-                       else s)
+def _signed_sums(stack, asked):
+    """{m: {key: fsum of instance m's weights w_r * (-1)^popcount(~(lo +
+    r) & mask), negated when `negative`}} for each key (mask, negative) of
+    `asked` and each instance m of the stack in asked[key], exactly.  The
+    keys whose last asking instance is m1 - 1 are summed over the stack's
+    first m1 instances, in groups whose sign arrays hold at most _CHUNK
+    rows in all; mask < size, so the sign of stack row m * size + r is
+    that of its row offset r."""
+    lo, size, rows, parts, starts, bounds = stack[:6]
+    runs = {}
+    out = {}
+    for key, ms in asked.items():
+        runs.setdefault(max(ms) + 1, []).append(key)
+        for m in ms:
+            out[m] = {}
+    for m1, keys in runs.items():
+        run = rows[:m1 * size], parts[:, None, :m1 * size], starts[:bounds[m1]]
+        step = _CHUNK // len(run[0])
+        for k in range(0, len(keys), step):
+            group = keys[k:k + step]
+            low = np.array([mask & (_CHUNK - 1) for mask, _ in group],
+                           dtype=_ROW)
+            sign = _SIGN.take(run[0] & low[:, None])
+            his, los = np.add.reduceat(run[1] * sign, run[2],
+                                       axis=2).tolist()
+            for key, a, b in zip(group, his, los):
+                flip = key[1] ^ (int.bit_count(~lo & key[0]) & 1)
+                for m in asked[key]:
+                    i, j = bounds[m], bounds[m + 1]
+                    s = math.fsum(a[i:j] + b[i:j])
+                    # 0.0 - s: a zero sum stays +0.0, as fsum of the
+                    # negated terms
+                    out[m][key] = 0.0 - s if flip else s
     return out
 
 
-def _weigh(graph, couplings, fields, clamp, free):
-    """Yield the chunks (lo, *_split(w), c) of w = exp(energy - c).
+def _weigh(graph, clamp, free, lo, members):
+    """The stack (lo, size, *_split(w), shifts) of rows lo .. lo + size of
+    each instance (couplings, field totals) of `members`, size = min(2^|free|,
+    _CHUNK), weighed in one pass with w = exp(energy - c), c the
+    instance's own shift.
 
-    The energy is the float64 products full @ H and (s_u s_v) @ K of the
-    +-1 spin configurations; without fields there is no field term."""
-    beta = couplings.beta
-    if fields is not None:
-        H = np.array([beta * fields.total(v) for v in graph.vertices])
-    K = np.array([beta * j for j in couplings.J])
-    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    The spin configurations and bond products are built once.  Each energy
+    is, as for the instance alone, the float64 products full @ H and
+    (s_u s_v) @ K, one gemv each; without fields there is no field term."""
     tabled = np.array(free[:_CHUNK_BITS], dtype=np.intp)
     base = np.zeros(graph.n, dtype=np.int8)
     for v, s in clamp.items():
         base[v] = s
+    # free spin j is bit j of the row lo + r: of r (_SPINS) below
+    # _CHUNK_BITS, of lo above
+    for j in range(_CHUNK_BITS, len(free)):
+        base[free[j]] = 1 if lo >> j & 1 else -1
+    size = min(1 << len(free), _CHUNK)
+    full = np.empty((size, graph.n), dtype=np.int8)
+    full[:] = base
+    full[:, tabled] = _SPINS[:size, :len(tabled)]
+    energy = np.zeros((len(members), size))
+    if any(totals is not None for _, totals in members):
+        full_f = full.astype(np.float64)
+        for m, (couplings, totals) in enumerate(members):
+            if totals is not None:
+                energy[m] = full_f @ np.array([couplings.beta * t
+                                               for t in totals])
+    if graph.n_edges:
+        ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+        bonds = (full[:, ends[:, 0]] * full[:, ends[:, 1]]).astype(np.float64)
+        K = np.array([[couplings.beta * j for j in couplings.J]
+                      for couplings, _ in members])
+        for m in range(len(members)):
+            energy[m] += bonds @ K[m]
+    shifts = [top - _MAX_EXPONENT if top > _MAX_EXPONENT
+              else top if top < _MIN_EXPONENT else 0.0
+              for top in energy.max(axis=1).tolist()]
+    if any(shifts):     # x - 0.0 is x
+        energy -= np.array(shifts)[:, None]
+    rows, parts, starts, bounds, totals = _split(np.exp(energy).ravel(),
+                                                 len(members))
+    for a in (rows, parts, starts):
+        a.flags.writeable = False
+    # tuples of numbers only: the garbage collector need not track a stack
+    return (lo, size, rows, parts, starts, tuple(bounds), tuple(totals),
+            tuple(shifts))
 
-    for lo in range(0, 1 << len(free), _CHUNK):
-        # free spin j is bit j of the row lo + r: of r (_SPINS) below
-        # _CHUNK_BITS, of lo above
-        for j in range(_CHUNK_BITS, len(free)):
-            base[free[j]] = 1 if lo >> j & 1 else -1
-        full = np.empty((min(1 << len(free), _CHUNK), graph.n), dtype=np.int8)
-        full[:] = base
-        full[:, tabled] = _SPINS[:len(full), :len(tabled)]
-        energy = (np.zeros(len(full)) if fields is None
-                  else full.astype(np.float64) @ H)
-        if graph.n_edges:
-            bonds = full[:, ends[:, 0]] * full[:, ends[:, 1]]
-            energy = energy + bonds.astype(np.float64) @ K
-        top = float(energy.max())
-        shift = (top - _MAX_EXPONENT if top > _MAX_EXPONENT
-                 else top if top < _MIN_EXPONENT else 0.0)
-        if shift:
-            energy = energy - shift
-        rows, parts, starts, total = _split(np.exp(energy))
-        for a in (rows, parts, starts):
-            a.flags.writeable = False
-        yield lo, rows, parts, starts, total, shift
 
-
-def _chunks(graph, couplings, fields, boundary):
-    """(clamp, free, chunks): the stored table of a small instance, or a
-    generator over the chunks of a large one."""
-    clamp = _clamped_from(boundary)
-    free = [v for v in graph.vertices if v not in clamp]
+def _chunks(graph, clamp, free, instances):
+    """Yield (batch, tables) per round: instances of the batch, each
+    (content key, couplings, field totals, ...), and their tables (stack,
+    m).  A batch holds up to _CHUNK rows of small instances, each read from
+    the store or, with the batch's other misses, weighed as one stack and
+    stored; or one large instance, one round per chunk, never stored."""
     if len(free) > DEFAULT_CAP:
         raise SizeError("2^%d spin configurations exceed the cap 2^%d"
                         % (len(free), DEFAULT_CAP))
-    if (1 << len(free)) > _CHUNK:
-        return clamp, free, _weigh(graph, couplings, fields, clamp, free)
-    key = (graph.n, tuple(graph.edges), tuple(couplings.J), couplings.beta,
-           None if fields is None
-           else tuple(fields.total(v) for v in graph.vertices),
-           tuple(sorted(clamp.items())))
-    table = _tables.get(key)
-    if table is None:
-        table = list(_weigh(graph, couplings, fields, clamp, free))
-        _tables[key] = table
-        if len(_tables) > _SLOTS:
-            _tables.popitem(last=False)
-    else:
-        _tables.move_to_end(key)
-    return clamp, free, table
+    size = 1 << len(free)
+    stored = size <= _CHUNK
+    per = min(_CHUNK // size, _MEMBERS) if stored else 1
+    for first in range(0, len(instances), per):
+        batch = instances[first:first + per]
+        for lo in range(0, size, _CHUNK):
+            tables = [_tables.fetch(instance[0]) if stored else None
+                      for instance in batch]
+            fresh = [i for i, table in enumerate(tables) if table is None]
+            if fresh:
+                stack = _weigh(graph, clamp, free, lo,
+                               [batch[i][1:3] for i in fresh])
+                for m, i in enumerate(fresh):
+                    tables[i] = stack, m
+                if stored:
+                    _tables.keep(stack, [batch[i][0] for i in fresh])
+            yield batch, tables
+
+
+def _shape(graph, clamp):
+    """What instances on one graph and boundary share: (n, edges, clamped
+    spins)."""
+    return graph.n, tuple(graph.edges), tuple(sorted(clamp.items()))
+
+
+def _instance(couplings, fields, shape):
+    """(content key, couplings, field totals): the store key holds the
+    shape (n, edges, clamped spins), J, beta and the per-vertex field
+    totals h+g.  A field whose totals are all zero is no field: x + (+-0.0)
+    = x leaves every energy as it is."""
+    totals = None
+    if fields is not None:
+        totals = tuple([fields.total(v) for v in range(shape[0])])
+        if not any(totals):
+            totals = None
+    return (shape, tuple(couplings.J), couplings.beta, totals), couplings, \
+        totals
 
 
 def _scales(shifts):
@@ -212,11 +328,13 @@ def _scales(shifts):
 
 def _shifted_partition(graph, couplings, fields, boundary):
     """(z, c) with Z = z * exp(c) and z finite and positive."""
-    _, free, chunks = _chunks(graph, couplings, fields, boundary)
+    clamp = _clamped_from(boundary)
+    free = [v for v in graph.vertices if v not in clamp]
     sums, shifts = [], []
-    for chunk in chunks:
-        sums.append(chunk[-2])
-        shifts.append(chunk[-1])
+    for _, ((stack, m),) in _chunks(graph, clamp, free, [
+            _instance(couplings, fields, _shape(graph, clamp))]):
+        sums.append(stack[6][m])
+        shifts.append(stack[7][m])
     z = math.fsum([t * f for t, f in zip(sums, _scales(shifts))])
     return z / (1 << len(free)), max(shifts)
 
@@ -245,49 +363,78 @@ def partition_ratio(graph, couplings_a, couplings_b, boundary_a=None,
         return math.inf
 
 
-def _reduce_multiset(A):
-    """sigma^2 = 1: keep vertices appearing an odd number of times."""
-    out = {}
-    for v in A:
-        out[v] = out.get(v, 0) ^ 1
-    return [v for v, p in out.items() if p]
+def family_moments(graph, asks, boundary=None):
+    """[moments(graph, couplings, sets, fields, boundary) for (couplings,
+    fields, sets) in asks], the instances weighed together.
+
+    Every site is checked before any instance is weighed or fetched.  Equal
+    instances are one instance, and the misses of a stack of small
+    instances are weighed in one pass.  Each distinct key (mask, sign of
+    the clamped spins) is one exact signed sum per chunk, taken over the
+    stack of the instances that ask it, so every moment is the float
+    expectation gives for its set and instance alone."""
+    clamp = _clamped_from(boundary)
+    free = [v for v in graph.vertices if v not in clamp]
+    bit = {v: 1 << j for j, v in enumerate(free)}
+    n, sites = graph.n, (int, np.integer)
+    shape = _shape(graph, clamp)
+    # content key -> [content key, couplings, field totals, {set key:
+    # None}, and per chunk: {set key: signed sum}, fsum(w), shift]
+    asked = {}
+    keyed = []
+    for couplings, fields, sets in asks:
+        keys = []
+        for A in sets:
+            # sigma^2 = 1: a site met twice cancels
+            mask, negative = 0, False
+            for v in A:
+                if not (isinstance(v, sites) and 0 <= v < n):
+                    raise ValueError("site %r is not a vertex of %r"
+                                     % (v, graph))
+                if v in bit:
+                    mask ^= bit[v]
+                else:
+                    negative ^= clamp[v] < 0
+            keys.append((mask, negative))
+        entry = None
+        if keys:
+            content, _, totals = _instance(couplings, fields, shape)
+            entry = asked.get(content)
+            if entry is None:
+                entry = asked[content] = [content, couplings, totals,
+                                          dict.fromkeys(keys), [], [], []]
+            else:
+                entry[3].update(dict.fromkeys(keys))
+        keyed.append((entry, keys))
+    if not asked:
+        return [[] for _ in keyed]
+    for batch, tables in _chunks(graph, clamp, free, list(asked.values())):
+        # id(stack) -> (stack, {m: entry}, {key: [each m that asks it]})
+        stacks = {}
+        for entry, (stack, m) in zip(batch, tables):
+            _, of, wants = stacks.setdefault(id(stack), (stack, {}, {}))
+            of[m] = entry
+            for key in entry[3]:
+                wants.setdefault(key, []).append(m)
+            entry[5].append(stack[6][m])
+            entry[6].append(stack[7][m])
+        for stack, of, wants in stacks.values():
+            for m, sums in _signed_sums(stack, wants).items():
+                of[m][4].append(sums)
+    for entry in asked.values():
+        scale = _scales(entry[6])
+        z = math.fsum([t * f for t, f in zip(entry[5], scale)])
+        entry[3] = {key: math.fsum([s[key] * f for s, f
+                                    in zip(entry[4], scale)]) / z
+                    for key in entry[3]}
+    return [[entry[3][key] for key in keys] if entry else []
+            for entry, keys in keyed]
 
 
 def moments(graph, couplings, sets, fields=None, boundary=None):
     """[< prod_{x in A} sigma_x > for A in sets]; each A is a vertex
-    multiset.  Every site is checked before the instance is weighed or
-    fetched, once; each distinct key (mask, sign of the clamped spins) is
-    then one exact signed sum per chunk, so every moment is the float
-    expectation gives for its set alone."""
-    sets = [list(A) for A in sets]
-    for A in sets:
-        for v in A:
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
-                raise ValueError("site %r is not a vertex of %r" % (v, graph))
-    if not sets:
-        return []
-    clamp, free, chunks = _chunks(graph, couplings, fields, boundary)
-    bit = {v: 1 << j for j, v in enumerate(free)}
-    keys = []
-    for A in sets:
-        mask, negative = 0, False
-        for v in _reduce_multiset(A):
-            if v in clamp:
-                negative ^= clamp[v] < 0
-            else:
-                mask |= bit[v]
-        keys.append((mask, negative))
-    distinct = list(dict.fromkeys(keys))
-    sums, den, shifts = [], [], []
-    for chunk in chunks:
-        sums.append(_signed_sums(chunk, distinct))
-        den.append(chunk[-2])
-        shifts.append(chunk[-1])
-    scale = _scales(shifts)
-    z = math.fsum([t * f for t, f in zip(den, scale)])
-    value = {key: math.fsum([t * f for t, f in zip(num, scale)]) / z
-             for key, num in zip(distinct, zip(*sums))}
-    return [value[key] for key in keys]
+    multiset: the one-instance family."""
+    return family_moments(graph, [(couplings, fields, sets)], boundary)[0]
 
 
 def expectation(graph, couplings, A, fields=None, boundary=None):

@@ -225,6 +225,19 @@ def test_box_only_commands_refuse_graph_files(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("lattice", ["box:d=2,L=4", "box:d=2,L=4,3"])
+def test_smms_on_an_even_side_reflects_in_the_mid_edge_plane(capsys, lattice):
+    # an even first side has no vertex plane of symmetry: the integer plane
+    # (L - 1) // 2 exited 2 with "plane is not a symmetry plane"
+    code, out, err = run(capsys, "ineq", "smms", "--lattice", lattice,
+                         "--beta", "0.4")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [r[1] for r in rows] == ["smms_monotone", "smms_remainder_le",
+                                    "smms_remainder_ge"]
+    assert all(r[6] == "true" for r in rows)
+
+
 def test_boundary_refuses_free_designation(tmp_path, capsys):
     # with vertex 6 free, z_ratio_boundary compared 0.569 with 0.611 and
     # the verb exited 1: the two sides took different boundary conditions

@@ -150,3 +150,177 @@ def test_size_error_before_weighing(monkeypatch):
     box = BoxGraph(2, (3, 3))
     with pytest.raises(spins.SizeError):
         spins.moments(box, Couplings(box, 1.0, 0.3), [[0]])
+
+
+# ---------------------------------------------------------------------------
+# families: several instances on one graph and boundary, weighed together
+
+
+def _assert_family(graph, asks, boundary=None):
+    """Each ask of one family call equals the reference for its instance
+    alone, by repr."""
+    got = spins.family_moments(graph, asks, boundary)
+    assert len(got) == len(asks)
+    for (couplings, fields, sets), row in zip(asks, got):
+        want = ref_spins.moments(graph, couplings, sets, fields, boundary)
+        assert list(map(repr, row)) == list(map(repr, want))
+
+
+def _field_family(graph, c, clamp=()):
+    """Signed couplings under no field, an all-zero field, h only, g only
+    (signed) and mixed fields, each asking its own sets."""
+    n = graph.n
+    sets = _sets(graph, clamp)
+    return [(c, None, sets),
+            (c, FieldSpec(n), sets[:4]),
+            (c, FieldSpec(n, h={v: 0.2 for v in graph.vertices}), [[0]]),
+            (c, FieldSpec(n, g={v: -0.3 * (v % 2) for v in graph.vertices}),
+             sets[2:]),
+            (c, _mixed_fields(graph), [[n - 1], [0, 1], [1, n - 1]] + sets),
+            (c.with_beta(0.5 * c.beta), _mixed_fields(graph), sets[::-1]),
+            (c.with_flipped([0, 3]), None, [[1, 2]])]
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.4, 3.0])
+@pytest.mark.parametrize("sides", [(3, 3), (3, 4)])
+def test_family_matches_each_instance_alone(sides, beta):
+    box = BoxGraph(2, sides)
+    c = _signed_couplings(box, beta, sum(sides))
+    pm = box.dobrushin_boundary()
+    spins._tables.clear()
+    _assert_family(box, _field_family(box, c))
+    _assert_family(box, _field_family(box, c, sorted(pm.minus_set)[:2]), pm)
+    _assert_family(box, _field_family(box, c), box.plus_boundary())
+
+
+def test_family_mixes_stored_fresh_and_repeated_instances(monkeypatch):
+    box = BoxGraph(2, (3, 3))
+    c = _signed_couplings(box, 0.7, 5)
+    f = _mixed_fields(box)
+    spins._tables.clear()
+    stored = [(c, None, [[0, 8]]), (c, f, [[4]])]
+    for couplings, fields, sets in stored:
+        spins.moments(box, couplings, sets, fields)
+    weighed = []
+    weigh = spins._weigh
+
+    def counted(graph, clamp, free, lo, members):
+        weighed.append(len(members))
+        return weigh(graph, clamp, free, lo, members)
+
+    monkeypatch.setattr(spins, "_weigh", counted)
+    sets = _sets(box)
+    family = [(c, f, sets), (c.with_beta(1.1), None, sets[:3]),
+              (c, None, sets), (c.with_beta(1.1), None, [[2, 3]]),
+              (c, f, [[4], [5]]), (c.with_beta(0.2), f, sets[5:]),
+              (c, FieldSpec(box.n), [[1]])]
+    _assert_family(box, family)
+    # the stored zero-field and f instances are read; the two new ones are
+    # weighed together, once each although asked twice and once
+    assert weighed == [2]
+
+
+def test_family_streams_large_instances():
+    # 17 free spins: two chunks of 2^16 rows per instance, each a stack of
+    # one; the repeated instance is weighed once
+    n = 17
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (2, 9)])
+    c = _signed_couplings(g, 0.5, 2)
+    f = FieldSpec(n, h={0: 0.2, 16: 0.4}, g={1: -0.3, 14: 0.25})
+    _assert_family(g, [(c, f, [[0], [16], [0, 16]]),
+                       (c.with_beta(0.9), None, [[3, 9], [16]]),
+                       (c, f, [[1, 16]])])
+
+
+@pytest.mark.parametrize("beta", [80.0, 700.0])
+def test_family_shifts_each_instance_on_its_own(beta):
+    # one stack holds instances at beta, at beta / 8 and at 0.4: each is
+    # shifted by its own largest exponent, and at beta 700 most weights are
+    # subnormal or zero
+    box = BoxGraph(2, (3, 3))
+    c = _signed_couplings(box, beta, 4)
+    f = _mixed_fields(box)
+    sets = _sets(box)
+    pm = box.dobrushin_boundary()
+    spins._tables.clear()
+    family = [(c, None, sets), (c.with_beta(beta / 8), f, sets),
+              (c.with_beta(0.4), None, sets), (c, f, sets[:5])]
+    _assert_family(box, family)
+    _assert_family(box, family, pm)
+    g = Graph(17, [(i, i + 1) for i in range(16)] + [(0, 16)])
+    cg = _signed_couplings(g, beta, 3)
+    _assert_family(g, [(cg, FieldSpec(17, h={16: 0.5}, g={0: -0.2}),
+                        [[0], [16], [0, 16]]),
+                       (cg.with_beta(0.3), None, [[3, 9], [16, 16]])])
+
+
+def test_a_stack_never_exceeds_chunk_rows(monkeypatch):
+    sizes = []
+    weigh = spins._weigh
+
+    def recorded(graph, clamp, free, lo, members):
+        stack = weigh(graph, clamp, free, lo, members)
+        sizes.append((len(members), len(stack[2])))
+        return stack
+
+    monkeypatch.setattr(spins, "_weigh", recorded)
+    spins._tables.clear()
+    # forty 2^12-row instances: stacks of 16, 16 and 8
+    g12 = Graph(12, [(i, i + 1) for i in range(11)] + [(0, 11)])
+    family = [(_signed_couplings(g12, 0.1 + 0.01 * k, k), None, [[0, 5]])
+              for k in range(40)]
+    got = spins.family_moments(g12, family)
+    assert sizes == [(16, 1 << 16), (16, 1 << 16), (8, 1 << 15)]
+    for k in (0, 17, 39):
+        assert repr(got[k][0]) == repr(ref_spins.moments(
+            g12, family[k][0], [[0, 5]])[0])
+    # three hundred 4-row instances: at most _MEMBERS to a stack
+    sizes.clear()
+    g2 = Graph(2, [(0, 1)])
+    family = [(Couplings(g2, 1.0, 0.001 * (k + 1)), None, [[0, 1]])
+              for k in range(300)]
+    got = spins.family_moments(g2, family)
+    assert sizes == [(spins._MEMBERS, 4 * spins._MEMBERS),
+                     (300 - spins._MEMBERS, 4 * (300 - spins._MEMBERS))]
+    # both stacks are held, every instance of them stored
+    assert (len(spins._tables), len(spins._tables.held)) == (300, 2)
+    for k in (0, 255, 256, 299):
+        assert repr(got[k][0]) == repr(ref_spins.moments(
+            g2, family[k][0], [[0, 1]])[0])
+
+
+def test_fuzz_reports_do_not_depend_on_stacking(monkeypatch):
+    from isinglab.inequalities import fuzz_inequalities
+
+    def report(run):
+        reports, worst = run
+        return [repr((r.ineq_id, r.descriptor, r.lhs, r.rhs))
+                for r in reports], repr(worst[:2])
+
+    spins._tables.clear()
+    stacked = report(fuzz_inequalities(20, seed=3))
+    family = spins.family_moments
+
+    def alone(graph, asks, boundary=None):
+        return [family(graph, [ask], boundary)[0] for ask in asks]
+
+    monkeypatch.setattr(spins, "family_moments", alone)
+    spins._tables.clear()
+    assert report(fuzz_inequalities(20, seed=3)) == stacked
+
+
+def test_fuzz_weighs_few_stacks_a_trial(monkeypatch):
+    # every suite asks its field and coupling family in one call, so a
+    # trial weighs at most 8 stacks (it weighed about 17 instances apart)
+    from isinglab.inequalities import fuzz_inequalities
+    weighed = []
+    weigh = spins._weigh
+    monkeypatch.setattr(spins, "_weigh",
+                        lambda *a: weighed.append(1) or weigh(*a))
+    most = 0
+    for seed in range(40):
+        spins._tables.clear()
+        weighed.clear()
+        fuzz_inequalities(1, seed=seed)
+        most = max(most, len(weighed))
+    assert 0 < most <= 8

@@ -254,6 +254,14 @@ def test_repeated_calls_identical():
     assert list(map(repr, first)) == list(map(repr, again))
 
 
+def _held():
+    """The betas of the stored instances, least recent first, and the rows
+    of the stacks that hold them."""
+    stacks = {id(stack): stack for stack, _ in spins._tables.values()}
+    return ([key[2] for key in spins._tables],
+            sum(len(stack[2]) for stack in stacks.values()))
+
+
 def test_table_retention_bound():
     spins._tables.clear()
     chain = Graph(17, [(i, i + 1) for i in range(16)])
@@ -263,16 +271,49 @@ def test_table_retention_bound():
         math.cosh(0.4) ** 16, rel=1e-12)
     assert spins.expectation(chain, c, [0, 16]) == pytest.approx(
         math.tanh(0.4) ** 16, rel=1e-12)
-    assert len(spins._tables) == 0
+    assert (len(spins._tables), spins._tables.rows) == (0, 0)
     # 2^16 rows: stored
-    spins.partition_function(Graph(16, chain.edges[:15]),
-                             Couplings(Graph(16, chain.edges[:15]), 1.0, 0.4))
-    assert len(spins._tables) == 1
-    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    for k in range(3 * spins._SLOTS):
-        spins.expectation(tri, Couplings(tri, 1.0, 0.1 * (k + 1)), [0, 1])
-        assert len(spins._tables) <= spins._SLOTS
-    assert len(spins._tables) == spins._SLOTS
+    g16 = Graph(16, chain.edges[:15])
+    c16 = Couplings(g16, 1.0, 0.4)
+    spins.partition_function(g16, c16)
+    assert (len(spins._tables), spins._tables.rows) == (1, spins._CHUNK)
+    # a family of sixteen 2^12-row instances is one stack: the store holds
+    # 2 * _CHUNK rows in two stacks
+    g12 = Graph(12, chain.edges[:11])
+    betas = [0.05 * (k + 1) for k in range(17)]
+    spins.family_moments(g12, [(Couplings(g12, 1.0, beta), None, [[0, 11]])
+                               for beta in betas[:16]])
+    assert (spins._STORE_ROWS, spins._STORE_STACKS) == (2 * spins._CHUNK, 2)
+    assert _held() == ([0.4] + betas[:16], spins._STORE_ROWS)
+    assert len(spins._tables.held) == 2
+    # a hit makes the 2^16 table the most recent, so a third stack evicts
+    # every instance of the 2^12 stack
+    spins.partition_function(g16, c16)
+    spins.expectation(g12, Couplings(g12, 1.0, betas[16]), [0, 11])
+    assert _held() == ([0.4, betas[16]], spins._CHUNK + (1 << 12))
+    spins.partition_function(g16, Couplings(g16, 1.0, 0.3))
+    assert _held() == ([betas[16], 0.3], spins._CHUNK + (1 << 12))
+    assert spins._tables.rows == spins._CHUNK + (1 << 12)
+
+
+def test_a_stack_is_held_while_any_of_its_instances_is():
+    spins._tables.clear()
+    g12 = Graph(12, [(i, i + 1) for i in range(11)])
+    family = [(Couplings(g12, 1.0, 0.1 * (k + 1)), None, [[0, 11]])
+              for k in range(4)]
+    spins.family_moments(g12, family)
+    # one stack of four instances
+    assert _held() == ([0.1, 0.2, 0.30000000000000004, 0.4], 4 << 12)
+    assert spins._tables.rows == 4 << 12
+    spins.expectation(g12, family[1][0], [0, 11])
+    g16 = Graph(16, [(i, i + 1) for i in range(15)])
+    spins.partition_function(g16, Couplings(g16, 1.0, 0.4))
+    assert spins._tables.rows == (4 << 12) + spins._CHUNK
+    # past 2 * _CHUNK rows the three least recent instances leave first,
+    # but their stack's rows stay counted until the fourth leaves too
+    spins.partition_function(g16, Couplings(g16, 1.0, 0.5))
+    assert _held() == ([0.4, 0.5], spins._STORE_ROWS)
+    assert spins._tables.rows == spins._STORE_ROWS
 
 
 def _ratio_cases():
