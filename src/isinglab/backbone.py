@@ -123,18 +123,23 @@ def walk_consistent(graph, paths):
     return replay == list(paths)
 
 
-def zeta_weight(graph, couplings, paths):
-    """zeta = (Z'/Z) * prod_{b in ghat} cosh K_b with joint depletion."""
+def _zeta(graph, couplings, paths, z):
+    """zeta of `paths`, given the undepleted partition function z."""
     ghat = combined_blocked(paths)
-    z = spins.partition_function(graph, couplings)
     zp = spins.partition_function(graph, couplings.with_depleted(ghat))
     coshs = math.prod(math.cosh(couplings.K_abs(e)) for e in ghat)
     return (zp / z) * coshs
 
 
-def _rho_zeta(graph, couplings, paths):
-    """(rho, zeta) of `paths`, with zeta computed once."""
-    zeta = zeta_weight(graph, couplings, paths)
+def zeta_weight(graph, couplings, paths):
+    """zeta = (Z'/Z) * prod_{b in ghat} cosh K_b with joint depletion."""
+    return _zeta(graph, couplings, paths,
+                 spins.partition_function(graph, couplings))
+
+
+def _rho_zeta(graph, couplings, paths, z):
+    """(rho, zeta) of `paths`, with zeta computed once, given Z."""
+    zeta = _zeta(graph, couplings, paths, z)
     if not walk_consistent(graph, paths):
         return 0.0, zeta
     tanhs = math.prod(math.tanh(couplings.K(e))
@@ -145,7 +150,8 @@ def _rho_zeta(graph, couplings, paths):
 def rho_weight(graph, couplings, paths):
     """rho = I * zeta * prod tanh(beta J_b): the exact probability (times
     <s_A>-normalization Z) of the backbone being `paths`."""
-    return _rho_zeta(graph, couplings, paths)[0]
+    return _rho_zeta(graph, couplings, paths,
+                     spins.partition_function(graph, couplings))[0]
 
 
 def backbone_grouping(graph, couplings, A):
@@ -192,17 +198,18 @@ def check_path_properties(graph, couplings, A):
     A = frozenset(A)
     groups = backbone_grouping(graph, couplings, A)
     corr = spins.expectation(graph, couplings, A)
+    z = spins.partition_function(graph, couplings)
     total = math.fsum(groups.values())
     rho_diffs, super_slacks, resum_diffs = [], [], []
     ferro = couplings.is_ferromagnetic  # zeta in (0,1] only without frustration
     zeta_ok = True
     for paths, grouped in groups.items():
-        rho, zt = _rho_zeta(graph, couplings, paths)
+        rho, zt = _rho_zeta(graph, couplings, paths, z)
         rho_diffs.append(abs(rho - grouped))
         if not math.isfinite(zt) or ferro and zt > 1.0 + 1e-12:
             zeta_ok = False
         if ferro and len(paths) > 1:
-            prod = math.prod(zeta_weight(graph, couplings, [p]) for p in paths)
+            prod = math.prod(_zeta(graph, couplings, [p], z) for p in paths)
             super_slacks.append(zt - prod)
     # resummation of the last path: marginalize the grouping over the final
     # pair and compare with rho(front) * depleted correlation
@@ -214,7 +221,7 @@ def check_path_properties(graph, couplings, A):
             lhs = math.fsum(vals)
             pair = sorted(A - _tuple_sources(front))
             depleted = couplings.with_depleted(combined_blocked(front))
-            rhs = (rho_weight(graph, couplings, front)
+            rhs = (_rho_zeta(graph, couplings, front, z)[0]
                    * spins.expectation(graph, depleted, pair))
             resum_diffs.append(abs(lhs - rhs))
     return {

@@ -288,7 +288,7 @@ def _cmd_verify(args):
             box = graph
             if not hasattr(box, "sides"):
                 raise UsageError("fold needs a --lattice box")
-            mid = (box.sides[0] - 1) // 2
+            mid = (box.sides[0] - 1) / 2
             refl = reflection_for_axis(box, c, 0, mid)
             x, y = sorted(refl.lambda1)[:2]
             lhs, rhs = folding.folded_correlation_identity(refl, x, y)

@@ -119,8 +119,8 @@ def folded_correlation_identity(reflection, x, y):
     meas = FoldedCurrentMeasure(r, sources={x, y})
     p = meas.expectations(
         {"hit": lambda labels: labels.connects_sets([y], plane)})["hit"]
-    sxy = spins.expectation(r.graph, r.couplings, [x, y])
-    lhs = spins.expectation(r.graph, r.couplings, [x, r.involution[y]])
+    sxy, lhs = spins.moments(r.graph, r.couplings,
+                             [[x, y], [x, r.involution[y]]])
     return lhs, sxy * p
 
 
@@ -132,8 +132,8 @@ def reflection_monotonicity_report(reflection, x, y):
     """
     r = reflection
     plane = r.lambda0
-    sxy = spins.expectation(r.graph, r.couplings, [x, y])
-    sxry = spins.expectation(r.graph, r.couplings, [x, r.involution[y]])
+    sxy, sxry = spins.moments(r.graph, r.couplings,
+                              [[x, y], [x, r.involution[y]]])
     meas = FoldedCurrentMeasure(r, sources={x, y})
     miss = meas.expectations(
         {"miss": lambda labels: ~labels.connects_sets([x], plane)})["miss"]

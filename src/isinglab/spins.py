@@ -49,17 +49,16 @@ fsum of an instance's partials, exact in any grouping, is the float it
 gets alone, bit for bit.  A large instance is a stack of one per chunk.
 
 Weight tables: an instance of at most _CHUNK rows (16 free spins) is
-enumerated once.  Its stack (per row its uint16 offset and the hi and lo
-parts of its weight, 18 bytes, so 1.2 MB at 2^16 rows) stays in a
-least-recently-used store of instances that holds at most _STORE_STACKS =
-2 stacks and _STORE_ROWS = 2 * _CHUNK rows (2.4 MB): a stack is held while
-any of its instances is, and counted whole.  The store is keyed by content:
-(n, edges, clamped spins, J, beta, per-vertex field totals h+g), a field
-whose totals are all zero keyed as no field, since x + (+-0.0) leaves
-every energy as it is.  Mutating a Couplings or FieldSpec in place
-therefore misses the store rather than reading a stale table.  The size
-cap DEFAULT_CAP is checked before the lookup.  Larger instances stream
-chunk by chunk and are never retained.
+enumerated once per stack.  The instances of the last such stack weighed
+stay held, keyed by content, until the next stack is weighed and replaces
+them whole: at most _CHUNK rows, per row its uint16 offset and the hi and
+lo parts of its weight, 18 bytes, so 1.2 MB.  The key is (n, edges,
+clamped spins, J, beta, per-vertex field totals h+g), a field whose totals
+are all zero keyed as no field, since x + (+-0.0) leaves every energy as
+it is.  Mutating a Couplings or FieldSpec in place therefore misses the
+held stack rather than reading a stale table.  The size cap DEFAULT_CAP is
+checked before the lookup.  Larger instances stream chunk by chunk and
+never touch the held stack.
 
 Overflow and underflow: a chunk whose largest exponent E_max exceeds
 _MAX_EXPONENT is weighed as exp(E - c) with c = E_max - _MAX_EXPONENT, and
@@ -76,14 +75,12 @@ two of them without forming either.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 DEFAULT_CAP = 26
 _CHUNK_BITS = 16
 _CHUNK = 1 << _CHUNK_BITS
-_SLOTS = 2
 _MAX_EXPONENT = 690.0
 _MIN_EXPONENT = -709.0
 # _SIGN[r] = (-1)^popcount(r) for every row offset r < _CHUNK
@@ -102,8 +99,6 @@ _ROW = np.min_scalar_type(_CHUNK - 1)
 _HIGH = ~np.uint64((1 << 27) - 1)     # clears the low 27 significand bits
 _BIN = np.uint64(55)                  # stored exponent // 8, below 2^8
 _MEMBERS = 256                        # instances a uint16 bin key can index
-_STORE_ROWS = 2 * _CHUNK
-_STORE_STACKS = 2
 # the instance index of a stack, above the 8 bits of the bin
 _MEMBER_KEYS = np.arange(_MEMBERS, dtype=np.uint16)[:, None] << 8
 
@@ -112,43 +107,8 @@ class SizeError(ValueError):
     pass
 
 
-class _Store(OrderedDict):
-    """Content key -> (stack, m), instance m of a weighed stack, least
-    recently used first.  A stack is held while any of its instances is:
-    at most _STORE_STACKS stacks, whose rows, counted in `rows`, are at
-    most _STORE_ROWS."""
-
-    def __init__(self):
-        super().__init__()
-        self.rows = 0
-        self.held = {}      # id(stack) -> its instances in the store
-
-    def fetch(self, key):
-        table = self.get(key)
-        if table is not None:
-            self.move_to_end(key)
-        return table
-
-    def keep(self, stack, keys):
-        """Store instance m of a new stack under keys[m]."""
-        for m, key in enumerate(keys):
-            self[key] = stack, m
-        self.held[id(stack)] = len(keys)
-        self.rows += len(stack[2])
-        while self.rows > _STORE_ROWS or len(self.held) > _STORE_STACKS:
-            old = self.popitem(last=False)[1][0]
-            self.held[id(old)] -= 1
-            if not self.held[id(old)]:
-                del self.held[id(old)]
-                self.rows -= len(old[2])
-
-    def clear(self):
-        super().clear()
-        self.rows = 0
-        self.held.clear()
-
-
-_tables = _Store()
+# content key -> (stack, m): instance m of the last small stack weighed
+_tables = {}
 
 
 def _clamped_from(boundary):
@@ -276,8 +236,9 @@ def _chunks(graph, clamp, free, instances):
     """Yield (batch, tables) per round: instances of the batch, each
     (content key, couplings, field totals, ...), and their tables (stack,
     m).  A batch holds up to _CHUNK rows of small instances, each read from
-    the store or, with the batch's other misses, weighed as one stack and
-    stored; or one large instance, one round per chunk, never stored."""
+    the held stack or, with the batch's other misses, weighed as one stack
+    that is then held in its place; or one large instance, one round per
+    chunk, never held."""
     if len(free) > DEFAULT_CAP:
         raise SizeError("2^%d spin configurations exceed the cap 2^%d"
                         % (len(free), DEFAULT_CAP))
@@ -287,7 +248,7 @@ def _chunks(graph, clamp, free, instances):
     for first in range(0, len(instances), per):
         batch = instances[first:first + per]
         for lo in range(0, size, _CHUNK):
-            tables = [_tables.fetch(instance[0]) if stored else None
+            tables = [_tables.get(instance[0]) if stored else None
                       for instance in batch]
             fresh = [i for i, table in enumerate(tables) if table is None]
             if fresh:
@@ -296,7 +257,8 @@ def _chunks(graph, clamp, free, instances):
                 for m, i in enumerate(fresh):
                     tables[i] = stack, m
                 if stored:
-                    _tables.keep(stack, [batch[i][0] for i in fresh])
+                    _tables.clear()
+                    _tables.update((batch[i][0], tables[i]) for i in fresh)
             yield batch, tables
 
 
@@ -307,7 +269,7 @@ def _shape(graph, clamp):
 
 
 def _instance(couplings, fields, shape):
-    """(content key, couplings, field totals): the store key holds the
+    """(content key, couplings, field totals): the content key holds the
     shape (n, edges, clamped spins), J, beta and the per-vertex field
     totals h+g.  A field whose totals are all zero is no field: x + (+-0.0)
     = x leaves every energy as it is."""
@@ -460,9 +422,3 @@ def ursell4(graph, couplings, x1, x2, x3, x4, boundary=None):
                                   ursell4_sets(x1, x2, x3, x4),
                                   boundary=boundary))
 
-
-def truncated_pair(graph, couplings, x, y, fields=None, boundary=None):
-    """<sigma_x sigma_y> - <sigma_x><sigma_y>."""
-    xy, sx, sy = moments(graph, couplings, [[x, y], [x], [y]], fields,
-                         boundary)
-    return xy - sx * sy

@@ -80,6 +80,25 @@ def test_path_properties_weigh_each_backbone_once(monkeypatch):
     assert len(depleted) == rep["n_backbones"]
 
 
+def test_path_properties_compute_z_once(monkeypatch):
+    # every zeta, super-multiplicativity factor and resummation front
+    # shares one undepleted Z
+    box = BoxGraph(2, (3, 3))
+    c = Couplings(box, 1.0, 0.4)
+    undepleted = []
+    oracle = spins.partition_function
+
+    def counted(graph, couplings, *args, **kwargs):
+        if couplings.J == c.J:
+            undepleted.append(couplings)
+        return oracle(graph, couplings, *args, **kwargs)
+
+    monkeypatch.setattr(spins, "partition_function", counted)
+    rep = backbone.check_path_properties(box, c, {0, 8})
+    assert rep["n_backbones"] > 1
+    assert len(undepleted) == 1
+
+
 def test_walk_determinism(triangle):
     c = Couplings(triangle, 1.0, 0.5)
     from isinglab.currents import EdgeStateConfig, ODD

@@ -90,8 +90,8 @@ def test_recorder_sees_spin_oracle():
         spins.partition_function(g, c)
         for A in ([0, 2], [0, 2], [0], [2]):
             spins.expectation(g, c, A)
-        # truncated_pair is one spins.moments call, which is not hooked
-        spins.truncated_pair(g, c, 0, 2)
+        # a spins.moments call is not hooked
+        spins.moments(g, c, [[0, 2], [0], [2]])
     finally:
         rec.uninstall()
     names = {r[1] for r in rec.records()}

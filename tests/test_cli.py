@@ -225,16 +225,24 @@ def test_box_only_commands_refuse_graph_files(tmp_path, capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("lattice", ["box:d=2,L=4", "box:d=2,L=4,3"])
-def test_smms_on_an_even_side_reflects_in_the_mid_edge_plane(capsys, lattice):
-    # an even first side has no vertex plane of symmetry: the integer plane
-    # (L - 1) // 2 exited 2 with "plane is not a symmetry plane"
-    code, out, err = run(capsys, "ineq", "smms", "--lattice", lattice,
-                         "--beta", "0.4")
+@pytest.mark.parametrize("verb, lattice, beta, kinds", [
+    pytest.param(["ineq", "smms"], lattice, "0.4",
+                 ["smms_monotone", "smms_remainder_le", "smms_remainder_ge"],
+                 id=lattice) for lattice in ("box:d=2,L=4", "box:d=2,L=4,3")
+] + [
+    pytest.param(["verify", "fold"], lattice, beta, ["folded_correlation"],
+                 id="fold-%s-%s" % (lattice, beta))
+    for lattice in ("box:d=2,L=4", "box:d=2,L=4,3") for beta in ("0.4", "0.9")
+])
+def test_smms_on_an_even_side_reflects_in_the_mid_edge_plane(
+        capsys, verb, lattice, beta, kinds):
+    # an even first side has no vertex plane of symmetry: `ineq smms` and
+    # `verify fold` took the integer plane (L - 1) // 2 and exited 2 with
+    # "plane is not a symmetry plane"
+    code, out, err = run(capsys, *verb, "--lattice", lattice, "--beta", beta)
     assert (code, err) == (0, "")
     rows = [line.split(",") for line in out.splitlines()[2:]]
-    assert [r[1] for r in rows] == ["smms_monotone", "smms_remainder_le",
-                                    "smms_remainder_ge"]
+    assert [r[1] for r in rows] == kinds
     assert all(r[6] == "true" for r in rows)
 
 

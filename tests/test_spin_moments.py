@@ -198,9 +198,8 @@ def test_family_mixes_stored_fresh_and_repeated_instances(monkeypatch):
     c = _signed_couplings(box, 0.7, 5)
     f = _mixed_fields(box)
     spins._tables.clear()
-    stored = [(c, None, [[0, 8]]), (c, f, [[4]])]
-    for couplings, fields, sets in stored:
-        spins.moments(box, couplings, sets, fields)
+    # one stack of two instances, held
+    spins.family_moments(box, [(c, None, [[0, 8]]), (c, f, [[4]])])
     weighed = []
     weigh = spins._weigh
 
@@ -215,7 +214,7 @@ def test_family_mixes_stored_fresh_and_repeated_instances(monkeypatch):
               (c, f, [[4], [5]]), (c.with_beta(0.2), f, sets[5:]),
               (c, FieldSpec(box.n), [[1]])]
     _assert_family(box, family)
-    # the stored zero-field and f instances are read; the two new ones are
+    # the held zero-field and f instances are read; the two new ones are
     # weighed together, once each although asked twice and once
     assert weighed == [2]
 
@@ -282,8 +281,9 @@ def test_a_stack_never_exceeds_chunk_rows(monkeypatch):
     got = spins.family_moments(g2, family)
     assert sizes == [(spins._MEMBERS, 4 * spins._MEMBERS),
                      (300 - spins._MEMBERS, 4 * (300 - spins._MEMBERS))]
-    # both stacks are held, every instance of them stored
-    assert (len(spins._tables), len(spins._tables.held)) == (300, 2)
+    # only the last stack is held
+    assert [key[2] for key in spins._tables] == [
+        ask[0].beta for ask in family[spins._MEMBERS:]]
     for k in (0, 255, 256, 299):
         assert repr(got[k][0]) == repr(ref_spins.moments(
             g2, family[k][0], [[0, 1]])[0])

@@ -197,7 +197,7 @@ def test_bad_sites_raise_value_error():
     assert spins.expectation(box, c, (v for v in [0, 4])) == (
         spins.expectation(box, c, [0, 4]))
     with pytest.raises(ValueError):
-        spins.truncated_pair(box, c, 0, 9)
+        spins.moments(box, c, [[0, 9], [0], [9]])
     with pytest.raises(ValueError):
         spins.ursell4(box, c, 0, 1, 2, -1)
 
@@ -246,17 +246,16 @@ def test_repeated_calls_identical():
     first = [spins.expectation(box, c, [1, 10], boundary=b),
              spins.partition_function(box, c, boundary=b),
              spins.ursell4(box, c, 4, 5, 6, 7),
-             spins.truncated_pair(box, c, 5, 6, boundary=b)]
+             spins.moments(box, c, [[5, 6], [5], [6]], boundary=b)]
     again = [spins.expectation(box, c, [1, 10], boundary=b),
              spins.partition_function(box, c, boundary=b),
              spins.ursell4(box, c, 4, 5, 6, 7),
-             spins.truncated_pair(box, c, 5, 6, boundary=b)]
+             spins.moments(box, c, [[5, 6], [5], [6]], boundary=b)]
     assert list(map(repr, first)) == list(map(repr, again))
 
 
 def _held():
-    """The betas of the stored instances, least recent first, and the rows
-    of the stacks that hold them."""
+    """The betas of the held instances and the rows of their stacks."""
     stacks = {id(stack): stack for stack, _ in spins._tables.values()}
     return ([key[2] for key in spins._tables],
             sum(len(stack[2]) for stack in stacks.values()))
@@ -264,56 +263,68 @@ def _held():
 
 def test_table_retention_bound():
     spins._tables.clear()
+    # 2^16 rows: held
     chain = Graph(17, [(i, i + 1) for i in range(16)])
+    g16 = Graph(16, chain.edges[:15])
+    spins.partition_function(g16, Couplings(g16, 1.0, 0.4))
+    assert _held() == ([0.4], spins._CHUNK)
+    # 2^17 rows: streamed, and the held stack stays as it was
     c = Couplings(chain, 1.0, 0.4)
-    # 2^17 rows: streamed, never stored
     assert spins.partition_function(chain, c) == pytest.approx(
         math.cosh(0.4) ** 16, rel=1e-12)
     assert spins.expectation(chain, c, [0, 16]) == pytest.approx(
         math.tanh(0.4) ** 16, rel=1e-12)
-    assert (len(spins._tables), spins._tables.rows) == (0, 0)
-    # 2^16 rows: stored
-    g16 = Graph(16, chain.edges[:15])
-    c16 = Couplings(g16, 1.0, 0.4)
-    spins.partition_function(g16, c16)
-    assert (len(spins._tables), spins._tables.rows) == (1, spins._CHUNK)
-    # a family of sixteen 2^12-row instances is one stack: the store holds
-    # 2 * _CHUNK rows in two stacks
+    assert _held() == ([0.4], spins._CHUNK)
+    # seventeen 2^12-row instances are stacks of sixteen and one: only the
+    # last stack is held
     g12 = Graph(12, chain.edges[:11])
-    betas = [0.05 * (k + 1) for k in range(17)]
-    spins.family_moments(g12, [(Couplings(g12, 1.0, beta), None, [[0, 11]])
-                               for beta in betas[:16]])
-    assert (spins._STORE_ROWS, spins._STORE_STACKS) == (2 * spins._CHUNK, 2)
-    assert _held() == ([0.4] + betas[:16], spins._STORE_ROWS)
-    assert len(spins._tables.held) == 2
-    # a hit makes the 2^16 table the most recent, so a third stack evicts
-    # every instance of the 2^12 stack
-    spins.partition_function(g16, c16)
-    spins.expectation(g12, Couplings(g12, 1.0, betas[16]), [0, 11])
-    assert _held() == ([0.4, betas[16]], spins._CHUNK + (1 << 12))
-    spins.partition_function(g16, Couplings(g16, 1.0, 0.3))
-    assert _held() == ([betas[16], 0.3], spins._CHUNK + (1 << 12))
-    assert spins._tables.rows == spins._CHUNK + (1 << 12)
+    family = [(Couplings(g12, 1.0, 0.05 * (k + 1)), None, [[0, 11]])
+              for k in range(17)]
+    spins.family_moments(g12, family)
+    assert _held() == ([family[16][0].beta], 1 << 12)
+    # each new stack replaces the held one whole, never past _CHUNK rows
+    spins.family_moments(g12, family[:16])
+    assert _held() == ([ask[0].beta for ask in family[:16]], spins._CHUNK)
+    spins.expectation(g12, Couplings(g12, 1.0, 0.3), [0, 11])
+    assert _held() == ([0.3], 1 << 12)
 
 
-def test_a_stack_is_held_while_any_of_its_instances_is():
+def test_the_last_stack_is_read_without_weighing(monkeypatch):
     spins._tables.clear()
     g12 = Graph(12, [(i, i + 1) for i in range(11)])
     family = [(Couplings(g12, 1.0, 0.1 * (k + 1)), None, [[0, 11]])
               for k in range(4)]
-    spins.family_moments(g12, family)
-    # one stack of four instances
-    assert _held() == ([0.1, 0.2, 0.30000000000000004, 0.4], 4 << 12)
-    assert spins._tables.rows == 4 << 12
-    spins.expectation(g12, family[1][0], [0, 11])
-    g16 = Graph(16, [(i, i + 1) for i in range(15)])
-    spins.partition_function(g16, Couplings(g16, 1.0, 0.4))
-    assert spins._tables.rows == (4 << 12) + spins._CHUNK
-    # past 2 * _CHUNK rows the three least recent instances leave first,
-    # but their stack's rows stay counted until the fourth leaves too
-    spins.partition_function(g16, Couplings(g16, 1.0, 0.5))
-    assert _held() == ([0.4, 0.5], spins._STORE_ROWS)
-    assert spins._tables.rows == spins._STORE_ROWS
+    first = [repr(m) for m, in spins.family_moments(g12, family)]
+    weighed = []
+    weigh = spins._weigh
+    monkeypatch.setattr(spins, "_weigh",
+                        lambda *a: weighed.append(len(a[4])) or weigh(*a))
+    # every instance of the last stack, alone or together, in any order
+    assert [repr(spins.expectation(g12, c, [0, 11]))
+            for c, _, _ in family] == first
+    assert [repr(m) for m, in spins.family_moments(g12, family[::-1])] == (
+        first[::-1])
+    assert weighed == []
+    # a new stack takes its place, so an old instance is weighed again
+    spins.expectation(g12, Couplings(g12, 1.0, 0.5), [0, 11])
+    assert repr(spins.expectation(g12, family[0][0], [0, 11])) == first[0]
+    assert weighed == [1, 1]
+
+
+def test_held_key_holds_the_clamped_spins():
+    # the same couplings under two boundaries with the same free spins:
+    # each is weighed with its own clamped spins
+    import ref_spins
+    box = BoxGraph(2, (3, 4))
+    c = Couplings(box, [0.3 + 0.1 * (e % 7) for e in range(box.n_edges)], 0.7)
+    pm = box.dobrushin_boundary()
+    sets = [[5], [6], [5, 6], [1, 5]]
+    spins._tables.clear()
+    for b in (pm, pm.all_plus(), pm):
+        assert list(map(repr, spins.moments(box, c, sets, boundary=b))) == (
+            list(map(repr, ref_spins.moments(box, c, sets, boundary=b))))
+        assert repr(spins.partition_function(box, c, boundary=b)) == repr(
+            ref_spins.partition_function(box, c, boundary=b))
 
 
 def _ratio_cases():
