@@ -15,11 +15,10 @@ from .graphs import (BoundarySpec, BoxGraph, Couplings, FieldSpec, Graph,
                      serialize_graph)
 from .spins import expectation, partition_function, ursell4
 from .currents import SupportView, correlation_via_currents, current_sum
-from .doubled import (boundary_magnetization, boundary_partition_ratio,
-                      disorder_expectation, double_event_probability,
-                      frustrated_correlation, frustrated_partition_ratio,
-                      surface_tension_ratio, ursell4_via_currents,
-                      verify_switching)
+from .doubled import (boundary_identities, disorder_expectation,
+                      double_event_probability, frustrated_partition_ratio,
+                      frustration_identities, surface_tension_ratio,
+                      ursell4_via_currents, verify_switching)
 from .folding import (FoldedCurrentMeasure, dobrushin_identities,
                       folded_correlation_identity,
                       reflection_monotonicity_report)

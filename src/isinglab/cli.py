@@ -246,35 +246,30 @@ def _cmd_verify(args):
             rows.append(Row(iid, "ursell4_formA", u4, va, tol=args.tol))
             rows.append(Row(iid, "ursell4_formB", u4, vb, tol=args.tol))
         elif w == "frustration":
-            z_ratio = spins.partition_ratio(graph, c, c.with_abs())
-            rows.append(Row(iid, "z_ratio_ff", z_ratio,
-                            doubled.frustrated_partition_ratio(graph, c),
-                            tol=args.tol))
             x, y = _sites(args, 2, graph)
-            lhs = (spins.expectation(graph, c, [x, y])
-                   * spins.expectation(graph, c.with_abs(), [x, y]))
-            rows.append(Row(iid, "corr_product_ff", lhs,
-                            doubled.frustrated_correlation(graph, c, x, y),
+            z_ratio, (sj,), (sa,) = spins.ratio_moments(
+                graph, c, c.with_abs(), [[x, y]])
+            ff, corr = doubled.frustration_identities(graph, c, x, y)
+            rows.append(Row(iid, "z_ratio_ff", z_ratio, ff, tol=args.tol))
+            rows.append(Row(iid, "corr_product_ff", sj * sa, corr,
                             tol=args.tol))
         elif w == "boundary":
             if bspec is None or not bspec.minus_set:
                 raise UsageError("boundary checks need a pm boundary spec")
-            ratio = doubled.boundary_partition_ratio(graph, c, bspec)
-            rows.append(Row(iid, "z_ratio_boundary",
-                            spins.partition_ratio(graph, c, c, bspec,
-                                                  bspec.all_plus()),
-                            ratio, tol=args.tol))
             interior = sorted(bspec.interior(graph))
+            x = interior[len(interior) // 2] if interior else None
+            ratio, plus, pm = doubled.boundary_identities(graph, c, bspec, x)
+            z_ratio, mpm, mp = spins.ratio_moments(
+                graph, c, c, [[x]] if interior else [], bspec,
+                bspec.all_plus())
+            rows.append(Row(iid, "z_ratio_boundary", z_ratio, ratio,
+                            tol=args.tol))
             if interior:
-                x = interior[len(interior) // 2]
-                bm = doubled.boundary_magnetization(graph, c, bspec, x)
-                mp = spins.expectation(graph, c, [x],
-                                       boundary=bspec.all_plus())
-                mpm = spins.expectation(graph, c, [x], boundary=bspec)
-                rows.append(Row(iid, "mag_plus_sq", mp * mp, bm.plus_prob,
+                mp, mpm = mp[0], mpm[0]
+                rows.append(Row(iid, "mag_plus_sq", mp * mp, plus,
                                 tol=args.tol))
-                rows.append(Row(iid, "mag_pm_times_plus", mpm * mp,
-                                bm.pm_expr, tol=args.tol))
+                rows.append(Row(iid, "mag_pm_times_plus", mpm * mp, pm,
+                                tol=args.tol))
         elif w == "disorder":
             for t in range(args.trials):
                 nflip = int(rng.integers(0, graph.n_edges + 1))

@@ -248,7 +248,10 @@ class _SupportLabels:
 
 
 def _fsum(arrays):
-    return math.fsum(np.concatenate(arrays)) if arrays else 0.0
+    try:
+        return math.fsum(np.concatenate(arrays)) if arrays else 0.0
+    except ValueError:      # inf - inf: no sum; a finite overflow raises
+        return math.nan
 
 
 def _support_sums(graph, bit_edges, W, events):

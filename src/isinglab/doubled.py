@@ -37,7 +37,6 @@ pair in S.  The entries are exact integers, so Q_s G is exactly W, -W or 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .currents import (ConstraintError, _check_sources, _fsum,
                        _subgraph_sums, _support_sums, _SupportLabels,
@@ -148,13 +147,15 @@ def _ratio(t, total):
 
 
 def _frustration(weigh, couplings, u=None, v=None):
-    """(P(FF), E(sgn(u, v) 1[FF])) under the law `weigh`, s = -1 on the
+    """(P(FF), E(sgn(u, v) | FF)) under the law `weigh`, s = -1 on the
     negative couplings; the sign is 1 for u = v and None without sites."""
     neg = couplings.negative_edges()
     s = [-1.0 if e in neg else 1.0 for e in range(couplings.graph.n_edges)]
     total = _fsum([weigh(frozenset())])
-    sign = None if u is None else _ratio(weigh({u} ^ {v}, s), total)
-    return _ratio(weigh(frozenset(), s), total), sign
+    ff = _ratio(weigh(frozenset(), s), total)
+    if u is None:
+        return ff, None
+    return ff, _ratio(weigh({u} ^ {v}, s), total) / ff
 
 
 def _dobrushin(weigh, graph, boundary_spec, x=None):
@@ -183,18 +184,17 @@ def _dobrushin(weigh, graph, boundary_spec, x=None):
             (_ratio(t[t > 0], total) - _ratio(-t[t < 0], total)) / ff)
 
 
+def frustration_identities(graph, couplings, u=None, v=None):
+    """(Z(J)/Z(|J|), <s_u s_v>_J <s_u s_v>_{|J|}) as P(FF) and E(sgn_J(u,
+    v; n1 + n2) | FF) under the sourceless double law; None without sites."""
+    return _frustration(_sourceless_law(graph, couplings, graph.vertices),
+                        couplings, u, v)
+
+
 def frustrated_partition_ratio(graph, couplings):
     """Z(J)/Z(|J|) as the double-current probability that the combined
     support is frustration-free for the signs of J."""
-    return _frustration(_sourceless_law(graph, couplings, graph.vertices),
-                        couplings)[0]
-
-
-def frustrated_correlation(graph, couplings, u, v):
-    """E(sgn_J(u,v; n1+n2) | FF) = <s_u s_v>_J * <s_u s_v>_{|J|}."""
-    ff, sign = _frustration(_sourceless_law(graph, couplings, graph.vertices),
-                            couplings, u, v)
-    return sign / ff
+    return frustration_identities(graph, couplings)[0]
 
 
 def disorder_expectation(graph, couplings, flip_set):
@@ -206,24 +206,12 @@ def disorder_expectation(graph, couplings, flip_set):
         graph, couplings.with_flipped(frozenset(flip_set)))
 
 
-@dataclass
-class BoundaryMagnetization:
-    plus_prob: float        # P^{0,0;+}(x <-> boundary)
-    pm_expr: float          # P(x <-> dLam+ | FF) - P(x <-> dLam- | FF)
-
-
-def boundary_partition_ratio(graph, couplings, boundary_spec):
-    """Z^{pm}/Z^{+} = P^{0,0;+}(dLam_- not connected to dLam_+)."""
+def boundary_identities(graph, couplings, boundary_spec, x=None):
+    """(Z^pm/Z^+, <s_x>^+ <s_x>^+, <s_x>^pm <s_x>^+) as `_dobrushin` gives
+    them under the sourceless double law; the last two None without x."""
     return _dobrushin(_sourceless_law(graph, couplings,
                                       boundary_spec.interior(graph)),
-                      graph, boundary_spec)[0]
-
-
-def boundary_magnetization(graph, couplings, boundary_spec, x):
-    _, plus, pm = _dobrushin(_sourceless_law(
-        graph, couplings, boundary_spec.interior(graph)), graph,
-        boundary_spec, x)
-    return BoundaryMagnetization(plus_prob=plus, pm_expr=pm)
+                      graph, boundary_spec, x)
 
 
 def surface_tension_ratio(box, couplings, axis=None):

@@ -120,19 +120,19 @@ def fk_frustration_adjusted(graph, couplings, u=None, v=None):
     Cross-checks both against the spin oracle; returns a report dict.
     """
     abs_c = couplings.with_abs()
-    ff, sign = doubled._frustration(
+    ff, corr_fk = doubled._frustration(
         _fk_law(graph, abs_c, set(graph.vertices)), couplings, u, v)
-    z_ratio = spins.partition_ratio(graph, couplings, abs_c)
+    z_ratio, corr, _ = spins.ratio_moments(
+        graph, couplings, abs_c, [] if u is None else [[u, v]])
     rep = {
         "ff_prob": ff,
         "z_ratio_spin": z_ratio,
         "z_match": abs(ff - z_ratio),
     }
     if u is not None:
-        corr = spins.expectation(graph, couplings, [u, v])
-        rep["corr_fk"] = sign / ff
-        rep["corr_spin"] = corr
-        rep["corr_match"] = abs(rep["corr_fk"] - corr)
+        rep["corr_fk"] = corr_fk
+        rep["corr_spin"] = corr[0]
+        rep["corr_match"] = abs(corr_fk - corr[0])
     return rep
 
 
@@ -147,17 +147,15 @@ def fk_boundary_report(graph, couplings, boundary_spec, x=None):
     ratio, plus, pm = doubled._dobrushin(
         _fk_law(graph, couplings, set(graph.vertices) - bdry), graph,
         boundary_spec, x)
-    rep = {"ratio_fk": ratio,
-           "ratio_spin": spins.partition_ratio(
-               graph, couplings, couplings, boundary_spec,
-               boundary_spec.all_plus())}
+    ratio_spin, mag_pm, mag_plus = spins.ratio_moments(
+        graph, couplings, couplings, [] if x is None else [[x]],
+        boundary_spec, boundary_spec.all_plus())
+    rep = {"ratio_fk": ratio, "ratio_spin": ratio_spin}
     if x is not None:
         rep["mag_pm_fk"] = pm
-        rep["mag_pm_spin"] = spins.expectation(graph, couplings, [x],
-                                               boundary=boundary_spec)
+        rep["mag_pm_spin"] = mag_pm[0]
         rep["mag_plus_fk"] = plus
-        rep["mag_plus_spin"] = spins.expectation(
-            graph, couplings, [x], boundary=boundary_spec.all_plus())
+        rep["mag_plus_spin"] = mag_plus[0]
     return rep
 
 

@@ -180,9 +180,8 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
     if x not in plane_int:
         raise ValueError("x must be an interior mid-plane site")
 
-    ratio_spin = spins.partition_ratio(box, couplings, couplings, bc_pm,
-                                       bc_pm.all_plus())
-    mag_pm = spins.expectation(box, couplings, [x], boundary=bc_pm)
+    ratio_spin, (mag_pm,), _ = spins.ratio_moments(
+        box, couplings, couplings, [[x]], bc_pm, bc_pm.all_plus())
 
     meas = FoldedCurrentMeasure(refl, sources=(), relaxed_boundary=bdry)
 

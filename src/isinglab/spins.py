@@ -29,14 +29,15 @@ np.add.reduceat forms in a bin is therefore exact, in any order, and the
 one math.fsum over the hi and lo partials of all bins rounds their exact
 total once: the float math.fsum gives over the signed weights row by row,
 without a Python float per row.  The chunk's fsum(w) is the same bin sum
-with every sign +, taken when it is weighed.  family_moments reduces each
-set to its key (free-spin mask, sign of its clamped spins) and evaluates
+with every sign +, taken when it is weighed.  _family reduces each set to
+its key (free-spin mask, sign of its clamped spins) and evaluates
 each distinct key once per chunk, keys in groups whose sign arrays hold at
 most _CHUNK rows in all.
 
-Stacks: family_moments answers several instances on one graph and boundary
-(fields and couplings differ) in one call; moments is its one-instance
-case.  Up to _CHUNK rows of small instances are weighed as one stack: the
+One reduction, _family, gives each instance of a call (one graph and
+boundary) its shifted Z and its moments; every public function reads it, so
+ratio_moments gives Z_a/Z_b and both instances' moments from one weighing
+of each.  Up to _CHUNK rows of small instances are weighed as one stack: the
 configurations and bond products are built once, each instance's energy is
 its own two gemvs, full @ H and (s_u s_v) @ K, exactly as for the instance
 alone, with its own exponent shift, and the stack is binned and split once,
@@ -68,7 +69,7 @@ c = E_max.  Chunk sums are combined with the factors exp(c_k - max c).  As
 of at least e^-709, every sum stays finite and positive at any beta, and a
 chunk that needs no shift is weighed exactly as without one.  An
 expectation is a ratio, so the common factor cancels; a partition function
-outside the float64 range is returned as inf or 0; partition_ratio divides
+outside the float64 range is returned as inf or 0; ratio_moments divides
 two of them without forming either.
 """
 
@@ -288,53 +289,17 @@ def _scales(shifts):
     return [math.exp(c - top) for c in shifts]
 
 
-def _shifted_partition(graph, couplings, fields, boundary):
-    """(z, c) with Z = z * exp(c) and z finite and positive."""
-    clamp = _clamped_from(boundary)
-    free = [v for v in graph.vertices if v not in clamp]
-    sums, shifts = [], []
-    for _, ((stack, m),) in _chunks(graph, clamp, free, [
-            _instance(couplings, fields, _shape(graph, clamp))]):
-        sums.append(stack[6][m])
-        shifts.append(stack[7][m])
-    z = math.fsum([t * f for t, f in zip(sums, _scales(shifts))])
-    return z / (1 << len(free)), max(shifts)
-
-
-def partition_function(graph, couplings, fields=None, boundary=None):
-    z, shift = _shifted_partition(graph, couplings, fields, boundary)
-    try:
-        return z * math.exp(shift)
-    except OverflowError:
-        return math.inf
-
-
-def partition_ratio(graph, couplings_a, couplings_b, boundary_a=None,
-                    boundary_b=None):
-    """Z(couplings_a, boundary_a) / Z(couplings_b, boundary_b) at zero field.
-
-    The shifted sums are divided first and exp(c_a - c_b) is multiplied in
-    after, so no Z past the float range is ever formed; when neither sum
-    needed a shift the factor is exactly 1 and the result is the plain
-    quotient of the two partition functions, bit for bit."""
-    za, ca = _shifted_partition(graph, couplings_a, None, boundary_a)
-    zb, cb = _shifted_partition(graph, couplings_b, None, boundary_b)
-    try:
-        return za / zb * math.exp(ca - cb)
-    except OverflowError:
-        return math.inf
-
-
-def family_moments(graph, asks, boundary=None):
-    """[moments(graph, couplings, sets, fields, boundary) for (couplings,
-    fields, sets) in asks], the instances weighed together.
-
+def _family(graph, asks, boundary):
+    """[(z, c, moments) for (couplings, fields, sets) in asks], Z = z *
+    exp(c) with z finite and positive; an ask with no sets is weighed too.
     Every site is checked before any instance is weighed or fetched.  Equal
     instances are one instance, and the misses of a stack of small
     instances are weighed in one pass.  Each distinct key (mask, sign of
     the clamped spins) is one exact signed sum per chunk, taken over the
     stack of the instances that ask it, so every moment is the float
     expectation gives for its set and instance alone."""
+    if not asks:
+        return []
     clamp = _clamped_from(boundary)
     free = [v for v in graph.vertices if v not in clamp]
     bit = {v: 1 << j for j, v in enumerate(free)}
@@ -358,18 +323,14 @@ def family_moments(graph, asks, boundary=None):
                 else:
                     negative ^= clamp[v] < 0
             keys.append((mask, negative))
-        entry = None
-        if keys:
-            content, _, totals = _instance(couplings, fields, shape)
-            entry = asked.get(content)
-            if entry is None:
-                entry = asked[content] = [content, couplings, totals,
-                                          dict.fromkeys(keys), [], [], []]
-            else:
-                entry[3].update(dict.fromkeys(keys))
+        content, _, totals = _instance(couplings, fields, shape)
+        entry = asked.get(content)
+        if entry is None:
+            entry = asked[content] = [content, couplings, totals,
+                                      dict.fromkeys(keys), [], [], []]
+        else:
+            entry[3].update(dict.fromkeys(keys))
         keyed.append((entry, keys))
-    if not asked:
-        return [[] for _ in keyed]
     for batch, tables in _chunks(graph, clamp, free, list(asked.values())):
         # id(stack) -> (stack, {m: entry}, {key: [each m that asks it]})
         stacks = {}
@@ -389,8 +350,54 @@ def family_moments(graph, asks, boundary=None):
         entry[3] = {key: math.fsum([s[key] * f for s, f
                                     in zip(entry[4], scale)]) / z
                     for key in entry[3]}
-    return [[entry[3][key] for key in keys] if entry else []
+        entry[4] = z / (1 << len(free)), max(entry[6])
+    return [(*entry[4], [entry[3][key] for key in keys])
             for entry, keys in keyed]
+
+
+def partition_function(graph, couplings, fields=None, boundary=None):
+    z, shift, _ = _family(graph, [(couplings, fields, [])], boundary)[0]
+    try:
+        return z * math.exp(shift)
+    except OverflowError:
+        return math.inf
+
+
+def ratio_moments(graph, couplings_a, couplings_b, sets, boundary_a=None,
+                  boundary_b=None):
+    """(Z_a / Z_b, moments under a, moments under b) at zero field, with
+    Z_a = Z(couplings_a, boundary_a) and the moments those of `moments`
+    for the same sets; each of the two instances is weighed once.
+
+    The shifted sums are divided first and exp(c_a - c_b) is multiplied in
+    after, so no Z past the float range is ever formed; when neither sum
+    needed a shift the factor is exactly 1 and the ratio is the plain
+    quotient of the two partition functions, bit for bit."""
+    sets = list(sets)
+    za, ca, a = _family(graph, [(couplings_a, None, sets)], boundary_a)[0]
+    zb, cb, b = _family(graph, [(couplings_b, None, sets)], boundary_b)[0]
+    try:
+        ratio = za / zb * math.exp(ca - cb)
+    except OverflowError:
+        ratio = math.inf
+    return ratio, a, b
+
+
+def partition_ratio(graph, couplings_a, couplings_b, boundary_a=None,
+                    boundary_b=None):
+    """Z(couplings_a, boundary_a) / Z(couplings_b, boundary_b), zero field."""
+    return ratio_moments(graph, couplings_a, couplings_b, [], boundary_a,
+                         boundary_b)[0]
+
+
+def family_moments(graph, asks, boundary=None):
+    """[moments(graph, couplings, sets, fields, boundary) for (couplings,
+    fields, sets) in asks], the instances weighed together; an ask with no
+    sets weighs nothing."""
+    asks = [(couplings, fields, list(sets)) for couplings, fields, sets
+            in asks]
+    got = iter(_family(graph, [ask for ask in asks if ask[2]], boundary))
+    return [next(got)[2] if sets else [] for _, _, sets in asks]
 
 
 def moments(graph, couplings, sets, fields=None, boundary=None):

@@ -33,3 +33,27 @@ def triangle():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """What the calls that follow build: 'tables', the double law's
+    `_subgraph_sums` tables, and 'weighed', the (graph, clamped spins) of
+    each spin instance weighed, with the held spin stack emptied first."""
+    from isinglab import doubled, spins
+    spins._tables.clear()
+    out = {"tables": 0, "weighed": []}
+    sums, weigh = doubled._subgraph_sums, spins._weigh
+
+    def counted_sums(*args):
+        out["tables"] += 1
+        return sums(*args)
+
+    def counted_weigh(graph, clamp, free, lo, members):
+        out["weighed"] += [(graph, tuple(sorted(clamp.items())))] * len(
+            members)
+        return weigh(graph, clamp, free, lo, members)
+
+    monkeypatch.setattr(doubled, "_subgraph_sums", counted_sums)
+    monkeypatch.setattr(spins, "_weigh", counted_weigh)
+    return out

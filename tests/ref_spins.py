@@ -88,15 +88,20 @@ def moments(graph, couplings, sets, fields=None, boundary=None):
     return [math.fsum(_rescaled(num, shifts)) / z for num in nums]
 
 
-def partition_function(graph, couplings, fields=None, boundary=None):
+def shifted_partition(graph, couplings, fields=None, boundary=None):
+    """(z, c): Z = z * exp(c), z finite and positive."""
     clamp = {} if boundary is None else boundary.clamped()
     free = [v for v in graph.vertices if v not in clamp]
     den, shifts = [], []
     for _, _, total, shift in _weigh(graph, couplings, fields, clamp, free):
         den.append(total)
         shifts.append(shift)
-    z = math.fsum(_rescaled(den, shifts)) / (1 << len(free))
+    return math.fsum(_rescaled(den, shifts)) / (1 << len(free)), max(shifts)
+
+
+def partition_function(graph, couplings, fields=None, boundary=None):
+    z, shift = shifted_partition(graph, couplings, fields, boundary)
     try:
-        return z * math.exp(max(shifts))
+        return z * math.exp(shift)
     except OverflowError:
         return math.inf

@@ -103,7 +103,8 @@ def test_frustration_adjusted_identities():
         assert abs(doubled.frustrated_partition_ratio(g, c) - z_ratio) <= 1e-10
         lhs = (spins.expectation(g, c, [u, v])
                * spins.expectation(g, c.with_abs(), [u, v]))
-        assert abs(doubled.frustrated_correlation(g, c, u, v) - lhs) <= 1e-10
+        assert abs(doubled.frustration_identities(g, c, u, v)[1]
+                   - lhs) <= 1e-10
         # cluster versions
         rep = fk.fk_frustration_adjusted(g, c, u, v)
         assert rep["z_match"] <= 1e-10
@@ -126,16 +127,16 @@ def test_boundary_formulas(sides):
     z_pm = spins.partition_function(box, c, boundary=bspec)
     z_p = spins.partition_function(box, c, boundary=bspec.all_plus())
     # current form of the partition ratio
-    assert abs(doubled.boundary_partition_ratio(box, c, bspec)
+    assert abs(doubled.boundary_identities(box, c, bspec)[0]
                - z_pm / z_p) <= 1e-10
     x = sorted(bspec.interior(box))[0]
     m_plus = spins.expectation(box, c, [x], boundary=bspec.all_plus())
     m_pm = spins.expectation(box, c, [x], boundary=bspec)
-    bm = doubled.boundary_magnetization(box, c, bspec, x)
+    _, plus_prob, pm_expr = doubled.boundary_identities(box, c, bspec, x)
     # one-point function: current probabilities give m_pm * m_plus and
     # m_plus^2 (connection probabilities pair two current copies)
-    assert abs(bm.pm_expr - m_pm * m_plus) <= 1e-10
-    assert abs(bm.plus_prob - m_plus * m_plus) <= 1e-10
+    assert abs(pm_expr - m_pm * m_plus) <= 1e-10
+    assert abs(plus_prob - m_plus * m_plus) <= 1e-10
     # cluster forms: a single wired q=2 configuration needs no squares
     rep = fk.fk_boundary_report(box, c, bspec, x)
     assert abs(rep["ratio_fk"] - z_pm / z_p) <= 1e-10

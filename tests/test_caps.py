@@ -193,7 +193,12 @@ def test_single_valued_options_are_constants():
                          (currents, "_pattern_labels"),
                          (currents, "cluster_count"),
                          (currents, "truncated_flux_sum"),
-                         (currents, "FLUX_CUTOFF")):
+                         (currents, "FLUX_CUTOFF"),
+                         (spins, "_shifted_partition"),
+                         (doubled, "boundary_partition_ratio"),
+                         (doubled, "boundary_magnetization"),
+                         (doubled, "BoundaryMagnetization"),
+                         (doubled, "frustrated_correlation")):
         assert not hasattr(module, name)
 
 
@@ -209,7 +214,7 @@ def test_many_constrained_vertices_need_no_cap():
     ch = Couplings(h, J, 0.7)
     assert doubled.frustrated_partition_ratio(g, c) == pytest.approx(
         spins.partition_ratio(h, ch, ch.with_abs()), rel=1e-12)
-    assert doubled.frustrated_correlation(g, c, 0, 2) == pytest.approx(
+    assert doubled.frustration_identities(g, c, 0, 2)[1] == pytest.approx(
         spins.expectation(h, ch, [0, 2])
         * spins.expectation(h, ch.with_abs(), [0, 2]), rel=1e-12)
     total = currents.single_support_expectations(g, c, {})["_total"]

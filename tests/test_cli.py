@@ -600,3 +600,38 @@ def test_deconfine_disorder_has_a_spin_leg(capsys, monkeypatch, lattice):
     got = {(row[0], row[1]): row[6] for row in
            (line.split(",") for line in out.splitlines()[2:])}
     assert got[("beta=0.7", "disorder_vs_spin")] == "false"
+
+
+# a signed graph with frustrated cycles
+SIGNED = ("edge 0 1 1.0\nedge 1 2 -0.7\nedge 2 3 0.9\nedge 3 0 1.2\n"
+          "edge 0 2 -0.4\nedge 3 4 0.8\nedge 4 5 -1.1\nedge 5 0 0.6\n")
+
+
+def test_frustration_past_the_float_range_fails_its_rows(tmp_path, capsys):
+    # at beta 80 the signed terms overflow to both infinities: their sum is
+    # nan, so both rows fail (exit 1) and no usage error (exit 2) is raised
+    gf = tmp_path / "signed.txt"
+    gf.write_text(SIGNED)
+    for beta, code, ok in (("0.4", 0, "true"), ("80", 1, "false")):
+        got, out, err = run(capsys, "verify", "frustration", "--graph",
+                            str(gf), "--beta", beta)
+        assert (got, err) == (code, "")
+        assert sorted(line.split(",")[1] + "," + line.split(",")[6]
+                      for line in out.splitlines()[2:]) == [
+            "corr_product_ff," + ok, "z_ratio_ff," + ok]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["boundary", "--lattice", "box:d=2,L=3,4,bc=pm"], 5),
+    (["frustration", "--graph", "SIGNED"], 4)])
+def test_verify_builds_each_table_and_instance_once(tmp_path, capsys, work,
+                                                    argv, tables):
+    # one law call and one spin call per identity family: each table is
+    # built once and each of the two spin instances is weighed once
+    gf = tmp_path / "signed.txt"
+    gf.write_text(SIGNED)
+    argv = [str(gf) if a == "SIGNED" else a for a in argv]
+    code, _, _ = run(capsys, "verify", *argv, "--beta", "0.4")
+    assert code == 0
+    assert work["tables"] == tables
+    assert len(work["weighed"]) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_instance
 from isinglab.graphs import BoxGraph, Couplings, Graph
 from isinglab import spins
-from isinglab.currents import (ConstraintError,
+from isinglab.currents import (ConstraintError, _fsum,
                                correlation_via_currents, current_sum,
                                edge_weight_table,
                                single_support_expectations)
@@ -158,3 +158,13 @@ def test_overflowing_weight_table_names_the_edge(beta):
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="edge 1: K = %r" % beta):
         edge_weight_table(Couplings(g, [1e-3, 1.0], beta))
+
+
+def test_fsum_of_both_infinities_is_nan():
+    # inf - inf has no sum: nan, so the row fails; finite terms whose sum
+    # leaves the float range still raise
+    terms = np.array([1.0, math.inf, -math.inf])
+    assert math.isnan(_fsum([terms[:1], terms[1:]]))
+    assert _fsum([terms[:2]]) == math.inf
+    with pytest.raises(OverflowError):
+        _fsum([np.array([1e308, 1e308])])

@@ -177,7 +177,7 @@ def test_frustration_identities_fuzz(seed):
     u, v = rng.choice(g.n, 2, replace=False).tolist()
     lhs = (spins.expectation(g, c, [u, v])
            * spins.expectation(g, c.with_abs(), [u, v]))
-    assert doubled.frustrated_correlation(g, c, u, v) == pytest.approx(
+    assert doubled.frustration_identities(g, c, u, v)[1] == pytest.approx(
         lhs, abs=1e-10)
 
 
@@ -229,7 +229,7 @@ def _pm_box(sides, beta):
 @pytest.mark.parametrize("sides", [(3, 3), (3, 4)])
 def test_boundary_partition_ratio(sides):
     box, c, bspec = _pm_box(sides, 0.45)
-    ratio = doubled.boundary_partition_ratio(box, c, bspec)
+    ratio = doubled.boundary_identities(box, c, bspec)[0]
     z_pm = spins.partition_function(box, c, boundary=bspec)
     z_p = spins.partition_function(box, c, boundary=bspec.all_plus())
     assert ratio == pytest.approx(z_pm / z_p, abs=1e-10)
@@ -238,12 +238,12 @@ def test_boundary_partition_ratio(sides):
 def test_boundary_magnetization_formulas():
     box, c, bspec = _pm_box((3, 3), 0.5)
     x = sorted(bspec.interior(box))[0]
-    bm = doubled.boundary_magnetization(box, c, bspec, x)
+    _, plus_prob, pm_expr = doubled.boundary_identities(box, c, bspec, x)
     m_plus = spins.expectation(box, c, [x], boundary=bspec.all_plus())
     m_pm = spins.expectation(box, c, [x], boundary=bspec)
     # the plus-connection probability is the SQUARE of the + magnetization
-    assert bm.plus_prob == pytest.approx(m_plus * m_plus, abs=1e-10)
-    assert bm.pm_expr == pytest.approx(m_pm * m_plus, abs=1e-10)
+    assert plus_prob == pytest.approx(m_plus * m_plus, abs=1e-10)
+    assert pm_expr == pytest.approx(m_pm * m_plus, abs=1e-10)
 
 
 def test_free_boundary_designation_is_refused():
@@ -253,8 +253,8 @@ def test_free_boundary_designation_is_refused():
     c = Couplings(g, [0.7, 0.8, 0.9, 1.0, 0.75, 0.85, 0.95], 0.7)
     bspec = BoundarySpec({0: BoundarySpec.MINUS, 4: BoundarySpec.PLUS,
                           6: BoundarySpec.FREE})
-    for call in (lambda: doubled.boundary_partition_ratio(g, c, bspec),
-                 lambda: doubled.boundary_magnetization(g, c, bspec, 2),
+    for call in (lambda: doubled.boundary_identities(g, c, bspec),
+                 lambda: doubled.boundary_identities(g, c, bspec, 2),
                  lambda: fk.fk_boundary_report(g, c, bspec),
                  lambda: fk.fk_boundary_report(g, c, bspec, 2)):
         with pytest.raises(ValueError, match="free"):

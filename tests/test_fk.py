@@ -112,6 +112,16 @@ def test_boundary_report_refuses_a_boundary_site():
         fk.fk_boundary_report(box, c, bspec, 0)
 
 
+def test_boundary_report_weighs_each_instance_once(work):
+    # the ratio and both one-point functions read one weighing of the pm
+    # and one of the all-plus instance
+    box = BoxGraph(2, (3, 3))
+    pm = box.dobrushin_boundary()
+    fk.fk_boundary_report(box, Couplings(box, 1.0, 0.5), pm, 4)
+    assert sorted(clamp for _, clamp in work["weighed"]) == sorted(
+        tuple(sorted(b.clamped().items())) for b in (pm, pm.all_plus()))
+
+
 def test_monotone_event_library(triangle):
     c = Couplings(triangle, 1.0, 0.6)
     out = fk.fk_measure_expectation(

@@ -120,6 +120,17 @@ def test_dobrushin_needs_odd_side():
         dobrushin_identities(box, c, axis=0)
 
 
+def test_dobrushin_weighs_each_box_instance_once(work):
+    # the ratio and <s_x>^pm read one weighing of the pm and one of the
+    # all-plus box
+    box = BoxGraph(2, (3, 5))
+    pm = box.dobrushin_boundary()
+    dobrushin_identities(box, Couplings(box, 1.0, 0.5))
+    assert sorted(clamp for g, clamp in work["weighed"] if g is box) == (
+        sorted(tuple(sorted(b.clamped().items()))
+               for b in (pm, pm.all_plus())))
+
+
 def test_dobrushin_magnetization_sandwich():
     # <s_x>^{pm} on the plane sits between the plane-system bound and the
     # all-plus value

@@ -5,6 +5,8 @@ with one fsum over the signed weights of its set, and the float
 `spins.expectation` gives for the set alone.
 """
 
+import math
+
 import pytest
 
 from isinglab import spins
@@ -120,6 +122,47 @@ def test_shifted_chunks_and_subnormal_weights(beta):
     cg = _signed_couplings(g, beta, 3)
     _assert_moments(g, cg, [[0], [16], [0, 16], [3, 9], [16, 16]],
                     FieldSpec(17, h={16: 0.5}, g={0: -0.2}))
+
+
+def _ratio_moment_cases():
+    """(graph, couplings_a, couplings_b, sets, boundary_a, boundary_b)."""
+    out = []
+    for sides in ((3, 3), (3, 5)):
+        box = BoxGraph(2, sides)
+        pm = box.dobrushin_boundary()
+        out.append((box, Couplings(box, 1.0, 0.45), None,
+                    [[4], [1, 4], [0, 4, 5]], pm, pm.all_plus()))
+    box = BoxGraph(2, (3, 4))
+    c = _signed_couplings(box, 0.6, 5)
+    out.append((box, c, c.with_abs(), _sets(box), None, None))
+    # 18 free spins streamed against the 8 of the clamped box
+    box = BoxGraph(2, (3, 6))
+    plus = box.plus_boundary()
+    out.append((box, _signed_couplings(box, 0.4, 2), None, [[7], [7, 10]],
+                None, plus))
+    # past e^709: every chunk shifted and both partition functions inf
+    box = BoxGraph(2, (3, 3))
+    pm = box.dobrushin_boundary()
+    out.append((box, Couplings(box, 1.0, 80.0), None,
+                [[4], [min(pm.minus_set), 4]], pm, pm.all_plus()))
+    return out
+
+
+@pytest.mark.parametrize("g, ca, cb, sets, ba, bb", _ratio_moment_cases())
+def test_ratio_moments_match_each_side_alone(g, ca, cb, sets, ba, bb):
+    cb = ca if cb is None else cb
+    ratio, ma, mb = spins.ratio_moments(g, ca, cb, sets, ba, bb)
+    assert 0.0 < ratio < math.inf
+    assert repr(ratio) == repr(spins.partition_ratio(g, ca, cb, ba, bb))
+    (za, sa), (zb, sb) = (ref_spins.shifted_partition(g, c, boundary=b)
+                          for c, b in ((ca, ba), (cb, bb)))
+    assert repr(ratio) == repr(za / zb * math.exp(sa - sb))
+    for got, c, b in ((ma, ca, ba), (mb, cb, bb)):
+        assert list(map(repr, got)) == list(map(repr, spins.moments(
+            g, c, sets, boundary=b)))
+        assert list(map(repr, got)) == list(map(repr, ref_spins.moments(
+            g, c, sets, boundary=b)))
+    assert list(map(repr, ma)) != list(map(repr, mb))
 
 
 def test_every_site_is_checked_before_any_table(monkeypatch):

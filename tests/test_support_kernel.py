@@ -232,9 +232,7 @@ def test_dobrushin_events_match(seed):
     m = DoubleSupportMeasure(box, c, bspec.interior(box), (), ())
     for ref, got in (
             (_ref_double(m, view_events),
-             (doubled.boundary_partition_ratio(box, c, bspec),
-              doubled.boundary_magnetization(box, c, bspec, x).plus_prob,
-              doubled.boundary_magnetization(box, c, bspec, x).pm_expr)),
+             doubled.boundary_identities(box, c, bspec, x)),
             (_ref_fk(box, c, view_events, boundary=bdry),
              tuple(fk.fk_boundary_report(box, c, bspec, x)[k] for k in (
                  "ratio_fk", "mag_plus_fk", "mag_pm_fk")))):
@@ -306,7 +304,7 @@ def _check_frustration(graph, c, u, v):
     ref = _ref_double(free, events)
     assert repr(doubled.frustrated_partition_ratio(graph, c)) == repr(
         ref["ff"])
-    assert repr(doubled.frustrated_correlation(graph, c, u, v)) == repr(
+    assert repr(doubled.frustration_identities(graph, c, u, v)[1]) == repr(
         ref["sgn"] / ref["ff"])
     ref = _ref_fk(graph, c.with_abs(), events)
     rep = fk.fk_frustration_adjusted(graph, c, u, v)
@@ -320,8 +318,8 @@ def test_public_results_match_reference(monkeypatch):
         _check_frustration(box, c, u, v)
     # 200 vertices, most of them isolated, and sites on no edge; the FK
     # report's spin legs cannot run on 200 spins and are not compared
-    monkeypatch.setattr(spins, "partition_ratio", lambda *a, **k: 1.0)
-    monkeypatch.setattr(spins, "expectation", lambda *a, **k: 1.0)
+    monkeypatch.setattr(spins, "ratio_moments",
+                        lambda *a, **k: (1.0, [1.0], [1.0]))
     g = Graph(200, [(0, 1), (1, 2), (2, 0), (3, 150), (150, 199), (0, 199),
                     (5, 6)])
     cg = Couplings(g, [0.7, -0.4, 0.9, -1.1, 0.5, 0.8, 0.3], 0.6)
@@ -456,8 +454,8 @@ def test_builtin_events_build_no_support_view(monkeypatch):
     c35 = Couplings(box35, 1.0, 0.5)
     calls = [
         lambda: fk.connection_probability(box, c, 0, 8),
-        lambda: doubled.boundary_magnetization(box, c, bspec, 4),
-        lambda: doubled.frustrated_correlation(sbox, sc, 0, 8),
+        lambda: doubled.boundary_identities(box, c, bspec, 4),
+        lambda: doubled.frustration_identities(sbox, sc, 0, 8),
         lambda: doubled.disorder_expectation(box, c, [0, 5]),
         lambda: folding.folded_correlation_identity(refl, x, y),
         lambda: fk.fk_boundary_report(box, c, bspec, 4),
