@@ -20,10 +20,12 @@ range is a signed inf, never an exception.  A Wilson loop is the ratio of
 two such counts weighed by tanh^w, finite at every beta.
 
 The brute-force oracle the chain sums are checked against shares none of
-this code.  It sorts all 2^|E| gauge fields, in numpy chunks, into integer
-counts per (number of odd plaquettes, insertion sign), weighs each class
-once and sums count * weight exactly in rationals; rounded once, that is
-math.fsum over the fields, bit for bit.
+this code.  It counts all 2^|E| gauge fields by plaquette syndrome (which
+plaquettes are odd, and the insertion sign), one edge at a time over the
+2^(|P|+1) syndromes: |E| 2^(|P|+1) int64 updates, exact while 2^|E| fits
+int64.  It then sums the counts into classes (number of odd plaquettes,
+insertion sign), weighs each class once and sums count * weight exactly in
+rationals; rounded once, that is math.fsum over the fields, bit for bit.
 
 Duality (3D): dual sites sit in the cells plus one outer site, dual bonds
 are the plaquettes; Z equals 2^(|V*|-1) (cosh b sinh b)^(|E*|/2) times the
@@ -44,9 +46,8 @@ from .graphs import BoxGraph, Couplings, Graph
 from .spins import SizeError
 from . import spins, doubled, fk, gf2, sweep
 
-CHAIN_CAP = 24
-GAUGE_ORACLE_CAP = 20
-_ORACLE_CHUNK = 1 << 16   # field masks per numpy chunk in the oracle
+CHAIN_CAP = 27
+GAUGE_ORACLE_CAP = 20     # plaquette syndrome bits |P| + 1 of the oracle
 
 
 class PlaquetteComplex:
@@ -248,39 +249,46 @@ def gauge_oracle_partition(cx, beta, edge_signs=None):
     the field over its edges is multiplied into the observable (a
     Wilson-loop insertion when the mask traces a closed loop).
 
-    Fields are counted rather than weighed one by one.  In numpy chunks of
-    field masks m, plaquette (a, b, c, d) is odd when bit 0 of
-    (m>>a) ^ (m>>b) ^ (m>>c) ^ (m>>d) is set; k odd plaquettes give the
-    energy |P| - 2k, and the insertion's sign is the parity of
-    m & edge_signs.  Each of the at most 2(|P|+1) classes (k, sign) gets an
-    exact integer count and the weight +-exp(beta * energy) a single field
-    would get.  The sum of count * weight is taken exactly in rationals and
-    rounded once, so it equals math.fsum over all 2^|E| fields bit for bit.
-    A class weight past the float range is a signed inf, and so is a sum
-    past it; the result is then non-finite instead of an OverflowError.
+    Fields are counted by syndrome rather than weighed one by one.  The
+    syndrome of a field m has bit p + 1 set for each odd plaquette p and
+    bit 0 for the parity of m & edge_signs.  Flipping edge e xors the
+    syndrome with flips[e]: the bits of the plaquettes holding e, and bit 0
+    if e is in edge_signs.  So, starting from the one all-even field,
+    `seen += seen[x ^ flips[e]]` over all 2^(|P|+1) syndromes x, edge by
+    edge, leaves the exact number of fields with each syndrome, at a cost
+    of |E| 2^(|P|+1) in place of 2^|E| |P|.  A syndrome with k odd
+    plaquettes has energy |P| - 2k; each of the at most 2(|P|+1) classes
+    (k, sign) gets an exact integer count and the weight +-exp(beta *
+    energy) a single field would get.  The sum of count * weight is taken
+    exactly in rationals and rounded once, so it equals math.fsum over all
+    2^|E| fields bit for bit.  A class weight past the float range is a
+    signed inf, and so is a sum past it; the result is then non-finite
+    instead of an OverflowError.
+    GAUGE_ORACLE_CAP bounds the syndrome bits |P| + 1; a count is at most
+    2^|E|, exact in int64 for |E| <= 62 (box complexes under the cap have
+    at most 58 edges, the 2D 1x19 strip).
     Independent of the chain sums: no kernel basis, no edge_mask and no
     `gf2`.
     """
     E = cx.n_edges
-    if E > GAUGE_ORACLE_CAP:
-        raise SizeError("2^%d gauge fields exceed the cap" % E)
+    P = len(cx.plaquettes)
+    if P + 1 > GAUGE_ORACLE_CAP or E > 62:
+        raise SizeError("2^%d plaquette syndromes of %d edges exceed the "
+                        "cap" % (P + 1, E))
     if edge_signs is not None and not (
             isinstance(edge_signs, int) and 0 <= edge_signs < 1 << E):
         raise ValueError("edge_signs must be an int in [0, 2^%d)" % E)
-    P = len(cx.plaquettes)
+    flips = [(edge_signs or 0) >> e & 1 for e in range(E)]
+    for p, eids in enumerate(cx.plaquettes):
+        for e in eids:
+            flips[e] ^= 1 << (p + 1)
+    x = np.arange(2 << P, dtype=np.int64)
+    seen = np.zeros(2 << P, dtype=np.int64)
+    seen[0] = 1
+    for f in flips:
+        seen += seen[x ^ f]
     counts = np.zeros(2 * (P + 1), dtype=np.int64)
-    for lo in range(0, 1 << E, _ORACLE_CHUNK):
-        m = np.arange(lo, min(lo + _ORACLE_CHUNK, 1 << E), dtype=np.int64)
-        odd = np.zeros_like(m)
-        for a, b, c, d in cx.plaquettes:
-            odd += ((m >> a) ^ (m >> b) ^ (m >> c) ^ (m >> d)) & 1
-        cls = 2 * odd
-        if edge_signs is not None:
-            x = m & edge_signs
-            for shift in (32, 16, 8, 4, 2, 1):
-                x ^= x >> shift
-            cls += x & 1
-        counts += np.bincount(cls, minlength=counts.size)
+    np.add.at(counts, 2 * np.bitwise_count(x >> 1) + (x & 1), seen)
     terms = []
     for cls, n in enumerate(counts.tolist()):
         if n:

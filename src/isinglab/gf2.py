@@ -5,7 +5,8 @@ generators is an int bitmask over their ids, and its boundary is the xor of
 theirs.  The combinations with boundary `target` are empty or one coset
 x0 ^ span(basis) of the kernel.  `solve` finds x0 and a kernel basis,
 `coset_chunks` lists cosets in numpy chunks of uint64 word rows and
-`popcount` counts the bits of each row.
+`popcount` counts the bits of each row with np.bitwise_count (numpy 2),
+one word column at a time.
 
 The odd sets of a current with sources A are such a coset: the generators
 are edges, the boundary of edge uv is 1<<u | 1<<v (Aizenman 1982).  So are
@@ -21,11 +22,6 @@ import numpy as np
 
 _CHUNK_BITS = 16          # coset rows per numpy chunk: 2^16
 _WORD = (1 << 64) - 1
-# _POP16[x] = popcount(x) for every 16-bit x
-_POP16 = np.zeros(1, dtype=np.uint8)
-for _ in range(16):
-    _POP16 = np.concatenate([_POP16, _POP16 + 1])
-_POP16.flags.writeable = False
 
 
 def solve(boundaries, target):
@@ -84,5 +80,10 @@ def coset_chunks(basis, shifts, n_words):
 
 
 def popcount(rows):
-    """The number of set bits in each row of a C-contiguous uint64 array."""
-    return _POP16[rows.view(np.uint16)].sum(axis=1, dtype=np.intp)
+    """The number of set bits in each row of a 2D uint64 array: the
+    np.bitwise_count of its word columns added up, 0 for rows of no words."""
+    bits = np.bitwise_count(rows)
+    out = np.zeros(len(rows), dtype=np.intp)
+    for word in bits.T:
+        out += word
+    return out

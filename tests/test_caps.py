@@ -75,7 +75,7 @@ def _chain_sum(n_cells):
 
 
 def _gauge_oracle(n_cells):
-    # 1 x 1 x n cells have 8 n + 4 edges
+    # 1 x 1 x n cells have 5 n + 1 plaquettes: 5 n + 2 syndrome bits
     gauge.gauge_oracle_partition(PlaquetteComplex(3, (1, 1, n_cells)), 0.3)
 
 
@@ -88,8 +88,8 @@ CAPS = [
     (currents, "COSET_DIM_CAP", 20, _grouping, 21, 3, 3),
     (currents, "SUPPORT_EDGE_CAP", 20, _double_support, 21, 3, 3),
     (currents, "SUPPORT_EDGE_CAP", 20, _folded_support, 21, 3, 3),
-    (gauge, "CHAIN_CAP", 24, _chain_sum, 25, 2, 2),
-    (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 3, 12, 1),
+    (gauge, "CHAIN_CAP", 27, _chain_sum, 28, 2, 2),
+    (gauge, "GAUGE_ORACLE_CAP", 20, _gauge_oracle, 4, 12, 2),
 ]
 # one constant bounds both odd-set enumerations, by the coset dimension,
 # and one the support patterns of all four support laws

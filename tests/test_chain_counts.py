@@ -6,6 +6,7 @@ ratio wherever that was finite."""
 
 import math
 
+import numpy as np
 import pytest
 
 from isinglab import gauge, gf2
@@ -147,6 +148,20 @@ def test_gf2_basis_spans_the_walked_kernel(cells):
         if b:
             rank[b.bit_length()] = b
     assert len(rank) == len(ref)
+
+
+@pytest.mark.parametrize("n_words", [0, 1, 2, 3])
+def test_popcount_matches_bit_count_per_row(n_words):
+    # rows of no words count 0 (an edgeless graph's odd sets); the top bit
+    # of every word is set, so a signed or truncated count shows
+    rng = np.random.default_rng(n_words)
+    rows = rng.integers(0, 1 << 63, size=(300, n_words), dtype=np.uint64)
+    rows |= np.uint64(1 << 63)
+    rows[0] = np.uint64((1 << 64) - 1)
+    got = gf2.popcount(rows)
+    assert got.dtype == np.intp and got.shape == (300,)
+    assert got.tolist() == [sum(int(w).bit_count() for w in row)
+                            for row in rows]
 
 
 def test_chain_cap_is_kept(monkeypatch):

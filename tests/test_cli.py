@@ -165,6 +165,16 @@ def test_chain_sum_overflow_is_failing_row(capsys, argv):
     assert row[2] == "inf" and row[6] == "false"
 
 
+def test_duality_certifies_three_cubed_cells(capsys):
+    # 3x3x3 cells: 2^27 closed chains, at the chain cap
+    code, out, err = run(capsys, "verify", "duality", "--lattice",
+                         "box:d=3,L=4", "--beta", "0.4")
+    assert code == 0
+    assert err == ""
+    row = out.splitlines()[2].split(",")
+    assert row[1] == "gauge_duality" and row[6] == "true"
+
+
 def test_3d_wilson_loop_is_finite_at_large_beta(capsys):
     # both shifted chain sums leave the float range at beta 80 (this row
     # was nan); the ratio of weight-counted tanh sums stays finite

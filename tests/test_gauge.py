@@ -126,6 +126,40 @@ def test_oracle_shares_no_chain_code(monkeypatch):
             for b, s in cases] == expected
 
 
+@pytest.mark.parametrize("cells, beta", [((1, 1, 3), 0.45), ((4, 4), 0.8),
+                                         ((1, 19), -0.3)])
+def test_oracle_past_twenty_edges_matches_chain_sum(cells, beta):
+    # 28, 40 and 58 edges: the oracle counts 2^(|P|+1) syndromes, not
+    # 2^|E| fields, and the 2D 1x19 strip is the most edges under its cap
+    cx = PlaquetteComplex(len(cells), cells)
+    assert cx.n_edges > 20
+    assert gauge_oracle_partition(cx, beta) == pytest.approx(
+        lgm_partition(cx, beta), rel=1e-13, abs=0.0)
+    if cx.d == 3:
+        loop = rectangular_loop(cx, (0, 2), (0, 0, 1), (1, 2))
+        oracle = (gauge_oracle_partition(cx, beta, edge_signs=loop.edge_mask)
+                  / gauge_oracle_partition(cx, beta))
+        assert wilson_expectation(cx, beta, loop) == pytest.approx(
+            oracle, rel=1e-13, abs=0.0)
+
+
+def test_oracle_cap_counts_syndrome_bits():
+    # the 2D 1x20 strip has 20 plaquettes, so 21 syndrome bits: one past
+    # the cap that the 1x19 strip is at
+    with pytest.raises(spins.SizeError):
+        gauge_oracle_partition(PlaquetteComplex(2, (1, 20)), 0.3)
+
+
+def test_oracle_refuses_counts_past_int64(monkeypatch):
+    # a 2D 1x21 strip has 22 syndrome bits and 64 edges: with the cap
+    # raised to let the syndromes in, 2^64 fields would overflow a count
+    monkeypatch.setattr(gauge, "GAUGE_ORACLE_CAP", 22)
+    cx = PlaquetteComplex(2, (1, 21))
+    assert cx.n_edges == 64
+    with pytest.raises(spins.SizeError):
+        gauge_oracle_partition(cx, 0.3)
+
+
 @pytest.mark.parametrize("signs", [1 << 12, -1, 2.0])
 def test_oracle_rejects_bad_edge_signs(signs):
     cx = PlaquetteComplex(2, (2, 2))   # 12 edges
