@@ -123,35 +123,33 @@ def walk_consistent(graph, paths):
     return replay == list(paths)
 
 
-def _zeta(graph, couplings, paths, z):
-    """zeta of `paths`, given the undepleted partition function z."""
-    ghat = combined_blocked(paths)
-    zp = spins.partition_function(graph, couplings.with_depleted(ghat))
-    coshs = math.prod(math.cosh(couplings.K_abs(e)) for e in ghat)
+def _zeta(couplings, paths, zp, z):
+    """zeta of `paths`, given Z' (the couplings on ghat removed) and Z."""
+    coshs = math.prod(math.cosh(couplings.K_abs(e))
+                      for e in combined_blocked(paths))
     return (zp / z) * coshs
+
+
+def _rho(graph, couplings, paths, zeta):
+    """rho of `paths`, given their zeta."""
+    if not walk_consistent(graph, paths):
+        return 0.0
+    return zeta * math.prod(math.tanh(couplings.K(e))
+                            for p in paths for e in p.edges)
 
 
 def zeta_weight(graph, couplings, paths):
     """zeta = (Z'/Z) * prod_{b in ghat} cosh K_b with joint depletion."""
-    return _zeta(graph, couplings, paths,
-                 spins.partition_function(graph, couplings))
-
-
-def _rho_zeta(graph, couplings, paths, z):
-    """(rho, zeta) of `paths`, with zeta computed once, given Z."""
-    zeta = _zeta(graph, couplings, paths, z)
-    if not walk_consistent(graph, paths):
-        return 0.0, zeta
-    tanhs = math.prod(math.tanh(couplings.K(e))
-                      for p in paths for e in p.edges)
-    return zeta * tanhs, zeta
+    (zp, _), (z, _) = spins.family(graph, [
+        (couplings.with_depleted(combined_blocked(paths)), None, []),
+        (couplings, None, [])])
+    return _zeta(couplings, paths, float(zp), float(z))
 
 
 def rho_weight(graph, couplings, paths):
     """rho = I * zeta * prod tanh(beta J_b): the exact probability (times
     <s_A>-normalization Z) of the backbone being `paths`."""
-    return _rho_zeta(graph, couplings, paths,
-                     spins.partition_function(graph, couplings))[0]
+    return _rho(graph, couplings, paths, zeta_weight(graph, couplings, paths))
 
 
 def backbone_grouping(graph, couplings, A):
@@ -197,33 +195,37 @@ def check_path_properties(graph, couplings, A):
     """
     A = frozenset(A)
     groups = backbone_grouping(graph, couplings, A)
-    corr = spins.expectation(graph, couplings, A)
-    z = spins.partition_function(graph, couplings)
+    ferro = couplings.is_ferromagnetic  # zeta in (0,1] only without frustration
+    # resummation of the last path: marginalize the grouping over the final
+    # pair and compare with rho(front) * depleted correlation
+    fronts = {}
+    if len(A) >= 4:
+        for paths, grouped in groups.items():
+            fronts.setdefault(paths[:-1], []).append(grouped)
+    # one spin family call: Z with <s_A>, and the depleted Z' of each
+    # zeta, with the depleted pair correlation of each front
+    parts = [*groups, *fronts, *((p,) for paths in groups
+                                 if ferro and len(paths) > 1 for p in paths)]
+    (z, (corr,)), *depleted = spins.family(graph, [(couplings, None, [A])] + [
+        (couplings.with_depleted(combined_blocked(part)), None,
+         [A - _tuple_sources(part)] if part in fronts else [])
+        for part in parts])
+    zeta = {part: _zeta(couplings, part, float(zp), float(z))
+            for part, (zp, _) in zip(parts, depleted)}
+    pair = {part: m[0] for part, (_, m) in zip(parts, depleted) if m}
     total = math.fsum(groups.values())
     rho_diffs, super_slacks, resum_diffs = [], [], []
-    ferro = couplings.is_ferromagnetic  # zeta in (0,1] only without frustration
     zeta_ok = True
     for paths, grouped in groups.items():
-        rho, zt = _rho_zeta(graph, couplings, paths, z)
-        rho_diffs.append(abs(rho - grouped))
+        zt = zeta[paths]
+        rho_diffs.append(abs(_rho(graph, couplings, paths, zt) - grouped))
         if not math.isfinite(zt) or ferro and zt > 1.0 + 1e-12:
             zeta_ok = False
         if ferro and len(paths) > 1:
-            prod = math.prod(_zeta(graph, couplings, [p], z) for p in paths)
-            super_slacks.append(zt - prod)
-    # resummation of the last path: marginalize the grouping over the final
-    # pair and compare with rho(front) * depleted correlation
-    if len(A) >= 4:
-        fronts = {}
-        for paths, grouped in groups.items():
-            fronts.setdefault(paths[:-1], []).append(grouped)
-        for front, vals in fronts.items():
-            lhs = math.fsum(vals)
-            pair = sorted(A - _tuple_sources(front))
-            depleted = couplings.with_depleted(combined_blocked(front))
-            rhs = (_rho_zeta(graph, couplings, front, z)[0]
-                   * spins.expectation(graph, depleted, pair))
-            resum_diffs.append(abs(lhs - rhs))
+            super_slacks.append(zt - math.prod(zeta[(p,)] for p in paths))
+    for front, vals in fronts.items():
+        rhs = _rho(graph, couplings, front, zeta[front]) * pair[front]
+        resum_diffs.append(abs(math.fsum(vals) - rhs))
     return {
         "completeness": abs(total - corr),
         "rho_vs_grouping": _worst(rho_diffs),

@@ -241,8 +241,9 @@ def _cmd_verify(args):
                                 tol=args.tol))
         elif w == "ursell":
             ids = _sites(args, 4, graph)
-            u4 = spins.ursell4(graph, c, *ids)
-            va, vb = doubled.ursell4_via_currents(graph, c, *ids)
+            spin = spins.moments(graph, c, spins.ursell4_sets(*ids))
+            u4 = spins.ursell4_value(*spin)
+            va, vb = doubled.ursell4_via_currents(graph, c, *ids, spin)
             rows.append(Row(iid, "ursell4_formA", u4, va, tol=args.tol))
             rows.append(Row(iid, "ursell4_formB", u4, vb, tol=args.tol))
         elif w == "frustration":
@@ -271,14 +272,20 @@ def _cmd_verify(args):
                 rows.append(Row(iid, "mag_pm_times_plus", mpm * mp, pm,
                                 tol=args.tol))
         elif w == "disorder":
+            flips = []
             for t in range(args.trials):
                 nflip = int(rng.integers(0, graph.n_edges + 1))
-                flip = rng.choice(graph.n_edges, nflip,
-                                  replace=False).tolist()
-                lhs = spins.partition_ratio(graph, c.with_flipped(flip), c)
-                rows.append(Row("%s/t%d" % (iid, t), "disorder_ratio", lhs,
-                                doubled.disorder_expectation(graph, c, flip),
-                                tol=args.tol))
+                flips.append(rng.choice(graph.n_edges, nflip,
+                                        replace=False).tolist())
+            if not flips:   # --trials 0 asks nothing
+                continue
+            # one spin family call and one law serve every trial
+            plain, *flipped = spins.family(graph, [(c, None, [])] + [
+                (c.with_flipped(flip), None, []) for flip in flips])
+            laws = doubled.disorder_expectations(graph, c, flips)
+            for t, ((z, _), law) in enumerate(zip(flipped, laws)):
+                rows.append(Row("%s/t%d" % (iid, t), "disorder_ratio",
+                                z / plain[0], law, tol=args.tol))
         elif w == "fold":
             box = graph
             if not hasattr(box, "sides"):
@@ -564,33 +571,35 @@ def _build_parser():
     p = _Parser(prog="isinglab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph=True):
-        if graph:
-            sp.add_argument("--graph")
-            sp.add_argument("--lattice")
-        sp.add_argument("--beta", type=float, default=1.0)
-        sp.add_argument("--beta-sweep", dest="beta_sweep")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--out")
-        sp.add_argument("--sites")
-
-    for name, choices in (
-            ("exact", ["z", "corr", "u4", "tension"]),
+    # the flags each subcommand reads beyond --graph, --lattice, --beta,
+    # --beta-sweep and --out: it refuses the ones it would ignore
+    flags = {"--seed": dict(type=int, default=0),
+             "--tol": dict(type=float, default=1e-10),
+             "--trials": dict(type=int, default=20),
+             "--sites": {},
+             "--loop": dict(type=int, default=1)}
+    for name, choices, reads in (
+            ("exact", ["z", "corr", "u4", "tension"], ["--sites"]),
             ("verify", ["switching", "xtoy", "ursell", "frustration",
                         "boundary", "disorder", "fold", "dobrushin",
-                        "fkrcr", "duality", "pathprops"]),
+                        "fkrcr", "duality", "pathprops"],
+             ["--seed", "--tol", "--trials", "--sites"]),
             ("ineq", ["griffiths", "ghs", "simonlieb", "dss", "smms",
-                      "vanbeijeren", "tree"]),
+                      "vanbeijeren", "tree"],
+             ["--tol", "--trials", "--sites"]),
             ("gauge", ["z", "wilson", "dualbeta", "dualcheck",
-                       "deconfine"]),
-            ("sample", ["metropolis", "sw", "currents"])):
+                       "deconfine"], ["--tol", "--loop"]),
+            ("sample", ["metropolis", "sw", "currents"],
+             ["--seed", "--trials", "--sites"])):
         sp = sub.add_parser(name)
         sp.add_argument("what", choices=choices)
-        common(sp)
-        if name == "gauge":
-            sp.add_argument("--loop", type=int, default=1)
+        sp.add_argument("--graph")
+        sp.add_argument("--lattice")
+        sp.add_argument("--beta", type=float, default=1.0)
+        sp.add_argument("--beta-sweep", dest="beta_sweep")
+        sp.add_argument("--out")
+        for flag in reads:
+            sp.add_argument(flag, **flags[flag])
     rp = sub.add_parser("report")
     rp.add_argument("files", nargs="*")
     rp.add_argument("--out")

@@ -146,11 +146,16 @@ def _ratio(t, total):
     return _fsum([t[t != 0]]) / total
 
 
+def _signs(couplings):
+    """s = -1 on the negative couplings, +1 elsewhere."""
+    neg = couplings.negative_edges()
+    return [-1.0 if e in neg else 1.0 for e in range(couplings.graph.n_edges)]
+
+
 def _frustration(weigh, couplings, u=None, v=None):
     """(P(FF), E(sgn(u, v) | FF)) under the law `weigh`, s = -1 on the
     negative couplings; the sign is 1 for u = v and None without sites."""
-    neg = couplings.negative_edges()
-    s = [-1.0 if e in neg else 1.0 for e in range(couplings.graph.n_edges)]
+    s = _signs(couplings)
     total = _fsum([weigh(frozenset())])
     ff = _ratio(weigh(frozenset(), s), total)
     if u is None:
@@ -197,13 +202,22 @@ def frustrated_partition_ratio(graph, couplings):
     return frustration_identities(graph, couplings)[0]
 
 
-def disorder_expectation(graph, couplings, flip_set):
-    """<T_F> = Z(T_F J)/Z(J) for ferromagnetic J: the probability that no
-    combined-support cycle crosses the flip set an odd number of times."""
+def disorder_expectations(graph, couplings, flip_sets):
+    """[<T_F> = Z(T_F J)/Z(J) for F in flip_sets] for ferromagnetic J: the
+    probability that no combined-support cycle crosses F an odd number of
+    times.  Flipping signs leaves |J|, so one sourceless law and its total
+    serve every F, each with its own signed Q."""
     if not couplings.is_ferromagnetic:
         raise ValueError("disorder_expectation expects ferromagnetic J")
-    return frustrated_partition_ratio(
-        graph, couplings.with_flipped(frozenset(flip_set)))
+    weigh = _sourceless_law(graph, couplings, graph.vertices)
+    total = _fsum([weigh(frozenset())])
+    return [_ratio(weigh(frozenset(), _signs(couplings.with_flipped(
+        frozenset(F)))), total) for F in flip_sets]
+
+
+def disorder_expectation(graph, couplings, flip_set):
+    """<T_F> = Z(T_F J)/Z(J) for ferromagnetic J."""
+    return disorder_expectations(graph, couplings, [flip_set])[0]
 
 
 def boundary_identities(graph, couplings, boundary_spec, x=None):
@@ -234,14 +248,18 @@ def surface_tension_ratio(box, couplings, axis=None):
                                            bspec.all_plus())) / area
 
 
-def ursell4_via_currents(graph, couplings, x1, x2, x3, x4):
+def ursell4_via_currents(graph, couplings, x1, x2, x3, x4, spin=None):
     """Both double-current forms of U4; returns (valueA, valueB).  The
-    current laws see only |J|, so a negative coupling raises ValueError."""
+    spin moments of 1234, 12 and 34 are the first three of `spin` (the
+    order of `spins.ursell4_sets`), or asked here.  The current laws see
+    only |J|, so a negative coupling raises ValueError."""
     from . import spins
     if not couplings.is_ferromagnetic:
         raise ValueError("the Ursell identities need ferromagnetic couplings")
-    s12, s34, s4 = spins.moments(graph, couplings,
-                                 [[x1, x2], [x3, x4], [x1, x2, x3, x4]])
+    if spin is None:
+        spin = spins.moments(graph, couplings,
+                             [[x1, x2, x3, x4], [x1, x2], [x3, x4]])
+    s4, s12, s34 = spin[:3]
     pre = s12 * s34
     if pre == 0.0:
         # a required pair is disconnected; both forms degenerate to zero

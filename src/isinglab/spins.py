@@ -29,37 +29,33 @@ np.add.reduceat forms in a bin is therefore exact, in any order, and the
 one math.fsum over the hi and lo partials of all bins rounds their exact
 total once: the float math.fsum gives over the signed weights row by row,
 without a Python float per row.  The chunk's fsum(w) is the same bin sum
-with every sign +, taken when it is weighed.  _family reduces each set to
+with every sign +, taken when it is weighed.  family reduces each set to
 its key (free-spin mask, sign of its clamped spins) and evaluates
 each distinct key once per chunk, keys in groups whose sign arrays hold at
 most _CHUNK rows in all.
 
-One reduction, _family, gives each instance of a call (one graph and
-boundary) its shifted Z and its moments; every public function reads it, so
-ratio_moments gives Z_a/Z_b and both instances' moments from one weighing
-of each.  Up to _CHUNK rows of small instances are weighed as one stack: the
-configurations and bond products are built once, each instance's energy is
-its own two gemvs, full @ H and (s_u s_v) @ K, exactly as for the instance
-alone, with its own exponent shift, and the stack is binned and split once,
-the instance index (at most _MEMBERS = 256 of them) in the 8 bits above
-the bin in the sort key.  So no bin spans two instances, and each bin
-partial is the exact sum of one instance's weights, as when weighed alone.
-A key asked of a run of a stack's instances is summed over that run with
-one sign array; the partials are then split back by instance, and the
-fsum of an instance's partials, exact in any grouping, is the float it
-gets alone, bit for bit.  A large instance is a stack of one per chunk.
-
-Weight tables: an instance of at most _CHUNK rows (16 free spins) is
-enumerated once per stack.  The instances of the last such stack weighed
-stay held, keyed by content, until the next stack is weighed and replaces
-them whole: at most _CHUNK rows, per row its uint16 offset and the hi and
-lo parts of its weight, 18 bytes, so 1.2 MB.  The key is (n, edges,
-clamped spins, J, beta, per-vertex field totals h+g), a field whose totals
+One reduction, family, gives each ask of a call (one graph and boundary)
+its instance's shifted Z and its moments; every public function reads it,
+so ratio_moments gives Z_a/Z_b and both instances' moments from one call.
+Each call weighs exactly the instances it is asked, and nothing outlives
+it: the content key of an instance, (J, beta, per-vertex field totals
+h+g), only merges equal instances within one call, a field whose totals
 are all zero keyed as no field, since x + (+-0.0) leaves every energy as
-it is.  Mutating a Couplings or FieldSpec in place therefore misses the
-held stack rather than reading a stale table.  The size cap DEFAULT_CAP is
-checked before the lookup.  Larger instances stream chunk by chunk and
-never touch the held stack.
+it is.  Up to _CHUNK rows of small instances are
+weighed as one stack: the configurations and bond products are built once,
+each instance's energy is its own two gemvs, full @ H and (s_u s_v) @ K,
+exactly as for the instance alone, with its own exponent shift, and the
+stack is binned and split once, the instance index (at most _MEMBERS = 256
+of them) in the 8 bits above the bin in the sort key.  So no bin spans two
+instances, and each bin partial is the exact sum of one instance's
+weights, as when weighed alone.  A key asked of a run of a stack's
+instances is summed over that run with one sign array; the partials are
+then split back by instance, and the fsum of an instance's partials, exact
+in any grouping, is the float it gets alone, bit for bit.  A stack holds
+at most _CHUNK rows, per row its uint16 offset and the hi and lo parts of
+its weight, 18 bytes, so 1.2 MB.  An instance of more than _CHUNK rows (16
+free spins) streams as a stack of one per chunk.  The size cap
+DEFAULT_CAP is checked before any instance is weighed.
 
 Overflow and underflow: a chunk whose largest exponent E_max exceeds
 _MAX_EXPONENT is weighed as exp(E - c) with c = E_max - _MAX_EXPONENT, and
@@ -69,8 +65,8 @@ c = E_max.  Chunk sums are combined with the factors exp(c_k - max c).  As
 of at least e^-709, every sum stays finite and positive at any beta, and a
 chunk that needs no shift is weighed exactly as without one.  An
 expectation is a ratio, so the common factor cancels; a partition function
-outside the float64 range is returned as inf or 0; ratio_moments divides
-two of them without forming either.
+outside the float64 range is returned as inf or 0; Z_a / Z_b divides the
+shifted sums without forming either.
 """
 
 from __future__ import annotations
@@ -102,14 +98,11 @@ _BIN = np.uint64(55)                  # stored exponent // 8, below 2^8
 _MEMBERS = 256                        # instances a uint16 bin key can index
 # the instance index of a stack, above the 8 bits of the bin
 _MEMBER_KEYS = np.arange(_MEMBERS, dtype=np.uint16)[:, None] << 8
+_MEMBER_KEYS.flags.writeable = False
 
 
 class SizeError(ValueError):
     pass
-
-
-# content key -> (stack, m): instance m of the last small stack weighed
-_tables = {}
 
 
 def _clamped_from(boundary):
@@ -234,53 +227,32 @@ def _weigh(graph, clamp, free, lo, members):
 
 
 def _chunks(graph, clamp, free, instances):
-    """Yield (batch, tables) per round: instances of the batch, each
-    (content key, couplings, field totals, ...), and their tables (stack,
-    m).  A batch holds up to _CHUNK rows of small instances, each read from
-    the held stack or, with the batch's other misses, weighed as one stack
-    that is then held in its place; or one large instance, one round per
-    chunk, never held."""
+    """Yield (batch, stack) per round: a batch of instances, each [couplings,
+    field totals, ...], weighed as one stack.  A batch holds up to _CHUNK
+    rows of small instances, or one large instance, one round per chunk."""
     if len(free) > DEFAULT_CAP:
         raise SizeError("2^%d spin configurations exceed the cap 2^%d"
                         % (len(free), DEFAULT_CAP))
     size = 1 << len(free)
-    stored = size <= _CHUNK
-    per = min(_CHUNK // size, _MEMBERS) if stored else 1
+    per = min(_CHUNK // size, _MEMBERS) if size <= _CHUNK else 1
     for first in range(0, len(instances), per):
         batch = instances[first:first + per]
         for lo in range(0, size, _CHUNK):
-            tables = [_tables.get(instance[0]) if stored else None
-                      for instance in batch]
-            fresh = [i for i, table in enumerate(tables) if table is None]
-            if fresh:
-                stack = _weigh(graph, clamp, free, lo,
-                               [batch[i][1:3] for i in fresh])
-                for m, i in enumerate(fresh):
-                    tables[i] = stack, m
-                if stored:
-                    _tables.clear()
-                    _tables.update((batch[i][0], tables[i]) for i in fresh)
-            yield batch, tables
+            yield batch, _weigh(graph, clamp, free, lo,
+                                [instance[:2] for instance in batch])
 
 
-def _shape(graph, clamp):
-    """What instances on one graph and boundary share: (n, edges, clamped
-    spins)."""
-    return graph.n, tuple(graph.edges), tuple(sorted(clamp.items()))
-
-
-def _instance(couplings, fields, shape):
-    """(content key, couplings, field totals): the content key holds the
-    shape (n, edges, clamped spins), J, beta and the per-vertex field
-    totals h+g.  A field whose totals are all zero is no field: x + (+-0.0)
-    = x leaves every energy as it is."""
+def _instance(couplings, fields, n):
+    """(content key, field totals) of an instance on n vertices: the key
+    holds J, beta and the per-vertex field totals h+g, all that tells the
+    instances of one call apart.  A field whose totals are all zero is no
+    field: x + (+-0.0) = x leaves every energy as it is."""
     totals = None
     if fields is not None:
-        totals = tuple([fields.total(v) for v in range(shape[0])])
+        totals = tuple([fields.total(v) for v in range(n)])
         if not any(totals):
             totals = None
-    return (shape, tuple(couplings.J), couplings.beta, totals), couplings, \
-        totals
+    return (tuple(couplings.J), couplings.beta, totals), totals
 
 
 def _scales(shifts):
@@ -289,24 +261,46 @@ def _scales(shifts):
     return [math.exp(c - top) for c in shifts]
 
 
-def _family(graph, asks, boundary):
-    """[(z, c, moments) for (couplings, fields, sets) in asks], Z = z *
-    exp(c) with z finite and positive; an ask with no sets is weighed too.
-    Every site is checked before any instance is weighed or fetched.  Equal
-    instances are one instance, and the misses of a stack of small
-    instances are weighed in one pass.  Each distinct key (mask, sign of
-    the clamped spins) is one exact signed sum per chunk, taken over the
-    stack of the instances that ask it, so every moment is the float
-    expectation gives for its set and instance alone."""
+class _Partition(tuple):
+    """Z = z * exp(shift) as the pair (z, shift), z finite and positive.
+
+    float(Z) is inf or 0 outside the float64 range.  Z_a / Z_b divides the
+    shifted sums first and multiplies exp(shift_a - shift_b) in after, so
+    no Z past the float range is formed; when neither sum needed a shift
+    the factor is exactly 1 and the ratio is the plain quotient of the two
+    partition functions, bit for bit."""
+
+    __slots__ = ()
+
+    def __float__(self):
+        try:
+            return self[0] * math.exp(self[1])
+        except OverflowError:
+            return math.inf
+
+    def __truediv__(self, other):
+        try:
+            return self[0] / other[0] * math.exp(self[1] - other[1])
+        except OverflowError:
+            return math.inf
+
+
+def family(graph, asks, boundary=None):
+    """[(Z, moments) for (couplings, fields, sets) in asks]: the partition
+    function of the ask's instance as a _Partition (float(Z), Z_a / Z_b)
+    and the moments of `moments`.  Every site is checked first.  Equal
+    instances are weighed once; each distinct key (mask, sign of the
+    clamped spins) is one exact signed sum per chunk over the instances of
+    a stack that ask it, so every result is the float its instance gives
+    alone."""
     if not asks:
         return []
     clamp = _clamped_from(boundary)
     free = [v for v in graph.vertices if v not in clamp]
     bit = {v: 1 << j for j, v in enumerate(free)}
     n, sites = graph.n, (int, np.integer)
-    shape = _shape(graph, clamp)
-    # content key -> [content key, couplings, field totals, {set key:
-    # None}, and per chunk: {set key: signed sum}, fsum(w), shift]
+    # content key -> [couplings, field totals, {set key: None}, and per
+    # chunk: {set key: signed sum}, fsum(w), shift]
     asked = {}
     keyed = []
     for couplings, fields, sets in asks:
@@ -323,64 +317,49 @@ def _family(graph, asks, boundary):
                 else:
                     negative ^= clamp[v] < 0
             keys.append((mask, negative))
-        content, _, totals = _instance(couplings, fields, shape)
-        entry = asked.get(content)
-        if entry is None:
-            entry = asked[content] = [content, couplings, totals,
-                                      dict.fromkeys(keys), [], [], []]
-        else:
-            entry[3].update(dict.fromkeys(keys))
+        content, totals = _instance(couplings, fields, n)
+        entry = asked.setdefault(content, [couplings, totals, {}, [], [], []])
+        entry[2].update(dict.fromkeys(keys))
         keyed.append((entry, keys))
-    for batch, tables in _chunks(graph, clamp, free, list(asked.values())):
-        # id(stack) -> (stack, {m: entry}, {key: [each m that asks it]})
-        stacks = {}
-        for entry, (stack, m) in zip(batch, tables):
-            _, of, wants = stacks.setdefault(id(stack), (stack, {}, {}))
-            of[m] = entry
-            for key in entry[3]:
+    for batch, stack in _chunks(graph, clamp, free, list(asked.values())):
+        # set key -> [each m of the batch that asks it]
+        wants = {}
+        for m, entry in enumerate(batch):
+            entry[4].append(stack[6][m])
+            entry[5].append(stack[7][m])
+            for key in entry[2]:
                 wants.setdefault(key, []).append(m)
-            entry[5].append(stack[6][m])
-            entry[6].append(stack[7][m])
-        for stack, of, wants in stacks.values():
-            for m, sums in _signed_sums(stack, wants).items():
-                of[m][4].append(sums)
+        for m, sums in _signed_sums(stack, wants).items():
+            batch[m][3].append(sums)
     for entry in asked.values():
-        scale = _scales(entry[6])
-        z = math.fsum([t * f for t, f in zip(entry[5], scale)])
-        entry[3] = {key: math.fsum([s[key] * f for s, f
-                                    in zip(entry[4], scale)]) / z
-                    for key in entry[3]}
-        entry[4] = z / (1 << len(free)), max(entry[6])
-    return [(*entry[4], [entry[3][key] for key in keys])
+        scale = _scales(entry[5])
+        z = math.fsum([t * f for t, f in zip(entry[4], scale)])
+        entry[2] = {key: math.fsum([s[key] * f for s, f
+                                    in zip(entry[3], scale)]) / z
+                    for key in entry[2]}
+        entry[3] = _Partition((z / (1 << len(free)), max(entry[5])))
+    return [(entry[3], [entry[2][key] for key in keys])
             for entry, keys in keyed]
 
 
 def partition_function(graph, couplings, fields=None, boundary=None):
-    z, shift, _ = _family(graph, [(couplings, fields, [])], boundary)[0]
-    try:
-        return z * math.exp(shift)
-    except OverflowError:
-        return math.inf
+    return float(family(graph, [(couplings, fields, [])], boundary)[0][0])
 
 
 def ratio_moments(graph, couplings_a, couplings_b, sets, boundary_a=None,
                   boundary_b=None):
     """(Z_a / Z_b, moments under a, moments under b) at zero field, with
     Z_a = Z(couplings_a, boundary_a) and the moments those of `moments`
-    for the same sets; each of the two instances is weighed once.
-
-    The shifted sums are divided first and exp(c_a - c_b) is multiplied in
-    after, so no Z past the float range is ever formed; when neither sum
-    needed a shift the factor is exactly 1 and the ratio is the plain
-    quotient of the two partition functions, bit for bit."""
+    for the same sets.  Under one clamp both instances are asked in one
+    family call, so equal ones are weighed once."""
     sets = list(sets)
-    za, ca, a = _family(graph, [(couplings_a, None, sets)], boundary_a)[0]
-    zb, cb, b = _family(graph, [(couplings_b, None, sets)], boundary_b)[0]
-    try:
-        ratio = za / zb * math.exp(ca - cb)
-    except OverflowError:
-        ratio = math.inf
-    return ratio, a, b
+    asks = [(couplings_a, None, sets), (couplings_b, None, sets)]
+    if _clamped_from(boundary_a) == _clamped_from(boundary_b):
+        (za, a), (zb, b) = family(graph, asks, boundary_a)
+    else:
+        (za, a), = family(graph, asks[:1], boundary_a)
+        (zb, b), = family(graph, asks[1:], boundary_b)
+    return za / zb, a, b
 
 
 def partition_ratio(graph, couplings_a, couplings_b, boundary_a=None,
@@ -396,8 +375,8 @@ def family_moments(graph, asks, boundary=None):
     sets weighs nothing."""
     asks = [(couplings, fields, list(sets)) for couplings, fields, sets
             in asks]
-    got = iter(_family(graph, [ask for ask in asks if ask[2]], boundary))
-    return [next(got)[2] if sets else [] for _, _, sets in asks]
+    got = iter(family(graph, [ask for ask in asks if ask[2]], boundary))
+    return [next(got)[1] if sets else [] for _, _, sets in asks]
 
 
 def moments(graph, couplings, sets, fields=None, boundary=None):

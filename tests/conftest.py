@@ -38,10 +38,10 @@ def rng():
 @pytest.fixture
 def work(monkeypatch):
     """What the calls that follow build: 'tables', the double law's
-    `_subgraph_sums` tables, and 'weighed', the (graph, clamped spins) of
-    each spin instance weighed, with the held spin stack emptied first."""
+    `_subgraph_sums` tables, and 'weighed', per spin instance weighed (per
+    chunk of one past 2^16 rows) its graph, clamped spins and the rest of
+    its content key: J, beta and the field totals."""
     from isinglab import doubled, spins
-    spins._tables.clear()
     out = {"tables": 0, "weighed": []}
     sums, weigh = doubled._subgraph_sums, spins._weigh
 
@@ -50,8 +50,10 @@ def work(monkeypatch):
         return sums(*args)
 
     def counted_weigh(graph, clamp, free, lo, members):
-        out["weighed"] += [(graph, tuple(sorted(clamp.items())))] * len(
-            members)
+        clamped = tuple(sorted(clamp.items()))
+        out["weighed"] += [(graph, clamped, tuple(couplings.J),
+                            couplings.beta, totals)
+                           for couplings, totals in members]
         return weigh(graph, clamp, free, lo, members)
 
     monkeypatch.setattr(doubled, "_subgraph_sums", counted_sums)

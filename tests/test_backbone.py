@@ -61,42 +61,53 @@ def test_four_source_resummation():
     assert rep["resummation"] <= 1e-10
 
 
-def test_path_properties_weigh_each_backbone_once(monkeypatch):
-    # one depleted spin sum Z' per backbone: rho and the zeta bound share
-    # one zeta
+def test_path_properties_weigh_each_backbone_once(work):
+    # one depleted spin sum Z' per distinct ghat, each weighed once: rho,
+    # the zeta bound and the resummation fronts share it
     box = BoxGraph(2, (3, 3))
     c = Couplings(box, 1.0, 0.4)
-    depleted = []
-    oracle = spins.partition_function
-
-    def counted(graph, couplings, *args, **kwargs):
-        if couplings is not c:
-            depleted.append(couplings)
-        return oracle(graph, couplings, *args, **kwargs)
-
-    monkeypatch.setattr(spins, "partition_function", counted)
     rep = backbone.check_path_properties(box, c, {0, 8})
     assert rep["n_backbones"] > 1
-    assert len(depleted) == rep["n_backbones"]
+    depleted = [w for w in work["weighed"] if w[2] != tuple(c.J)]
+    ghats = {backbone.combined_blocked(paths)
+             for paths in backbone.backbone_grouping(box, c, {0, 8})}
+    assert len(depleted) == len(set(depleted)) == len(ghats)
 
 
-def test_path_properties_compute_z_once(monkeypatch):
+def test_path_properties_compute_z_once(work):
     # every zeta, super-multiplicativity factor and resummation front
-    # shares one undepleted Z
-    box = BoxGraph(2, (3, 3))
+    # shares one undepleted Z, weighed once with <s_A>; no instance is
+    # weighed twice
+    box = BoxGraph(2, (4, 3))
     c = Couplings(box, 1.0, 0.4)
-    undepleted = []
-    oracle = spins.partition_function
-
-    def counted(graph, couplings, *args, **kwargs):
-        if couplings.J == c.J:
-            undepleted.append(couplings)
-        return oracle(graph, couplings, *args, **kwargs)
-
-    monkeypatch.setattr(spins, "partition_function", counted)
-    rep = backbone.check_path_properties(box, c, {0, 8})
+    rep = backbone.check_path_properties(box, c, {0, 2, 9, 11})
     assert rep["n_backbones"] > 1
-    assert len(undepleted) == 1
+    assert [w[2] for w in work["weighed"]].count(tuple(c.J)) == 1
+    assert len(work["weighed"]) == len(set(work["weighed"]))
+
+
+def test_path_properties_match_the_one_instance_calls():
+    # the one family call gives every zeta and pair correlation the float
+    # that zeta_weight, rho_weight and expectation give one at a time
+    box = BoxGraph(2, (4, 3))
+    c = Couplings(box, [0.6 + 0.05 * (e % 5) for e in range(box.n_edges)],
+                  0.5)
+    A = frozenset({0, 2, 9, 11})
+    rep = backbone.check_path_properties(box, c, A)
+    groups = backbone.backbone_grouping(box, c, A)
+    slacks = [backbone.zeta_weight(box, c, paths) - math.prod(
+        backbone.zeta_weight(box, c, [p]) for p in paths) for paths in groups]
+    assert rep["zeta_supermultiplicative_slack"] == min([0.0, *slacks])
+    fronts = {}
+    for paths, grouped in groups.items():
+        fronts.setdefault(paths[:-1], []).append(grouped)
+    resum = [abs(math.fsum(vals) - backbone.rho_weight(box, c, front)
+                 * spins.expectation(
+                     box, c.with_depleted(backbone.combined_blocked(front)),
+                     sorted(A - {front[0].start, front[0].end})))
+             for front, vals in fronts.items()]
+    assert len(fronts) > 1
+    assert rep["resummation"] == max([0.0, *resum])
 
 
 def test_walk_determinism(triangle):

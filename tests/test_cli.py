@@ -645,3 +645,42 @@ def test_verify_builds_each_table_and_instance_once(tmp_path, capsys, work,
     assert code == 0
     assert work["tables"] == tables
     assert len(work["weighed"]) == 2
+
+
+@pytest.mark.parametrize("argv, weighed, tables", [
+    (["verify", "pathprops", "--lattice", "box:d=2,L=3"], 14, 0),
+    (["verify", "ursell", "--lattice", "box:d=2,L=3"], 1, 4),
+    (["verify", "frustration", "--lattice", "box:d=2,L=3"], 1, 4),
+    (["verify", "disorder", "--lattice", "box:d=2,L=3"], 18, 22),
+    (["verify", "boundary", "--lattice", "box:d=2,L=3,4,bc=pm"], 2, 5),
+    (["verify", "dobrushin", "--lattice", "box:d=2,L=3,5,bc=pm"], 5, 2),
+    (["verify", "fold", "--lattice", "box:d=2,L=5,3"], 1, 2),
+    (["verify", "xtoy", "--lattice", "box:d=2,L=3"], 1, 2),
+    (["verify", "fkrcr", "--lattice", "box:d=2,L=3"], 1, 2),
+    (["gauge", "deconfine", "--lattice", "box:d=2,L=4,3"], 3, 3),
+    (["exact", "corr", "--lattice", "box:d=2,L=3"], 1, 0),
+    (["exact", "u4", "--lattice", "box:d=2,L=3"], 1, 0),
+    (["ineq", "tree", "--lattice", "box:d=2,L=3"], 1, 0)])
+def test_spin_verbs_weigh_and_tabulate_their_pinned_counts(capsys, work,
+                                                           argv, weighed,
+                                                           tables):
+    # spin instances weighed and double-law tables built at beta 0.4, so a
+    # verb that comes to weigh or build more fails here.
+    # verify disorder asks its 20 trials (17 distinct flip sets) and the
+    # plain box in one family call, and builds G and Q({}) once beside one
+    # signed Q per trial
+    code, _, _ = run(capsys, *argv, "--beta", "0.4")
+    assert code == 0
+    assert (len(work["weighed"]), work["tables"]) == (weighed, tables)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "z", "--seed", "3"], ["exact", "z", "--trials", "5"],
+    ["exact", "z", "--tol", "1e-3"], ["ineq", "ghs", "--seed", "3"],
+    ["gauge", "z", "--seed", "3"], ["gauge", "z", "--trials", "5"],
+    ["gauge", "z", "--sites", "0,1"], ["sample", "sw", "--tol", "1e-3"]])
+def test_a_subcommand_refuses_flags_it_would_ignore(capsys, argv):
+    code, out, err = run(capsys, *argv, "--lattice", "box:d=2,L=2",
+                         "--beta", "0.4")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + " ".join(argv[2:]) in err

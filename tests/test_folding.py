@@ -126,7 +126,7 @@ def test_dobrushin_weighs_each_box_instance_once(work):
     box = BoxGraph(2, (3, 5))
     pm = box.dobrushin_boundary()
     dobrushin_identities(box, Couplings(box, 1.0, 0.5))
-    assert sorted(clamp for g, clamp in work["weighed"] if g is box) == (
+    assert sorted(clamp for g, clamp, *_ in work["weighed"] if g is box) == (
         sorted(tuple(sorted(b.clamped().items()))
                for b in (pm, pm.all_plus())))
 

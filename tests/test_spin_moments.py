@@ -230,7 +230,6 @@ def test_family_matches_each_instance_alone(sides, beta):
     box = BoxGraph(2, sides)
     c = _signed_couplings(box, beta, sum(sides))
     pm = box.dobrushin_boundary()
-    spins._tables.clear()
     _assert_family(box, _field_family(box, c))
     _assert_family(box, _field_family(box, c, sorted(pm.minus_set)[:2]), pm)
     _assert_family(box, _field_family(box, c), box.plus_boundary())
@@ -240,8 +239,7 @@ def test_family_mixes_stored_fresh_and_repeated_instances(monkeypatch):
     box = BoxGraph(2, (3, 3))
     c = _signed_couplings(box, 0.7, 5)
     f = _mixed_fields(box)
-    spins._tables.clear()
-    # one stack of two instances, held
+    # a call before the family does not spare it any weighing
     spins.family_moments(box, [(c, None, [[0, 8]]), (c, f, [[4]])])
     weighed = []
     weigh = spins._weigh
@@ -257,9 +255,9 @@ def test_family_mixes_stored_fresh_and_repeated_instances(monkeypatch):
               (c, f, [[4], [5]]), (c.with_beta(0.2), f, sets[5:]),
               (c, FieldSpec(box.n), [[1]])]
     _assert_family(box, family)
-    # the held zero-field and f instances are read; the two new ones are
-    # weighed together, once each although asked twice and once
-    assert weighed == [2]
+    # the 4 distinct instances of the family (the all-zero field is no
+    # field) are weighed as one stack, each once however often asked
+    assert weighed == [4]
 
 
 def test_family_streams_large_instances():
@@ -284,7 +282,6 @@ def test_family_shifts_each_instance_on_its_own(beta):
     f = _mixed_fields(box)
     sets = _sets(box)
     pm = box.dobrushin_boundary()
-    spins._tables.clear()
     family = [(c, None, sets), (c.with_beta(beta / 8), f, sets),
               (c.with_beta(0.4), None, sets), (c, f, sets[:5])]
     _assert_family(box, family)
@@ -306,7 +303,6 @@ def test_a_stack_never_exceeds_chunk_rows(monkeypatch):
         return stack
 
     monkeypatch.setattr(spins, "_weigh", recorded)
-    spins._tables.clear()
     # forty 2^12-row instances: stacks of 16, 16 and 8
     g12 = Graph(12, [(i, i + 1) for i in range(11)] + [(0, 11)])
     family = [(_signed_couplings(g12, 0.1 + 0.01 * k, k), None, [[0, 5]])
@@ -324,9 +320,6 @@ def test_a_stack_never_exceeds_chunk_rows(monkeypatch):
     got = spins.family_moments(g2, family)
     assert sizes == [(spins._MEMBERS, 4 * spins._MEMBERS),
                      (300 - spins._MEMBERS, 4 * (300 - spins._MEMBERS))]
-    # only the last stack is held
-    assert [key[2] for key in spins._tables] == [
-        ask[0].beta for ask in family[spins._MEMBERS:]]
     for k in (0, 255, 256, 299):
         assert repr(got[k][0]) == repr(ref_spins.moments(
             g2, family[k][0], [[0, 1]])[0])
@@ -340,7 +333,6 @@ def test_fuzz_reports_do_not_depend_on_stacking(monkeypatch):
         return [repr((r.ineq_id, r.descriptor, r.lhs, r.rhs))
                 for r in reports], repr(worst[:2])
 
-    spins._tables.clear()
     stacked = report(fuzz_inequalities(20, seed=3))
     family = spins.family_moments
 
@@ -348,7 +340,6 @@ def test_fuzz_reports_do_not_depend_on_stacking(monkeypatch):
         return [family(graph, [ask], boundary)[0] for ask in asks]
 
     monkeypatch.setattr(spins, "family_moments", alone)
-    spins._tables.clear()
     assert report(fuzz_inequalities(20, seed=3)) == stacked
 
 
@@ -362,7 +353,6 @@ def test_fuzz_weighs_few_stacks_a_trial(monkeypatch):
                         lambda *a: weighed.append(1) or weigh(*a))
     most = 0
     for seed in range(40):
-        spins._tables.clear()
         weighed.clear()
         fuzz_inequalities(1, seed=seed)
         most = max(most, len(weighed))

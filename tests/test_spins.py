@@ -254,61 +254,18 @@ def test_repeated_calls_identical():
     assert list(map(repr, first)) == list(map(repr, again))
 
 
-def _held():
-    """The betas of the held instances and the rows of their stacks."""
-    stacks = {id(stack): stack for stack, _ in spins._tables.values()}
-    return ([key[2] for key in spins._tables],
-            sum(len(stack[2]) for stack in stacks.values()))
-
-
-def test_table_retention_bound():
-    spins._tables.clear()
-    # 2^16 rows: held
-    chain = Graph(17, [(i, i + 1) for i in range(16)])
-    g16 = Graph(16, chain.edges[:15])
-    spins.partition_function(g16, Couplings(g16, 1.0, 0.4))
-    assert _held() == ([0.4], spins._CHUNK)
-    # 2^17 rows: streamed, and the held stack stays as it was
-    c = Couplings(chain, 1.0, 0.4)
-    assert spins.partition_function(chain, c) == pytest.approx(
-        math.cosh(0.4) ** 16, rel=1e-12)
-    assert spins.expectation(chain, c, [0, 16]) == pytest.approx(
-        math.tanh(0.4) ** 16, rel=1e-12)
-    assert _held() == ([0.4], spins._CHUNK)
-    # seventeen 2^12-row instances are stacks of sixteen and one: only the
-    # last stack is held
-    g12 = Graph(12, chain.edges[:11])
-    family = [(Couplings(g12, 1.0, 0.05 * (k + 1)), None, [[0, 11]])
-              for k in range(17)]
-    spins.family_moments(g12, family)
-    assert _held() == ([family[16][0].beta], 1 << 12)
-    # each new stack replaces the held one whole, never past _CHUNK rows
-    spins.family_moments(g12, family[:16])
-    assert _held() == ([ask[0].beta for ask in family[:16]], spins._CHUNK)
-    spins.expectation(g12, Couplings(g12, 1.0, 0.3), [0, 11])
-    assert _held() == ([0.3], 1 << 12)
-
-
-def test_the_last_stack_is_read_without_weighing(monkeypatch):
-    spins._tables.clear()
+def test_each_call_weighs_what_it_is_asked(work):
+    # no call reads another's weighing: X, Y, X is three weighings, X
+    # asked once more a fourth, and X's answers do not depend on what was
+    # asked before
     g12 = Graph(12, [(i, i + 1) for i in range(11)])
-    family = [(Couplings(g12, 1.0, 0.1 * (k + 1)), None, [[0, 11]])
-              for k in range(4)]
-    first = [repr(m) for m, in spins.family_moments(g12, family)]
-    weighed = []
-    weigh = spins._weigh
-    monkeypatch.setattr(spins, "_weigh",
-                        lambda *a: weighed.append(len(a[4])) or weigh(*a))
-    # every instance of the last stack, alone or together, in any order
-    assert [repr(spins.expectation(g12, c, [0, 11]))
-            for c, _, _ in family] == first
-    assert [repr(m) for m, in spins.family_moments(g12, family[::-1])] == (
-        first[::-1])
-    assert weighed == []
-    # a new stack takes its place, so an old instance is weighed again
-    spins.expectation(g12, Couplings(g12, 1.0, 0.5), [0, 11])
-    assert repr(spins.expectation(g12, family[0][0], [0, 11])) == first[0]
-    assert weighed == [1, 1]
+    x, y = Couplings(g12, 1.0, 0.4), Couplings(g12, 1.0, 0.3)
+    first = repr(spins.moments(g12, x, [[0, 11], [3]]))
+    spins.moments(g12, y, [[0, 11]])
+    assert repr(spins.moments(g12, x, [[0, 11], [3]])) == first
+    assert [beta for _, _, _, beta, _ in work["weighed"]] == [0.4, 0.3, 0.4]
+    assert repr(spins.moments(g12, x, [[0, 11], [3]])) == first
+    assert len(work["weighed"]) == 4
 
 
 def test_held_key_holds_the_clamped_spins():
@@ -319,7 +276,6 @@ def test_held_key_holds_the_clamped_spins():
     c = Couplings(box, [0.3 + 0.1 * (e % 7) for e in range(box.n_edges)], 0.7)
     pm = box.dobrushin_boundary()
     sets = [[5], [6], [5, 6], [1, 5]]
-    spins._tables.clear()
     for b in (pm, pm.all_plus(), pm):
         assert list(map(repr, spins.moments(box, c, sets, boundary=b))) == (
             list(map(repr, ref_spins.moments(box, c, sets, boundary=b))))
