@@ -175,7 +175,9 @@ def backbone_grouping(graph, couplings, A):
             for p in paths:
                 assert not (p.blocked - frozenset(p.edges)) & odd_set
             terms.setdefault(paths, []).append(w)
-    return {paths: math.fsum(ws) / z for paths, ws in terms.items()}
+    if z == 0 or not math.isfinite(z):
+        return dict.fromkeys(terms, math.nan)
+    return {paths: currents._fsum([ws]) / z for paths, ws in terms.items()}
 
 
 def _worst(values, pick=max):

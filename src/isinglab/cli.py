@@ -10,16 +10,19 @@ all checks pass, 1 on a verification failure, 2 on usage or size errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import (FieldSpec, parse_graph_file, parse_lattice_spec,
-                     reflection_for_axis)
+from .graphs import (BoxGraph, FieldSpec, parse_graph_file,
+                     parse_lattice_spec, reflection_for_axis)
 from .spins import SizeError
-from . import spins
+from . import (backbone, currents, doubled, fk, folding, gauge,
+               inequalities as iq, samplers, spins)
 
 FMT = "%.17g"
 
@@ -84,26 +87,29 @@ def _emit(rows, config_line, out_path):
 
 
 # ---------------------------------------------------------------------------
-# input handling
+# one command: its instance, loaded once, and its beta loop
 
 
-def _load_instance(args):
-    """(graph, couplings-at-beta-1, fields, boundary) from --graph/--lattice."""
-    if getattr(args, "graph", None):
-        try:
-            with open(args.graph) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError("cannot read graph file: %s" % exc)
-        return parse_graph_file(text)
-    if getattr(args, "lattice", None):
-        box, coup, bspec = parse_lattice_spec(args.lattice)
-        return box, coup, FieldSpec(box.n), bspec
-    raise UsageError("one of --graph or --lattice is required")
+class Verb(NamedTuple):
+    """What a verb reads, and `rows(run)`, its rows at `run.beta`: an
+    `instance` "none", "graph" (--graph or --lattice), "box" or "3d box"
+    (--lattice); `fields` or not; a `boundary` "none", "any" or "own pm"
+    (only bc=pm, the box's own Dobrushin split); its other `flags`."""
+    rows: Callable
+    instance: str = "graph"
+    fields: bool = False
+    boundary: str = "none"
+    flags: str = ""
+
+    @property
+    def reads(self):
+        """Every flag the verb's parser takes."""
+        instance = "--graph --lattice " if self.instance != "none" else ""
+        return (instance + "--beta --beta-sweep --out " + self.flags).split()
 
 
 def _betas(args):
-    if getattr(args, "beta_sweep", None):
+    if args.beta_sweep:
         try:
             a, b, step = (float(x) for x in args.beta_sweep.split(":"))
         except ValueError:
@@ -123,39 +129,84 @@ def _betas(args):
     return [args.beta]
 
 
-def _sites(args, need, graph):
-    if getattr(args, "sites", None):
-        ids = [int(s) for s in args.sites.split(",")]
-    else:
-        ids = sorted(graph.vertices)[:need] if need > 2 else \
-            [0, graph.n - 1][:need]
-    if len(ids) < need:
-        raise UsageError("need %d site ids (--sites a,b,...)" % need)
-    bad = [v for v in ids[:need] if not 0 <= v < graph.n]
-    if bad:
-        raise UsageError("site id %d is not a vertex (0..%d)"
-                         % (bad[0], graph.n - 1))
-    return ids[:need]
+class _Run:
+    """One verb command: its flags (read as attributes, `r.tol`), the
+    instance loaded once, and the beta the loop is at, with `iid` and `c`,
+    the couplings at that beta."""
+    coup = None
 
+    def __init__(self, args):
+        """Load the instance, refused where the verb would ignore part of
+        it: a zero-field or free row would answer another question."""
+        self.args = args
+        self.verb = verb = VERBS[args.command][args.what]
+        if "--seed" in verb.flags:      # one stream across the betas
+            self.rng = np.random.default_rng(args.seed)
+        if verb.instance == "none":
+            return
+        name = "%s %s" % (args.command, args.what)
+        if args.graph and args.lattice:
+            raise UsageError("give one of --graph or --lattice, not both")
+        if args.graph:
+            try:
+                with open(args.graph) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise UsageError("cannot read graph file: %s" % exc)
+            graph, coup, fields, bspec = parse_graph_file(text)
+        elif args.lattice:
+            graph, coup, bspec = parse_lattice_spec(args.lattice)
+            fields = FieldSpec(graph.n)
+        else:
+            raise UsageError("one of --graph or --lattice is required")
+        if not (verb.fields or fields.is_zero()):
+            raise UsageError("%s does not support fields (h=/g= in --graph)"
+                             % name)
+        if verb.instance != "graph" and not (isinstance(graph, BoxGraph) and (
+                verb.instance == "box" or graph.d == 3)):
+            raise UsageError("%s needs a %s--lattice box" % (
+                args.what, "d=3 " if verb.instance == "3d box" else ""))
+        if bspec is not None and (verb.boundary == "none" or (
+                verb.boundary == "own pm" and bspec.designation
+                != graph.dobrushin_boundary().designation)):
+            raise UsageError("%s does not support a boundary%s (bc= in "
+                             "--lattice, boundary lines in --graph)" % (
+                                 name, "" if verb.boundary == "none" else
+                                 " other than its own bc=pm split"))
+        self.graph, self.coup = graph, coup
+        self.fields, self.bspec = fields, bspec
 
-def _refuse_fields(fields, command):
-    """UsageError for a command that carries no fields: a zero-field row
-    would pass while answering a different question."""
-    if not fields.is_zero():
-        raise UsageError("%s does not support fields (h=/g= in --graph)"
-                         % command)
+    def __getattr__(self, flag):
+        return getattr(self.args, flag)
 
+    def at(self, beta):
+        self.beta, self.iid = beta, "beta=%g" % beta
+        if self.coup is not None:
+            self.c = self.coup.with_beta(beta * self.coup.beta)
+        return self
 
-def _refuse_boundary(bspec, command, own=None):
-    """UsageError for a command that takes no boundary, or only its own
-    split `own`: its rows would answer the free (or own) instance's
-    question, with `pass=true`."""
-    if bspec is not None and (own is None
-                              or bspec.designation != own.designation):
-        raise UsageError("%s does not support %s (bc= in --lattice, boundary "
-                         "lines in --graph)" % (
-                             command, "a boundary" if own is None else
-                             "a boundary other than its own bc=pm split"))
+    def sites(self, need):
+        n = self.graph.n
+        ids = ([int(s) for s in self.args.sites.split(",")] if self.args.sites
+               else list(range(n))[:need] if need > 2 else [0, n - 1][:need])
+        if len(ids) < need:
+            raise UsageError("need %d site ids (--sites a,b,...)" % need)
+        bad = [v for v in ids[:need] if not 0 <= v < n]
+        if bad:
+            raise UsageError("site id %d is not a vertex (0..%d)"
+                             % (bad[0], n - 1))
+        return ids[:need]
+
+    def eq(self, quantity, lhs, rhs):
+        return Row(self.iid, quantity, lhs, rhs, tol=self.tol)
+
+    def value(self, quantity, v):
+        return Row(self.iid, quantity, v, v, kind="value")
+
+    @functools.cached_property
+    def cx(self):
+        return gauge.PlaquetteComplex(self.graph.d,
+                                      [s - 1 for s in self.graph.sides])
 
 
 def _wilson_tol(mean, n, exact):
@@ -173,346 +224,301 @@ def _wilson_tol(mean, n, exact):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns a list of Row)
+# the verbs: each returns its rows at one beta
 
 
-def _cmd_exact(args):
-    graph, coup, fields, bspec = _load_instance(args)
+def _value(quantity, value):
+    """The verb whose one row is the plain value `value(run)`."""
+    return lambda r: [r.value(quantity, value(r))]
+
+
+def _exact_corr(r):
+    ids = r.sites(2)
+    return [r.value("corr_%d_%d" % tuple(ids), spins.expectation(
+        r.graph, r.c, ids, fields=r.fields, boundary=r.bspec))]
+
+
+def _verify_switching(r):
+    V = list(r.graph.vertices)
     rows = []
-    for beta in _betas(args):
-        c = coup.with_beta(beta * coup.beta)
-        iid = "beta=%g" % beta
-        if args.what == "z":
-            z = spins.partition_function(graph, c, fields=fields,
-                                         boundary=bspec)
-            rows.append(Row(iid, "partition_function", z, z, kind="value"))
-        elif args.what == "corr":
-            ids = _sites(args, 2, graph)
-            v = spins.expectation(graph, c, ids, fields=fields, boundary=bspec)
-            rows.append(Row(iid, "corr_%d_%d" % tuple(ids), v, v,
-                            kind="value"))
-        elif args.what == "u4":
-            _refuse_fields(fields, "exact u4")
-            ids = _sites(args, 4, graph)
-            v = spins.ursell4(graph, c, *ids, boundary=bspec)
-            rows.append(Row(iid, "ursell4", v, v, kind="value"))
-        elif args.what == "tension":
-            from .doubled import surface_tension_ratio
-            if not hasattr(graph, "coords"):
-                raise UsageError("tension needs a --lattice box")
-            _refuse_boundary(bspec, "exact tension",
-                             own=graph.dobrushin_boundary())
-            v = surface_tension_ratio(graph, c)
-            rows.append(Row(iid, "surface_tension", v, v, kind="value"))
+    for t in range(r.trials):
+        A1, A2, B = (frozenset(r.rng.choice(V, 2, replace=False).tolist())
+                     for _ in range(3))
+        lhs, rhs, _ = doubled.verify_switching(r.graph, r.c, A1, A2, B)
+        rows.append(Row("%s/t%d" % (r.iid, t), "switching", lhs, rhs,
+                        tol=r.tol))
     return rows
 
 
-def _cmd_verify(args):
-    from . import doubled, fk, folding, backbone
-    graph, coup, fields, bspec = _load_instance(args)
-    _refuse_fields(fields, "verify")
-    if args.what not in ("boundary", "dobrushin"):
-        _refuse_boundary(bspec, "verify " + args.what)
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for beta in _betas(args):
-        c = coup.with_beta(beta * coup.beta)
-        iid = "beta=%g" % beta
-        w = args.what
-        if w == "xtoy":
-            if not c.is_ferromagnetic:
-                raise ValueError("the x-to-y identity needs ferromagnetic "
-                                 "couplings")
-            x, y = _sites(args, 2, graph)
-            corr = spins.expectation(graph, c, [x, y])
-            p = doubled.double_event_probability(
-                graph, c, frozenset(), frozenset(),
-                lambda labels: labels.connected(x, y))
-            rows.append(Row(iid, "corr_sq_vs_double_connect", corr * corr, p,
-                            tol=args.tol))
-        elif w == "switching":
-            V = list(graph.vertices)
-            for t in range(args.trials):
-                A1 = frozenset(rng.choice(V, 2, replace=False).tolist())
-                A2 = frozenset(rng.choice(V, 2, replace=False).tolist())
-                B = frozenset(rng.choice(V, 2, replace=False).tolist())
-                lhs, rhs, _ = doubled.verify_switching(graph, c, A1, A2, B)
-                rows.append(Row("%s/t%d" % (iid, t), "switching", lhs, rhs,
-                                tol=args.tol))
-        elif w == "ursell":
-            ids = _sites(args, 4, graph)
-            spin = spins.moments(graph, c, spins.ursell4_sets(*ids))
-            u4 = spins.ursell4_value(*spin)
-            va, vb = doubled.ursell4_via_currents(graph, c, *ids, spin)
-            rows.append(Row(iid, "ursell4_formA", u4, va, tol=args.tol))
-            rows.append(Row(iid, "ursell4_formB", u4, vb, tol=args.tol))
-        elif w == "frustration":
-            x, y = _sites(args, 2, graph)
-            z_ratio, (sj,), (sa,) = spins.ratio_moments(
-                graph, c, c.with_abs(), [[x, y]])
-            ff, corr = doubled.frustration_identities(graph, c, x, y)
-            rows.append(Row(iid, "z_ratio_ff", z_ratio, ff, tol=args.tol))
-            rows.append(Row(iid, "corr_product_ff", sj * sa, corr,
-                            tol=args.tol))
-        elif w == "boundary":
-            if bspec is None or not bspec.minus_set:
-                raise UsageError("boundary checks need a pm boundary spec")
-            interior = sorted(bspec.interior(graph))
-            x = interior[len(interior) // 2] if interior else None
-            ratio, plus, pm = doubled.boundary_identities(graph, c, bspec, x)
-            z_ratio, mpm, mp = spins.ratio_moments(
-                graph, c, c, [[x]] if interior else [], bspec,
-                bspec.all_plus())
-            rows.append(Row(iid, "z_ratio_boundary", z_ratio, ratio,
-                            tol=args.tol))
-            if interior:
-                mp, mpm = mp[0], mpm[0]
-                rows.append(Row(iid, "mag_plus_sq", mp * mp, plus,
-                                tol=args.tol))
-                rows.append(Row(iid, "mag_pm_times_plus", mpm * mp, pm,
-                                tol=args.tol))
-        elif w == "disorder":
-            flips = []
-            for t in range(args.trials):
-                nflip = int(rng.integers(0, graph.n_edges + 1))
-                flips.append(rng.choice(graph.n_edges, nflip,
-                                        replace=False).tolist())
-            if not flips:   # --trials 0 asks nothing
-                continue
-            # one spin family call and one law serve every trial
-            plain, *flipped = spins.family(graph, [(c, None, [])] + [
-                (c.with_flipped(flip), None, []) for flip in flips])
-            laws = doubled.disorder_expectations(graph, c, flips)
-            for t, ((z, _), law) in enumerate(zip(flipped, laws)):
-                rows.append(Row("%s/t%d" % (iid, t), "disorder_ratio",
-                                z / plain[0], law, tol=args.tol))
-        elif w == "fold":
-            box = graph
-            if not hasattr(box, "sides"):
-                raise UsageError("fold needs a --lattice box")
-            mid = (box.sides[0] - 1) / 2
-            refl = reflection_for_axis(box, c, 0, mid)
-            x, y = sorted(refl.lambda1)[:2]
-            lhs, rhs = folding.folded_correlation_identity(refl, x, y)
-            rows.append(Row(iid, "folded_correlation", lhs, rhs,
-                            tol=args.tol))
-        elif w == "dobrushin":
-            box = graph
-            if not hasattr(box, "sides"):
-                raise UsageError("dobrushin needs a --lattice box")
-            _refuse_boundary(bspec, "verify dobrushin",
-                             own=box.dobrushin_boundary())
-            rep = folding.dobrushin_identities(box, c)
-            rows.append(Row(iid, "dobrushin_ratio", rep["ratio_spin"],
-                            rep["ratio_folded"], tol=args.tol))
-            rows.append(Row(iid, "dobrushin_mag", rep["mag_spin"],
-                            rep["mag_folded"], tol=args.tol))
-        elif w == "fkrcr":
-            x, y = _sites(args, 2, graph)
-            fkp, rcr = fk.fk_rcr_bridge(graph, c, x, y)
-            corr = spins.expectation(graph, c, [x, y])
-            rows.append(Row(iid, "fk_sq_vs_rcr", fkp * fkp, rcr,
-                            tol=args.tol))
-            rows.append(Row(iid, "fk_vs_corr", corr, fkp, tol=args.tol))
-            rows.append(Row(iid, "rcr_vs_corr_sq", corr * corr, rcr,
-                            tol=args.tol))
-        elif w == "duality":
-            from .gauge import PlaquetteComplex
-            box = graph
-            if not hasattr(box, "sides") or box.d != 3:
-                raise UsageError("duality needs a d=3 --lattice box")
-            cx = PlaquetteComplex(box.d, [s - 1 for s in box.sides])
-            rows.append(_duality_row(iid, cx, beta, args.tol))
-        elif w == "pathprops":
-            x, y = _sites(args, 2, graph)
-            rep = backbone.check_path_properties(graph, c, {x, y})
-            for key in ("completeness", "rho_vs_grouping", "resummation"):
-                rows.append(Row(iid, "backbone_" + key, rep[key], 0.0,
-                                tol=args.tol))
-            rows.append(Row(iid, "backbone_zeta_bounded",
-                            1.0 if rep["zeta_bounded"] else 0.0, 1.0,
-                            tol=args.tol))
-        else:
-            raise UsageError("unknown verify target %r" % w)
+def _verify_xtoy(r):
+    if not r.c.is_ferromagnetic:
+        raise ValueError("the x-to-y identity needs ferromagnetic couplings")
+    x, y = r.sites(2)
+    corr = spins.expectation(r.graph, r.c, [x, y])
+    p = doubled.double_event_probability(
+        r.graph, r.c, frozenset(), frozenset(),
+        lambda labels: labels.connected(x, y))
+    return [r.eq("corr_sq_vs_double_connect", corr * corr, p)]
+
+
+def _verify_ursell(r):
+    ids = r.sites(4)
+    spin = spins.moments(r.graph, r.c, spins.ursell4_sets(*ids))
+    u4 = spins.ursell4_value(*spin)
+    va, vb = doubled.ursell4_via_currents(r.graph, r.c, *ids, spin)
+    return [r.eq("ursell4_formA", u4, va), r.eq("ursell4_formB", u4, vb)]
+
+
+def _verify_frustration(r):
+    x, y = r.sites(2)
+    z_ratio, (sj,), (sa,) = spins.ratio_moments(r.graph, r.c, r.c.with_abs(),
+                                                [[x, y]])
+    ff, corr = doubled.frustration_identities(r.graph, r.c, x, y)
+    return [r.eq("z_ratio_ff", z_ratio, ff),
+            r.eq("corr_product_ff", sj * sa, corr)]
+
+
+def _verify_boundary(r):
+    bspec = r.bspec
+    if bspec is None or not bspec.minus_set:
+        raise UsageError("boundary checks need a pm boundary spec")
+    interior = sorted(bspec.interior(r.graph))
+    x = interior[len(interior) // 2] if interior else None
+    ratio, plus, pm = doubled.boundary_identities(r.graph, r.c, bspec, x)
+    z_ratio, mpm, mp = spins.ratio_moments(
+        r.graph, r.c, r.c, [[x]] if interior else [], bspec, bspec.all_plus())
+    rows = [r.eq("z_ratio_boundary", z_ratio, ratio)]
+    if interior:
+        rows += [r.eq("mag_plus_sq", mp[0] * mp[0], plus),
+                 r.eq("mag_pm_times_plus", mpm[0] * mp[0], pm)]
     return rows
 
 
-def _cmd_ineq(args):
-    from . import inequalities as iq, backbone
-    graph, coup, fields, bspec = _load_instance(args)
-    if args.what in ("ghs", "simonlieb", "tree"):
-        _refuse_fields(fields, "ineq " + args.what)
-    _refuse_boundary(bspec, "ineq " + args.what)
-    rows = []
-    for beta in _betas(args):
-        c = coup.with_beta(beta * coup.beta)
-        iid = "beta=%g" % beta
-        w = args.what
-        if w == "griffiths":
-            reps = iq.griffiths_suite(graph, c, fields=fields,
-                                      max_sets=args.trials)
-        elif w == "ghs":
-            reps = iq.ghs_suite(graph, c)
-        elif w == "simonlieb":
-            x, y = _sites(args, 2, graph)
-            S = [v for v in graph.vertices if v not in (x, y)]
-            reps = iq.simon_lieb_suite(graph, c, x, y, S)
-        elif w == "dss":
-            f = fields if not fields.is_zero() else FieldSpec(
-                graph.n, h={v: 0.3 for v in graph.vertices},
-                g={v: 0.2 * (-1) ** v for v in graph.vertices})
-            reps = iq.dss_suite(graph, c, 0, f)
-        elif w == "smms":
-            box = graph
-            if not hasattr(box, "sides"):
-                raise UsageError("smms needs a --lattice box")
-            mid = (box.sides[0] - 1) / 2
-            refl = reflection_for_axis(box, c, 0, mid)
-            x, y = sorted(refl.lambda1)[:2]
-            reps = iq.smms_suite(refl, x, y)
-        elif w == "vanbeijeren":
-            if not hasattr(graph, "sides"):
-                raise UsageError("vanbeijeren needs a --lattice box")
-            reps = iq.van_beijeren_suite(graph, c)
-        elif w == "tree":
-            ids = _sites(args, 4, graph)
-            lhs, rhs, _ = backbone.tree_diagram_check(graph, c, *ids)
-            reps = [iq.IneqReport("tree_diagram", "", lhs, rhs)]
-        else:
-            raise UsageError("unknown inequality suite %r" % w)
-        for i, rep in enumerate(reps):
-            rows.append(Row("%s/%d" % (iid, i), rep.ineq_id, rep.lhs,
-                            rep.rhs, kind="ineq", tol=args.tol))
+def _verify_disorder(r):
+    flips = []
+    for t in range(r.trials):
+        nflip = int(r.rng.integers(0, r.graph.n_edges + 1))
+        flips.append(r.rng.choice(r.graph.n_edges, nflip,
+                                  replace=False).tolist())
+    if not flips:   # --trials 0 asks nothing
+        return []
+    # one spin family call and one law serve every trial
+    plain, *flipped = spins.family(r.graph, [(r.c, None, [])] + [
+        (r.c.with_flipped(flip), None, []) for flip in flips])
+    laws = doubled.disorder_expectations(r.graph, r.c, flips)
+    return [Row("%s/t%d" % (r.iid, t), "disorder_ratio", z / plain[0], law,
+                tol=r.tol)
+            for t, ((z, _), law) in enumerate(zip(flipped, laws))]
+
+
+def _reflected_pair(r):    # the mid-plane reflection, two sites of lambda1
+    refl = reflection_for_axis(r.graph, r.c, 0, (r.graph.sides[0] - 1) / 2)
+    return (refl, *sorted(refl.lambda1)[:2])
+
+
+def _verify_fold(r):
+    lhs, rhs = folding.folded_correlation_identity(*_reflected_pair(r))
+    return [r.eq("folded_correlation", lhs, rhs)]
+
+
+def _verify_dobrushin(r):
+    rep = folding.dobrushin_identities(r.graph, r.c)
+    return [r.eq("dobrushin_ratio", rep["ratio_spin"], rep["ratio_folded"]),
+            r.eq("dobrushin_mag", rep["mag_spin"], rep["mag_folded"])]
+
+
+def _verify_fkrcr(r):
+    x, y = r.sites(2)
+    fkp, rcr = fk.fk_rcr_bridge(r.graph, r.c, x, y)
+    corr = spins.expectation(r.graph, r.c, [x, y])
+    return [r.eq("fk_sq_vs_rcr", fkp * fkp, rcr),
+            r.eq("fk_vs_corr", corr, fkp),
+            r.eq("rcr_vs_corr_sq", corr * corr, rcr)]
+
+
+def _duality(r):
+    """The gauge_duality row; --tol is scaled by max(1, |lhs|)."""
+    lhs, rhs, _ = gauge.verify_duality(r.cx, r.beta)
+    return [Row(r.iid, "gauge_duality", lhs, rhs,
+                tol=r.tol * max(1.0, abs(lhs)))]
+
+
+def _verify_pathprops(r):
+    rep = backbone.check_path_properties(r.graph, r.c, set(r.sites(2)))
+    return [r.eq("backbone_" + key, rep[key], 0.0) for key in (
+        "completeness", "rho_vs_grouping", "resummation")] + [
+        r.eq("backbone_zeta_bounded", 1.0 if rep["zeta_bounded"] else 0.0,
+             1.0)]
+
+
+def _ineq(suite):
+    """The verb whose rows are the reports of `suite(run)`."""
+    return lambda r: [Row("%s/%d" % (r.iid, i), rep.ineq_id, rep.lhs,
+                          rep.rhs, kind="ineq", tol=r.tol)
+                      for i, rep in enumerate(suite(r))]
+
+
+def _simon_lieb(r):
+    x, y = r.sites(2)
+    S = [v for v in r.graph.vertices if v not in (x, y)]
+    return iq.simon_lieb_suite(r.graph, r.c, x, y, S)
+
+
+def _dss(r):
+    f = r.fields if not r.fields.is_zero() else FieldSpec(
+        r.graph.n, h={v: 0.3 for v in r.graph.vertices},
+        g={v: 0.2 * (-1) ** v for v in r.graph.vertices})
+    return iq.dss_suite(r.graph, r.c, 0, f)
+
+
+def _tree(r):
+    lhs, rhs, _ = backbone.tree_diagram_check(r.graph, r.c, *r.sites(4))
+    return [iq.IneqReport("tree_diagram", "", lhs, rhs)]
+
+
+def _gauge_wilson(r):
+    ell = r.loop
+    loop = gauge.rectangular_loop(r.cx, (0, 1), (0,) * r.cx.d, (ell, ell))
+    w = gauge.wilson_expectation(r.cx, r.beta, loop)
+    if r.cx.d == 2:
+        return [r.eq("wilson_%dx%d" % (ell, ell), w,
+                     math.tanh(r.beta) ** loop.area)]
+    return [r.value("wilson_%dx%d" % (ell, ell), w)]
+
+
+def _gauge_dualbeta(r):
+    v = gauge.dual_beta(r.beta)
+    print(FMT % v)
+    return [r.value("dual_beta", v)]
+
+
+def _gauge_deconfine(r):
+    sides = r.graph.sides
+    rep = gauge.deconfinement_bound_report(
+        r.graph, r.c, 0, sides[0] // 2 - 0.5, window={1: (0, sides[1] // 2)})
+    # the chain compares support-law engines; <T_F> gets a spin leg
+    rows = [r.eq("disorder_vs_spin", rep["disorder_spin"], rep["disorder"])]
+    for name, hi, lo in (
+            ("wilson_ge_disconnect", "disorder", "fk_disconnect"),
+            ("disconnect_ge_product", "fk_disconnect", "product_bound"),
+            ("product_ge_exp", "product_bound", "exp_bound")):
+        rows.append(Row(r.iid, name, rep[lo], rep[hi], kind="ineq", tol=r.tol))
     return rows
 
 
-def _duality_row(iid, cx, beta, tol):
-    """The gauge_duality row of a plaquette complex; `tol` is scaled by
-    max(1, |lhs|)."""
-    from .gauge import verify_duality
-    lhs, rhs, _ = verify_duality(cx, beta)
-    return Row(iid, "gauge_duality", lhs, rhs, tol=tol * max(1.0, abs(lhs)))
-
-
-def _cmd_gauge(args):
-    from .gauge import (PlaquetteComplex, deconfinement_bound_report,
-                        dual_beta, lgm_partition, rectangular_loop,
-                        wilson_expectation)
-    rows = []
-    for beta in _betas(args):
-        iid = "beta=%g" % beta
-        if args.what == "dualbeta":
-            v = dual_beta(beta)
-            print(FMT % v)
-            rows.append(Row(iid, "dual_beta", v, v, kind="value"))
-            continue
-        if args.what == "deconfine":
-            graph, coup, _, bspec = _load_instance(args)
-            if not hasattr(graph, "sides"):
-                raise UsageError("deconfine needs a --lattice box")
-            _refuse_boundary(bspec, "gauge deconfine")
-            c = coup.with_beta(beta * coup.beta)
-            plane = graph.sides[0] // 2 - 0.5
-            rep = deconfinement_bound_report(
-                graph, c, 0, plane,
-                window={1: (0, graph.sides[1] // 2)})
-            # the chain compares support-law engines; <T_F> gets a spin leg
-            rows.append(Row(iid, "disorder_vs_spin", spins.partition_ratio(
-                graph, c.with_flipped(rep["flip_edges"]), c),
-                rep["disorder"], tol=args.tol))
-            chain = [("wilson_ge_disconnect", rep["disorder"],
-                      rep["fk_disconnect"]),
-                     ("disconnect_ge_product", rep["fk_disconnect"],
-                      rep["product_bound"]),
-                     ("product_ge_exp", rep["product_bound"],
-                      rep["exp_bound"])]
-            for name, hi, lo in chain:
-                rows.append(Row(iid, name, lo, hi, kind="ineq",
-                                tol=args.tol))
-            continue
-        if not getattr(args, "lattice", None):
-            raise UsageError("gauge %s needs --lattice" % args.what)
-        box, _, _ = parse_lattice_spec(args.lattice)
-        cx = PlaquetteComplex(box.d, [s - 1 for s in box.sides])
-        if args.what == "z":
-            z = lgm_partition(cx, beta)
-            rows.append(Row(iid, "gauge_partition", z, z, kind="value"))
-        elif args.what == "wilson":
-            ell = args.loop
-            loop = rectangular_loop(cx, (0, 1), (0,) * cx.d, (ell, ell))
-            w = wilson_expectation(cx, beta, loop)
-            if cx.d == 2:
-                rows.append(Row(iid, "wilson_%dx%d" % (ell, ell), w,
-                                math.tanh(beta) ** loop.area, tol=args.tol))
-            else:
-                rows.append(Row(iid, "wilson_%dx%d" % (ell, ell), w, w,
-                                kind="value"))
-        elif args.what == "dualcheck":
-            rows.append(_duality_row(iid, cx, beta, args.tol))
-        else:
-            raise UsageError("unknown gauge target %r" % args.what)
-    return rows
-
-
-def _cmd_sample(args):
-    from . import samplers
-    from .samplers import ChainSpec
-    graph, coup, fields, bspec = _load_instance(args)
-    if args.what != "metropolis":
-        _refuse_fields(fields, "sample " + args.what)
-    if args.what == "currents":
-        _refuse_boundary(bspec, "sample currents")
-    if args.trials < samplers.N_BATCHES:
-        raise UsageError("--trials must be at least %d (one draw per batch)"
-                         % samplers.N_BATCHES)
-    rows = []
-    for beta in _betas(args):
-        c = coup.with_beta(beta * coup.beta)
-        iid = "beta=%g" % beta
-        spec = ChainSpec(seed=args.seed, sweeps=args.trials)
-        x, y = _sites(args, 2, graph)
-        exact = spins.expectation(graph, c, [x, y], fields=fields,
-                                  boundary=bspec)
-        if args.what == "metropolis":
-            res = samplers.metropolis_spin(
-                graph, c, {"corr": lambda s: float(s[x] * s[y])},
-                fields=fields, boundary=bspec, spec=spec)["corr"]
-        elif args.what == "sw":
-            res = samplers.swendsen_wang(
-                graph, c, {"corr": lambda s, oe: float(s[x] * s[y])},
-                boundary=bspec, spec=spec)["corr"]
-        elif args.what == "currents":
-            from .currents import SupportView, single_support_expectations
-            exact = single_support_expectations(
-                graph, c,
-                {"c": lambda labels: labels.connected(x, y)})["c"]
-            try:
-                ss, acc = samplers.current_rejection_sampler(
-                    graph, c, (), spec=spec, n_samples=args.trials)
-            except samplers.AcceptanceError as exc:
-                raise UsageError(str(exc)) from exc
-            vals = [1.0 if SupportView(graph, s.support).connected(x, y)
-                    else 0.0 for s in ss]
-            mean, stderr, n = samplers._batch_stats(vals)
-            res = samplers.EstimatorResult(mean, stderr, n, acc)
-        else:
-            raise UsageError("unknown sampler %r" % args.what)
+def _sampler(draw):
+    """The verb that gates `draw(run, x, y, spec)`, an estimate of
+    <s_x s_y> and the exact value, at four batch standard errors."""
+    def rows(r):
+        if r.trials < samplers.N_BATCHES:
+            raise UsageError("--trials must be at least %d (one draw per "
+                             "batch)" % samplers.N_BATCHES)
+        spec = samplers.ChainSpec(seed=r.seed, sweeps=r.trials)
+        res, exact = draw(r, *r.sites(2), spec)
+        # with no spread between the batches, gate on the score interval
+        # of iid exact 0/1 current draws, or on the iid error of n exact
+        # draws of the +-1 spin observable, variance 1 - exact^2
         tol = max(4.0 * res.stderr, 1e-12)
-        if args.what == "currents" and res.stderr == 0.0:
-            # the draws are iid and exact: with no spread between the
-            # batches, gate on the score interval of the 0/1 draws
+        if r.what == "currents" and res.stderr == 0.0:
             tol = _wilson_tol(res.mean, res.n_samples, exact)
         elif res.stderr == 0.0:
-            # no spread between the batches: gate on the iid error of n
-            # exact draws of the +-1 observable, variance 1 - exact^2
             tol = 4.0 * math.sqrt(max(1.0 - exact * exact, 0.0)
                                   / res.n_samples)
-        row = Row(iid, "sampler_" + args.what, res.mean, exact, kind="eq",
-                  tol=tol)
-        rows.append(row)
-        rows.append(Row(iid, "sampler_stderr", res.stderr, res.stderr,
-                        kind="value"))
+        return [Row(r.iid, "sampler_" + r.what, res.mean, exact, tol=tol),
+                r.value("sampler_stderr", res.stderr)]
     return rows
+
+
+def _metropolis(r, x, y, spec):
+    exact = spins.expectation(r.graph, r.c, [x, y], fields=r.fields,
+                              boundary=r.bspec)
+    return samplers.metropolis_spin(
+        r.graph, r.c, {"corr": lambda s: float(s[x] * s[y])},
+        fields=r.fields, boundary=r.bspec, spec=spec)["corr"], exact
+
+
+def _swendsen_wang(r, x, y, spec):
+    exact = spins.expectation(r.graph, r.c, [x, y], boundary=r.bspec)
+    return samplers.swendsen_wang(
+        r.graph, r.c, {"corr": lambda s, oe: float(s[x] * s[y])},
+        boundary=r.bspec, spec=spec)["corr"], exact
+
+
+def _currents(r, x, y, spec):
+    exact = currents.single_support_expectations(
+        r.graph, r.c, {"c": lambda labels: labels.connected(x, y)})["c"]
+    try:
+        ss, acc = samplers.current_rejection_sampler(
+            r.graph, r.c, (), spec=spec, n_samples=r.trials)
+    except samplers.AcceptanceError as exc:
+        raise UsageError(str(exc)) from exc
+    vals = [1.0 if currents.SupportView(r.graph, s.support).connected(x, y)
+            else 0.0 for s in ss]
+    return samplers.EstimatorResult(*samplers._batch_stats(vals), acc), exact
+
+
+# Every verb, in the order of its command's choices.  README's verb table
+# lists the same inputs; a test compares the two.
+VERBS = {
+    "exact": {
+        "z": Verb(_value("partition_function", lambda r: (
+            spins.partition_function(r.graph, r.c, fields=r.fields,
+                                     boundary=r.bspec))),
+            fields=True, boundary="any"),
+        "corr": Verb(_exact_corr, fields=True, boundary="any",
+                     flags="--sites"),
+        "u4": Verb(_value("ursell4", lambda r: spins.ursell4(
+            r.graph, r.c, *r.sites(4), boundary=r.bspec)), boundary="any",
+            flags="--sites"),
+        "tension": Verb(_value("surface_tension", lambda r: (
+            doubled.surface_tension_ratio(r.graph, r.c))), "box",
+            boundary="own pm"),
+    },
+    "verify": {
+        "switching": Verb(_verify_switching, flags="--seed --trials --tol"),
+        "xtoy": Verb(_verify_xtoy, flags="--sites --tol"),
+        "ursell": Verb(_verify_ursell, flags="--sites --tol"),
+        "frustration": Verb(_verify_frustration, flags="--sites --tol"),
+        "boundary": Verb(_verify_boundary, boundary="any", flags="--tol"),
+        "disorder": Verb(_verify_disorder, flags="--seed --trials --tol"),
+        "fold": Verb(_verify_fold, "box", flags="--tol"),
+        "dobrushin": Verb(_verify_dobrushin, "box", boundary="own pm",
+                          flags="--tol"),
+        "fkrcr": Verb(_verify_fkrcr, flags="--sites --tol"),
+        "duality": Verb(_duality, "3d box", flags="--tol"),
+        "pathprops": Verb(_verify_pathprops, flags="--sites --tol"),
+    },
+    "ineq": {
+        "griffiths": Verb(_ineq(lambda r: iq.griffiths_suite(
+            r.graph, r.c, fields=r.fields, max_sets=r.trials)), fields=True,
+            flags="--trials --tol"),
+        "ghs": Verb(_ineq(lambda r: iq.ghs_suite(r.graph, r.c)),
+                    flags="--tol"),
+        "simonlieb": Verb(_ineq(_simon_lieb), flags="--sites --tol"),
+        "dss": Verb(_ineq(_dss), fields=True, flags="--tol"),
+        "smms": Verb(_ineq(lambda r: iq.smms_suite(*_reflected_pair(r))),
+                     "box", flags="--tol"),
+        "vanbeijeren": Verb(_ineq(lambda r: iq.van_beijeren_suite(
+            r.graph, r.c)), "box", flags="--tol"),
+        "tree": Verb(_ineq(_tree), flags="--sites --tol"),
+    },
+    "gauge": {
+        "z": Verb(_value("gauge_partition", lambda r: gauge.lgm_partition(
+            r.cx, r.beta)), "box"),
+        "wilson": Verb(_gauge_wilson, "box", flags="--tol --loop"),
+        "dualbeta": Verb(_gauge_dualbeta, "none"),
+        "dualcheck": Verb(_duality, "3d box", flags="--tol"),
+        "deconfine": Verb(_gauge_deconfine, "box", flags="--tol"),
+    },
+    "sample": {
+        "metropolis": Verb(_sampler(_metropolis), fields=True,
+                           boundary="any", flags="--seed --trials --sites"),
+        "sw": Verb(_sampler(_swendsen_wang), boundary="any",
+                   flags="--seed --trials --sites"),
+        "currents": Verb(_sampler(_currents),
+                         flags="--seed --trials --sites"),
+    },
+}
 
 
 def _cmd_report(args):
@@ -527,11 +533,9 @@ def _cmd_report(args):
         except OSError as exc:
             raise UsageError("cannot read %s: %s" % (path, exc))
         n = passed = 0
-        max_diff = 0.0
-        min_slack = math.inf
+        max_diff, min_slack = 0.0, math.inf
         for i, line in enumerate(lines, 1):
-            if not line or line.startswith("#") or line.startswith(
-                    "instance_id"):
+            if not line or line.startswith(("#", "instance_id")):
                 continue
             parts = line.split(",")
             if len(parts) != 8:
@@ -567,68 +571,56 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser():
-    p = _Parser(prog="isinglab", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+class _Choices(dict):
+    """Subcommand name -> parser builder.  argparse looks a chosen name up
+    in its subparsers' `_name_parser_map`, so only that parser is built."""
+    def __getitem__(self, name):
+        return super().__getitem__(name)()
 
-    # the flags each subcommand reads beyond --graph, --lattice, --beta,
-    # --beta-sweep and --out: it refuses the ones it would ignore
-    flags = {"--seed": dict(type=int, default=0),
-             "--tol": dict(type=float, default=1e-10),
-             "--trials": dict(type=int, default=20),
-             "--sites": {},
-             "--loop": dict(type=int, default=1)}
-    for name, choices, reads in (
-            ("exact", ["z", "corr", "u4", "tension"], ["--sites"]),
-            ("verify", ["switching", "xtoy", "ursell", "frustration",
-                        "boundary", "disorder", "fold", "dobrushin",
-                        "fkrcr", "duality", "pathprops"],
-             ["--seed", "--tol", "--trials", "--sites"]),
-            ("ineq", ["griffiths", "ghs", "simonlieb", "dss", "smms",
-                      "vanbeijeren", "tree"],
-             ["--tol", "--trials", "--sites"]),
-            ("gauge", ["z", "wilson", "dualbeta", "dualcheck",
-                       "deconfine"], ["--tol", "--loop"]),
-            ("sample", ["metropolis", "sw", "currents"],
-             ["--seed", "--trials", "--sites"])):
-        sp = sub.add_parser(name)
-        sp.add_argument("what", choices=choices)
-        sp.add_argument("--graph")
-        sp.add_argument("--lattice")
-        sp.add_argument("--beta", type=float, default=1.0)
-        sp.add_argument("--beta-sweep", dest="beta_sweep")
-        sp.add_argument("--out")
-        for flag in reads:
-            sp.add_argument(flag, **flags[flag])
-    rp = sub.add_parser("report")
-    rp.add_argument("files", nargs="*")
-    rp.add_argument("--out")
+
+_FLAGS = {"--beta": dict(type=float, default=1.0),
+          "--seed": dict(type=int, default=0),
+          "--tol": dict(type=float, default=1e-10),
+          "--trials": dict(type=int, default=20),
+          "--loop": dict(type=int, default=1)}
+
+
+def _parser(*words):
+    """The parser of `isinglab <words>`; a dispatch builds the three on its
+    path (program, command, verb) and no other."""
+    p = _Parser(prog=" ".join(["isinglab", *words]),
+                description=None if words else __doc__)
+    if len(words) == 2:
+        for flag in VERBS[words[0]][words[1]].reads:
+            p.add_argument(flag, **_FLAGS.get(flag, {}))
+    elif words == ("report",):
+        p.add_argument("files", nargs="*")
+        p.add_argument("--out")
+    else:
+        sub = p.add_subparsers(dest="what" if words else "command",
+                               required=True)
+        sub.choices = sub._name_parser_map = _Choices({
+            name: functools.partial(_parser, *words, name)
+            for name in (VERBS[words[0]] if words else [*VERBS, "report"])})
     return p
-
-
-_HANDLERS = {
-    "exact": _cmd_exact,
-    "verify": _cmd_verify,
-    "ineq": _cmd_ineq,
-    "gauge": _cmd_gauge,
-    "sample": _cmd_sample,
-}
 
 
 def cli_dispatch(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "report":
             return _cmd_report(args)
         t0 = time.perf_counter()
-        rows = _HANDLERS[args.command](args)
+        run = _Run(args)
+        rows = [row for beta in _betas(args)
+                for row in run.verb.rows(run.at(beta))]
         elapsed = (time.perf_counter() - t0) * 1000.0
         for r in rows:
             r.runtime_ms = elapsed / max(1, len(rows))
         config = " ".join([args.command] + argv[1:])
-        return _emit(rows, config, getattr(args, "out", None))
+        return _emit(rows, config, args.out)
     except (UsageError, SizeError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

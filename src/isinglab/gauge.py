@@ -388,6 +388,7 @@ def deconfinement_bound_report(box, couplings, axis, plane, window=None):
     a full cut is a gauge transformation and gives <T_F> = 1).  U/V are F's
     upper and lower endpoint sets.  Computes
         W  = <T_F>                         (disorder expectation)
+        W' = Z(J flipped on F) / Z(J)      (W from the spin oracle)
         B1 = P^FK(U not<-> V)
         B2 = prod_{u in U, v in V} (1 - <s_u s_v>)
         B3 = exp(-g(R) * sum_{u,v} <s_u s_v>),  R = max pair correlation
@@ -410,7 +411,9 @@ def deconfinement_bound_report(box, couplings, axis, plane, window=None):
     B1 = fk.fk_measure_expectation(
         box, couplings,
         {"cut": lambda labels: ~labels.connects_sets(U, V)})["cut"]
-    corrs = spins.moments(box, couplings, [[u, v] for u in U for v in V])
+    (z, corrs), (z_flipped, _) = spins.family(box, [
+        (couplings, None, [[u, v] for u in U for v in V]),
+        (couplings.with_flipped(F), None, [])])
     B2 = math.prod(1.0 - c for c in corrs)
     R = max(corrs)
     g = convexity_rate(R)
@@ -418,6 +421,7 @@ def deconfinement_bound_report(box, couplings, axis, plane, window=None):
     return {
         "flip_edges": list(F),
         "disorder": W,
+        "disorder_spin": z_flipped / z,
         "fk_disconnect": B1,
         "product_bound": B2,
         "exp_bound": B3,

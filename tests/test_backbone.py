@@ -188,6 +188,16 @@ def test_grouping_past_twenty_edges_sums_to_the_correlation():
         spins.expectation(g, c, [0, 15]), rel=0, abs=1e-12)
 
 
+def test_grouping_past_the_float_range_is_nan():
+    # a signed 3x3 box at beta 80: the current sums overflow, and the
+    # grouping raised "-inf + inf in fsum"; its weights are now nan, so the
+    # rows built on them fail
+    box = BoxGraph(2, [3, 3])
+    J = [-1.0 if e in (1, 4, 7) else 1.0 for e in range(box.n_edges)]
+    groups = backbone.backbone_grouping(box, Couplings(box, J, 80.0), {0, 8})
+    assert groups and all(math.isnan(w) for w in groups.values())
+
+
 def test_odd_source_sets_are_refused(triangle):
     c = Couplings(triangle, 1.0, 0.5)
     for fn in (backbone.backbone_grouping, backbone.check_path_properties):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from isinglab import doubled
-from isinglab.cli import cli_dispatch
+from isinglab.cli import VERBS, cli_dispatch
 
 
 def run(capsys, *argv):
@@ -215,8 +215,10 @@ def test_verify_rejects_fields(tmp_path, capsys, what):
     gf = tmp_path / "tri.txt"
     gf.write_text("vertex 0 h=0.8\nvertex 2 g=-0.6\n"
                   "edge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
+    sites = ["--sites", "0,1"] if "--sites" in VERBS["verify"][what].reads \
+        else []
     code, out, err = run(capsys, "verify", what, "--graph", str(gf),
-                         "--beta", "0.5", "--sites", "0,1")
+                         "--beta", "0.5", *sites)
     assert code == 2
     assert "fields" in err
     assert out == ""
@@ -489,8 +491,9 @@ def test_double_current_verbs_on_3x3_and_3x4(capsys, what, lattice):
     # 12 and 17 edges: the support law weighs 2^E patterns, where the
     # per-class recursion needed 5^E
     start = time.perf_counter()
+    trials = ["--trials", "2"] if what == "switching" else []
     code, out, err = run(capsys, "verify", what, "--lattice", lattice,
-                         "--trials", "2", "--beta", "0.4")
+                         *trials, "--beta", "0.4")
     assert time.perf_counter() - start < 5.0
     assert code == 0, err
     rows = [line.split(",") for line in out.splitlines()[2:]]
@@ -554,6 +557,21 @@ def test_pathprops_nan_rows_fail(capsys):
            for line in out.splitlines()[2:]}
     assert got["backbone_rho_vs_grouping"] == "false"
     assert got["backbone_zeta_bounded"] == "false"
+
+
+def test_pathprops_past_the_float_range_fails_its_rows(tmp_path, capsys):
+    # on this signed graph at beta 80 the grouping's current sum Z is 0:
+    # it used to end in a ZeroDivisionError traceback; now its weights are
+    # nan and their rows fail
+    gf = tmp_path / "signed.txt"
+    gf.write_text(SIGNED)
+    code, out, err = run(capsys, "verify", "pathprops", "--graph", str(gf),
+                         "--sites", "0,4", "--beta", "80")
+    assert (code, err) == (1, "")
+    got = {line.split(",")[1]: line.split(",")[6]
+           for line in out.splitlines()[2:]}
+    assert got["backbone_completeness"] == "false"
+    assert got["backbone_rho_vs_grouping"] == "false"
 
 
 @pytest.mark.parametrize("what", ["xtoy", "ursell"])
@@ -657,7 +675,7 @@ def test_verify_builds_each_table_and_instance_once(tmp_path, capsys, work,
     (["verify", "fold", "--lattice", "box:d=2,L=5,3"], 1, 2),
     (["verify", "xtoy", "--lattice", "box:d=2,L=3"], 1, 2),
     (["verify", "fkrcr", "--lattice", "box:d=2,L=3"], 1, 2),
-    (["gauge", "deconfine", "--lattice", "box:d=2,L=4,3"], 3, 3),
+    (["gauge", "deconfine", "--lattice", "box:d=2,L=4,3"], 2, 3),
     (["exact", "corr", "--lattice", "box:d=2,L=3"], 1, 0),
     (["exact", "u4", "--lattice", "box:d=2,L=3"], 1, 0),
     (["ineq", "tree", "--lattice", "box:d=2,L=3"], 1, 0)])
@@ -668,19 +686,104 @@ def test_spin_verbs_weigh_and_tabulate_their_pinned_counts(capsys, work,
     # verb that comes to weigh or build more fails here.
     # verify disorder asks its 20 trials (17 distinct flip sets) and the
     # plain box in one family call, and builds G and Q({}) once beside one
-    # signed Q per trial
+    # signed Q per trial; gauge deconfine weighs the plain box once, for its
+    # pair correlations and the spin leg of <T_F>
     code, _, _ = run(capsys, *argv, "--beta", "0.4")
     assert code == 0
     assert (len(work["weighed"]), work["tables"]) == (weighed, tables)
+
+
+# a value for each flag some verb reads; the graph file need not exist,
+# since a verb that does not read --graph refuses it unread
+FLAG_VALUES = {"--graph": "/nonexistent", "--lattice": "box:d=2,L=2",
+               "--seed": "3", "--tol": "1e-3", "--trials": "5",
+               "--sites": "0,1", "--loop": "1"}
 
 
 @pytest.mark.parametrize("argv", [
     ["exact", "z", "--seed", "3"], ["exact", "z", "--trials", "5"],
     ["exact", "z", "--tol", "1e-3"], ["ineq", "ghs", "--seed", "3"],
     ["gauge", "z", "--seed", "3"], ["gauge", "z", "--trials", "5"],
-    ["gauge", "z", "--sites", "0,1"], ["sample", "sw", "--tol", "1e-3"]])
+    ["gauge", "z", "--sites", "0,1"], ["sample", "sw", "--tol", "1e-3"]] + [
+    [command, what, flag, value] for command, verbs in VERBS.items()
+    for what, verb in verbs.items() for flag, value in FLAG_VALUES.items()
+    if flag not in verb.reads])
 def test_a_subcommand_refuses_flags_it_would_ignore(capsys, argv):
-    code, out, err = run(capsys, *argv, "--lattice", "box:d=2,L=2",
-                         "--beta", "0.4")
+    # exact z --sites, ineq ghs --trials, verify fold --sites, verify
+    # duality --seed and gauge dualbeta --graph used to run and ignore them
+    verb = VERBS[argv[0]][argv[1]]
+    instance = ["--lattice", "box:d=2,L=2"] if "--lattice" in verb.reads \
+        and "--lattice" not in argv else []
+    code, out, err = run(capsys, *argv, *instance, "--beta", "0.4")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: " + " ".join(argv[2:]) in err
+
+
+@pytest.mark.parametrize("what, hook", [("switching", "verify_switching"),
+                                        ("disorder", "disorder_expectations")])
+def test_a_beta_sweep_draws_one_stream(capsys, monkeypatch, what, hook):
+    # the random sets of a sweep continue one --seed stream across the
+    # betas: two betas of two trials draw what one beta of four draws
+    drawn, call = [], getattr(doubled, hook)
+    monkeypatch.setattr(doubled, hook, lambda graph, c, *sets: (
+        drawn.append(sets), call(graph, c, *sets))[1])
+    trials = lambda: drawn if what == "switching" else [
+        flip for (flips,) in drawn for flip in flips]
+    argv = ["verify", what, "--lattice", "box:d=2,L=3", "--seed", "5"]
+    run(capsys, *argv, "--beta-sweep", "0.2:0.4:0.2", "--trials", "2")
+    swept = list(trials())
+    drawn.clear()
+    run(capsys, *argv, "--beta", "0.2", "--trials", "4")
+    assert len(swept) == 4 and swept == trials()
+
+
+def test_a_dispatch_builds_only_the_parsers_on_its_path(capsys, monkeypatch):
+    # one parser per verb, all built on every dispatch, cost about four
+    # times the whole parse of six eager subcommand parsers
+    from isinglab import cli
+    built, init = [], cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, **kw: (
+        built.append(kw["prog"]), init(self, **kw))[1])
+    code, _, _ = run(capsys, "gauge", "dualbeta", "--beta", "0.5")
+    assert code == 0
+    assert built == ["isinglab", "isinglab gauge", "isinglab gauge dualbeta"]
+
+
+@pytest.mark.parametrize("what", ["z", "wilson", "dualcheck"])
+@pytest.mark.parametrize("bc", ["plus", "pm"])
+def test_gauge_verbs_refuse_a_boundary(capsys, what, bc):
+    # the plaquette complex has no boundary condition: these printed the
+    # free complex's rows with pass=true
+    code, out, err = run(capsys, "gauge", what, "--lattice",
+                         "box:d=3,L=2,bc=" + bc, "--beta", "0.4")
+    assert (code, out) == (2, "")
+    assert "gauge %s does not support a boundary" % what in err
+
+
+def test_graph_and_lattice_together_are_refused(tmp_path, capsys):
+    # the lattice used to be ignored in favour of the graph file
+    gf = tmp_path / "tri.txt"
+    gf.write_text("edge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
+    code, out, err = run(capsys, "exact", "z", "--graph", str(gf),
+                         "--lattice", "box:d=2,L=2", "--beta", "0.4")
+    assert (code, out) == (2, "")
+    assert "one of --graph or --lattice" in err
+
+
+def test_readme_verb_table_matches_cli():
+    # README's per-verb table states each verb's inputs; it must say what
+    # the CLI's table declares, verb for verb
+    import pathlib
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    documented = {}
+    for line in readme.read_text().splitlines():
+        if line.startswith("| `"):
+            verb, instance, boundary, fields, flags = (
+                cell.strip().replace("`", "")
+                for cell in line.strip("|").split("|"))
+            documented[verb] = (instance, boundary, fields, flags.split())
+    declared = {"%s %s" % (command, what): (
+        verb.instance, verb.boundary, "yes" if verb.fields else "no",
+        verb.flags.split())
+        for command, verbs in VERBS.items() for what, verb in verbs.items()}
+    assert documented == declared
