@@ -300,8 +300,6 @@ def _verify_disorder(r):
         nflip = int(r.rng.integers(0, r.graph.n_edges + 1))
         flips.append(r.rng.choice(r.graph.n_edges, nflip,
                                   replace=False).tolist())
-    if not flips:   # --trials 0 asks nothing
-        return []
     # one spin family call and one law serve every trial
     plain, *flipped = spins.family(r.graph, [(r.c, None, [])] + [
         (r.c.with_flipped(flip), None, []) for flip in flips])
@@ -578,11 +576,26 @@ class _Choices(dict):
         return super().__getitem__(name)()
 
 
+def _ranged(kind, ok, wants):
+    """An argparse type: kind(text), refused unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("wants %s, not %s"
+                                             % (wants, text))
+        return value
+    parse.__name__ = kind.__name__      # as in "invalid int value: 'x'"
+    return parse
+
+
+_COUNT = _ranged(int, lambda n: n >= 1, "a positive integer")
 _FLAGS = {"--beta": dict(type=float, default=1.0),
           "--seed": dict(type=int, default=0),
-          "--tol": dict(type=float, default=1e-10),
-          "--trials": dict(type=int, default=20),
-          "--loop": dict(type=int, default=1)}
+          "--tol": dict(type=_ranged(float, lambda t: 0.0 < t < math.inf,
+                                     "a positive finite number"),
+                        default=1e-10),
+          "--trials": dict(type=_COUNT, default=20),
+          "--loop": dict(type=_COUNT, default=1)}
 
 
 def _parser(*words):

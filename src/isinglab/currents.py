@@ -23,6 +23,11 @@ transform (Björklund, Husfeldt, Kaski and Koivisto 2007); the double- and
 folded-current laws of `doubled` and `folding` are products of two of them,
 and the FK weight of `fk` is one of them times the edge factors.  Their
 events are such sums too: a connection is a pairing count (`_SupportLabels`).
+
+The transforms run one in-place pass per bit (`_bit_passes`), with the
+arithmetic of a plain per-bit loop, so the tables are the loop's bit for
+bit; a nonzero test is an OR pass on a bool table (`_pairs`); a table's
+sum is `_exact_sum`, the float math.fsum gives, from exact binned partials.
 """
 
 from __future__ import annotations
@@ -197,10 +202,8 @@ class _SupportLabels:
         if v in S or not S:
             return np.full(len(self.masks), v in S)
         if (S, v) not in self._columns:
-            ones = [1.0] * len(self._ends)
-            count = _subgraph_sums(*_syndromes(
-                self._ends, set(self.graph.vertices) - S, {v}), ones, ones)
-            column = count[self.masks] != 0
+            column = _pairs(*_syndromes(
+                self._ends, set(self.graph.vertices) - S, {v}))[self.masks]
             column.flags.writeable = False      # it is kept and shared
             self._columns[S, v] = column
         return self._columns[S, v]
@@ -228,16 +231,17 @@ class _SupportLabels:
         return sum(self.has_edge(e) * 1 for e in range(self.graph.n_edges))
 
     def sums(self, events):
-        """name -> math.fsum of weight * value over the kept patterns of
-        nonzero value, plus '_total' (the raw weight sum); events: name ->
-        fn(labels), giving one value per kept pattern or one for all."""
+        """name -> the exact sum (`_exact_sum`, which is math.fsum) of
+        weight * value over the kept patterns of nonzero value, plus
+        '_total' (the raw weight sum); events: name -> fn(labels), giving
+        one value per kept pattern or one for all."""
         out = {}
         for name, fn in events.items():
             val = np.broadcast_to(np.asarray(fn(self), dtype=float),
                                   self.weights.shape)
             hit = val != 0
-            out[name] = math.fsum(self.weights[hit] * val[hit])
-        out["_total"] = math.fsum(self.weights)
+            out[name] = _exact_sum(self.weights[hit] * val[hit])
+        out["_total"] = _exact_sum(self.weights)
         return out
 
     def expectations(self, events):
@@ -247,9 +251,40 @@ class _SupportLabels:
                 for name, s in out.items()}
 
 
+_HIGH = -(1 << 27)          # as int64 bits: clears the low 27 significand bits
+_BINNED_MIN = 1 << 10       # fewer terms: math.fsum over a list is faster
+
+
+def _exact_sum(x):
+    """math.fsum of the float64 array x, bit for bit.
+
+    Each term splits exactly into hi, its 26 high significand bits, and
+    lo = x - hi.  Binned by stored exponent e // 4 (e0 = 4 * bin; a
+    subnormal has the spacing of e = 1), hi terms are multiples of
+    2^(e0 - 1048) below 2^(e0 - 1019) and lo terms multiples of
+    2^(e0 - 1075) below 2^(e0 - 1045), so np.bincount sums up to 2^20 of
+    them exactly (49 and 50 bits), and one math.fsum of the partials
+    rounds their exact total once.  math.fsum itself takes small x (it is
+    faster there), more than 2^20 terms, and a bin past 505, where a
+    partial or fsum's own running sum could overflow (inf and nan are
+    there too).
+    """
+    x = np.ravel(x)
+    if _BINNED_MIN <= len(x) <= 1 << 20:
+        u = x.view(np.int64)
+        bins = u >> 54
+        bins &= 0x1ff
+        hi = (u & _HIGH).view(np.float64)
+        his = np.bincount(bins, weights=hi)
+        if len(his) <= 506:
+            los = np.bincount(bins, weights=np.subtract(x, hi, out=hi))
+            return math.fsum(np.concatenate((his, los)).tolist())
+    return math.fsum(x.tolist())
+
+
 def _fsum(arrays):
     try:
-        return math.fsum(np.concatenate(arrays)) if arrays else 0.0
+        return _exact_sum(np.concatenate(arrays)) if arrays else 0.0
     except ValueError:      # inf - inf: no sum; a finite overflow raises
         return math.nan
 
@@ -278,25 +313,75 @@ def _syndromes(ends, constrained, target):
     return bounds, sum(1 << pos[v] for v in target)
 
 
+def _boundary_is(bounds, target):
+    """synd[S] == target for every pattern S, where synd[S] is the boundary
+    of the edges of S (bit i of S is the edge with boundary bounds[i]),
+    built in place by doubling over the bits: an edge sets at most two
+    bits, so int64 holds those of 31 edges.  Every support table starts
+    here, so the one pattern cap is checked here, before any table
+    exists."""
+    if len(bounds) > SUPPORT_EDGE_CAP:
+        raise SizeError("2^%d support patterns exceed the cap" % len(bounds))
+    synd = np.empty(1 << len(bounds), dtype=np.int64)
+    synd[0] = 0
+    for i, bound in enumerate(bounds):
+        np.bitwise_xor(synd[:1 << i], bound, out=synd[1 << i:2 << i])
+    return synd == target
+
+
+def _bit_passes(h, op):
+    """Run op(h0, h1, i) on the table h for i = 0, 1, ..., in order: h0 and
+    h1 are matching views of the entries whose index has bit i clear and
+    set, for op to update in place.  The low bits (8, or half of them) run
+    on one transposed copy, so that their pairs lie in long contiguous runs
+    too.  Returns h."""
+    bits = len(h).bit_length() - 1
+    low = min(8, bits // 2)
+    t = np.ascontiguousarray(h.reshape(-1, 1 << low).T)
+    for i in range(low):
+        pair = t.reshape(-1, 2, t.shape[1] << i)
+        op(pair[:, 0], pair[:, 1], i)
+    h.reshape(-1, 1 << low)[...] = t.T
+    for i in range(low, bits):
+        pair = h.reshape(-1, 2, 1 << i)
+        op(pair[:, 0], pair[:, 1], i)
+    return h
+
+
 def _subgraph_sums(bounds, target, a, b):
     """h[S] = sum over F within S with boundary `target` of
     prod_{e in F} b_e prod_{e in S - F} a_e, for every pattern S: bit i of S
-    is the edge with boundary bounds[i].  The boundaries of all patterns
-    are built by doubling over the bits (an edge sets at most two bits, so
-    int64 holds those of 31 edges); then one subset-sum butterfly per bit
-    turns the indicator of the boundary into h.  Every support law builds
-    its tables here, so the one pattern cap is checked here, before any
-    table exists."""
-    if len(bounds) > SUPPORT_EDGE_CAP:
-        raise SizeError("2^%d support patterns exceed the cap" % len(bounds))
-    synd = np.zeros(1, dtype=np.int64)
-    for bound in bounds:
-        synd = np.concatenate((synd, synd ^ bound))
-    h = (synd == target).astype(float)
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        pair = h.reshape(-1, 2, 1 << i)
-        pair[:, 1] = bi * pair[:, 1] + ai * pair[:, 0]
-    return h
+    is the edge with boundary bounds[i].  One subset-sum butterfly per bit,
+    h1 = b_i h1 + a_i h0 in place through one scratch half-table, turns the
+    indicator of the boundary into h; a factor 1.0, exact, is not
+    multiplied in."""
+    h = _boundary_is(bounds, target).astype(float)
+    scratch = np.empty(len(h) // 2)
+
+    def butterfly(h0, h1, i):
+        if b[i] != 1.0:
+            np.multiply(h1, b[i], out=h1)
+        if a[i] != 1.0:
+            h0 = np.multiply(h0, a[i], out=scratch.reshape(h0.shape))
+        np.add(h1, h0, out=h1)
+
+    return _bit_passes(h, butterfly)
+
+
+def _pairs(bounds, target, carried=None):
+    """_subgraph_sums(bounds, target, 1s, b) != 0 with b_i = 1 at the bits
+    where carried[i] (every bit for None) and 0 elsewhere: does some F
+    within the carried edges of S have boundary `target`.  The sums are
+    nonnegative counts, so this is the OR butterfly on a bool table."""
+    h = _boundary_is(bounds, target)
+
+    def either(h0, h1, i):
+        if carried is None or carried[i]:
+            np.logical_or(h1, h0, out=h1)
+        else:
+            np.copyto(h1, h0)
+
+    return _bit_passes(h, either)
 
 
 def single_support_expectations(graph, couplings, events):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .currents import (ConstraintError, _check_sources, _fsum,
+from .currents import (ConstraintError, _check_sources, _fsum, _pairs,
                        _subgraph_sums, _support_sums, _SupportLabels,
                        _syndromes, edge_weight_table)
 
@@ -122,7 +122,9 @@ def verify_switching(graph, couplings, A1, A2, B, F=None, edges2=None):
     sides = [DoubleSupportMeasure(graph, couplings, graph.vertices, S1, S2,
                                   edges2)
              for S1, S2 in ((A1, A2), (frozenset(A1) ^ B, frozenset(A2) ^ B))]
-    pairs = _q_table(graph.edges, sides[0]._shared, graph.vertices, B) != 0
+    shared = sides[0]._shared
+    pairs = _pairs(*_syndromes(graph.edges, graph.vertices, B),
+                   [e in shared for e in range(graph.n_edges)])
     lhs, rhs = (_fsum([m._W[pairs]]) if F is None else _support_sums(
         graph, m._bit_edges, m._W * pairs, {"t": F})["t"] for m in sides)
     return lhs, rhs, abs(lhs - rhs)
@@ -146,6 +148,12 @@ def _ratio(t, total):
     return _fsum([t[t != 0]]) / total
 
 
+def _given(p, ff):
+    """p / ff, a law conditioned on FF; nan when P(FF) is 0 or not finite,
+    where no conditional law exists."""
+    return p / ff if ff and math.isfinite(ff) else math.nan
+
+
 def _signs(couplings):
     """s = -1 on the negative couplings, +1 elsewhere."""
     neg = couplings.negative_edges()
@@ -160,7 +168,7 @@ def _frustration(weigh, couplings, u=None, v=None):
     ff = _ratio(weigh(frozenset(), s), total)
     if u is None:
         return ff, None
-    return ff, _ratio(weigh({u} ^ {v}, s), total) / ff
+    return ff, _given(_ratio(weigh({u} ^ {v}, s), total), ff)
 
 
 def _dobrushin(weigh, graph, boundary_spec, x=None):
@@ -186,7 +194,7 @@ def _dobrushin(weigh, graph, boundary_spec, x=None):
         return ff, None, None
     t = weigh({x}, s)
     return (ff, _ratio(weigh({x}), total),
-            (_ratio(t[t > 0], total) - _ratio(-t[t < 0], total)) / ff)
+            _given(_ratio(t[t > 0], total) - _ratio(-t[t < 0], total), ff))
 
 
 def frustration_identities(graph, couplings, u=None, v=None):

@@ -18,11 +18,12 @@ follows from the others), of dimension |w| - n0 + N0(w).  So
 
 the count behind the coupling of FK clusters and even subgraphs (Grimmett
 and Janson 2009, "Random even graphs"; Aizenman 1982).  The table starts as
-that count, by `_subgraph_sums` with a = b = 1, times 2^n0; one pass per
-edge, in edge order, then multiplies in 1 - p_b where the edge is closed and
-p_b / 2 where it is open.  The count, 2^n0 and the halving are exact powers
-of 2, so each weight is the float that the left-to-right product of the
-plain edge factors times 2^N0 gives, unless some weight is subnormal.
+that count, by `_subgraph_sums` with a = b = 1, times 2^n0; one in-place
+pass per edge, in edge order (`currents._bit_passes`), then multiplies in
+1 - p_b where the edge is closed and p_b / 2 where it is open.  The count,
+2^n0 and the halving are exact powers of 2, so each weight is the float
+that the left-to-right product of the plain edge factors times 2^N0 gives,
+unless some weight is subnormal.
 
 Frustration and the mixed boundary are the signed counts of `doubled`: the
 count built with b = s_e = +-1 and a target boundary t, before the same
@@ -35,7 +36,8 @@ import math
 
 import numpy as np
 
-from .currents import _subgraph_sums, _SupportLabels, _syndromes
+from .currents import (_bit_passes, _subgraph_sums, _SupportLabels,
+                       _syndromes)
 from . import spins, doubled
 
 Q = 2.0
@@ -72,15 +74,15 @@ def _fk_law(graph, couplings, free):
     weigh({}) is the FK weight."""
     E, ps = graph.n_edges, fk_weights(couplings)
 
+    def edge_factors(closed, opened, i):
+        closed *= 1.0 - ps[i]
+        opened *= ps[i] / Q
+
     def weigh(target, signs=None):
         W = _subgraph_sums(*_syndromes(graph.edges, free, target),
                            [1.0] * E, signs or [1.0] * E)
         W *= Q ** len(free)
-        for i, p in enumerate(ps):
-            pair = W.reshape(-1, 2, 1 << i)
-            pair[:, 0] *= 1.0 - p
-            pair[:, 1] *= p / Q
-        return W
+        return _bit_passes(W, edge_factors)
 
     return weigh
 

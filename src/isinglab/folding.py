@@ -36,7 +36,7 @@ import numpy as np
 
 from .currents import (ConstraintError, _check_sources, _SupportLabels,
                        edge_weight_table)
-from .doubled import _g_table, _q_table
+from .doubled import _g_table, _given, _q_table
 from .graphs import BoundarySpec, induced_subgraph, reflection_for_axis
 from . import spins
 
@@ -220,7 +220,7 @@ def dobrushin_identities(box, couplings, axis=None, x=None):
         "ratio_spin": ratio_spin,
         "ratio_folded": out["ff"],
         "mag_spin": mag_pm,
-        "mag_folded": out["mag"] / out["ff"],
+        "mag_folded": _given(out["mag"], out["ff"]),
         "mag_plane_lower": mag_lower,
         "van_beijeren_ok": mag_pm >= mag_lower - 1e-12,
     }

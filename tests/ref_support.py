@@ -4,11 +4,38 @@ The support kernel answers connections, frustration and relative signs for
 all patterns at once with subgraph counts.  The union-find forms here answer
 them for one support at a time, and `pattern_labels` labels the components
 of many patterns by doubling over the pattern bits; the tests compare them.
+`subgraph_sums_loop` and `edge_factors_loop` are the kernel's transforms as
+plain per-bit loops, one strided pass per bit, which the kernel's
+contiguous in-place passes must equal byte for byte.
 """
 
 import numpy as np
 
 from isinglab.currents import SupportView
+
+
+def subgraph_sums_loop(bounds, target, a, b):
+    """`currents._subgraph_sums`: h[S] = sum over F within S with boundary
+    `target` of prod_F b_e prod_{S - F} a_e, by doubling the boundaries
+    over the bits and one butterfly h1 = b_i h1 + a_i h0 per bit."""
+    synd = np.zeros(1, dtype=np.int64)
+    for bound in bounds:
+        synd = np.concatenate((synd, synd ^ bound))
+    h = (synd == target).astype(float)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        pair = h.reshape(-1, 2, 1 << i)
+        pair[:, 1] = bi * pair[:, 1] + ai * pair[:, 0]
+    return h
+
+
+def edge_factors_loop(W, ps, q):
+    """FK's edge pass in place: per edge i, in order, 1 - p_i on the masks
+    where it is closed and p_i / q where it is open."""
+    for i, p in enumerate(ps):
+        pair = W.reshape(-1, 2, 1 << i)
+        pair[:, 0] *= 1.0 - p
+        pair[:, 1] *= p / q
+    return W
 
 
 def _merge(lab, u, v):

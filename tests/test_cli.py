@@ -197,6 +197,41 @@ def test_non_finite_beta_is_usage_error(capsys, beta_args):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "switching", "--lattice", "box:d=2,L=2", "--trials", "-3"],
+    ["verify", "disorder", "--lattice", "box:d=2,L=2", "--trials", "0"],
+    ["ineq", "griffiths", "--lattice", "box:d=2,L=2", "--trials", "0"],
+    ["sample", "currents", "--lattice", "box:d=2,L=2", "--trials", "-1"],
+    ["gauge", "wilson", "--lattice", "box:d=2,L=3", "--loop", "0"],
+    ["verify", "boundary", "--lattice", "box:d=2,L=3,bc=pm", "--tol", "inf"],
+    ["verify", "xtoy", "--lattice", "box:d=2,L=2", "--tol", "nan"],
+    ["verify", "fold", "--lattice", "box:d=2,L=3", "--tol", "0"],
+    ["ineq", "ghs", "--lattice", "box:d=2,L=2", "--tol", "-0.001"]])
+def test_numeric_flags_out_of_range_are_usage_errors(capsys, argv):
+    # --trials 0 and -3 used to certify nothing with exit 0, and --tol inf
+    # to pass any discrepancy
+    code, out, err = run(capsys, *argv, "--beta", "0.4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument %s: wants " % argv[-2])
+
+
+@pytest.mark.parametrize("beta", ["60", "80"])
+def test_dobrushin_with_no_frustration_free_mass_fails_its_row(capsys, beta):
+    # P(FF) underflows to 0 on 3x3 pm: the folded magnetization used to
+    # end in a ZeroDivisionError traceback; it is now nan, and its row fails
+    code, out, err = run(capsys, "verify", "dobrushin", "--lattice",
+                         "box:d=2,L=3,bc=pm", "--beta", beta)
+    assert (code, err) == (1, "")
+    got = {line.split(",")[1]: line.split(",")[3:7:3]
+           for line in out.splitlines()[2:]}
+    assert got["dobrushin_mag"] == ["nan", "false"]
+    code, out, err = run(capsys, "ineq", "vanbeijeren", "--lattice",
+                         "box:d=2,L=3", "--beta", beta)
+    assert err == ""
+    assert [line.split(",")[1] for line in out.splitlines()[2:]] == [
+        "van_beijeren"]
+
+
 @pytest.mark.parametrize("sites", ["0,99", "3,-1"])
 def test_out_of_range_site_is_usage_error(capsys, sites):
     code, out, err = run(capsys, "exact", "corr", "--lattice", "box:d=2,L=3",
